@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    sixff run [--suite S ...] [--field q|fp:P] [--seed N] [--truncate N]
-              [--probes M] [--format text|json] [--input PATH ...]
+    sixff run [--suite S ...] [--field q|fp:P] [--seed N] [--probes M]
+              [--format text|json] [--input PATH ...]
     sixff setup check --input SETUP.json | --demo
     sixff pyramid N [--variant sigma|sigma2|lambda]
     sixff sections N
@@ -29,8 +29,8 @@ from .suite import SUITES, SuiteConfig, emit_report, run_suite
 def _cmd_run(args):
     cfg = SuiteConfig(suites=tuple(args.suite or ()),
                       field_spec=args.field, seed=args.seed,
-                      truncate=args.truncate, probes=args.probes,
-                      fmt=args.format, inputs=tuple(args.input or ()))
+                      probes=args.probes, fmt=args.format,
+                      inputs=tuple(args.input or ()))
     report = run_suite(cfg)
     sys.stdout.write(emit_report(report, args.format))
     return report.exit_code()
@@ -121,8 +121,7 @@ def _cmd_descent(args):
 def _cmd_kernels(args):
     from .io import load_document, load_functor, load_groupoid
     from .kernels import (
-        Kernel, KernelContext, associator, kernel_identity, left_unitor,
-        right_unitor,
+        KernelContext, associator, kernel_identity, left_unitor, right_unitor,
     )
     from .sheaves import unit_sheaf
     field = parse_field(args.field)
@@ -279,7 +278,6 @@ def main(argv=None):
     p.add_argument("--suite", action="append", choices=SUITES)
     p.add_argument("--field", default="q")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncate", type=int, default=3)
     p.add_argument("--probes", type=int, default=2)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--input", action="append")

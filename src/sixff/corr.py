@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import TheoremViolation
 from .groupoid import Violation, okey
 
 
@@ -21,11 +22,6 @@ class NoPullback(Exception):
 
 class PartialEnumerationError(Exception):
     pass
-
-
-class TheoremViolation(Exception):
-    """A certified identity failed.  This never fires on valid input; its
-    firing is a bug alarm, not an expected outcome."""
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +356,6 @@ def corr_hom(x, y, setup, bound=10000):
 def pairing(cat, prod_pb, a, b):
     """Mediator <a, b>: W -> X x Y for the product cone prod_pb."""
     return mediating_morphism(cat, prod_pb, a, b)
-
-
-def product_of_spans(cat, s, t, setup):
-    """The span s x t: (A x C) => (B x D) on canonical binary products."""
-    pab = product(cat, s.source, t.source)
-    pcd = product(cat, s.target, t.target)
-    pw = product(cat, s.apex, t.apex)
-    if pab is None or pcd is None or pw is None:
-        raise NoPullback("missing products")
-    left = pairing(cat, pab,
-                   cat.compose(s.left, pw.p1), cat.compose(t.left, pw.p2))
-    right = pairing(cat, pcd,
-                    cat.compose(s.right, pw.p1), cat.compose(t.right, pw.p2))
-    return Span((s.source, t.source, "x"), pw.apex, (s.target, t.target, "x"),
-                left, right), pab, pcd, pw
 
 
 @dataclass

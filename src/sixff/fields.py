@@ -15,6 +15,11 @@ class GateError(Exception):
     automorphism-group order of the base groupoid."""
 
 
+class TheoremViolation(Exception):
+    """A certified identity failed.  This never fires on valid input; its
+    firing is a bug alarm, not an expected outcome."""
+
+
 class FpElement:
     """An element of F_p.  Supports +, -, *, ==, hash; division goes
     through the field object."""

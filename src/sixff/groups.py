@@ -66,13 +66,6 @@ class FiniteGroup:
     def __len__(self):
         return len(self.elements)
 
-    def order_of(self, a):
-        n, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     def __repr__(self):
         return "FiniteGroup(%s, order %d)" % (self.name, len(self))
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 from .fields import GateError
 from .groupoid import (
-    Functor, delooping, delooping_hom, iso_comma_pullback,
-    okey, pi0_and_aut, terminal_groupoid, to_terminal,
+    delooping, delooping_hom, iso_comma_pullback, okey, pi0_and_aut,
+    terminal_groupoid, to_terminal,
 )
 from .groups import FiniteGroup
-from .linalg import Matrix, stack_columns
+from .linalg import Matrix, stack_columns, stack_rows
 from .sheaves import (
     LanFunctor, PullbackFunctor, Sheaf, SheafMorphism, TheoremViolation,
     find_isomorphism, hom_dim, hom_space,
@@ -229,21 +229,13 @@ class HeckeAlgebra:
         for w in self.dc.representatives:
             # T(w) must satisfy rho(k) T(w) rho(k') = T(w) when k w k' = w
             rows = []
-            eye = Matrix.identity(field, d)
             for k in kset:
                 for kp in kset:
                     if G.mul(G.mul(k, w), kp) != w:
                         continue
                     lhs = V.mat[k].kron(V.mat[kp].transpose())
                     rows.append(lhs - Matrix.identity(field, d * d))
-            if rows:
-                sysm = rows[0]
-                for r in rows[1:]:
-                    sysm = sysm.vstack(r)
-                null = sysm.nullspace()
-            else:
-                null = Matrix.identity(field, d * d).column_space_basis()
-            for vec in null:
+            for vec in stack_rows(field, rows, d * d).nullspace():
                 Tw = Matrix(field, [[vec.rows[i * d + j][0]
                                      for j in range(d)] for i in range(d)],
                             ncols=d)
@@ -449,10 +441,8 @@ def prim_duality_on_hecke(G, K, field):
     """Compute the prim dual of the induced unit, transport endomorphisms
     through the mate bijection of the resulting adjunction, and certify
     agreement with the concrete anti-involution on the double coset basis."""
-    from .kernels import (
-        ComposedAfterXX, ComposedRightS, MapCalculus, prim_test,
-    )
-    from .sheaves import tensor
+    from .kernels import MapCalculus, prim_test
+    from .sheaves import TensorLeftFunctor, TensorRightFunctor, tensor
     BK = delooping(K)
     trivK = unit_sheaf(BK, field)
     ind = compact_induction(G, K, trivK, field)
@@ -471,8 +461,8 @@ def prim_duality_on_hecke(G, K, field):
         return PrimDualityCertificate(True, False, False, False, 0)
 
     # mate transport: T in End(P) -> rho(T) in End(r), then conjugate by c
-    etaR_f = ComposedRightS(calc, r)
-    rAfter = ComposedAfterXX(calc, r)
+    etaR_f = calc.pull_f.then(TensorRightFunctor(r))
+    rAfter = TensorLeftFunctor(calc.pull_p1.obj(r)).then(LanFunctor(calc.pi2))
     from .kernels import _invert_certified
     from .sheaves import (
         projection_formula_cell_right as pf_right,

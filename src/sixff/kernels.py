@@ -63,10 +63,6 @@ class KernelContext:
         """Fun(Y -> X) is the sheaf category on this groupoid."""
         return self.prod((xname, yname))
 
-    def unit_on(self, names):
-        return unit_sheaf(self.prod(tuple(names)).grpd, self.field)
-
-
 @dataclass
 class Kernel:
     ctx: KernelContext
@@ -123,21 +119,6 @@ def whisker_left(M, beta, z):
     lifted = tensor_morphisms(
         identity_morphism(PullbackFunctor(p12).obj(M.payload)),
         PullbackFunctor(p23).mor(beta))
-    return LanFunctor(p13).mor(lifted)
-
-
-def whisker_right(beta, N, x):
-    """beta ∘ N for a 2-cell beta between kernels Y => X and a kernel
-    N: Z => Y."""
-    ctx = N.ctx
-    y, z = N.tgt, N.src
-    rp3 = ctx.prod((x, y, z))
-    p12 = rp3.proj_onto([0, 1], ctx.prod((x, y)))
-    p23 = rp3.proj_onto([1, 2], ctx.prod((y, z)))
-    p13 = rp3.proj_onto([0, 2], ctx.prod((x, z)))
-    lifted = tensor_morphisms(
-        PullbackFunctor(p12).mor(beta),
-        identity_morphism(PullbackFunctor(p23).obj(N.payload)))
     return LanFunctor(p13).mor(lifted)
 
 
@@ -576,15 +557,6 @@ class MapCalculus:
         """P∘Q: S -> S = f_!(P ⊗ Q)."""
         return LanFunctor(self.f).obj(tensor(P, Q))
 
-    def comp_S_after_XX(self, P, Mcell_or_sheaf):
-        """P∘M: X -> S = pi2_!(pi1*P ⊗ M) for M in D(X x_S X)."""
-        return LanFunctor(self.pi2).obj(
-            tensor(self.pull_p1.obj(P), Mcell_or_sheaf))
-
-    def comp_XX_after_S(self, M, Q):
-        """M∘Q: S -> X = pi1_!(M ⊗ pi2*Q)."""
-        return LanFunctor(self.pi1).obj(tensor(M, self.pull_p2.obj(Q)))
-
     def right_unitor_reduced(self, P):
         """P∘id_X -> P in D(X)."""
         c1 = projection_formula_cell_left(self.diag, self.pull_p1.obj(P),
@@ -689,7 +661,7 @@ def suave_test(f, P, field=None):
     tri1 = t1.is_identity()
     # triangle 2: Q -> id∘Q -> (Q∘P)∘Q -> Q∘(P∘Q) -> Q equals id
     lam = calc.left_unitor_reduced(Q)
-    whisk = ComposedRight(calc, Q)
+    whisk = TensorRightFunctor(calc.pull_p2.obj(Q)).then(LanFunctor(calc.pi1))
     etaQ = whisk.mor(eta)
     # associator (Q∘P)∘Q -> Q∘(P∘Q)
     t1c = projection_formula_cell_left(calc.pi1, Q,
@@ -707,66 +679,6 @@ def suave_test(f, P, field=None):
                                 counit=eps_out, triangle1=tri1,
                                 triangle2=tri2,
                                 failing="" if ok else "triangle identity")
-
-
-class ComposedRight:
-    """(-)∘Q: Fun(X,X) -> Fun(S,X), M -> pi1_!(M ⊗ pi2*Q)."""
-
-    def __init__(self, calc, Q):
-        self.calc = calc
-        self._t = TensorRightFunctor(calc.pull_p2.obj(Q))
-        self._lan = LanFunctor(calc.pi1)
-
-    def obj(self, M):
-        return self._lan.obj(self._t.obj(M))
-
-    def mor(self, cell):
-        return self._lan.mor(self._t.mor(cell))
-
-
-class ComposedLeftS(object):
-    """P∘(-): Fun(S,S) -> Fun(X,S), V -> P ⊗ f*V."""
-
-    def __init__(self, calc, P):
-        self.calc = calc
-        self._t = TensorLeftFunctor(P)
-        self._p = calc.pull_f
-
-    def obj(self, V):
-        return self._t.obj(self._p.obj(V))
-
-    def mor(self, cell):
-        return self._t.mor(self._p.mor(cell))
-
-
-class ComposedRightS:
-    """(-)∘P: Fun(S,S) -> Fun(X,S), V -> f*V ⊗ P."""
-
-    def __init__(self, calc, P):
-        self.calc = calc
-        self._t = TensorRightFunctor(P)
-        self._p = calc.pull_f
-
-    def obj(self, V):
-        return self._t.obj(self._p.obj(V))
-
-    def mor(self, cell):
-        return self._t.mor(self._p.mor(cell))
-
-
-class ComposedAfterXX:
-    """r∘(-): Fun(X,X) -> Fun(X,S), M -> pi2_!(pi1*r ⊗ M)."""
-
-    def __init__(self, calc, r):
-        self.calc = calc
-        self._t = TensorLeftFunctor(calc.pull_p1.obj(r))
-        self._lan = LanFunctor(calc.pi2)
-
-    def obj(self, M):
-        return self._lan.obj(self._t.obj(M))
-
-    def mor(self, cell):
-        return self._lan.mor(self._t.mor(cell))
 
 
 def prim_test(f, P, field=None, check_double_dual=True):
@@ -788,9 +700,10 @@ def prim_test(f, P, field=None, check_double_dual=True):
     bc3 = calc.bc_p1p2(rp_t)
     a3 = pf3.then(tensor_morphisms(identity_morphism(P), bc3))
     a3_inv = _invert_certified(a3, "prim associator")
-    a3_inv = SheafMorphism(ComposedLeftS(calc, P).obj(rP), a3.src,
-                           a3_inv.comp)
-    epsP = ComposedRight(calc, P).mor(eps)
+    P_after = calc.pull_f.then(TensorLeftFunctor(P))    # P̌∘(-), V -> P⊗f*V
+    a3_inv = SheafMorphism(P_after.obj(rP), a3.src, a3_inv.comp)
+    epsP = TensorRightFunctor(calc.pull_p2.obj(P)).then(
+        LanFunctor(calc.pi1)).mor(eps)
     epsP = SheafMorphism(a3.src, epsP.dst, epsP.comp)
     lam = calc.left_unitor_reduced(P)
     lam = SheafMorphism(epsP.dst, P, lam.comp)
@@ -806,17 +719,18 @@ def prim_test(f, P, field=None, check_double_dual=True):
         return SuavePrimCertificate("prim", False,
                                     failing="criterion: no unique unit")
     # triangle 1: P̌ = P̌∘id_S -> P̌∘(r∘P̌) -> P̌ equals id
-    PofEta = ComposedLeftS(calc, P).mor(eta)
+    PofEta = P_after.mor(eta)
     t1 = SheafMorphism(P, PofEta.dst, PofEta.comp).then(e2)
     tri1 = t1.is_identity()
     # triangle 2: r = id_S∘r -> (r∘P̌)∘r -> r∘(P̌∘r) -> r∘id_X -> r
-    etaR = ComposedRightS(calc, r).mor(eta)
+    etaR = calc.pull_f.then(TensorRightFunctor(r)).mor(eta)
     pf4 = projection_formula_cell_right(calc.pi2, calc.pull_p1.obj(rp_t), r)
     bc4 = calc.bc_p2p1(rp_t)
     a4_fwd = pf4.then(tensor_morphisms(bc4, identity_morphism(r)))
     a4 = _invert_certified(a4_fwd, "prim associator 2")
     a4 = SheafMorphism(etaR.dst, a4_fwd.src, a4.comp)
-    rEps = ComposedAfterXX(calc, r).mor(eps)
+    rEps = TensorLeftFunctor(calc.pull_p1.obj(r)).then(
+        LanFunctor(calc.pi2)).mor(eps)
     rEps = SheafMorphism(a4.dst, rEps.dst, rEps.comp)
     rho = calc.right_unitor_reduced(r)
     rho = SheafMorphism(rEps.dst, r, rho.comp)

@@ -8,6 +8,8 @@ derived basis is reproducible bit for bit.
 
 from __future__ import annotations
 
+from functools import reduce
+
 
 class SingularMatrixError(Exception):
     pass
@@ -259,27 +261,16 @@ class Matrix:
             basis.append(Matrix.column(f, v))
         return basis
 
-    def column_space_basis(self):
-        """Deterministic basis of the column space (original columns at the
-        pivot positions)."""
-        _, pivots = self.rref()
-        return [self.submatrix(range(self.nrows), [c]) for c in pivots]
-
 
 def stack_columns(field, cols, nrows):
-    """Assemble column matrices into one matrix (empty list allowed)."""
+    """Join column blocks left to right (empty list allowed)."""
     if not cols:
         return Matrix.zero(field, nrows, 0)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
-    return out
+    return reduce(Matrix.hstack, cols)
 
 
-def coordinates_in_basis(basis_mat, vec):
-    """Coordinates of vec in the columns of basis_mat; raises if vec is not
-    in the span."""
-    sol = basis_mat.solve(vec)
-    if sol is None:
-        raise SingularMatrixError("vector outside span")
-    return sol
+def stack_rows(field, rows, ncols):
+    """Join row blocks top to bottom (empty list allowed)."""
+    if not rows:
+        return Matrix.zero(field, 0, ncols)
+    return reduce(Matrix.vstack, rows)

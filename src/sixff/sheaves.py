@@ -23,14 +23,9 @@ invertible natural transformations - never searched.
 
 from __future__ import annotations
 
-from .fields import GateError, check_gate
+from .fields import GateError, TheoremViolation, check_gate
 from .groupoid import okey, transport_to_reps
-from .linalg import Matrix, stack_columns
-
-
-class TheoremViolation(Exception):
-    """A certified identity failed; firing is a bug alarm."""
-
+from .linalg import Matrix, stack_columns, stack_rows
 
 # ---------------------------------------------------------------------------
 # Sheaves and their morphisms
@@ -172,13 +167,7 @@ def hom_space(M, N):
             eye_n = Matrix.identity(f, dn)
             lhs = Ma.transpose().kron(eye_n) - eye_m.kron(Na)
             rows.append(lhs)
-        if rows:
-            sysm = rows[0]
-            for rmat in rows[1:]:
-                sysm = sysm.vstack(rmat)
-            null = sysm.nullspace()
-        else:
-            null = Matrix.identity(f, dm * dn).column_space_basis()
+        null = stack_rows(f, rows, dm * dn).nullspace()
         blocks = []
         for v in null:
             phi = Matrix(f, [[v.rows[i * dm + j][0] for j in range(dm)]
@@ -301,64 +290,6 @@ class _Fiber:
         return out
 
 
-class _KanCache:
-    """Per-(functor, sheaf) invariant bases for lan/ran values."""
-
-    def __init__(self, f, kind):
-        self.f = f
-        self.kind = kind
-        self.fibers = {}
-        for x in f.cod.objects:
-            self.fibers[x] = _Fiber(f, x, kind)
-
-    def inv_basis(self, M, x):
-        """For each component rep at x: (iota, pi) with pi∘iota = id, iota a
-        basis of the Aut-invariants of M at the rep."""
-        fiber = self.fibers[x]
-        f = M.field
-        out = []
-        for rep in fiber.reps:
-            y, _ = rep
-            d = M.dim[y]
-            auts = fiber.auts[rep]
-            if d == 0:
-                out.append((Matrix.zero(f, 0, 0), Matrix.zero(f, 0, 0), rep))
-                continue
-            rows = None
-            eye = Matrix.identity(f, d)
-            for u in auts:
-                block = M.mat[u] - eye
-                rows = block if rows is None else rows.vstack(block)
-            if rows is None:
-                iota = eye
-            else:
-                cols = rows.nullspace()
-                iota = stack_columns(f, cols, d)
-            # deterministic left inverse pi with pi∘iota = id
-            k = iota.ncols
-            if k == 0:
-                pi = Matrix.zero(f, 0, d)
-            else:
-                sol = iota.transpose().solve(Matrix.identity(f, k))
-                if sol is None:
-                    raise TheoremViolation("invariant basis not left-invertible")
-                pi = sol.transpose()
-            out.append((iota, pi, rep))
-        return out
-
-
-def _averaging(M, auts, x_dim):
-    f = M.field
-    eye = Matrix.identity(f, x_dim)
-    if not auts:
-        return eye
-    total = Matrix.zero(f, x_dim, x_dim)
-    for u in auts:
-        total = total + M.mat[u]
-    inv_n = f.inv(f.of(len(auts)))
-    return total.scale(inv_n)
-
-
 # ---------------------------------------------------------------------------
 # Sheaf functors
 # ---------------------------------------------------------------------------
@@ -418,240 +349,160 @@ class PullbackFunctor(SheafFunctor):
                              {y: phi.comp[f.ob[y]] for y in f.dom.objects})
 
 
-class LanFunctor(SheafFunctor):
-    """f_!: left Kan extension with chosen per-component invariant bases
-    (coinvariants via the averaging idempotent; gate required)."""
+class _KanExtension(SheafFunctor):
+    """The construction shared by f_! and f_*: the (co)fiber groupoids over
+    every target object and, per sheaf M and fiber component rep, the data
+    (iota, pi, leg, rep).  iota is a basis of the Aut(rep)-invariants of
+    M(y_rep), pi the deterministic left inverse with pi∘iota = id, and leg
+    the projection M(y_rep) -> invariants that values are read through:
+    pi∘avg for f_!, pi for f_*.  A subclass sets `kind` and `suffix` and
+    defines `_leg` and `obj`.  The data is memoized per sheaf instance; the
+    memo holds M, so its id stays unique."""
 
     def __init__(self, f):
         self.f = f
-        self.kan = _KanCache(f, "lan")
-        self.name = "%s_!" % (f.name or "f")
+        self.fibers = {x: _Fiber(f, x, self.kind) for x in f.cod.objects}
+        self.name = "%s%s" % (f.name or "f", self.suffix)
         self._cache = {}
 
     def _data(self, M):
         key = id(M)
         if key in self._cache:
             return self._cache[key][1]
-        data = {}
-        for x in self.f.cod.objects:
-            fiber = self.kan.fibers[x]
-            triples = self.kan.inv_basis(M, x)
-            avgs = []
-            for (iota, pi, rep) in triples:
-                auts = fiber.auts[rep]
-                if M.field.characteristic and \
-                        len(auts) % M.field.characteristic == 0:
-                    raise GateError("char divides a fiber automorphism count")
-                avgs.append(_averaging(M, auts, M.dim[rep[0]]))
-            data[x] = (triples, avgs)
+        data = {x: [self._component(M, fiber, rep) for rep in fiber.reps]
+                for x, fiber in self.fibers.items()}
         self._cache[key] = (M, data)
         return data
 
+    def _component(self, M, fiber, rep):
+        fld = M.field
+        d = M.dim[rep[0]]
+        auts = fiber.auts[rep]
+        if d == 0:
+            iota = pi = Matrix.zero(fld, 0, 0)
+        else:
+            eye = Matrix.identity(fld, d)
+            fixed = stack_rows(fld, [M.mat[u] - eye for u in auts], d)
+            iota = stack_columns(fld, fixed.nullspace(), d)
+            k = iota.ncols
+            if k == 0:
+                pi = Matrix.zero(fld, 0, d)
+            else:
+                sol = iota.transpose().solve(Matrix.identity(fld, k))
+                if sol is None:
+                    raise TheoremViolation("invariant basis not left-invertible")
+                pi = sol.transpose()
+        return iota, pi, self._leg(M, auts, d, pi), rep
+
     def dims(self, M):
         data = self._data(M)
-        return {x: sum(t[0].ncols for t in data[x][0]) for x in data}
+        return {x: sum(c[0].ncols for c in data[x]) for x in data}
+
+    def mor(self, phi):
+        dM = self._data(phi.src)
+        dN = self._data(phi.dst)
+        Msh, Nsh = self.obj(phi.src), self.obj(phi.dst)
+        comp = {x: Matrix.direct_sum(phi.src.field, [
+            pin * phi.comp[rep[0]] * iom
+            for (iom, _, _, rep), (_, pin, _, _) in zip(dM[x], dN[x])])
+            for x in self.f.cod.objects}
+        return SheafMorphism(Msh, Nsh, comp)
+
+
+class LanFunctor(_KanExtension):
+    """f_!: left Kan extension with chosen per-component invariant bases
+    (coinvariants via the averaging idempotent; gate required)."""
+
+    kind, suffix = "lan", "_!"
+    mor = _KanExtension.mor   # own entry: perfbench/tracing.py patches it
+
+    def _leg(self, M, auts, d, pi):
+        """pi∘avg, avg the averaging idempotent over the automorphisms."""
+        fld = M.field
+        if fld.characteristic and len(auts) % fld.characteristic == 0:
+            raise GateError("char divides a fiber automorphism count")
+        total = Matrix.zero(fld, d, d)
+        for u in auts:
+            total = total + M.mat[u]
+        return pi * total.scale(fld.inv(fld.of(len(auts))))
 
     def cocone_leg(self, M, x, o):
         """Matrix M(y) -> f_!M(x) for an object o = (y, m) of the fiber."""
-        data = self._data(M)
-        fiber = self.kan.fibers[x]
+        fiber = self.fibers[x]
         rep = fiber.comp_of[o]
         p = fiber.path_morphism(self.f, o)  # rep -> o in the source
-        Y = self.f.dom
-        f = M.field
-        blocks = []
-        for (iota, pi, r), avg in zip(*data[x]):
-            if r == rep:
-                blocks.append(pi * avg * M.mat[Y.inverse[p]])
-            else:
-                blocks.append(Matrix.zero(f, iota.ncols, M.dim[o[0]]))
-        out = blocks[0]
-        for b in blocks[1:]:
-            out = out.vstack(b)
-        return out
-
-    def component_include(self, M, x, rep):
-        """Matrix f_!M(x) -> M(y_rep): project onto one component's
-        invariant columns and include them."""
-        data = self._data(M)
-        f = M.field
-        row_blocks = []
-        for (iota, pi, r), _avg in zip(*data[x]):
-            if r == rep:
-                row_blocks.append(iota)
-            else:
-                row_blocks.append(Matrix.zero(f, M.dim[rep[0]], iota.ncols))
-        out = row_blocks[0]
-        for b in row_blocks[1:]:
-            out = out.hstack(b)
-        return out
+        d = M.dim[o[0]]
+        return stack_rows(M.field, [
+            leg * M.mat[self.f.dom.inverse[p]] if r == rep
+            else Matrix.zero(M.field, iota.ncols, d)
+            for (iota, _, leg, r) in self._data(M)[x]], d)
 
     def obj(self, M):
         f = self.f
-        fld = M.field
         data = self._data(M)
         dims = self.dims(M)
         mats = {}
         for xi in f.cod.morphisms:
             x, x2 = f.cod.src[xi], f.cod.dst[xi]
-            cols = []
-            for (iota, pi, rep), _avg in zip(*data[x]):
-                y_c, m_c = rep
-                o2 = (y_c, f.cod.compose(xi, m_c))
-                leg = self.cocone_leg(M, x2, o2)
-                cols.append(leg * iota)
-            if cols:
-                out = cols[0]
-                for c in cols[1:]:
-                    out = out.hstack(c)
-            else:
-                out = Matrix.zero(fld, dims[x2], 0)
-            if out.nrows != dims[x2]:
-                out = Matrix.zero(fld, dims[x2], dims[x])
-            mats[xi] = out
-        return Sheaf(f.cod, fld, dims, mats)
-
-    def mor(self, phi):
-        f = self.f
-        fld = phi.src.field
-        dM = self._data(phi.src)
-        dN = self._data(phi.dst)
-        Msh, Nsh = self.obj(phi.src), self.obj(phi.dst)
-        comp = {}
-        for x in f.cod.objects:
-            blocks = []
-            for (iom, pim, rep), (ion, pin, rep2) in zip(dM[x][0], dN[x][0]):
-                assert rep == rep2
-                blocks.append(pin * phi.comp[rep[0]] * iom)
-            comp[x] = Matrix.direct_sum(fld, blocks) if blocks else \
-                Matrix.zero(fld, 0, 0)
-            if comp[x].shape != (Nsh.dim[x], Msh.dim[x]):
-                comp[x] = Matrix.zero(fld, Nsh.dim[x], Msh.dim[x])
-        return SheafMorphism(Msh, Nsh, comp)
+            mats[xi] = stack_columns(M.field, [
+                self.cocone_leg(M, x2, (y_c, f.cod.compose(xi, m_c))) * iota
+                for (iota, _, _, (y_c, m_c)) in data[x]], dims[x2])
+        return Sheaf(f.cod, M.field, dims, mats)
 
     def trace_cell(self, M):
         """tr: f*(f_!M) -> M, the sum over fiber morphisms; the counit of
         the ambidextrous adjunction once composed with the norm."""
         f = self.f
+        Y = f.dom
         fld = M.field
         FM = self.obj(M)
         comp = {}
-        for y in f.dom.objects:
-            x = f.ob[y]
-            data = self._data(M)[x]
-            fiber = self.kan.fibers[x]
+        for y in Y.objects:
             blocks = []
-            Y = f.dom
-            for (iota, pi, rep), _avg in zip(*data):
-                y_c, m_c = rep
+            for (iota, _, _, (y_c, m_c)) in self._data(M)[f.ob[y]]:
                 total = Matrix.zero(fld, M.dim[y], M.dim[y_c])
                 for u in Y.morphisms:
                     if Y.src[u] == y_c and Y.dst[u] == y and \
                             f.mor[u] == m_c:
                         total = total + M.mat[u]
                 blocks.append(total * iota)
-            out = blocks[0] if blocks else Matrix.zero(fld, M.dim[y], 0)
-            for b in blocks[1:]:
-                out = out.hstack(b)
-            comp[y] = out
+            comp[y] = stack_columns(fld, blocks, M.dim[y])
         return SheafMorphism(PullbackFunctor(f).obj(FM), M, comp)
 
 
-class RanFunctor(SheafFunctor):
+class RanFunctor(_KanExtension):
     """f_*: right Kan extension; values are per-component invariants of the
     co-fiber (x -> f)."""
 
-    def __init__(self, f):
-        self.f = f
-        self.kan = _KanCache(f, "ran")
-        self.name = "%s_*" % (f.name or "f")
-        self._cache = {}
+    kind, suffix = "ran", "_*"
+    mor = _KanExtension.mor   # own entry: perfbench/tracing.py patches it
 
-    def _data(self, M):
-        key = id(M)
-        if key in self._cache:
-            return self._cache[key][1]
-        data = {x: self.kan.inv_basis(M, x) for x in self.f.cod.objects}
-        self._cache[key] = (M, data)
-        return data
-
-    def dims(self, M):
-        data = self._data(M)
-        return {x: sum(t[0].ncols for t in data[x]) for x in data}
+    def _leg(self, M, auts, d, pi):
+        return pi
 
     def section_value(self, M, x, o):
         """Matrix f_*M(x) -> M(y): evaluate a section at the fiber object
         o = (y, m: x -> f(y))."""
-        fiber = self.kan.fibers[x]
-        data = self._data(M)[x]
+        fiber = self.fibers[x]
         rep = fiber.comp_of[o]
         p = fiber.path_morphism(self.f, o)  # rep -> o connecting morphism
-        fld = M.field
-        blocks = []
-        for (iota, pi, r) in data:
-            if r == rep:
-                blocks.append(M.mat[p] * iota)
-            else:
-                blocks.append(Matrix.zero(fld, M.dim[o[0]], iota.ncols))
-        out = blocks[0]
-        for b in blocks[1:]:
-            out = out.hstack(b)
-        return out
-
-    def section_builder(self, M, x, legs):
-        """Matrix W -> f_*M(x) from a compatible family of candidate values
-        legs[rep]: W -> M(y_rep)."""
-        data = self._data(M)[x]
-        blocks = []
-        for (iota, pi, rep) in data:
-            blocks.append(pi * legs[rep])
-        out = blocks[0]
-        for b in blocks[1:]:
-            out = out.vstack(b)
-        return out
+        d = M.dim[o[0]]
+        return stack_columns(M.field, [
+            M.mat[p] * iota if r == rep
+            else Matrix.zero(M.field, d, iota.ncols)
+            for (iota, _, _, r) in self._data(M)[x]], d)
 
     def obj(self, M):
         f = self.f
-        fld = M.field
         data = self._data(M)
         dims = self.dims(M)
         mats = {}
         for xi in f.cod.morphisms:
             x, x2 = f.cod.src[xi], f.cod.dst[xi]
-            blocks_rows = []
-            for (iota2, pi2, rep2) in data[x2]:
-                y2, m2 = rep2
-                o = (y2, f.cod.compose(m2, xi))
-                val = self.section_value(M, x, o)   # f_*M(x) -> M(y2)
-                blocks_rows.append(pi2 * val)
-            if blocks_rows:
-                out = blocks_rows[0]
-                for b in blocks_rows[1:]:
-                    out = out.vstack(b)
-            else:
-                out = Matrix.zero(fld, 0, dims[x])
-            if out.shape != (dims[x2], dims[x]):
-                out = Matrix.zero(fld, dims[x2], dims[x])
-            mats[xi] = out
-        return Sheaf(f.cod, fld, dims, mats)
-
-    def mor(self, phi):
-        f = self.f
-        fld = phi.src.field
-        dM = self._data(phi.src)
-        dN = self._data(phi.dst)
-        Msh, Nsh = self.obj(phi.src), self.obj(phi.dst)
-        comp = {}
-        for x in f.cod.objects:
-            blocks = []
-            for (iom, pim, rep), (ion, pin, rep2) in zip(dM[x], dN[x]):
-                assert rep == rep2
-                blocks.append(pin * phi.comp[rep[0]] * iom)
-            comp[x] = Matrix.direct_sum(fld, blocks) if blocks else \
-                Matrix.zero(fld, 0, 0)
-            if comp[x].shape != (Nsh.dim[x], Msh.dim[x]):
-                comp[x] = Matrix.zero(fld, Nsh.dim[x], Msh.dim[x])
-        return SheafMorphism(Msh, Nsh, comp)
+            mats[xi] = stack_rows(M.field, [
+                leg * self.section_value(M, x, (y2, f.cod.compose(m2, xi)))
+                for (_, _, leg, (y2, m2)) in data[x2]], dims[x])
+        return Sheaf(f.cod, M.field, dims, mats)
 
 
 class TensorLeftFunctor(SheafFunctor):
@@ -795,17 +646,9 @@ def adj_lan_pullback(f):
     def counit(N):
         pN = pull.obj(N)
         FpN = lan.obj(pN)
-        comp = {}
-        for x in f.cod.objects:
-            data = lan._data(pN)[x]
-            blocks = []
-            for (iota, pi, rep), _avg in zip(*data):
-                y_c, m_c = rep
-                blocks.append(N.mat[m_c] * iota)
-            out = blocks[0] if blocks else Matrix.zero(N.field, N.dim[x], 0)
-            for b in blocks[1:]:
-                out = out.hstack(b)
-            comp[x] = out
+        comp = {x: stack_columns(N.field, [
+            N.mat[m_c] * iota for (iota, _, _, (_, m_c)) in lan._data(pN)[x]],
+            N.dim[x]) for x in f.cod.objects}
         return SheafMorphism(FpN, N, comp)
 
     return Adjunction(lan, pull, unit, counit, "f_!", "f*")
@@ -818,17 +661,9 @@ def adj_pullback_ran(f):
 
     def unit(M):
         pM = pull.obj(M)
-        comp = {}
-        for x in f.cod.objects:
-            data = ran._data(pM)[x]
-            blocks = []
-            for (iota, pi, rep) in data:
-                y_c, m_c = rep
-                blocks.append(pi * M.mat[m_c])
-            out = blocks[0] if blocks else Matrix.zero(M.field, 0, M.dim[x])
-            for b in blocks[1:]:
-                out = out.vstack(b)
-            comp[x] = out
+        comp = {x: stack_rows(M.field, [
+            leg * M.mat[m_c] for (_, _, leg, (_, m_c)) in ran._data(pM)[x]],
+            M.dim[x]) for x in f.cod.objects}
         return SheafMorphism(M, ran.obj(pM), comp)
 
     def counit(N):
@@ -958,10 +793,6 @@ def upper_shriek(f, M, probes=()):
     return UpperShriekResult(pull.obj(M), w, ok)
 
 
-def pullback_star(f, M):
-    return PullbackFunctor(f).obj(M)
-
-
 def lan_shriek(f, M):
     lan = LanFunctor(f)
     return lan.obj(M), adj_lan_pullback(f)
@@ -1030,11 +861,6 @@ class CommutingSquare:
         from .groupoid import iso_comma_pullback, compose_functors
         ic = iso_comma_pullback(f, g)
         return CommutingSquare(f, g, ic.p2, ic.p1, ic.phi), ic
-
-    def swapped(self):
-        """The same square read with the roles of f and g exchanged."""
-        return CommutingSquare(self.g, self.f, self.gp, self.fp,
-                               self.kappa.inverse())
 
 
 def verify_base_change(square, M):

@@ -20,15 +20,15 @@ from . import presets
 from .corr import (
     GeometricSetup, Span, compose_spans, dual_data, span_iso,
 )
-from .fields import GF, QQ, parse_field
+from .fields import GF, QQ, TheoremViolation, parse_field
 from .groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
     terminal_groupoid, to_terminal,
 )
 from .linalg import Matrix
 from .sheaves import (
-    CommutingSquare, Sheaf, TheoremViolation,
-    unit_sheaf, verify_base_change, verify_projection_formula,
+    CommutingSquare, Sheaf, unit_sheaf, verify_base_change,
+    verify_projection_formula,
 )
 
 
@@ -59,7 +59,6 @@ class SuiteConfig:
     suites: tuple = ()
     field_spec: str = "q"
     seed: int = 0
-    truncate: int = 3
     probes: int = 2
     fmt: str = "text"
     inputs: tuple = ()
@@ -117,24 +116,11 @@ def _random_functor(rng, X):
 
 
 def _random_sheaf(rng, X, field, maxdim=2):
-    """Random sheaf: per component, a random representation built from a
-    random invertible matrix assigned to each automorphism generator is
-    hard in general; use sums of pullbacks of units plus permutation twists
-    on discrete parts."""
-    from .groupoid import transport_to_reps
-    t, comp_of = transport_to_reps(X)
-    dims = {}
-    for x in X.objects:
-        dims[x] = None
-    reps = sorted(set(comp_of.values()))
-    # build via regular representations restricted: easiest exact sheaf
-    # with nontrivial transitions: the pullback of the unit has dim 1;
-    # tensor powers of the regular sheaf of each component group
+    """The unit sheaf on X tensored with a random number, 0 to maxdim - 1,
+    of copies of the regular sheaf of X."""
     from .sheaves import tensor
-    base = unit_sheaf(X, field)
-    out = base
-    extra = rng.randrange(0, maxdim)
-    for _ in range(extra):
+    out = unit_sheaf(X, field)
+    for _ in range(rng.randrange(0, maxdim)):
         out = tensor(out, _regular_sheaf(X, field))
     return out
 
@@ -543,7 +529,6 @@ def run_suite(config):
     return Report(config={"suites": sorted(selected),
                           "field": config.field_spec,
                           "seed": config.seed,
-                          "truncate": config.truncate,
                           "probes": config.probes},
                   results=results)
 

@@ -121,3 +121,19 @@ def test_cli_pyramid_and_sections(capsys):
     assert main(["sections", "2"]) == 0
     out = capsys.readouterr().out
     assert "6 elements" in out
+
+
+def test_run_suite_reports_corr_alarm_as_failure(monkeypatch):
+    import sixff.corr
+    from sixff import suite
+
+    def alarm(config, rng):
+        raise sixff.corr.TheoremViolation("pullback mediator not unique")
+
+    monkeypatch.setattr(suite, "CHECKS",
+                        [("corr.alarm", "corr-alarm", "corr", alarm)])
+    report = run_suite(SuiteConfig(suites=("corr",)))
+    [result] = report.results
+    assert result.status == "fail"
+    assert result.witness == "alarm: pullback mediator not unique"
+    assert report.exit_code() == 1

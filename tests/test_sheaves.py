@@ -11,6 +11,7 @@ from sixff.groupoid import (
 from sixff.linalg import Matrix
 from sixff.sheaves import (
     CommutingSquare, LanFunctor, PullbackFunctor, RanFunctor, Sheaf,
+    SheafMorphism,
     adj_ambidextrous, adj_lan_pullback, adj_pullback_ran, adj_tensor_hom,
     base_change_cell, compose_comparison_lan, compose_comparison_ran,
     double_dual_cell, global_sections, hom_dim, hom_form_cell, hom_space,
@@ -300,3 +301,45 @@ def test_base_change_over_f5():
     square, _ = CommutingSquare.from_iso_comma(INCL, pt_incl)
     _, cell = verify_base_change(square, triv)
     assert cell.is_invertible()
+
+
+def test_lan_gate_raises_where_ran_does_not():
+    # built directly, so no gate check runs before the Kan extensions
+    obj = BC2.objects[0]
+    F2 = GF(2)
+    triv = Sheaf(BC2, F2, {obj: 1},
+                 {g: Matrix.identity(F2, 1) for g in C2sub.elements})
+    with pytest.raises(GateError):
+        LanFunctor(P_C2).obj(triv)
+    inv = RanFunctor(P_C2).obj(triv)
+    assert inv.dim[PT.objects[0]] == 1
+
+
+def _combination(basis, coeffs):
+    src, dst = basis[0].src, basis[0].dst
+    fld = src.field
+    comp = {}
+    for x in src.dim:
+        acc = Matrix.zero(fld, dst.dim[x], src.dim[x])
+        for c, b in zip(coeffs, basis):
+            acc = acc + b.comp[x].scale(fld.of(c))
+        comp[x] = acc
+    return SheafMorphism(src, dst, comp)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("along", [INCL, P_C2], ids=["incl", "to_point"])
+@pytest.mark.parametrize("functor", [LanFunctor, RanFunctor],
+                         ids=["lan", "ran"])
+def test_kan_extension_mor_is_functorial(functor, along, field):
+    M = regular_rep(BC2, C2sub, field)
+    N = tensor(sign_rep_c2(field), regular_rep(BC2, C2sub, field))
+    K = regular_rep(BC2, C2sub, field)
+    phi = _combination(hom_space(M, N), [2, -1])
+    psi = _combination(hom_space(N, K), [1, 3])
+    F = functor(along)
+    assert F.mor(identity_morphism(M)).is_identity()
+    lhs = F.mor(phi.then(psi))
+    rhs = F.mor(phi).then(F.mor(psi))
+    assert lhs.comp == rhs.comp
+    assert not lhs.comp[along.cod.objects[0]].is_zero()
