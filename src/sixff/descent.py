@@ -18,6 +18,7 @@ from .groupoid import cech_nerve, okey, transport_to_reps
 from .linalg import Matrix, stack_columns
 from .sheaves import (
     PullbackFunctor, Sheaf, SheafMorphism, TheoremViolation, hom_space,
+    linear_combination,
 )
 
 
@@ -115,19 +116,9 @@ class DescentSetting:
         if not rows[0]:
             return basis
         mat = Matrix(field, list(map(list, zip(*rows))), ncols=len(rows))
-        combos = mat.nullspace()
-        out = []
-        for c in combos:
-            comp = {}
-            for x in datum1.sheaf.dim:
-                acc = Matrix.zero(field, datum2.sheaf.dim[x],
-                                  datum1.sheaf.dim[x])
-                for coeff, b in zip((c.rows[i][0] for i in range(len(basis))),
-                                    basis):
-                    acc = acc + b.comp[x].scale(coeff)
-                comp[x] = acc
-            out.append(SheafMorphism(datum1.sheaf, datum2.sheaf, comp))
-        return out
+        return [linear_combination(datum1.sheaf, datum2.sheaf, basis,
+                                   [row[0] for row in c.rows])
+                for c in mat.nullspace()]
 
     def hom_dim(self, datum1, datum2):
         return len(self.hom_basis(datum1, datum2))

@@ -705,11 +705,11 @@ def iso_comma_pullback(f, g):
 class RelProduct:
     """Anchored n-fold relative product of maps a_i: X_i -> S (n >= 2).
 
-    Objects are (xs, ms) where xs is a tuple of objects and ms[i] is an
+    Objects are (xs, ms) where xs is a tuple of objects and ms[i - 1] is an
     iso a_0(x_0) -> a_i(x_i) in S for i >= 1 (the anchor).  Morphisms are
-    tuples of morphisms.  Sub-index projections compose strictly:
-    proj(I)∘proj(J)|... and factor projections satisfy
-    factor(i)∘proj(I) = factor(I[i]) on the nose.
+    tuples of morphisms.  Every reindexing (projection, diagonal, swap,
+    reversal) is `proj_onto`, and factor projections satisfy
+    factor(k)∘proj_onto(I) = factor(I[k]) on the nose.
     """
 
     def __init__(self, S, factors):
@@ -777,21 +777,23 @@ class RelProduct:
                        name="pr%d" % i)
 
     def proj_onto(self, indices, target):
-        """Projection functor onto another RelProduct built from the
-        sub-list of factors at `indices` (re-anchored at indices[0])."""
+        """The reindexing functor onto the RelProduct `target` whose factor
+        k is factor indices[k] of this one.  Indices may repeat and
+        reorder.  With anchor = (id_{a0(x0)},) + ms, target anchor k is
+        anchor[indices[k]], re-anchored at indices[0] when that is not 0."""
         S = self.S
         i0 = indices[0]
 
         def ob_map(o):
             xs, ms = o
-            new_xs = tuple(xs[i] for i in indices)
-            new_ms = []
-            for i in indices[1:]:
-                if i0 == 0:
-                    new_ms.append(ms[i - 1])
-                else:
-                    new_ms.append(S.compose(ms[i - 1], S.inverse[ms[i0 - 1]]))
-            return (new_xs, tuple(new_ms))
+            anchor = (S.identity[self.factors[0][1].ob[xs[0]]],) + ms
+            if i0 == 0:
+                new_ms = tuple(anchor[i] for i in indices[1:])
+            else:
+                back = S.inverse[anchor[i0]]
+                new_ms = tuple(S.compose(anchor[i], back)
+                               for i in indices[1:])
+            return (tuple(xs[i] for i in indices), new_ms)
 
         ob = {o: ob_map(o) for o in self.grpd.objects}
         mor = {m: (ob[self.grpd.src[m]], tuple(m[1][i] for i in indices))
@@ -896,40 +898,11 @@ def cech_nerve(f, N=3):
                 fs.append(rp.proj_onto(keep, prods[n - 1]))
         faces[n] = fs
     for n in range(0, N):
-        rp_up = prods[n + 1]
-        ds = []
-        for i in range(n + 1):
-            if n == 0:
-                ob = {}
-                mor = {}
-                for y in Y.objects:
-                    ms = (X.identity[f.ob[y]],)
-                    ob[y] = ((y, y), ms)
-                for m in Y.morphisms:
-                    mor[m] = (ob[Y.src[m]], (m, m))
-                ds.append(Functor(Y, rp_up.grpd, ob, mor, name="s0"))
-            else:
-                rp = prods[n]
-
-                def dup(o, i=i):
-                    xs, ms = o
-                    anchored = (None,) + ms
-                    new_xs = xs[:i + 1] + (xs[i],) + xs[i + 1:]
-                    full = list(anchored[:i + 1]) + [anchored[i]] + list(anchored[i + 1:])
-                    # re-anchor: ms entries for positions 1..n+1
-                    S = rp.S
-                    new_ms = []
-                    for k in range(1, n + 2):
-                        a = full[k]
-                        if a is None:
-                            a = S.identity[rp.factors[0][1].ob[xs[0]]]
-                        new_ms.append(a)
-                    return (new_xs, tuple(new_ms))
-
-                ob = {o: dup(o) for o in rp.grpd.objects}
-                mor = {m: (ob[rp.grpd.src[m]],
-                           m[1][:i + 1] + (m[1][i],) + m[1][i + 1:])
-                       for m in rp.grpd.morphisms}
-                ds.append(Functor(rp.grpd, rp_up.grpd, ob, mor, name="s%d" % i))
-        degeneracies[n] = ds
+        if n == 0:
+            degeneracies[0] = [prods[1].diagonal_from(Y, f, 2)]
+        else:
+            degeneracies[n] = [
+                prods[n].proj_onto(list(range(i + 1)) + list(range(i, n + 1)),
+                                   prods[n + 1])
+                for i in range(n + 1)]
     return TruncatedSimplicialGroupoid(levels, faces, degeneracies)

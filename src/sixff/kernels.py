@@ -30,7 +30,8 @@ from .sheaves import (
     TheoremViolation, adj_lan_pullback, adj_pullback_ran, adj_tensor_hom,
     base_change_cell, compose_adjunctions, compose_comparison_lan,
     compose_comparison_ran, find_isomorphism, hom_space, identity_morphism,
-    internal_hom, lan_identity_comparison, morphism_coordinates,
+    internal_hom, lan_identity_comparison, linear_combination,
+    morphism_coordinates,
     projection_formula_cell_left, projection_formula_cell_right,
     ran_identity_comparison, ran_projection_cell, sheaves_equal, swap_cell,
     tensor, tensor_morphisms, transport_cell, unit_sheaf,
@@ -58,6 +59,16 @@ class KernelContext:
             factors = [self.objects[n] for n in key]
             self._prods[key] = rel_product(self.S, factors)
         return self._prods[key]
+
+    def proj(self, names, indices):
+        """The reindexing prod(names) -> prod(names[i] for i in indices)."""
+        return self.prod(names).proj_onto(
+            indices, self.prod([names[i] for i in indices]))
+
+    def legs(self, x, y, z):
+        """(p12, p23, p13) out of prod(x, y, z)."""
+        return tuple(self.proj((x, y, z), ix)
+                     for ix in ((0, 1), (1, 2), (0, 2)))
 
     def hom_pair(self, xname, yname):
         """Fun(Y -> X) is the sheaf category on this groupoid."""
@@ -96,52 +107,28 @@ def kernel_compose(M, N):
     """M ∘ N for M: Y => X and N: Z => Y."""
     ctx = M.ctx
     assert M.src == N.tgt, "kernels not composable"
-    x, y, z = M.tgt, M.src, N.src
-    rp3 = ctx.prod((x, y, z))
-    p12 = rp3.proj_onto([0, 1], ctx.prod((x, y)))
-    p23 = rp3.proj_onto([1, 2], ctx.prod((y, z)))
-    p13 = rp3.proj_onto([0, 2], ctx.prod((x, z)))
+    p12, p23, p13 = ctx.legs(M.tgt, M.src, N.src)
     inner = tensor(PullbackFunctor(p12).obj(M.payload),
                    PullbackFunctor(p23).obj(N.payload))
     payload = LanFunctor(p13).obj(inner)
-    return Kernel(ctx, z, x, payload)
+    return Kernel(ctx, N.src, M.tgt, payload)
 
 
 def whisker_left(M, beta, z):
     """M ∘ beta for a kernel M: Y => X and 2-cell beta between kernels
     Z => Y (beta given as a SheafMorphism on prod(Y, Z))."""
-    ctx = M.ctx
-    x, y = M.tgt, M.src
-    rp3 = ctx.prod((x, y, z))
-    p12 = rp3.proj_onto([0, 1], ctx.prod((x, y)))
-    p23 = rp3.proj_onto([1, 2], ctx.prod((y, z)))
-    p13 = rp3.proj_onto([0, 2], ctx.prod((x, z)))
+    p12, p23, p13 = M.ctx.legs(M.tgt, M.src, z)
     lifted = tensor_morphisms(
         identity_morphism(PullbackFunctor(p12).obj(M.payload)),
         PullbackFunctor(p23).mor(beta))
     return LanFunctor(p13).mor(lifted)
 
 
-def _swap_functor(ctx, aname, bname):
-    """prod(A, B) -> prod(B, A): (a, b, m) -> (b, a, m^{-1})."""
-    S = ctx.S
-    rp_ab = ctx.prod((aname, bname))
-    rp_ba = ctx.prod((bname, aname))
-    ob = {}
-    for o in rp_ab.grpd.objects:
-        (a, b), (m,) = o
-        ob[o] = ((b, a), (S.inverse[m],))
-    mor = {mm: (ob[rp_ab.grpd.src[mm]], (mm[1][1], mm[1][0]))
-           for mm in rp_ab.grpd.morphisms}
-    return Functor(rp_ab.grpd, rp_ba.grpd, ob, mor, name="swap")
-
-
 def kernel_swap(M):
     """Leg swap: a kernel Y => X becomes a kernel X => Y."""
     ctx = M.ctx
-    x, y = M.tgt, M.src
-    sw = _swap_functor(ctx, y, x)    # prod(Y, X) -> prod(X, Y)
-    return Kernel(ctx, x, y, PullbackFunctor(sw).obj(M.payload))
+    sw = ctx.proj((M.src, M.tgt), (1, 0))    # prod(Y, X) -> prod(X, Y)
+    return Kernel(ctx, M.tgt, M.src, PullbackFunctor(sw).obj(M.payload))
 
 
 def _invert_certified(cell, what):
@@ -166,47 +153,15 @@ def _strict_square(f, g, fp, gp):
 # Coherence cells
 # ---------------------------------------------------------------------------
 
-def _embed_diag_second(ctx, xname, yname):
-    """j: prod(X, Y) -> prod(X, Y, Y), (x, y, m) -> (x, y, y, m, m)."""
-    rp2 = ctx.prod((xname, yname))
-    rp3 = ctx.prod((xname, yname, yname))
-    ob = {}
-    for o in rp2.grpd.objects:
-        (x, y), (m,) = o
-        ob[o] = ((x, y, y), (m, m))
-    mor = {mm: (ob[rp2.grpd.src[mm]], (mm[1][0], mm[1][1], mm[1][1]))
-           for mm in rp2.grpd.morphisms}
-    return Functor(rp2.grpd, rp3.grpd, ob, mor, name="idxdiag")
-
-
-def _embed_diag_first(ctx, xname, yname):
-    """j': prod(X, Y) -> prod(X, X, Y), (x, y, m) -> (x, x, y, id, m)."""
-    S = ctx.S
-    X, a = ctx.objects[xname]
-    rp2 = ctx.prod((xname, yname))
-    rp3 = ctx.prod((xname, xname, yname))
-    ob = {}
-    for o in rp2.grpd.objects:
-        (x, y), (m,) = o
-        ob[o] = ((x, x, y), (S.identity[a.ob[x]], m))
-    mor = {mm: (ob[rp2.grpd.src[mm]], (mm[1][0], mm[1][0], mm[1][1]))
-           for mm in rp2.grpd.morphisms}
-    return Functor(rp2.grpd, rp3.grpd, ob, mor, name="diagxid")
-
-
 def right_unitor(M):
     """Canonical invertible 2-cell M ∘ id_src -> M."""
     ctx = M.ctx
     x, y = M.tgt, M.src
     Y, ay = ctx.objects[y]
     rp2 = ctx.prod((x, y))
-    rp3 = ctx.prod((x, y, y))
-    rp_yy = ctx.prod((y, y))
-    p12 = rp3.proj_onto([0, 1], rp2)
-    p23 = rp3.proj_onto([1, 2], rp_yy)
-    p13 = rp3.proj_onto([0, 2], rp2)
-    diag = rp_yy.diagonal_from(Y, ay, 2)
-    j = _embed_diag_second(ctx, x, y)
+    p12, p23, p13 = ctx.legs(x, y, y)
+    diag = ctx.prod((y, y)).diagonal_from(Y, ay, 2)
+    j = ctx.proj((x, y), (0, 1, 1))    # (x, y, m) -> (x, y, y, m, m)
     q = rp2.factor_proj(1)
     square = _strict_square(f=diag, g=p23, fp=j, gp=q)
     bc = base_change_cell(square, unit_sheaf(Y, ctx.field))
@@ -228,13 +183,9 @@ def left_unitor(M):
     x, y = M.tgt, M.src
     X, ax = ctx.objects[x]
     rp2 = ctx.prod((x, y))
-    rp3 = ctx.prod((x, x, y))
-    rp_xx = ctx.prod((x, x))
-    p12 = rp3.proj_onto([0, 1], rp_xx)
-    p23 = rp3.proj_onto([1, 2], rp2)
-    p13 = rp3.proj_onto([0, 2], rp2)
-    diag = rp_xx.diagonal_from(X, ax, 2)
-    jp = _embed_diag_first(ctx, x, y)
+    p12, p23, p13 = ctx.legs(x, x, y)
+    diag = ctx.prod((x, x)).diagonal_from(X, ax, 2)
+    jp = ctx.proj((x, y), (0, 0, 1))    # (x, y, m) -> (x, x, y, id, m)
     p = rp2.factor_proj(0)
     square = _strict_square(f=diag, g=p12, fp=jp, gp=p)
     bc = base_change_cell(square, unit_sheaf(X, ctx.field))
@@ -255,17 +206,10 @@ def _fourfold_cell_left(M, N, L):
     where cell: pr14_!(inner) -> (M∘N)∘L."""
     ctx = M.ctx
     a, b, c, d = M.tgt, M.src, N.src, L.src
-    rp4 = ctx.prod((a, b, c, d))
-    rp_abc = ctx.prod((a, b, c))
-    rp_acd = ctx.prod((a, c, d))
-    q123 = rp4.proj_onto([0, 1, 2], rp_abc)
-    q134 = rp4.proj_onto([0, 2, 3], rp_acd)
-    s12 = rp_abc.proj_onto([0, 1], ctx.prod((a, b)))
-    s23 = rp_abc.proj_onto([1, 2], ctx.prod((b, c)))
-    s13 = rp_abc.proj_onto([0, 2], ctx.prod((a, c)))
-    r12 = rp_acd.proj_onto([0, 1], ctx.prod((a, c)))
-    r23 = rp_acd.proj_onto([1, 2], ctx.prod((c, d)))
-    r13 = rp_acd.proj_onto([0, 2], ctx.prod((a, d)))
+    q123 = ctx.proj((a, b, c, d), (0, 1, 2))
+    q134 = ctx.proj((a, b, c, d), (0, 2, 3))
+    s12, s23, s13 = ctx.legs(a, b, c)
+    r12, r23, r13 = ctx.legs(a, c, d)
     X_abc = tensor(PullbackFunctor(s12).obj(M.payload),
                    PullbackFunctor(s23).obj(N.payload))
     X4 = PullbackFunctor(q123).obj(X_abc)
@@ -287,17 +231,10 @@ def _fourfold_cell_right(M, N, L):
     """can4 -> M∘(N∘L): returns (cell, inner)."""
     ctx = M.ctx
     a, b, c, d = M.tgt, M.src, N.src, L.src
-    rp4 = ctx.prod((a, b, c, d))
-    rp_bcd = ctx.prod((b, c, d))
-    rp_abd = ctx.prod((a, b, d))
-    q234 = rp4.proj_onto([1, 2, 3], rp_bcd)
-    q124 = rp4.proj_onto([0, 1, 3], rp_abd)
-    u12 = rp_bcd.proj_onto([0, 1], ctx.prod((b, c)))
-    u23 = rp_bcd.proj_onto([1, 2], ctx.prod((c, d)))
-    u13 = rp_bcd.proj_onto([0, 2], ctx.prod((b, d)))
-    v12 = rp_abd.proj_onto([0, 1], ctx.prod((a, b)))
-    v23 = rp_abd.proj_onto([1, 2], ctx.prod((b, d)))
-    v13 = rp_abd.proj_onto([0, 2], ctx.prod((a, d)))
+    q234 = ctx.proj((a, b, c, d), (1, 2, 3))
+    q124 = ctx.proj((a, b, c, d), (0, 1, 3))
+    u12, u23, u13 = ctx.legs(b, c, d)
+    v12, v23, v13 = ctx.legs(a, b, d)
     Y_bcd = tensor(PullbackFunctor(u12).obj(N.payload),
                    PullbackFunctor(u23).obj(L.payload))
     Y4 = PullbackFunctor(q234).obj(Y_bcd)
@@ -328,24 +265,10 @@ def swap_compatibility(M, N):
     """Canonical invertible 2-cell swap(M∘N) -> swap(N)∘swap(M)."""
     ctx = M.ctx
     x, y, z = M.tgt, M.src, N.src
-    rp_xyz = ctx.prod((x, y, z))
-    rp_zyx = ctx.prod((z, y, x))
-    S = ctx.S
-    ob = {}
-    for o in rp_zyx.grpd.objects:
-        (zz, yy, xx), (m_y, m_x) = o
-        minv = S.inverse[m_x]
-        ob[o] = ((xx, yy, zz), (S.compose(m_y, minv), minv))
-    mor = {mm: (ob[rp_zyx.grpd.src[mm]], (mm[1][2], mm[1][1], mm[1][0]))
-           for mm in rp_zyx.grpd.morphisms}
-    sigma = Functor(rp_zyx.grpd, rp_xyz.grpd, ob, mor, name="rev")
-    p12 = rp_xyz.proj_onto([0, 1], ctx.prod((x, y)))
-    p23 = rp_xyz.proj_onto([1, 2], ctx.prod((y, z)))
-    p13 = rp_xyz.proj_onto([0, 2], ctx.prod((x, z)))
-    q12 = rp_zyx.proj_onto([0, 1], ctx.prod((z, y)))
-    q23 = rp_zyx.proj_onto([1, 2], ctx.prod((y, x)))
-    q13 = rp_zyx.proj_onto([0, 2], ctx.prod((z, x)))
-    s_zx = _swap_functor(ctx, z, x)
+    sigma = ctx.proj((z, y, x), (2, 1, 0))
+    p12, p23, p13 = ctx.legs(x, y, z)
+    q12, q23, q13 = ctx.legs(z, y, x)
+    s_zx = ctx.proj((z, x), (1, 0))
     rho = tensor(PullbackFunctor(p12).obj(M.payload),
                  PullbackFunctor(p23).obj(N.payload))
     square = _strict_square(f=p13, g=s_zx, fp=q13, gp=sigma)
@@ -409,23 +332,13 @@ class PsiEvaluator:
         return self._lan.mor(self._tens.mor(self._pull.mor(phi_cell)))
 
 
-def psi(M, probes=()):
-    """The evaluator, plus a composition-coherence certificate on probes:
-    for each probe V the canonical comparison
-    Psi(M∘N)(V) -> Psi(M)(Psi(N)(V)) is constructed and must be invertible.
-    Composition data is supplied through `psi_composition_certificate`."""
-    return PsiEvaluator(M)
-
-
 def psi_composition_certificate(M, N, probes):
     """Canonical comparison Psi(M∘N)(V) ≅ Psi(M)(Psi(N)(V)) for each probe
     V, through the triple product; returns the list of cells."""
     ctx = M.ctx
     x, y, z = M.tgt, M.src, N.src
     rp3 = ctx.prod((x, y, z))
-    p12 = rp3.proj_onto([0, 1], ctx.prod((x, y)))
-    p23 = rp3.proj_onto([1, 2], ctx.prod((y, z)))
-    p13 = rp3.proj_onto([0, 2], ctx.prod((x, z)))
+    p12, p23, p13 = ctx.legs(x, y, z)
     pXZ_1 = ctx.prod((x, z)).factor_proj(0)
     pXZ_2 = ctx.prod((x, z)).factor_proj(1)
     pXY_1 = ctx.prod((x, y)).factor_proj(0)
@@ -610,14 +523,8 @@ def _solve_unit(id_obj, target_obj, m_cell, tau):
     sol = mat.solve(rhs)
     if sol is None or mat.nullspace():
         return None
-    comp = {}
-    for x in id_obj.dim:
-        acc = Matrix.zero(f, target_obj.dim[x], id_obj.dim[x])
-        for coeff, b in zip((sol.rows[i][0] for i in range(len(basis1))),
-                            basis1):
-            acc = acc + b.comp[x].scale(coeff)
-        comp[x] = acc
-    return SheafMorphism(id_obj, target_obj, comp)
+    return linear_combination(id_obj, target_obj, basis1,
+                              [row[0] for row in sol.rows])
 
 
 def suave_test(f, P, field=None):
@@ -783,12 +690,30 @@ def _etale_comparison(calc, V):
     return SheafMorphism(fshV, calc.pull_f.obj(V), cell.comp)
 
 
+def _diagonal_mate_route(calc, head, V):
+    """f_!(head), for a cell `head` ending at pi2_* Delta_! V, followed by
+    f_! pi2_* Delta_! V -> f_* pi1_! Delta_! V -> f_* V: the right mate of
+    f* f_! -> pi1_! pi2* at W = Delta_! V, then pi1_! Delta_! = id."""
+    lan_f, ran_f = LanFunctor(calc.f), RanFunctor(calc.f)
+    W = LanFunctor(calc.diag).obj(V)
+    p2sW = RanFunctor(calc.pi2).obj(W)
+    m1 = calc.adj_f_ran.unit(lan_f.obj(p2sW))
+    # tau: f* f_! (pi2_* W) -> pi1_! pi2* pi2_* W
+    tau = _invert_certified(calc.bc_p1p2(p2sW), "diagonal mate bc")
+    inner = tau.then(LanFunctor(calc.pi1).mor(
+        adj_pullback_ran(calc.pi2).counit(W)))
+    mate = m1.then(ran_f.mor(inner))   # f_! pi2_* W -> f_* pi1_! W
+    # f_* pi1_! Delta_! V -> f_* V
+    c1 = compose_comparison_lan(calc.pi1, calc.diag, V)
+    c2 = lan_identity_comparison(calc.X, V)
+    tail = ran_f.mor(_invert_certified(c1, "diagonal mate tail").then(c2))
+    return lan_f.mor(head).then(mate).then(tail)
+
+
 def _proper_comparison(calc, V):
     """The canonical map f_!V -> f_*V through pi2_* Delta_* = id, the norm
     of the diagonal, and the right mate of f* f_! -> pi1_! pi2*."""
     from .sheaves import norm_certificate
-    f = calc.f
-    lan_f, ran_f = LanFunctor(f), RanFunctor(f)
     # V -> pi2_* Delta_* V
     r0 = ran_identity_comparison(calc.X, V)
     r1 = compose_comparison_ran(calc.pi2, calc.diag, V)
@@ -796,21 +721,7 @@ def _proper_comparison(calc, V):
     # pi2_* Delta_* V -> pi2_* Delta_! V along the inverse diagonal norm
     nm = norm_certificate(calc.diag, V)
     mid = RanFunctor(calc.pi2).mor(nm.inverse())
-    # mate: f_! pi2_* W -> f_* pi1_! W at W = Delta_! V
-    W = LanFunctor(calc.diag).obj(V)
-    p2sW = RanFunctor(calc.pi2).obj(W)
-    m1 = calc.adj_f_ran.unit(LanFunctor(f).obj(p2sW))
-    # tau: f* f_! (pi2_* W) -> pi1_! pi2* pi2_* W
-    tau = _invert_certified(calc.bc_p1p2(p2sW), "proper bc")
-    inner = tau.then(LanFunctor(calc.pi1).mor(
-        adj_pullback_ran(calc.pi2).counit(W)))
-    mate = m1.then(RanFunctor(f).mor(inner))   # f_! pi2_* W -> f_* pi1_! W
-    # f_* pi1_! Delta_! V -> f_* V
-    c1 = compose_comparison_lan(calc.pi1, calc.diag, V)
-    c2 = lan_identity_comparison(calc.X, V)
-    tail = RanFunctor(f).mor(_invert_certified(c1, "proper tail").then(c2))
-    total = lan_f.mor(head.then(mid)).then(mate).then(tail)
-    return SheafMorphism(lan_f.obj(V), ran_f.obj(V), total.comp)
+    return _diagonal_mate_route(calc, head.then(mid), V)
 
 
 def suave_twist_cell(calc, omega, eps_suave, V):
@@ -834,21 +745,9 @@ def prim_twist_cell(calc, delta, V):
                                        calc.pull_p2.obj(V))
     # pf: Delta_!(V) -> Delta_!1 ⊗ pi2*V; invert and push through pi2_*
     inner = RanFunctor(calc.pi2).mor(_invert_certified(pf, "prim twist pf"))
-    head = rpf.then(inner)      # delta ⊗ V -> pi2_* Delta_! V
-    W = LanFunctor(calc.diag).obj(V)
-    m1 = calc.adj_f_ran.unit(LanFunctor(calc.f).obj(
-        RanFunctor(calc.pi2).obj(W)))
-    tau = _invert_certified(calc.bc_p1p2(RanFunctor(calc.pi2).obj(W)),
-                            "prim twist bc")
-    inner2 = tau.then(LanFunctor(calc.pi1).mor(
-        adj_pullback_ran(calc.pi2).counit(W)))
-    mate = m1.then(RanFunctor(calc.f).mor(inner2))
-    c1 = compose_comparison_lan(calc.pi1, calc.diag, V)
-    c2 = lan_identity_comparison(calc.X, V)
-    tail = RanFunctor(calc.f).mor(_invert_certified(c1, "twist tail").then(c2))
-    total = LanFunctor(calc.f).mor(head).then(mate).then(tail)
+    total = _diagonal_mate_route(calc, rpf.then(inner), V)
     return SheafMorphism(LanFunctor(calc.f).obj(tensor(delta, V)),
-                         RanFunctor(calc.f).obj(V), total.comp)
+                         total.dst, total.comp)
 
 
 def etale_proper_test(f, field, probes=()):
@@ -894,6 +793,38 @@ def etale_proper_test(f, field, probes=()):
 # The eight suave/prim base-change comparisons
 # ---------------------------------------------------------------------------
 
+def _pull_ran_cells(sq, probes):
+    """g* f_* V -> f'_* g'* V on each probe V: the (f'* ⊣ f'_*)-adjunct of
+    f'* g* f_* V --kappa^-1--> g'* f* f_* V --g'* counit--> g'* V."""
+    adj_f, adj_fp = adj_pullback_ran(sq.f), adj_pullback_ran(sq.fp)
+    pull_g, pull_gp = PullbackFunctor(sq.g), PullbackFunctor(sq.gp)
+    cells = []
+    for V in probes:
+        fV = adj_f.right.obj(V)
+        A = pull_g.obj(fV)
+        s2 = transport_cell(sq.kappa.inverse(), fV).then(
+            pull_gp.mor(adj_f.counit(V)))
+        s2 = SheafMorphism(adj_fp.left.obj(A), s2.dst, s2.comp)
+        cells.append(adj_fp.unit(A).then(adj_fp.right.mor(s2)))
+    return cells
+
+
+def _lan_ran_mate_cells(sq, probes):
+    """f_! g'_* V -> g_* f'_! V on each probe V: the (g* ⊣ g_*)-adjunct of
+    g* f_! g'_* V --bc^-1--> f'_! g'* g'_* V --f'_! counit--> f'_! V."""
+    adj_g, adj_gp = adj_pullback_ran(sq.g), adj_pullback_ran(sq.gp)
+    lan_f, lan_fp = LanFunctor(sq.f), LanFunctor(sq.fp)
+    cells = []
+    for V in probes:
+        gpV = adj_gp.right.obj(V)
+        A = lan_f.obj(gpV)
+        chi = _invert_certified(base_change_cell(sq, gpV), "mate base change")
+        s2 = chi.then(lan_fp.mor(adj_gp.counit(V)))
+        s2 = SheafMorphism(adj_g.left.obj(A), s2.dst, s2.comp)
+        cells.append(adj_g.unit(A).then(adj_g.right.mor(s2)))
+    return cells
+
+
 def base_change_suave_prim(f, g, probes_Y=(), probes_Xp=(), probes_W=(),
                            probes_X=()):
     """For the iso-comma square of f: Y -> X and g: X' -> X (with
@@ -904,23 +835,13 @@ def base_change_suave_prim(f, g, probes_Y=(), probes_Xp=(), probes_W=(),
     """
     from .groupoid import iso_comma_pullback
     ic = iso_comma_pullback(f, g)
-    W, gp, fp, kappa = ic.grpd, ic.p1, ic.p2, ic.phi
+    gp, fp, kappa = ic.p1, ic.p2, ic.phi
     field = None
     for plist in (probes_Y, probes_Xp, probes_W, probes_X):
         for V in plist:
             field = V.field
     assert field is not None, "need at least one probe"
     out = {}
-    adj2_f = adj_pullback_ran(f)
-    adj2_g = adj_pullback_ran(g)
-    adj2_fp = adj_pullback_ran(fp)
-    adj2_gp = adj_pullback_ran(gp)
-    pull_f, pull_g = PullbackFunctor(f), PullbackFunctor(g)
-    pull_fp, pull_gp = PullbackFunctor(fp), PullbackFunctor(gp)
-    ran_f, ran_g = RanFunctor(f), RanFunctor(g)
-    ran_fp, ran_gp = RanFunctor(fp), RanFunctor(gp)
-    lan_g, lan_gp = LanFunctor(g), LanFunctor(gp)
-    lan_f, lan_fp = LanFunctor(f), LanFunctor(fp)
     sq_f = CommutingSquare(f=f, g=g, fp=fp, gp=gp, kappa=kappa)
     sq_g = CommutingSquare(f=g, g=f, fp=gp, gp=fp, kappa=kappa.inverse())
 
@@ -930,70 +851,16 @@ def base_change_suave_prim(f, g, probes_Y=(), probes_Xp=(), probes_W=(),
                 raise TheoremViolation("comparison %s not invertible" % name)
         out[name] = cells
 
-    # 1. g* f_* -> f'_* g'*   (suave side)
-    cells = []
-    for V in probes_Y:
-        A = pull_g.obj(ran_f.obj(V))
-        s1 = adj2_fp.unit(A)
-        t = transport_cell(kappa.inverse(), ran_f.obj(V))
-        s2 = t.then(pull_gp.mor(adj2_f.counit(V)))
-        cells.append(SheafMorphism(A, ran_fp.obj(pull_gp.obj(V)),
-                                   s1.then(ran_fp.mor(
-                                       SheafMorphism(pull_fp.obj(A), s2.dst,
-                                                     s2.comp))).comp))
-    certify("g*f_* -> f'_*g'*", cells)
-
-    # 2. f'_! g'^! -> g^! f_!  (with ^! = *): the primitive cell
-    cells = [base_change_cell(sq_f, V) for V in probes_Y]
-    certify("f'_!g'^! -> g^!f_!", cells)
-
-    # 3. f'* g^! -> g'^! f*    (pure transport)
-    cells = [transport_cell(kappa.inverse(), V) for V in probes_X]
-    certify("f'*g^! -> g'^!f*", cells)
-
-    # 4. g'* f^! -> f'^! g*    (pure transport)
-    cells = [transport_cell(kappa, V) for V in probes_X]
-    certify("g'*f^! -> f'^!g*", cells)
-
-    # 5. f* g_* -> g'_* f'*   (prim side)
-    cells = []
-    for V in probes_Xp:
-        A = pull_f.obj(ran_g.obj(V))
-        s1 = adj2_gp.unit(A)
-        t = transport_cell(kappa, ran_g.obj(V))
-        s2 = t.then(pull_fp.mor(adj2_g.counit(V)))
-        cells.append(SheafMorphism(A, ran_gp.obj(pull_fp.obj(V)),
-                                   s1.then(ran_gp.mor(
-                                       SheafMorphism(pull_gp.obj(A), s2.dst,
-                                                     s2.comp))).comp))
-    certify("f*g_* -> g'_*f'*", cells)
-
-    # 6. g'_! f'^! -> f^! g_!
-    cells = [base_change_cell(sq_g, V) for V in probes_Xp]
-    certify("g'_!f'^! -> f^!g_!", cells)
-
-    # 7. g_! f'_* -> f_* g'_!
-    cells = []
-    for V in probes_W:
-        A = lan_g.obj(ran_fp.obj(V))
-        s1 = adj2_f.unit(A)
-        chi = _invert_certified(base_change_cell(sq_g, ran_fp.obj(V)),
-                                "cell 6 for mate")
-        # chi: f* g_! (f'_* V) -> g'_! f'* f'_* V
-        s2 = chi.then(lan_gp.mor(adj2_fp.counit(V)))
-        cells.append(s1.then(ran_f.mor(
-            SheafMorphism(pull_f.obj(A), s2.dst, s2.comp))))
-    certify("g_!f'_* -> f_*g'_!", cells)
-
-    # 8. f_! g'_* -> g_* f'_!
-    cells = []
-    for V in probes_W:
-        A = lan_f.obj(ran_gp.obj(V))
-        s1 = adj2_g.unit(A)
-        chi = _invert_certified(base_change_cell(sq_f, ran_gp.obj(V)),
-                                "cell 2 for mate")
-        s2 = chi.then(lan_fp.mor(adj2_gp.counit(V)))
-        cells.append(s1.then(ran_g.mor(
-            SheafMorphism(pull_g.obj(A), s2.dst, s2.comp))))
-    certify("f_!g'_* -> g_*f'_!", cells)
+    certify("g*f_* -> f'_*g'*", _pull_ran_cells(sq_f, probes_Y))
+    # with ^! = *: the primitive cell, and two pure transports
+    certify("f'_!g'^! -> g^!f_!",
+            [base_change_cell(sq_f, V) for V in probes_Y])
+    certify("f'*g^! -> g'^!f*", [transport_cell(kappa.inverse(), V)
+                                 for V in probes_X])
+    certify("g'*f^! -> f'^!g*", [transport_cell(kappa, V) for V in probes_X])
+    certify("f*g_* -> g'_*f'*", _pull_ran_cells(sq_g, probes_Xp))
+    certify("g'_!f'^! -> f^!g_!",
+            [base_change_cell(sq_g, V) for V in probes_Xp])
+    certify("g_!f'_* -> f_*g'_!", _lan_ran_mate_cells(sq_g, probes_W))
+    certify("f_!g'_* -> g_*f'_!", _lan_ran_mate_cells(sq_f, probes_W))
     return out, ic

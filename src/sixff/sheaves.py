@@ -153,7 +153,8 @@ def hom_space(M, N):
     reps = sorted(set(comp_of.values()), key=okey)
     basis_blocks = {}
     for r in reps:
-        auts = G.hom(r, r)
+        # the identity contributes the zero equation; skip it
+        auts = [a for a in G.hom(r, r) if a != G.identity[r]]
         dm, dn = M.dim[r], N.dim[r]
         if dm == 0 or dn == 0:
             basis_blocks[r] = []
@@ -186,6 +187,18 @@ def hom_space(M, N):
                     comp[x] = N.mat[tx] * phi * M.mat[G.inverse[tx]]
             out.append(SheafMorphism(M, N, comp))
     return out
+
+
+def linear_combination(M, N, basis, coeffs):
+    """The morphism M -> N given by sum(c * b) over a basis of Hom(M, N),
+    summed in basis order."""
+    comp = {}
+    for x in M.dim:
+        acc = Matrix.zero(M.field, N.dim[x], M.dim[x])
+        for c, b in zip(coeffs, basis):
+            acc = acc + b.comp[x].scale(c)
+        comp[x] = acc
+    return SheafMorphism(M, N, comp)
 
 
 def hom_dim(M, N):
@@ -382,7 +395,10 @@ class _KanExtension(SheafFunctor):
             iota = pi = Matrix.zero(fld, 0, 0)
         else:
             eye = Matrix.identity(fld, d)
-            fixed = stack_rows(fld, [M.mat[u] - eye for u in auts], d)
+            # M(id) - I is zero, so the identity adds no equation
+            ident = M.base.identity[rep[0]]
+            fixed = stack_rows(fld, [M.mat[u] - eye for u in auts
+                                     if u != ident], d)
             iota = stack_columns(fld, fixed.nullspace(), d)
             k = iota.ncols
             if k == 0:
@@ -928,28 +944,26 @@ def compose_comparison_ran(g, f, M):
     return right_adjoint_comparison(adj_gf, adj_comp, M)
 
 
+def _identity_adjunction():
+    """Id ⊣ Id with identity unit and counit."""
+    ident = IdentityFunctor()
+    return Adjunction(ident, ident, identity_morphism, identity_morphism,
+                      "Id", "Id")
+
+
 def lan_identity_comparison(C, M):
     """id_! M -> M, canonical (Lan along the identity vs the identity
     functor, both left adjoint to id*)."""
     from .groupoid import identity_functor
-    idf = identity_functor(C)
-    adj1 = adj_lan_pullback(idf)
-    ident = IdentityFunctor()
-    triv = Adjunction(ident, ident,
-                      lambda X: identity_morphism(X),
-                      lambda X: identity_morphism(X), "Id", "Id")
-    return left_adjoint_comparison(adj1, triv, M)
+    adj1 = adj_lan_pullback(identity_functor(C))
+    return left_adjoint_comparison(adj1, _identity_adjunction(), M)
 
 
 def ran_identity_comparison(C, M):
+    """id_* M -> M, canonical (both right adjoint to id*)."""
     from .groupoid import identity_functor
-    idf = identity_functor(C)
-    adj1 = adj_pullback_ran(idf)
-    ident = IdentityFunctor()
-    triv = Adjunction(ident, ident,
-                      lambda X: identity_morphism(X),
-                      lambda X: identity_morphism(X), "Id", "Id")
-    return right_adjoint_comparison(adj1, triv, M)
+    adj1 = adj_pullback_ran(identity_functor(C))
+    return right_adjoint_comparison(adj1, _identity_adjunction(), M)
 
 
 def swap_cell(M, N):
@@ -1044,16 +1058,9 @@ def find_isomorphism(A, B, attempts=24):
         if b.is_invertible():
             return b
     f = A.field
-    k = len(basis)
     for t in range(1, attempts + 1):
-        coeffs = [f.of(pow(t, i, 10007)) for i in range(k)]
-        comp = {}
-        for x in A.dim:
-            acc = Matrix.zero(f, B.dim[x], A.dim[x])
-            for c, b in zip(coeffs, basis):
-                acc = acc + b.comp[x].scale(c)
-            comp[x] = acc
-        cand = SheafMorphism(A, B, comp)
+        coeffs = [f.of(pow(t, i, 10007)) for i in range(len(basis))]
+        cand = linear_combination(A, B, basis, coeffs)
         if cand.is_invertible():
             return cand
     return None

@@ -380,29 +380,15 @@ def check_descent(config, rng):
 
 
 def check_mates(config, rng):
-    from .twocat import (
-        AdjunctionQuadruple, mate_lambda, mate_rho, scalar_two_cat,
-        verify_adjunction,
-    )
+    from .twocat import adjunctions, mate_lambda, mate_rho, scalar_two_cat
     C = scalar_two_cat(["0", "1", "2"], 3)
     bad = C.validate()
     if bad:
         return "fail", str(bad[0])
-
-    def adjs(f, g):
-        Y, X = C.hom_of_1cell(f)
-        out = []
-        for eta in C.hom[(Y, Y)].hom(C.id1[Y], C.h1(g, f)):
-            for eps in C.hom[(X, X)].hom(C.h1(f, g), C.id1[X]):
-                q = AdjunctionQuadruple(f, g, eta, eps)
-                if verify_adjunction(q, C)[0]:
-                    out.append(q)
-        return out
-
     total = 0
     for (A, B, Ap, Bp) in (("0", "1", "2", "1"), ("1", "2", "0", "2")):
-        adj = adjs(("c", A, B), ("c", B, A))[0]
-        adjp = adjs(("c", Ap, Bp), ("c", Bp, Ap))[0]
+        adj = next(adjunctions(("c", A, B), ("c", B, A), C))
+        adjp = next(adjunctions(("c", Ap, Bp), ("c", Bp, Ap), C))
         a = ("c", A, Ap)
         b = ("c", B, Bp)
         for phi in C.hom[(A, Bp)].hom(C.h1(adjp.f, a), C.h1(b, adj.f)):

@@ -14,6 +14,7 @@ Kronecker products is associative on the nose.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fields import GF
@@ -403,15 +404,23 @@ def pointwise_audit(f, C, test_objects=None, budget=10000):
                                 (g, "found" if direct else "none"))
 
 
+def adjunctions(f, g, C):
+    """Every adjunction (f ⊣ g, eta, eps) in C, by exhaustive search over
+    the unit and counit 2-cells."""
+    Y, X = C.hom_of_1cell(f)
+    for eta in C.hom[(Y, Y)].hom(C.id1[Y], C.h1(g, f)):
+        for eps in C.hom[(X, X)].hom(C.h1(f, g), C.id1[X]):
+            q = AdjunctionQuadruple(f, g, eta, eps)
+            if verify_adjunction(q, C)[0]:
+                yield q
+
+
 def _direct_adjoint_search(f, C):
     Y, X = C.hom_of_1cell(f)
     for g in C.one_cells(X, Y):
-        for eta in C.hom[(Y, Y)].hom(C.id1[Y], C.h1(g, f)):
-            for eps in C.hom[(X, X)].hom(C.h1(f, g), C.id1[X]):
-                q = AdjunctionQuadruple(f, g, eta, eps)
-                ok, _ = verify_adjunction(q, C)
-                if ok:
-                    return q
+        q = next(adjunctions(f, g, C), None)
+        if q is not None:
+            return q
     return None
 
 
@@ -681,8 +690,6 @@ def cat_two_cat(named_cats):
     1-cells all functors, 2-cells all natural transformations.  Composition
     is genuine functor/transformation composition, hence strictly
     associative on the nose."""
-    from .groupoid import Functor
-
     names = list(named_cats)
 
     def fun_id(A, B, ob, mor):
@@ -694,34 +701,8 @@ def cat_two_cat(named_cats):
         return dict(fid[3]), dict(fid[4])
 
     def all_functors(A, B):
-        dom, cod = named_cats[A], named_cats[B]
-        out = []
-        for ob_images in itertools.product(cod.objects,
-                                           repeat=len(dom.objects)):
-            ob = dict(zip(dom.objects, ob_images))
-            choices = []
-            feasible = True
-            for m in dom.morphisms:
-                cands = [t for t in cod.morphisms
-                         if cod.src[t] == ob[dom.src[m]]
-                         and cod.dst[t] == ob[dom.dst[m]]]
-                if not cands:
-                    feasible = False
-                    break
-                choices.append((m, cands))
-            if not feasible:
-                continue
-            for assignment in itertools.product(*[c for _, c in choices]):
-                mor = {m: t for (m, _), t in zip(choices, assignment)}
-                ok = all(mor[dom.identity[x]] == cod.identity[ob[x]]
-                         for x in dom.objects)
-                if ok:
-                    ok = all(mor[dom.compose(g, f)]
-                             == cod.compose(mor[g], mor[f])
-                             for g, f in dom.composable_pairs())
-                if ok:
-                    out.append(fun_id(A, B, ob, mor))
-        return out
+        return [fun_id(A, B, F.ob, F.mor) for F in _functor_candidates(
+            named_cats[A], named_cats[B], math.inf)]
 
     def nat_cells(A, B, fid, gid):
         dom, cod = named_cats[A], named_cats[B]

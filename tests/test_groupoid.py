@@ -214,6 +214,26 @@ def test_rel_product_strict_projections():
     assert f2.ob == g2.ob and f2.mor == g2.mor
 
 
+@pytest.mark.parametrize("indices", [
+    (0, 1), (1, 2), (0, 2), (1, 0), (2, 1, 0), (0, 1, 1), (0, 0, 1),
+    (1, 1, 0)])
+def test_rel_product_reindexing_over_bs3(indices):
+    S3 = presets.group("S3")
+    BS3 = delooping(S3)
+    C2 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")
+    BC2 = delooping(C2)
+    incl = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
+    factors = [(BC2, incl), (BS3, identity_functor(BS3)), (BC2, incl)]
+    rp = rel_product(BS3, factors)
+    target = rel_product(BS3, [factors[i] for i in indices])
+    F = rp.proj_onto(list(indices), target)
+    assert validate_functor(F) == []
+    for k, i in enumerate(indices):
+        lhs = compose_functors(target.factor_proj(k), F)
+        rhs = rp.factor_proj(i)
+        assert lhs.ob == rhs.ob and lhs.mor == rhs.mor
+
+
 def test_cech_nerve_point_over_bc2():
     C2 = presets.group("C2")
     BC2 = delooping(C2)

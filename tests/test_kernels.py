@@ -11,7 +11,7 @@ from sixff.groupoid import (
 from sixff.kernels import (
     Kernel, KernelContext, MapCalculus, associator, base_change_suave_prim,
     etale_proper_test, kernel_compose, kernel_hom, kernel_identity,
-    kernel_swap, left_unitor, phi, prim_test, psi, PsiEvaluator,
+    kernel_swap, left_unitor, phi, prim_test, PsiEvaluator,
     psi_composition_certificate, psi_phi_certificate, right_unitor,
     suave_test, swap_compatibility, whisker_left,
 )
@@ -212,6 +212,31 @@ def test_swap_compatibility():
         ctx.add_object("Y%d" % i, X, to_terminal(X, PT))
     rng = random.Random(23)
     M, N = _random_kernels_chain(ctx, ["Y0", "Y1", "Y2"], rng)
+    cell = swap_compatibility(M, N)
+    assert cell.is_invertible()
+    sw = kernel_swap(kernel_compose(M, N))
+    assert sheaves_equal(cell.src, sw.payload)
+    rhs = kernel_compose(kernel_swap(N), kernel_swap(M))
+    assert sheaves_equal(cell.dst, rhs.payload)
+
+
+def test_swap_compatibility_group_base():
+    from sixff.sheaves import sheaf_from_rep, tensor
+    ctx = KernelContext(BS3, QQ)
+    for name in ("Y0", "Y1", "Y2"):
+        ctx.add_object(name, BC2, INCL)
+    sign = sheaf_from_rep(BC2, QQ, {
+        g: Matrix.from_int_rows(QQ, [[1 if g == C2.identity else -1]])
+        for g in C2.elements})
+
+    def kernel(tgt, src, left, right):
+        rp = ctx.prod((tgt, src))
+        payload = tensor(PullbackFunctor(rp.factor_proj(0)).obj(left),
+                         PullbackFunctor(rp.factor_proj(1)).obj(right))
+        return Kernel(ctx, src, tgt, payload)
+
+    M = kernel("Y0", "Y1", sign, sign)
+    N = kernel("Y1", "Y2", sign, unit_sheaf(BC2, QQ))
     cell = swap_compatibility(M, N)
     assert cell.is_invertible()
     sw = kernel_swap(kernel_compose(M, N))
