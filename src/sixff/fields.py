@@ -55,7 +55,13 @@ class FpElement:
         return "%d" % self.val
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 class RationalField:
+    """The rationals.  `zero` and `one` are shared constants (scalars are
+    immutable), so reading them in a matrix loop allocates nothing."""
+
     characteristic = 0
     name = "Q"
 
@@ -64,11 +70,11 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def inv(self, x):
         if x == 0:
@@ -86,12 +92,16 @@ class RationalField:
 
 
 class PrimeField:
+    """F_p.  `zero` and `one` are built once per field object."""
+
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p
         self.characteristic = p
         self.name = "F%d" % p
+        self._zero = FpElement(0, p)
+        self._one = FpElement(1, p)
 
     def of(self, n, d=1):
         x = FpElement(n, self.p)
@@ -101,11 +111,11 @@ class PrimeField:
 
     @property
     def zero(self):
-        return FpElement(0, self.p)
+        return self._zero
 
     @property
     def one(self):
-        return FpElement(1, self.p)
+        return self._one
 
     def inv(self, x):
         if x.val == 0:

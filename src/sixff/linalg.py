@@ -3,7 +3,9 @@
 Matrices are immutable, row-major, and act on column vectors: a Matrix of
 shape (m, n) maps k^n -> k^m and composition is `a * b` = "a after b".
 Pivoting is deterministic (first nonzero entry scanning top-down), so every
-derived basis is reproducible bit for bit.
+derived basis is reproducible bit for bit.  Inner loops test an entry for
+zero by truthiness (`Fraction` and `FpElement` both define it) and read the
+field's constants once, outside the loop.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Matrix:
         for r in self.rows:
             acc = None
             for j, a in enumerate(r):
-                if a == zero:
+                if not a:
                     continue
                 brow = orows[j]
                 if acc is None:
@@ -125,8 +127,7 @@ class Matrix:
         return Matrix(self.field, out, ncols=n)
 
     def is_zero(self):
-        z = self.field.zero
-        return all(a == z for r in self.rows for a in r)
+        return not any(a for r in self.rows for a in r)
 
     def is_identity(self):
         if self.nrows != self.ncols:
@@ -152,7 +153,8 @@ class Matrix:
     def direct_sum(field, blocks):
         m = sum(b.nrows for b in blocks)
         n = sum(b.ncols for b in blocks)
-        out = [[field.zero] * n for _ in range(m)]
+        zero = field.zero
+        out = [[zero] * n for _ in range(m)]
         i0 = j0 = 0
         for b in blocks:
             for i in range(b.nrows):
@@ -169,10 +171,13 @@ class Matrix:
         f = self.field
         m, n = self.shape
         p, q = other.shape
-        out = [[f.zero] * (n * q) for _ in range(m * p)]
+        zero = f.zero
+        out = [[zero] * (n * q) for _ in range(m * p)]
         for i in range(m):
             for j in range(n):
                 a = self.rows[i][j]
+                if not a:
+                    continue    # out is zero-filled already
                 for k in range(p):
                     for l in range(q):
                         out[i * p + k][j * q + l] = a * other.rows[k][l]
@@ -195,7 +200,7 @@ class Matrix:
         for c in range(n):
             pr = None
             for i in range(r, m):
-                if rows[i][c] != f.zero:
+                if rows[i][c]:
                     pr = i
                     break
             if pr is None:
@@ -204,7 +209,7 @@ class Matrix:
             inv = f.inv(rows[r][c])
             rows[r] = [inv * a for a in rows[r]]
             for i in range(m):
-                if i != r and rows[i][c] != f.zero:
+                if i != r and rows[i][c]:
                     factor = rows[i][c]
                     rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
             pivots.append(c)
@@ -239,7 +244,8 @@ class Matrix:
         if any(p >= n for p in pivots):
             return None
         f = self.field
-        out = [[f.zero] * rhs.ncols for _ in range(n)]
+        zero = f.zero
+        out = [[zero] * rhs.ncols for _ in range(n)]
         for r, c in enumerate(pivots):
             for j in range(rhs.ncols):
                 out[c][j] = red.rows[r][n + j]
@@ -252,10 +258,11 @@ class Matrix:
         red, pivots = self.rref()
         n = self.ncols
         free = [c for c in range(n) if c not in pivots]
+        zero, one = f.zero, f.one
         basis = []
         for fc in free:
-            v = [f.zero] * n
-            v[fc] = f.one
+            v = [zero] * n
+            v[fc] = one
             for r, pc in enumerate(pivots):
                 v[pc] = -red.rows[r][fc]
             basis.append(Matrix.column(f, v))

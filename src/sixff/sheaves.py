@@ -23,6 +23,8 @@ invertible natural transformations - never searched.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .fields import GateError, TheoremViolation, check_gate
 from .groupoid import okey, transport_to_reps
 from .linalg import Matrix, stack_columns, stack_rows
@@ -236,25 +238,26 @@ class _Fiber:
     """Component data of the comma groupoid over one target object.
 
     kind "lan": objects (y, m: f(y) -> x);  kind "ran": (y, m: x -> f(y)).
+    `hom[(a, b)]` lists the morphisms a -> b of f.cod and `out[y]` those
+    out of y in f.dom, both in morphism order; one Kan functor builds them
+    once and shares them across its fibers.
     """
 
     __slots__ = ("reps", "auts", "paths", "comp_of")
 
-    def __init__(self, f, x, kind):
+    def __init__(self, f, x, kind, hom, out):
         Y, X = f.dom, f.cod
         if kind == "lan":
-            objs = [(y, m) for y in Y.objects for m in X.morphisms
-                    if X.src[m] == f.ob[y] and X.dst[m] == x]
+            objs = [(y, m) for y in Y.objects
+                    for m in hom.get((f.ob[y], x), ())]
         else:
-            objs = [(y, m) for y in Y.objects for m in X.morphisms
-                    if X.dst[m] == f.ob[y] and X.src[m] == x]
+            objs = [(y, m) for y in Y.objects
+                    for m in hom.get((x, f.ob[y]), ())]
         # connecting arrows u: (y,m) -> (y',m') iff m'∘f(u) = m (lan)
         #                                     iff f(u)∘m = m'  (ran)
         adj = {o: [] for o in objs}
         for (y, m) in objs:
-            for u in Y.morphisms:
-                if Y.src[u] != y:
-                    continue
+            for u in out[y]:
                 if kind == "lan":
                     m2 = X.compose(m, X.inverse[f.mor[u]])
                 else:
@@ -362,19 +365,73 @@ class PullbackFunctor(SheafFunctor):
                              {y: phi.comp[f.ob[y]] for y in f.dom.objects})
 
 
+# Bound on the invariant-data cache shared by all Kan functors.  The test
+# suite, `sixff run` and each benchmark round store under 200 entries.
+_INVARIANT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_INVARIANT_CACHE_SIZE)
+def _invariant_data(field, d, mats, averaging):
+    """(iota, pi, leg) of one fiber component, from its content alone: the
+    field, d = dim M(y_rep), the automorphism matrices `mats` in fiber
+    order, and whether leg averages.  The field is part of the key because
+    `Matrix.__eq__` ignores it (a 0x0 matrix over QQ equals one over GF(5)).
+    The gate is left to the caller, which must check it on every call,
+    cached or not.
+    """
+    if d == 0:
+        iota = pi = Matrix.zero(field, 0, 0)
+    else:
+        eye = Matrix.identity(field, d)
+        # an automorphism acting as I adds only zero rows, which RREF ignores
+        fixed = stack_rows(field, [a - eye for a in mats if a != eye], d)
+        iota = stack_columns(field, fixed.nullspace(), d)
+        k = iota.ncols
+        if k == 0:
+            pi = Matrix.zero(field, 0, d)
+        else:
+            sol = iota.transpose().solve(Matrix.identity(field, k))
+            if sol is None:
+                raise TheoremViolation("invariant basis not left-invertible")
+            pi = sol.transpose()
+    if not averaging:
+        return iota, pi, pi
+    # pi∘avg, avg the averaging idempotent over all the automorphisms
+    total = Matrix.zero(field, d, d)
+    for a in mats:
+        total = total + a
+    return iota, pi, pi * total.scale(field.inv(field.of(len(mats))))
+
+
 class _KanExtension(SheafFunctor):
     """The construction shared by f_! and f_*: the (co)fiber groupoids over
     every target object and, per sheaf M and fiber component rep, the data
     (iota, pi, leg, rep).  iota is a basis of the Aut(rep)-invariants of
     M(y_rep), pi the deterministic left inverse with pi∘iota = id, and leg
     the projection M(y_rep) -> invariants that values are read through:
-    pi∘avg for f_!, pi for f_*.  A subclass sets `kind` and `suffix` and
-    defines `_leg` and `obj`.  The data is memoized per sheaf instance; the
-    memo holds M, so its id stays unique."""
+    pi∘avg for f_! (`averaging`), pi for f_*.  A subclass sets `kind`,
+    `suffix` and `averaging` and defines `obj`.
+
+    The data is memoized on two levels.  The first is per functor instance
+    and keyed by the sheaf instance, id(M); the memo holds M, so its id
+    stays unique.  The second, `_invariant_data`, is shared by every Kan
+    functor and keyed by content: (field, dim M(y_rep), the tuple of
+    matrices M(u) over the component's automorphisms u, averaging).  So a
+    new functor over the same fibers, or a new sheaf with the same
+    matrices, solves nothing again.  The gate is checked on every call,
+    before the second level, so a GateError is never cached."""
 
     def __init__(self, f):
         self.f = f
-        self.fibers = {x: _Fiber(f, x, self.kind) for x in f.cod.objects}
+        Y, X = f.dom, f.cod
+        hom, out = {}, {y: [] for y in Y.objects}
+        for m in X.morphisms:
+            hom.setdefault((X.src[m], X.dst[m]), []).append(m)
+        for u in Y.morphisms:
+            out[Y.src[u]].append(u)
+        self._out = out
+        self.fibers = {x: _Fiber(f, x, self.kind, hom, out)
+                       for x in X.objects}
         self.name = "%s%s" % (f.name or "f", self.suffix)
         self._cache = {}
 
@@ -389,26 +446,12 @@ class _KanExtension(SheafFunctor):
 
     def _component(self, M, fiber, rep):
         fld = M.field
-        d = M.dim[rep[0]]
-        auts = fiber.auts[rep]
-        if d == 0:
-            iota = pi = Matrix.zero(fld, 0, 0)
-        else:
-            eye = Matrix.identity(fld, d)
-            # M(id) - I is zero, so the identity adds no equation
-            ident = M.base.identity[rep[0]]
-            fixed = stack_rows(fld, [M.mat[u] - eye for u in auts
-                                     if u != ident], d)
-            iota = stack_columns(fld, fixed.nullspace(), d)
-            k = iota.ncols
-            if k == 0:
-                pi = Matrix.zero(fld, 0, d)
-            else:
-                sol = iota.transpose().solve(Matrix.identity(fld, k))
-                if sol is None:
-                    raise TheoremViolation("invariant basis not left-invertible")
-                pi = sol.transpose()
-        return iota, pi, self._leg(M, auts, d, pi), rep
+        mats = tuple(M.mat[u] for u in fiber.auts[rep])
+        if self.averaging and fld.characteristic and \
+                len(mats) % fld.characteristic == 0:
+            raise GateError("char divides a fiber automorphism count")
+        return _invariant_data(fld, M.dim[rep[0]], mats,
+                               self.averaging) + (rep,)
 
     def dims(self, M):
         data = self._data(M)
@@ -429,18 +472,8 @@ class LanFunctor(_KanExtension):
     """f_!: left Kan extension with chosen per-component invariant bases
     (coinvariants via the averaging idempotent; gate required)."""
 
-    kind, suffix = "lan", "_!"
+    kind, suffix, averaging = "lan", "_!", True
     mor = _KanExtension.mor   # own entry: perfbench/tracing.py patches it
-
-    def _leg(self, M, auts, d, pi):
-        """pi∘avg, avg the averaging idempotent over the automorphisms."""
-        fld = M.field
-        if fld.characteristic and len(auts) % fld.characteristic == 0:
-            raise GateError("char divides a fiber automorphism count")
-        total = Matrix.zero(fld, d, d)
-        for u in auts:
-            total = total + M.mat[u]
-        return pi * total.scale(fld.inv(fld.of(len(auts))))
 
     def cocone_leg(self, M, x, o):
         """Matrix M(y) -> f_!M(x) for an object o = (y, m) of the fiber."""
@@ -477,9 +510,8 @@ class LanFunctor(_KanExtension):
             blocks = []
             for (iota, _, _, (y_c, m_c)) in self._data(M)[f.ob[y]]:
                 total = Matrix.zero(fld, M.dim[y], M.dim[y_c])
-                for u in Y.morphisms:
-                    if Y.src[u] == y_c and Y.dst[u] == y and \
-                            f.mor[u] == m_c:
+                for u in self._out[y_c]:
+                    if Y.dst[u] == y and f.mor[u] == m_c:
                         total = total + M.mat[u]
                 blocks.append(total * iota)
             comp[y] = stack_columns(fld, blocks, M.dim[y])
@@ -490,11 +522,8 @@ class RanFunctor(_KanExtension):
     """f_*: right Kan extension; values are per-component invariants of the
     co-fiber (x -> f)."""
 
-    kind, suffix = "ran", "_*"
+    kind, suffix, averaging = "ran", "_*", False
     mor = _KanExtension.mor   # own entry: perfbench/tracing.py patches it
-
-    def _leg(self, M, auts, d, pi):
-        return pi
 
     def section_value(self, M, x, o):
         """Matrix f_*M(x) -> M(y): evaluate a section at the fiber object

@@ -21,6 +21,7 @@ from sixff.sheaves import (
     sheaf_from_rep, swap_cell, tensor, unit_sheaf, upper_shriek,
     verify_base_change, verify_projection_formula, zero_sheaf,
 )
+from sixff.sheaves import _invariant_data
 
 S3 = presets.group("S3")
 BS3 = delooping(S3)
@@ -313,6 +314,55 @@ def test_lan_gate_raises_where_ran_does_not():
         LanFunctor(P_C2).obj(triv)
     inv = RanFunctor(P_C2).obj(triv)
     assert inv.dim[PT.objects[0]] == 1
+    # neither the failed f_! call nor the f_* data sharing its content may
+    # let a second identical call through
+    lan = LanFunctor(P_C2)
+    for _ in range(2):
+        with pytest.raises(GateError):
+            lan.obj(triv)
+    with pytest.raises(GateError):
+        LanFunctor(P_C2).obj(triv)
+
+
+def test_invariant_cache_keys_on_the_field():
+    # 0x0 matrices over QQ and GF(5) compare equal, so only the field in
+    # the key keeps the QQ data from answering the GF(5) call
+    _invariant_data.cache_clear()
+    for functor in (LanFunctor, RanFunctor):
+        functor(P_C2)._data(zero_sheaf(BC2, QQ))
+        data = functor(P_C2)._data(zero_sheaf(BC2, GF(5)))
+        (iota, pi, leg, _), = data[PT.objects[0]]
+        assert iota.shape == (0, 0)
+        assert iota.field == pi.field == leg.field == GF(5)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_invariant_cache_cold_equals_warm(field):
+    probes = [std_rep_s3(field), regular_rep(BS3, S3, field),
+              unit_sheaf(BS3, field)]
+
+    def data():
+        return [functor(P_S3)._data(M)
+                for functor in (LanFunctor, RanFunctor) for M in probes]
+
+    warm = data()
+    _invariant_data.cache_clear()
+    cold = data()
+    misses = _invariant_data.cache_info().misses
+    assert misses > 0
+    # new functor instances, same content: served by the shared level
+    again = data()
+    assert _invariant_data.cache_info().misses == misses
+    assert cold == warm == again
+
+
+def test_unit_sheaf_on_bc2_has_identity_invariant_data():
+    # the non-identity automorphism of BC2 acts on the unit sheaf as I
+    for functor in (LanFunctor, RanFunctor):
+        (iota, pi, leg, _), = functor(P_C2)._data(
+            unit_sheaf(BC2, QQ))[PT.objects[0]]
+        eye = Matrix.identity(QQ, 1)
+        assert iota == pi == leg == eye
 
 
 def _combination(basis, coeffs):
