@@ -333,10 +333,8 @@ class NatTrans:
 # ---------------------------------------------------------------------------
 
 def delooping(group, obj="*"):
-    """One-object groupoid of a finite group (see hecke.FiniteGroup)."""
-    bad = group.axiom_report()
-    if bad:
-        raise StructureError("not a group: %s" % bad[0])
+    """One-object groupoid of a finite group (see groups.FiniteGroup, whose
+    constructor checks the group axioms)."""
     e = group.identity
     morphisms = list(group.elements)
     return FiniteGroupoid(

@@ -11,6 +11,7 @@ field's constants once, outside the loop.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 
 
 class SingularMatrixError(Exception):
@@ -150,19 +151,28 @@ class Matrix:
         return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
 
     @staticmethod
-    def direct_sum(field, blocks):
-        m = sum(b.nrows for b in blocks)
-        n = sum(b.ncols for b in blocks)
+    def block(field, row_dims, col_dims, placed):
+        """The matrix with row blocks of heights `row_dims` and column blocks
+        of widths `col_dims` that is zero except for `placed[(i, j)]` in
+        block (i, j)."""
+        row_off = list(accumulate(row_dims, initial=0))
+        col_off = list(accumulate(col_dims, initial=0))
+        n = col_off[-1]
         zero = field.zero
-        out = [[zero] * n for _ in range(m)]
-        i0 = j0 = 0
-        for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out[i0 + i][j0 + j] = b.rows[i][j]
-            i0 += b.nrows
-            j0 += b.ncols
+        out = [[zero] * n for _ in range(row_off[-1])]
+        for (i, j), b in placed.items():
+            assert b.shape == (row_dims[i], col_dims[j]), \
+                "block (%d, %d) has shape %s" % (i, j, b.shape)
+            i0, j0 = row_off[i], col_off[j]
+            for r, brow in enumerate(b.rows, i0):
+                out[r][j0:j0 + b.ncols] = brow
         return Matrix(field, out, ncols=n)
+
+    @staticmethod
+    def direct_sum(field, blocks):
+        return Matrix.block(field, [b.nrows for b in blocks],
+                            [b.ncols for b in blocks],
+                            {(i, i): b for i, b in enumerate(blocks)})
 
     def kron(self, other):
         """Kronecker product; index flattening is row-major, so kron is

@@ -240,10 +240,12 @@ class _Fiber:
     kind "lan": objects (y, m: f(y) -> x);  kind "ran": (y, m: x -> f(y)).
     `hom[(a, b)]` lists the morphisms a -> b of f.cod and `out[y]` those
     out of y in f.dom, both in morphism order; one Kan functor builds them
-    once and shares them across its fibers.
+    once and shares them across its fibers.  `locate[o]` is (i, p): the
+    index i of o's component in `reps` and the morphism p: y_rep -> y of
+    f.dom along the breadth-first path rep -> o, composed once per object.
     """
 
-    __slots__ = ("reps", "auts", "paths", "comp_of")
+    __slots__ = ("reps", "auts", "locate")
 
     def __init__(self, f, x, kind, hom, out):
         Y, X = f.dom, f.cod
@@ -265,45 +267,25 @@ class _Fiber:
                 o2 = (Y.dst[u], m2)
                 adj[(y, m)].append((u, o2))
         objs_sorted = sorted(objs, key=okey)
-        seen = {}
-        reps, auts, paths = [], {}, {}
+        locate = {}
+        reps = []
         for o in objs_sorted:
-            if o in seen:
+            if o in locate:
                 continue
-            rep = o
-            reps.append(rep)
-            seen[o] = rep
-            paths[o] = None  # identity path
+            i = len(reps)
+            reps.append(o)
+            locate[o] = (i, Y.identity[o[0]])
             frontier = [o]
             while frontier:
                 cur = frontier.pop(0)
                 for (u, o2) in sorted(adj[cur], key=lambda p: okey(p[0])):
-                    if o2 not in seen:
-                        seen[o2] = rep
-                        paths[o2] = (cur, u)
+                    if o2 not in locate:
+                        locate[o2] = (i, Y.compose(u, locate[cur][1]))
                         frontier.append(o2)
         self.reps = reps
-        self.comp_of = seen
-        self.paths = paths
-        self.auts = {}
-        for rep in reps:
-            y, m = rep
-            self.auts[rep] = [u for (u, o2) in adj[rep] if o2 == rep]
-
-    def path_morphism(self, f, o):
-        """Composite morphism rep -> o in the fiber, as a morphism of the
-        source groupoid."""
-        Y = f.dom
-        chain = []
-        cur = o
-        while self.paths[cur] is not None:
-            prev, u = self.paths[cur]
-            chain.append(u)
-            cur = prev
-        out = Y.identity[cur[0]]
-        for u in reversed(chain):
-            out = Y.compose(u, out)
-        return out
+        self.locate = locate
+        self.auts = {rep: [u for (u, o2) in adj[rep] if o2 == rep]
+                     for rep in reps}
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +391,24 @@ class _KanExtension(SheafFunctor):
     (iota, pi, leg, rep).  iota is a basis of the Aut(rep)-invariants of
     M(y_rep), pi the deterministic left inverse with pi∘iota = id, and leg
     the projection M(y_rep) -> invariants that values are read through:
-    pi∘avg for f_! (`averaging`), pi for f_*.  A subclass sets `kind`,
-    `suffix` and `averaging` and defines `obj`.
+    pi∘avg for f_! (`averaging`), pi for f_*.  The value at x is the direct
+    sum of the invariants over the components of the fiber over x, so every
+    structure matrix is a block matrix with one row or column block per
+    component.  A subclass sets `kind`, `suffix` and `averaging` and
+    defines `_blocks`.
 
-    The data is memoized on two levels.  The first is per functor instance
-    and keyed by the sheaf instance, id(M); the memo holds M, so its id
-    stays unique.  The second, `_invariant_data`, is shared by every Kan
-    functor and keyed by content: (field, dim M(y_rep), the tuple of
-    matrices M(u) over the component's automorphisms u, averaging).  So a
-    new functor over the same fibers, or a new sheaf with the same
-    matrices, solves nothing again.  The gate is checked on every call,
-    before the second level, so a GateError is never cached."""
+    Memo levels:
+      - per functor instance, keyed by the sheaf instance id(M): the entry
+        [M, data, built sheaf] holds M, so the id stays unique, and the
+        sheaf f_!M or f_*M, built on the first `obj` call, so `obj`, `mor`
+        and the adjunction cells build it once per sheaf;
+      - `_invariant_data`, shared by every Kan functor and keyed by
+        content: (field, dim M(y_rep), the tuple of matrices M(u) over the
+        component's automorphisms u, averaging).  So a new functor over the
+        same fibers, or a new sheaf with the same matrices, solves nothing
+        again.
+    The gate is checked whenever the data of a sheaf is computed, before
+    the second level, so a GateError is never cached."""
 
     def __init__(self, f):
         self.f = f
@@ -435,14 +424,16 @@ class _KanExtension(SheafFunctor):
         self.name = "%s%s" % (f.name or "f", self.suffix)
         self._cache = {}
 
+    def _entry(self, M):
+        entry = self._cache.get(id(M))
+        if entry is None:
+            data = {x: [self._component(M, fiber, rep) for rep in fiber.reps]
+                    for x, fiber in self.fibers.items()}
+            entry = self._cache[id(M)] = [M, data, None]
+        return entry
+
     def _data(self, M):
-        key = id(M)
-        if key in self._cache:
-            return self._cache[key][1]
-        data = {x: [self._component(M, fiber, rep) for rep in fiber.reps]
-                for x, fiber in self.fibers.items()}
-        self._cache[key] = (M, data)
-        return data
+        return self._entry(M)[1]
 
     def _component(self, M, fiber, rep):
         fld = M.field
@@ -453,19 +444,29 @@ class _KanExtension(SheafFunctor):
         return _invariant_data(fld, M.dim[rep[0]], mats,
                                self.averaging) + (rep,)
 
-    def dims(self, M):
-        data = self._data(M)
-        return {x: sum(c[0].ncols for c in data[x]) for x in data}
+    def obj(self, M):
+        entry = self._entry(M)
+        if entry[2] is None:
+            data = entry[1]
+            widths = {x: [c[0].ncols for c in data[x]] for x in data}
+            X = self.f.cod
+            mats = {}
+            for xi in X.morphisms:
+                x, x2 = X.src[xi], X.dst[xi]
+                mats[xi] = Matrix.block(M.field, widths[x2], widths[x],
+                                        self._blocks(M, data, xi))
+            entry[2] = Sheaf(X, M.field,
+                             {x: sum(w) for x, w in widths.items()}, mats)
+        return entry[2]
 
     def mor(self, phi):
         dM = self._data(phi.src)
         dN = self._data(phi.dst)
-        Msh, Nsh = self.obj(phi.src), self.obj(phi.dst)
         comp = {x: Matrix.direct_sum(phi.src.field, [
             pin * phi.comp[rep[0]] * iom
             for (iom, _, _, rep), (_, pin, _, _) in zip(dM[x], dN[x])])
             for x in self.f.cod.objects}
-        return SheafMorphism(Msh, Nsh, comp)
+        return SheafMorphism(self.obj(phi.src), self.obj(phi.dst), comp)
 
 
 class LanFunctor(_KanExtension):
@@ -473,30 +474,37 @@ class LanFunctor(_KanExtension):
     (coinvariants via the averaging idempotent; gate required)."""
 
     kind, suffix, averaging = "lan", "_!", True
-    mor = _KanExtension.mor   # own entry: perfbench/tracing.py patches it
+    # own entries: perfbench/tracing.py patches them on this class
+    obj = _KanExtension.obj
+    mor = _KanExtension.mor
+
+    def _blocks(self, M, data, xi):
+        """The nonzero blocks of f_!M(xi) for xi: x -> x2.  Component
+        c = (y_c, m_c) over x goes to the component r over x2 that holds
+        o = (y_c, xi∘m_c), reached by p: rep_r -> o, through the block
+        leg_r · M(p⁻¹) · iota_c."""
+        X, inv = self.f.cod, self.f.dom.inverse
+        fiber, comps2 = self.fibers[X.dst[xi]], data[X.dst[xi]]
+        placed = {}
+        for c, (iota, _, _, (y_c, m_c)) in enumerate(data[X.src[xi]]):
+            r, p = fiber.locate[(y_c, X.compose(xi, m_c))]
+            placed[(r, c)] = comps2[r][2] * (M.mat[inv[p]] * iota)
+        return placed
 
     def cocone_leg(self, M, x, o):
-        """Matrix M(y) -> f_!M(x) for an object o = (y, m) of the fiber."""
-        fiber = self.fibers[x]
-        rep = fiber.comp_of[o]
-        p = fiber.path_morphism(self.f, o)  # rep -> o in the source
+        """Matrix M(y) -> f_!M(x) for an object o = (y, m) of the fiber.  It
+        has one nonzero block, leg_r · M(p⁻¹) in the row block of o's
+        component r, where p: rep_r -> o.  The zero blocks of the other
+        components are stacked around it by `stack_rows`, not placed by
+        `Matrix.block`: on kernel-coherence this is the only caller of
+        `Matrix.vstack`, which perfbench/tracing.py expects to fire on
+        every workload."""
+        r, p = self.fibers[x].locate[o]
         d = M.dim[o[0]]
         return stack_rows(M.field, [
-            leg * M.mat[self.f.dom.inverse[p]] if r == rep
+            leg * M.mat[self.f.dom.inverse[p]] if i == r
             else Matrix.zero(M.field, iota.ncols, d)
-            for (iota, _, leg, r) in self._data(M)[x]], d)
-
-    def obj(self, M):
-        f = self.f
-        data = self._data(M)
-        dims = self.dims(M)
-        mats = {}
-        for xi in f.cod.morphisms:
-            x, x2 = f.cod.src[xi], f.cod.dst[xi]
-            mats[xi] = stack_columns(M.field, [
-                self.cocone_leg(M, x2, (y_c, f.cod.compose(xi, m_c))) * iota
-                for (iota, _, _, (y_c, m_c)) in data[x]], dims[x2])
-        return Sheaf(f.cod, M.field, dims, mats)
+            for i, (iota, _, leg, _) in enumerate(self._data(M)[x])], d)
 
     def trace_cell(self, M):
         """tr: f*(f_!M) -> M, the sum over fiber morphisms; the counit of
@@ -523,31 +531,32 @@ class RanFunctor(_KanExtension):
     co-fiber (x -> f)."""
 
     kind, suffix, averaging = "ran", "_*", False
-    mor = _KanExtension.mor   # own entry: perfbench/tracing.py patches it
+    # own entries: perfbench/tracing.py patches them on this class
+    obj = _KanExtension.obj
+    mor = _KanExtension.mor
+
+    def _blocks(self, M, data, xi):
+        """The nonzero blocks of f_*M(xi) for xi: x -> x2.  Component
+        c2 = (y2, m2) over x2 reads the component r over x that holds
+        o = (y2, m2∘xi), reached by p: rep_r -> o, through the block
+        leg_c2 · M(p) · iota_r."""
+        X = self.f.cod
+        fiber, comps = self.fibers[X.src[xi]], data[X.src[xi]]
+        placed = {}
+        for c2, (_, _, leg, (y2, m2)) in enumerate(data[X.dst[xi]]):
+            r, p = fiber.locate[(y2, X.compose(m2, xi))]
+            placed[(c2, r)] = (leg * M.mat[p]) * comps[r][0]
+        return placed
 
     def section_value(self, M, x, o):
         """Matrix f_*M(x) -> M(y): evaluate a section at the fiber object
-        o = (y, m: x -> f(y))."""
-        fiber = self.fibers[x]
-        rep = fiber.comp_of[o]
-        p = fiber.path_morphism(self.f, o)  # rep -> o connecting morphism
-        d = M.dim[o[0]]
-        return stack_columns(M.field, [
-            M.mat[p] * iota if r == rep
-            else Matrix.zero(M.field, d, iota.ncols)
-            for (iota, _, _, r) in self._data(M)[x]], d)
-
-    def obj(self, M):
-        f = self.f
-        data = self._data(M)
-        dims = self.dims(M)
-        mats = {}
-        for xi in f.cod.morphisms:
-            x, x2 = f.cod.src[xi], f.cod.dst[xi]
-            mats[xi] = stack_rows(M.field, [
-                leg * self.section_value(M, x, (y2, f.cod.compose(m2, xi)))
-                for (_, _, leg, (y2, m2)) in data[x2]], dims[x])
-        return Sheaf(f.cod, M.field, dims, mats)
+        o = (y, m: x -> f(y)).  One nonzero block, M(p) · iota_r in the
+        column block of o's component r, where p: rep_r -> o."""
+        r, p = self.fibers[x].locate[o]
+        comps = self._data(M)[x]
+        return Matrix.block(M.field, [M.dim[o[0]]],
+                            [c[0].ncols for c in comps],
+                            {(0, r): M.mat[p] * comps[r][0]})
 
 
 class TensorLeftFunctor(SheafFunctor):

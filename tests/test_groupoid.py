@@ -52,6 +52,34 @@ def test_delooping_rejects_non_group():
         FiniteGroup(elems, table)
 
 
+def test_nonassociative_table_rejected_at_construction():
+    # a loop of order 5: identity 0, every element its own inverse, but
+    # (1*2)*2 = 4 while 1*(2*2) = 1
+    rows = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    table = {(a, b): rows[a][b] for a in range(5) for b in range(5)}
+    with pytest.raises(StructureError, match="associativity"):
+        FiniteGroup(range(5), table)
+
+
+def test_delooping_does_not_recheck_group_axioms(monkeypatch):
+    S3 = presets.group("S3")
+    calls = []
+    original = FiniteGroup.axiom_report
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FiniteGroup, "axiom_report", counting)
+    BS3 = delooping(S3)
+    assert calls == []
+    assert len(BS3.morphisms) == 6 and validate_category(BS3) == []
+
+
 def test_sign_functor_s3_to_c2():
     S3, C2 = presets.group("S3"), presets.group("C2")
     B1, B2 = delooping(S3), delooping(C2)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sixff.fields import GF, QQ
-from sixff.linalg import Matrix
+from sixff.linalg import Matrix, stack_columns, stack_rows
 
 PROPS = settings(max_examples=60, derandomize=True, deadline=None,
                  database=None)
@@ -61,6 +61,30 @@ def squares(draw):
 def systems(draw):
     f, m, n, k = draw(FIELD), draw(_dim()), draw(_dim()), draw(_dim())
     return draw(_matrix(f, m, n)), draw(_matrix(f, m, k))
+
+
+@st.composite
+def block_layouts(draw):
+    """(field, row heights, column widths, placed blocks) with zero-size
+    blocks and empty layouts allowed."""
+    f = draw(FIELD)
+    row_dims = draw(st.lists(_dim(3), max_size=3))
+    col_dims = draw(st.lists(_dim(3), max_size=3))
+    cells = [(i, j) for i in range(len(row_dims))
+             for j in range(len(col_dims))]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True)) \
+        if cells else []
+    placed = {(i, j): draw(_matrix(f, row_dims[i], col_dims[j]))
+              for (i, j) in chosen}
+    return f, row_dims, col_dims, placed
+
+
+def _reference_block(f, row_dims, col_dims, placed):
+    """The block matrix stacked from explicit zero blocks."""
+    return stack_rows(f, [
+        stack_columns(f, [placed.get((i, j), Matrix.zero(f, h, w))
+                          for j, w in enumerate(col_dims)], h)
+        for i, h in enumerate(row_dims)], sum(col_dims))
 
 
 def _reference_rref(a):
@@ -169,3 +193,28 @@ def test_inverse_is_two_sided_when_it_exists(a):
     inv = a.inverse()
     eye = Matrix.identity(a.field, a.nrows)
     assert a * inv == eye and inv * a == eye
+
+
+@PROPS
+@given(block_layouts())
+def test_block_equals_stacked_zero_blocks(layout):
+    f, row_dims, col_dims, placed = layout
+    got = Matrix.block(f, row_dims, col_dims, placed)
+    ref = _reference_block(f, row_dims, col_dims, placed)
+    assert got.shape == ref.shape == (sum(row_dims), sum(col_dims))
+    assert got.field == f
+    assert all(got.entry(i, j) == ref.entry(i, j)
+               for i in range(got.nrows) for j in range(got.ncols))
+
+
+@PROPS
+@given(FIELD.flatmap(lambda f: st.lists(
+    st.tuples(_dim(3), _dim(3)).flatmap(lambda mn: _matrix(f, *mn)),
+    max_size=4)))
+def test_direct_sum_is_block_diagonal_placement(blocks):
+    f = blocks[0].field if blocks else QQ
+    ref = _reference_block(f, [b.nrows for b in blocks],
+                           [b.ncols for b in blocks],
+                           {(i, i): b for i, b in enumerate(blocks)})
+    got = Matrix.direct_sum(f, blocks)
+    assert got.shape == ref.shape and got.rows == ref.rows

@@ -8,7 +8,7 @@ from sixff.groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
     terminal_groupoid, to_terminal,
 )
-from sixff.linalg import Matrix
+from sixff.linalg import Matrix, stack_columns, stack_rows
 from sixff.sheaves import (
     CommutingSquare, LanFunctor, PullbackFunctor, RanFunctor, Sheaf,
     SheafMorphism,
@@ -393,3 +393,129 @@ def test_kan_extension_mor_is_functorial(functor, along, field):
     rhs = F.mor(phi).then(F.mor(psi))
     assert lhs.comp == rhs.comp
     assert not lhs.comp[along.cod.objects[0]].is_zero()
+
+
+# f: BC2 ⊔ BC2 ⊔ BS3 ⊔ BC2 -> BS3 ⊔ BC2 ⊔ *, by INCL, the trivial map, the
+# identity and the identity; the fibre over (0, *) has 3 + 6 + 1
+# components and the fibre over (2, *) is empty
+_DU_DOM = disjoint_union([BC2, BC2, BS3, BC2])
+_DU_COD = disjoint_union([BS3, BC2, PT])
+_c2o, _s3o = BC2.objects[0], BS3.objects[0]
+DU_MAP = Functor(
+    _DU_DOM, _DU_COD,
+    {(0, _c2o): (0, _s3o), (1, _c2o): (0, _s3o), (2, _s3o): (0, _s3o),
+     (3, _c2o): (1, _c2o)},
+    {(i, g): ((0, S3.identity) if i == 1 else (1, g) if i == 3 else (0, g))
+     for (i, g) in _DU_DOM.morphisms})
+
+_GAUGES = ([[1, 2, 0], [0, 1, 1], [1, 0, 1]],
+           [[2, 1, 1], [1, 1, 0], [0, 1, 1]])
+
+
+def _sign(perm):
+    return (-1) ** sum(1 for i in range(3) for j in range(i + 1, 3)
+                       if perm[i] > perm[j])
+
+
+def _perm_matrix(field, perm):
+    return Matrix.from_int_rows(field, [[1 if perm[j] == i else 0
+                                         for j in range(3)]
+                                        for i in range(3)])
+
+
+def _sheaf_per_component(grpd, field, dim, of_group_element):
+    """A sheaf on BS3, BC2 or a disjoint union of them; the morphism g of
+    component i (of the only component for a delooping) acts by
+    of_group_element(i, g)."""
+    if grpd in (BS3, BC2):
+        mats = {g: of_group_element(0, g) for g in grpd.morphisms}
+    else:
+        mats = {(i, g): of_group_element(i, g) for (i, g) in grpd.morphisms}
+    return Sheaf(grpd, field, {x: dim for x in grpd.objects}, mats,
+                 check=True)
+
+
+def _sign_sheaf(grpd, field):
+    return _sheaf_per_component(
+        grpd, field, 1, lambda i, g: Matrix.from_int_rows(field, [[_sign(g)]]))
+
+
+def _gauged_permutation_sheaf(grpd, field):
+    """The permutation action on k^3, conjugated by a different invertible
+    matrix on each component."""
+    gauges = [Matrix.from_int_rows(field, _GAUGES[i % 2]) for i in range(4)]
+    inverses = [a.inverse() for a in gauges]
+    return _sheaf_per_component(
+        grpd, field, 3,
+        lambda i, g: gauges[i] * _perm_matrix(field, g) * inverses[i])
+
+
+def _stacked_reference(F, M):
+    """The structure matrices, cocone legs and section values of F.obj(M),
+    assembled as stacks: every leg or section gets a zero block for each
+    other component, is multiplied at full size, and the results are
+    stacked again."""
+    f, fld = F.f, M.field
+    X, inv = f.cod, f.dom.inverse
+    data = F._data(M)
+    dims = {x: sum(c[0].ncols for c in data[x]) for x in data}
+
+    def leg(x, o):
+        r, p = F.fibers[x].locate[o]
+        d = M.dim[o[0]]
+        return stack_rows(fld, [
+            c[2] * M.mat[inv[p]] if i == r
+            else Matrix.zero(fld, c[0].ncols, d)
+            for i, c in enumerate(data[x])], d)
+
+    def section(x, o):
+        r, p = F.fibers[x].locate[o]
+        d = M.dim[o[0]]
+        return stack_columns(fld, [
+            M.mat[p] * c[0] if i == r else Matrix.zero(fld, d, c[0].ncols)
+            for i, c in enumerate(data[x])], d)
+
+    mats = {}
+    for xi in X.morphisms:
+        x, x2 = X.src[xi], X.dst[xi]
+        if isinstance(F, LanFunctor):
+            mats[xi] = stack_columns(fld, [
+                leg(x2, (y, X.compose(xi, m))) * iota
+                for (iota, _, _, (y, m)) in data[x]], dims[x2])
+        else:
+            mats[xi] = stack_rows(fld, [
+                lg * section(x, (y, X.compose(m, xi)))
+                for (_, _, lg, (y, m)) in data[x2]], dims[x])
+    return mats, (leg if isinstance(F, LanFunctor) else section)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("make", [_sign_sheaf, _gauged_permutation_sheaf],
+                         ids=["sign", "gauged_perm"])
+@pytest.mark.parametrize("along", [INCL, P_S3, DU_MAP],
+                         ids=["incl", "to_point", "disjoint_unions"])
+@pytest.mark.parametrize("functor", [LanFunctor, RanFunctor],
+                         ids=["lan", "ran"])
+def test_kan_block_assembly_matches_stacked_reference(functor, along, make,
+                                                      field):
+    F = functor(along)
+    M = make(along.dom, field)
+    FM = F.obj(M)
+    assert FM.validate() == []
+    ref, ref_value = _stacked_reference(F, M)
+    assert FM.mat.keys() == ref.keys()
+    for xi, a in FM.mat.items():
+        b = ref[xi]
+        assert a.shape == b.shape
+        assert all(a.entry(i, j) == b.entry(i, j)
+                   for i in range(a.nrows) for j in range(a.ncols))
+    value = F.cocone_leg if functor is LanFunctor else F.section_value
+    for x, fiber in F.fibers.items():
+        for o in fiber.locate:
+            assert value(M, x, o) == ref_value(x, o)
+    # one built sheaf per sheaf, reused by mor
+    assert F.obj(M) is FM
+    phi = identity_morphism(M)
+    cell = F.mor(phi)
+    assert cell.src is F.obj(phi.src) and cell.dst is F.obj(phi.dst)
+    assert cell.is_identity()
