@@ -11,7 +11,8 @@
     sixff hecke table --group S3 --subgroup "(12)" [--field q]
     sixff presets
 
-Exit status is 0 iff no check failed.
+Exit status is 0 iff no check failed, and 2 on a usage error such as a
+bad --field.
 """
 
 from __future__ import annotations
@@ -26,10 +27,20 @@ from .groupoid import delooping, identity_functor, terminal_groupoid
 from .suite import SUITES, SuiteConfig, emit_report, run_suite
 
 
+def _field_spec(spec):
+    """argparse type of --field: the spec, unchanged, if `parse_field`
+    accepts it, else a usage error."""
+    try:
+        parse_field(spec)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return spec
+
+
 def _cmd_run(args):
     cfg = SuiteConfig(suites=tuple(args.suite or ()),
                       field_spec=args.field, seed=args.seed,
-                      probes=args.probes, fmt=args.format,
+                      probes=args.probes,
                       inputs=tuple(args.input or ()))
     report = run_suite(cfg)
     sys.stdout.write(emit_report(report, args.format))
@@ -276,7 +287,7 @@ def main(argv=None):
 
     p = sub.add_parser("run", help="run verification suites")
     p.add_argument("--suite", action="append", choices=SUITES)
-    p.add_argument("--field", default="q")
+    p.add_argument("--field", type=_field_spec, default="q")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=2)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -302,7 +313,7 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_sections)
 
     p = sub.add_parser("descent", help="descent comparison report")
-    p.add_argument("--field", default="q")
+    p.add_argument("--field", type=_field_spec, default="q")
     p.set_defaults(fn=_cmd_descent)
 
     p = sub.add_parser("kernels", help="kernel 2-category verification")
@@ -310,7 +321,7 @@ def main(argv=None):
     pv = psub.add_parser("verify")
     pv.add_argument("--base")
     pv.add_argument("--maps", nargs="*")
-    pv.add_argument("--field", default="q")
+    pv.add_argument("--field", type=_field_spec, default="q")
     pv.set_defaults(fn=_cmd_kernels)
 
     p = sub.add_parser("adj", help="adjunction calculus demos")
@@ -322,7 +333,7 @@ def main(argv=None):
     pt = psub.add_parser("table")
     pt.add_argument("--group", required=True)
     pt.add_argument("--subgroup", required=True)
-    pt.add_argument("--field", default="q")
+    pt.add_argument("--field", type=_field_spec, default="q")
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(fn=_cmd_hecke)
 

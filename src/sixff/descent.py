@@ -5,8 +5,11 @@ invertible gluing map alpha: d0*W -> d1*W on the first Čech level whose
 two restrictions to the second level compose exactly (the cocycle).  The
 comparison functor sends M on X to (f*M, canonical alpha); it is fully
 faithful (hom dimensions match on the nose) and essentially surjective
-(every datum descends; the descended object is cut out by an explicit
-gluing linear system).
+(every datum descends).  The descended object V is the subsheaf of f_*W
+cut out by the gluing equations: at x, V(x) holds the sections s of
+f_*W(x) with s(y, m) = alpha · s(y', m') for every pair of objects of the
+fiber over x, and theta: f*V -> W evaluates a section at the tautological
+point (y, id).
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from dataclasses import dataclass
 
 from .fields import check_gate
 from .groupoid import cech_nerve, okey, transport_to_reps
-from .linalg import Matrix, stack_columns
+from .linalg import Matrix, stack_columns, stack_rows
 from .sheaves import (
-    PullbackFunctor, Sheaf, SheafMorphism, TheoremViolation, hom_space,
-    linear_combination,
+    PullbackFunctor, RanFunctor, Sheaf, SheafMorphism, TheoremViolation,
+    hom_space, linear_combination,
 )
 
 
@@ -126,112 +129,42 @@ class DescentSetting:
     # -- descending a datum --------------------------------------------------
 
     def descend(self, datum):
-        """Solve the gluing linear system: returns (V on X, theta: f*V -> W
-        invertible, compatible with the gluing maps)."""
+        """Cut the descended object out of f_*W by the gluing equations:
+        returns (V on X, theta: f*V -> W invertible, compatible with the
+        gluing maps)."""
         if not self.is_valid(datum):
             raise TheoremViolation("cannot descend an invalid datum")
-        f, X, Y = self.f, self.f.cod, self.f.dom
+        f, X = self.f, self.f.cod
         field = self.field
         W, alpha = datum.sheaf, datum.alpha
-
-        def fiber(x):
-            return [(y, m) for y in Y.objects for m in X.morphisms
-                    if X.src[m] == x and X.dst[m] == f.ob[y]]
-
-        def alpha_at(y, yp, mu):
-            """gluing matrix W(yp) -> W(y) for mu: f(y) -> f(yp)."""
-            o = ((y, yp), (mu,))
-            return alpha.comp[o]
-
-        # solution space at one object
-        def solve_at(x):
-            fib = sorted(fiber(x), key=okey)
-            offs = {}
-            total = 0
-            for o in fib:
-                offs[o] = total
-                total += W.dim[o[0]]
+        ran = RanFunctor(f)
+        FW = ran.obj(W)
+        # B_x: the sections s of f_*W(x) with s(y, m) = alpha · s(y2, m2)
+        # for every pair of fiber objects (y, m), (y2, m2) over x
+        basis = {}
+        for x in X.objects:
+            objs = sorted(ran.fibers[x].locate, key=okey)
+            ev = {o: ran.section_value(W, x, o) for o in objs}
             rows = []
-
-            def add_constraint(target_o, mat_blocks):
-                row_block = [[field.zero] * total
-                             for _ in range(W.dim[target_o[0]])]
-                for (o, mat, sign) in mat_blocks:
-                    for i in range(mat.nrows):
-                        for j in range(mat.ncols):
-                            v = mat.rows[i][j]
-                            if sign < 0:
-                                v = -v
-                            row_block[i][offs[o] + j] = \
-                                row_block[i][offs[o] + j] + v
-                rows.extend(row_block)
-
-            # (a) section property along morphisms of Y
-            for u in Y.morphisms:
-                y, yp = Y.src[u], Y.dst[u]
-                for (yy, m) in fib:
-                    if yy != y:
-                        continue
-                    o2 = (yp, X.compose(f.mor[u], m))
-                    add_constraint(o2, [(o2, Matrix.identity(field,
-                                                             W.dim[yp]), 1),
-                                        ((y, m), W.mat[u], -1)])
-            # (b) alpha gluing across fiber pairs
-            for (y, m) in fib:
-                for (yp, mp) in fib:
-                    mu = X.compose(mp, X.inverse[m])
-                    g = alpha_at(y, yp, mu)
-                    add_constraint((y, m),
-                                   [((y, m), Matrix.identity(field,
-                                                             W.dim[y]), 1),
-                                    ((yp, mp), g, -1)])
-            if not rows:
-                sysm = Matrix.zero(field, 0, total)
-            else:
-                sysm = Matrix(field, rows, ncols=total)
-            basis = sysm.nullspace()
-            return fib, offs, total, stack_columns(field, basis, total)
-
-        data = {x: solve_at(x) for x in X.objects}
-        dims = {x: data[x][3].ncols for x in X.objects}
-
-        def coords(x, vec):
-            sol = data[x][3].solve(vec)
-            if sol is None:
-                raise TheoremViolation("descended section outside basis span")
-            return sol
-
+            for (y, m) in objs:
+                for (y2, m2) in objs:
+                    mu = X.compose(m2, X.inverse[m])    # f(y) -> f(y2)
+                    rows.append(ev[(y, m)]
+                                - alpha.comp[((y, y2), (mu,))] * ev[(y2, m2)])
+            basis[x] = stack_columns(
+                field, stack_rows(field, rows, FW.dim[x]).nullspace(),
+                FW.dim[x])
         mats = {}
         for xi in X.morphisms:
-            x, x2 = X.src[xi], X.dst[xi]
-            fib, offs, total, basis = data[x]
-            fib2, offs2, total2, basis2 = data[x2]
-            # reindex sections: value at (y, m) over x2 is value at
-            # (y, m∘xi) over x
-            cols = []
-            for k in range(basis.ncols):
-                vec = [field.zero] * total2
-                for (y, m2) in fib2:
-                    src_o = (y, X.compose(m2, xi))
-                    for i in range(W.dim[y]):
-                        vec[offs2[(y, m2)] + i] = \
-                            basis.rows[offs[src_o] + i][k]
-                cols.append(Matrix.column(field, vec))
-            rhs = stack_columns(field, cols, total2)
-            mats[xi] = coords(x2, rhs) if dims[x2] else \
-                Matrix.zero(field, 0, dims[x])
-        V = Sheaf(X, field, dims, mats)
+            sol = basis[X.dst[xi]].solve(FW.mat[xi] * basis[X.src[xi]])
+            if sol is None:
+                raise TheoremViolation("descended section outside basis span")
+            mats[xi] = sol
+        V = Sheaf(X, field, {x: b.ncols for x, b in basis.items()}, mats)
         # theta: f*V -> W, evaluation at the tautological fiber point
-        theta_comp = {}
-        for y in Y.objects:
-            x = f.ob[y]
-            fib, offs, total, basis = data[x]
-            o = (y, X.identity[x])
-            pick = Matrix(field,
-                          [basis.rows[offs[o] + i] for i in range(W.dim[y])],
-                          ncols=basis.ncols)
-            theta_comp[y] = pick
-        theta = SheafMorphism(PullbackFunctor(f).obj(V), W, theta_comp)
+        theta = SheafMorphism(PullbackFunctor(f).obj(V), W, {
+            y: ran.section_value(W, f.ob[y], (y, X.identity[f.ob[y]]))
+            * basis[f.ob[y]] for y in f.dom.objects})
         if not theta.is_invertible():
             raise TheoremViolation("descended object does not match cover")
         # compatibility with the gluing maps

@@ -23,11 +23,11 @@ from .groupoid import (
     terminal_groupoid, to_terminal,
 )
 from .groups import FiniteGroup
+from .kernels import prim_test
 from .linalg import Matrix, stack_columns, stack_rows
 from .sheaves import (
     LanFunctor, PullbackFunctor, Sheaf, SheafMorphism, TheoremViolation,
-    find_isomorphism, hom_dim, hom_space,
-    identity_morphism, tensor_morphisms, unit_sheaf,
+    find_isomorphism, hom_dim, hom_space, unit_sheaf,
 )
 
 
@@ -45,10 +45,10 @@ class DoubleCosets:
     stabilizer_orders: tuple   # |H ∩ w K w^{-1}| per representative
 
 
-def double_cosets(G, H, K, cross_check=True):
-    """Orbits HgK with minimal representatives; sizes sum to |G|.  When
-    cross_check is set, the component count and automorphism orders of
-    */H x_{*/G} */K are matched against the brute-force decomposition."""
+def double_cosets(G, H, K):
+    """Orbits HgK with minimal representatives; sizes sum to |G|.  The
+    component count and automorphism orders of */H x_{*/G} */K are matched
+    against the brute-force decomposition."""
     for sub in (H, K):
         if not G.is_subgroup(sub.elements):
             raise TheoremViolation("not a subgroup of the ambient group")
@@ -68,8 +68,7 @@ def double_cosets(G, H, K, cross_check=True):
     if sum(sizes) != len(G.elements):
         raise TheoremViolation("double coset sizes do not sum to |G|")
     out = DoubleCosets(G, H, K, tuple(reps), tuple(sizes), tuple(stabs))
-    if cross_check:
-        _cross_check_against_fiber_product(out)
+    _cross_check_against_fiber_product(out)
     return out
 
 
@@ -441,73 +440,32 @@ def prim_duality_on_hecke(G, K, field):
     """Compute the prim dual of the induced unit, transport endomorphisms
     through the mate bijection of the resulting adjunction, and certify
     agreement with the concrete anti-involution on the double coset basis."""
-    from .kernels import MapCalculus, prim_test
-    from .sheaves import TensorLeftFunctor, TensorRightFunctor, tensor
     BK = delooping(K)
     trivK = unit_sheaf(BK, field)
-    ind = compact_induction(G, K, trivK, field)
-    P = ind.sheaf
-    BG = P.base
-    pt = terminal_groupoid()
-    f = to_terminal(BG, pt)
+    P = compact_induction(G, K, trivK, field).sheaf
+    f = to_terminal(P.base, terminal_groupoid())
     cert = prim_test(f, P, field, check_double_dual=False)
     if not cert.ok:
         return PrimDualityCertificate(False, False, False, False, 0)
-    calc = MapCalculus(f, field)
-    r = cert.dual
-    eta, eps = cert.unit, cert.counit
-    c = find_isomorphism(r, P)
+    c = find_isomorphism(cert.dual, P)
     if c is None:
         return PrimDualityCertificate(True, False, False, False, 0)
 
-    # mate transport: T in End(P) -> rho(T) in End(r), then conjugate by c
-    etaR_f = calc.pull_f.then(TensorRightFunctor(r))
-    rAfter = TensorLeftFunctor(calc.pull_p1.obj(r)).then(LanFunctor(calc.pi2))
-    from .kernels import _invert_certified
-    from .sheaves import (
-        projection_formula_cell_right as pf_right,
-    )
-    rp_t = tensor(r, P)
-    pf4 = pf_right(calc.pi2, calc.pull_p1.obj(rp_t), r)
-    bc4 = calc.bc_p2p1(rp_t)
-    a4_fwd = pf4.then(tensor_morphisms(bc4, identity_morphism(r)))
-    a4 = _invert_certified(a4_fwd, "hecke associator")
-    rho_unitor = calc.right_unitor_reduced(r)
-
-    def mate(T):
-        etaR = etaR_f.mor(eta)
-        start = SheafMorphism(r, etaR.dst, etaR.comp)
-        a4r = SheafMorphism(etaR.dst, a4_fwd.src, a4.comp)
-        # middle: r∘(T∘r): whisker T into pi1*P ⊗ pi2*r
-        mid_cell = tensor_morphisms(calc.pull_p1.mor(T),
-                                    identity_morphism(calc.pull_p2.obj(r)))
-        whisked = rAfter.mor(mid_cell.then(eps))
-        whisked = SheafMorphism(a4_fwd.src, whisked.dst, whisked.comp)
-        tail = SheafMorphism(whisked.dst, r, rho_unitor.comp)
-        return start.then(a4r).then(whisked).then(tail)
+    # mate transport: T in End(P) -> mate(T) in End(r), conjugated by c
+    c_inv = c.inverse()
 
     def transported(T):
-        return c.inverse().then(mate(T)).then(c)
+        return c_inv.then(cert.mate(T)).then(c)
 
     alg = HeckeAlgebra(G, K, trivK, field)
     # express P-endomorphisms in the algebra's own model: P here IS the
     # function model sheaf, so the bases coincide
-    iota, inv_cert = anti_involution(alg)
-    anti_ok = True
-    agree = True
-    for T in alg.end_basis:
-        tr = transported(T)
-        lhs = alg.to_function(tr)
-        rhs = iota(alg.to_function(T))
-        if lhs != rhs:
-            agree = False
-    for T1 in alg.end_basis:
-        for T2 in alg.end_basis:
-            lhs = alg.to_function(transported(T1.then(T2)))
-            rhs = alg.to_function(
-                transported(T2).then(transported(T1)))
-            if lhs != rhs:
-                anti_ok = False
+    iota, _ = anti_involution(alg)
+    agree = all(alg.to_function(transported(T)) == iota(alg.to_function(T))
+                for T in alg.end_basis)
+    anti_ok = all(alg.to_function(transported(T1.then(T2))) ==
+                  alg.to_function(transported(T2).then(transported(T1)))
+                  for T1 in alg.end_basis for T2 in alg.end_basis)
     return PrimDualityCertificate(True, True, anti_ok, agree, alg.dim)
 
 

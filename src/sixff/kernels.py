@@ -500,6 +500,11 @@ class SuavePrimCertificate:
     triangle2: bool = False
     failing: str = ""
     double_dual_ok: bool = None
+    # prim only: the mate transport T ↦ mate(T), End(P) -> End(r), of the
+    # certified adjunction (see `_prim_mate`); triangle 2 is
+    # mate(id_P) = id_r, and `hecke.prim_duality_on_hecke` conjugates it
+    # to the anti-involution.  None when no unit exists (and for suave).
+    mate: object = None
 
 
 def _solve_unit(id_obj, target_obj, m_cell, tau):
@@ -588,6 +593,36 @@ def suave_test(f, P, field=None):
                                 failing="" if ok else "triangle identity")
 
 
+def _prim_mate(calc, P, r, eta, eps):
+    """T ↦ mate(T): r -> r for an endomorphism T of P, the chain
+    r = id_S∘r -> (r∘P̌)∘r -> r∘(P̌∘r) -> r∘id_X -> r with T whiskered
+    into the counit: eps after pi1*T ⊗ id.  Everything but the whiskered
+    counit is built once."""
+    etaR = calc.pull_f.then(TensorRightFunctor(r)).mor(eta)
+    rp_t = tensor(r, P)
+    pf4 = projection_formula_cell_right(calc.pi2, calc.pull_p1.obj(rp_t), r)
+    bc4 = calc.bc_p2p1(rp_t)
+    a4_fwd = pf4.then(tensor_morphisms(bc4, identity_morphism(r)))
+    a4 = _invert_certified(a4_fwd, "prim associator 2")
+    head = SheafMorphism(r, etaR.dst, etaR.comp).then(
+        SheafMorphism(etaR.dst, a4_fwd.src, a4.comp))
+    rho = calc.right_unitor_reduced(r).comp
+    p1r, id_p2r = calc.pull_p1.obj(r), identity_morphism(calc.pull_p2.obj(r))
+    # A Kan functor's memo keeps every sheaf it is given, and mate lives as
+    # long as the certificate.  So mate keeps what it reads, not calc, and
+    # builds its whiskering functor r∘(-) per call.
+    pull_p1, pi2, mid = calc.pull_p1, calc.pi2, a4_fwd.src
+
+    def mate(T):
+        r_after = TensorLeftFunctor(p1r).then(LanFunctor(pi2))
+        whisk = r_after.mor(tensor_morphisms(pull_p1.mor(T),
+                                             id_p2r).then(eps))
+        whisk = SheafMorphism(mid, whisk.dst, whisk.comp)
+        return head.then(whisk).then(SheafMorphism(whisk.dst, r, rho))
+
+    return mate
+
+
 def prim_test(f, P, field=None, check_double_dual=True):
     """Primness of P along f: X -> S: P viewed as a morphism S -> X must be
     a left adjoint, with the closed-form right adjoint
@@ -629,20 +664,9 @@ def prim_test(f, P, field=None, check_double_dual=True):
     PofEta = P_after.mor(eta)
     t1 = SheafMorphism(P, PofEta.dst, PofEta.comp).then(e2)
     tri1 = t1.is_identity()
-    # triangle 2: r = id_S∘r -> (r∘P̌)∘r -> r∘(P̌∘r) -> r∘id_X -> r
-    etaR = calc.pull_f.then(TensorRightFunctor(r)).mor(eta)
-    pf4 = projection_formula_cell_right(calc.pi2, calc.pull_p1.obj(rp_t), r)
-    bc4 = calc.bc_p2p1(rp_t)
-    a4_fwd = pf4.then(tensor_morphisms(bc4, identity_morphism(r)))
-    a4 = _invert_certified(a4_fwd, "prim associator 2")
-    a4 = SheafMorphism(etaR.dst, a4_fwd.src, a4.comp)
-    rEps = TensorLeftFunctor(calc.pull_p1.obj(r)).then(
-        LanFunctor(calc.pi2)).mor(eps)
-    rEps = SheafMorphism(a4.dst, rEps.dst, rEps.comp)
-    rho = calc.right_unitor_reduced(r)
-    rho = SheafMorphism(rEps.dst, r, rho.comp)
-    t2 = SheafMorphism(r, etaR.dst, etaR.comp).then(a4).then(rEps).then(rho)
-    tri2 = t2.is_identity()
+    # triangle 2: the mate of id_P is the identity of r
+    mate = _prim_mate(calc, P, r, eta, eps)
+    tri2 = mate(identity_morphism(P)).is_identity()
     ok = tri1 and tri2
     dd_ok = None
     if ok and check_double_dual:
@@ -653,7 +677,7 @@ def prim_test(f, P, field=None, check_double_dual=True):
         dd_ok = iso is not None
     return SuavePrimCertificate("prim", ok, dual=r, unit=eta, counit=eps,
                                 triangle1=tri1, triangle2=tri2,
-                                double_dual_ok=dd_ok,
+                                double_dual_ok=dd_ok, mate=mate,
                                 failing="" if ok else "triangle identity")
 
 

@@ -165,10 +165,11 @@ def hom_space(M, N):
         rows = []
         for a in auts:
             Na, Ma = N.mat[a], M.mat[a]
-            # vec(N a * phi - phi * M a) = (I kron Na - Ma^T kron I) vec phi
+            # row-major vec: vec(phi * M a - N a * phi)
+            #   = (I_n kron Ma^T - Na kron I_m) vec phi
             eye_m = Matrix.identity(f, dm)
             eye_n = Matrix.identity(f, dn)
-            lhs = Ma.transpose().kron(eye_n) - eye_m.kron(Na)
+            lhs = eye_n.kron(Ma.transpose()) - Na.kron(eye_m)
             rows.append(lhs)
         null = stack_rows(f, rows, dm * dn).nullspace()
         blocks = []
@@ -810,7 +811,7 @@ class UpperShriekResult:
         self.ambidextrous_ok = ambidextrous_ok
 
 
-def adj_ambidextrous(f, probes=()):
+def adj_ambidextrous(f):
     """(f* ⊣ f_!) assembled from the (f* ⊣ f_*) witness and the norm
     isomorphism; its triangle identities certify the assembly."""
     lan = LanFunctor(f)
@@ -1083,10 +1084,10 @@ class TensorRightFunctor(SheafFunctor):
         return SheafMorphism(self.obj(phi.src), self.obj(phi.dst), comp)
 
 
-def find_isomorphism(A, B, attempts=24):
+def find_isomorphism(A, B):
     """A deterministic invertible element of Hom(A, B), or None.
 
-    Tries single basis elements, then generic integer-coefficient
+    Tries single basis elements, then 24 generic integer-coefficient
     combinations; exact invertibility check each time.
     """
     basis = hom_space(A, B)
@@ -1096,7 +1097,7 @@ def find_isomorphism(A, B, attempts=24):
         if b.is_invertible():
             return b
     f = A.field
-    for t in range(1, attempts + 1):
+    for t in range(1, 25):
         coeffs = [f.of(pow(t, i, 10007)) for i in range(len(basis))]
         cand = linear_combination(A, B, basis, coeffs)
         if cand.is_invertible():

@@ -20,7 +20,7 @@ from . import presets
 from .corr import (
     GeometricSetup, Span, compose_spans, dual_data, span_iso,
 )
-from .fields import GF, QQ, TheoremViolation, parse_field
+from .fields import GF, QQ, TheoremViolation
 from .groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
     terminal_groupoid, to_terminal,
@@ -60,11 +60,7 @@ class SuiteConfig:
     field_spec: str = "q"
     seed: int = 0
     probes: int = 2
-    fmt: str = "text"
     inputs: tuple = ()
-
-    def field(self):
-        return parse_field(self.field_spec)
 
 
 def _pt():
@@ -115,12 +111,12 @@ def _random_functor(rng, X):
             return F
 
 
-def _random_sheaf(rng, X, field, maxdim=2):
-    """The unit sheaf on X tensored with a random number, 0 to maxdim - 1,
-    of copies of the regular sheaf of X."""
+def _random_sheaf(rng, X, field):
+    """The unit sheaf on X tensored with a random number, 0 or 1, of copies
+    of the regular sheaf of X."""
     from .sheaves import tensor
     out = unit_sheaf(X, field)
-    for _ in range(rng.randrange(0, maxdim)):
+    for _ in range(rng.randrange(0, 2)):
         out = tensor(out, _regular_sheaf(X, field))
     return out
 

@@ -524,8 +524,7 @@ def kron_two_cat(objects, dims, p, max_dim=None):
     return StrictTwoCat(objects, hom, id1, hcomp1, hcomp2)
 
 
-def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field,
-                      budget=4000):
+def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
     """Strict 2-category generated by multiplicity-matrix 1-cells and
     block-matrix 2-cells, closed under both compositions.
 
@@ -537,7 +536,7 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field,
 
     The closure is validated for strictness; a non-strict instance (possible
     for general multiplicities) raises, so callers only ever hold genuinely
-    strict tables.
+    strict tables.  Each closure stops at 4000 cells.
     """
     objs = list(object_simples)
 
@@ -630,7 +629,7 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field,
                 if g[1] == f[2]:
                     c = comp_one(g, f)
                     if c not in one_cells:
-                        if len(one_cells) > budget:
+                        if len(one_cells) > 4000:
                             raise StructureError("1-cell closure exceeds budget")
                         one_cells.add(c)
                         changed = True
@@ -649,7 +648,7 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field,
                     new.append(hcomp_two(t2, t1))
                 for t in new:
                     if t not in two_cells:
-                        if len(two_cells) > budget:
+                        if len(two_cells) > 4000:
                             raise StructureError("2-cell closure exceeds budget")
                         two_cells.add(t)
                         changed = True

@@ -6,14 +6,15 @@ from sixff import presets
 from sixff.descent import (
     DescentDatum, DescentSetting, NotACover, descent_comparison, gauge_twist,
 )
-from sixff.fields import QQ
+from sixff.fields import GF, QQ
 from sixff.groupoid import (
     Functor, FiniteGroupoid, delooping, delooping_hom, disjoint_union,
     identity_functor, terminal_groupoid, to_terminal,
 )
 from sixff.linalg import Matrix
 from sixff.sheaves import (
-    PullbackFunctor, Sheaf, SheafMorphism, hom_dim, unit_sheaf,
+    PullbackFunctor, RanFunctor, Sheaf, SheafMorphism, find_isomorphism,
+    hom_dim, unit_sheaf,
 )
 
 PT = terminal_groupoid()
@@ -181,3 +182,49 @@ def test_random_surjection_cover():
                              probes_X=[unit_sheaf(X, QQ), M],
                              probe_data=[st.canonical_datum(M)])
     assert cmp.fully_faithful_ok and cmp.essentially_surjective_ok
+
+
+C2_IN_S3 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")
+BC2_IN_S3 = delooping(C2_IN_S3)
+INCL = delooping_hom({g: g for g in C2_IN_S3.elements}, BC2_IN_S3, BS3)
+
+
+def _s3_sheaf(field, kind):
+    """The unit, sign or standard (2-dimensional) representation of S3 as
+    a sheaf on */S3; the standard one is the sum-zero subspace of k^3 in
+    the basis e0 - e1, e1 - e2."""
+    def perm(g):
+        return Matrix.from_int_rows(field, [[1 if g[j] == i else 0
+                                             for j in range(3)]
+                                            for i in range(3)])
+    if kind == "unit":
+        return unit_sheaf(BS3, field)
+    if kind == "sign":
+        mats = {g: Matrix.from_int_rows(field, [[
+            (-1) ** sum(g[i] > g[j] for i in range(3)
+                        for j in range(i + 1, 3))]]) for g in S3.elements}
+        return Sheaf(BS3, field, {BS3.objects[0]: 1}, mats, check=True)
+    basis = Matrix.from_int_rows(field, [[1, 0], [-1, 1], [0, -1]])
+    coords = Matrix.from_int_rows(field, [[1, 0, 0], [0, 0, -1]])
+    mats = {g: coords * perm(g) * basis for g in S3.elements}
+    return Sheaf(BS3, field, {BS3.objects[0]: 2}, mats, check=True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("cover, kind", [
+    (INCL, "unit"), (INCL, "sign"), (INCL, "std"),
+    (to_terminal(BC2, PT), "unit"),
+], ids=["incl-unit", "incl-sign", "incl-std", "bc2-to-point-unit"])
+def test_canonical_datum_descends_to_its_sheaf(cover, kind, field):
+    """Along INCL: BC2 -> BS3 every fiber has three components; along
+    BC2 -> * the one fiber object has automorphism group C2."""
+    st = DescentSetting(cover, field)
+    M = (_s3_sheaf(field, kind) if cover is INCL
+         else unit_sheaf(cover.cod, field))
+    V, theta = st.descend(st.canonical_datum(M))
+    if cover is INCL:
+        fiber = RanFunctor(cover).fibers[BS3.objects[0]]
+        assert len(fiber.reps) == 3
+    assert V.validate() == []
+    assert find_isomorphism(V, M) is not None
+    assert theta.validate() == []

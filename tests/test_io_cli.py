@@ -137,3 +137,22 @@ def test_run_suite_reports_corr_alarm_as_failure(monkeypatch):
     assert result.status == "fail"
     assert result.witness == "alarm: pullback mediator not unique"
     assert report.exit_code() == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["descent"], ["kernels", "verify"],
+    ["hecke", "table", "--group", "S3", "--subgroup", "(12)"],
+], ids=["run", "descent", "kernels", "hecke"])
+@pytest.mark.parametrize("spec", ["bogus", "fp:4", "fp:x"])
+def test_cli_bad_field_is_a_usage_error(argv, spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--field", spec])
+    assert exc.value.code == 2
+    assert "argument --field" in capsys.readouterr().err
+
+
+def test_cli_run_echoes_a_valid_field_spec_unchanged(capsys):
+    code = main(["run", "--suite", "adj", "--format", "json", "--probes", "1",
+                 "--field", "FP:5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["config"]["field"] == "FP:5"

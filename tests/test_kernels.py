@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sixff import presets
-from sixff.fields import QQ
+from sixff.fields import GF, QQ
 from sixff.groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
     terminal_groupoid, to_terminal,
@@ -15,9 +15,11 @@ from sixff.kernels import (
     psi_composition_certificate, psi_phi_certificate, right_unitor,
     suave_test, swap_compatibility, whisker_left,
 )
+from sixff.hecke import compact_induction
 from sixff.linalg import Matrix
 from sixff.sheaves import (
-    PullbackFunctor, Sheaf, hom_dim, sheaves_equal, unit_sheaf,
+    PullbackFunctor, Sheaf, hom_dim, hom_space, identity_morphism,
+    sheaves_equal, unit_sheaf,
 )
 
 PT = terminal_groupoid()
@@ -452,3 +454,22 @@ def test_base_change_eight_maps_product_square():
         probes_W=[unit_sheaf_of_iso_comma(f, g)],
         probes_X=[unit_sheaf(PT, QQ)])
     assert len(out) == 8
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_prim_mate_is_unital_and_reverses_composition(field):
+    """The certificate's mate transport on the induced unit of (S3, C2)
+    along */S3 -> *: triangle 2 (the mate of id_P is id_r), and the mate
+    is an anti-homomorphism End(P) -> End(r)."""
+    P = compact_induction(S3, C2, unit_sheaf(BC2, field), field).sheaf
+    cert = prim_test(to_terminal(P.base, PT), P, field,
+                     check_double_dual=False)
+    assert cert.ok and cert.triangle2
+    mate = cert.mate
+    assert mate(identity_morphism(P)).is_identity()
+    basis = hom_space(P, P)
+    assert len(basis) == 2
+    assert mate(basis[0]).comp != mate(basis[1]).comp
+    for T1 in basis:
+        for T2 in basis:
+            assert mate(T1.then(T2)).comp == mate(T2).then(mate(T1)).comp

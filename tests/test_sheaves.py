@@ -14,7 +14,8 @@ from sixff.sheaves import (
     SheafMorphism,
     adj_ambidextrous, adj_lan_pullback, adj_pullback_ran, adj_tensor_hom,
     base_change_cell, compose_comparison_lan, compose_comparison_ran,
-    double_dual_cell, global_sections, hom_dim, hom_form_cell, hom_space,
+    double_dual_cell, find_isomorphism, global_sections, hom_dim,
+    hom_form_cell, hom_space,
     identity_morphism, internal_hom, lan_identity_comparison, lan_shriek,
     norm_certificate, norm_map, projection_formula_cell_left,
     projection_formula_cell_right, ran_projection_cell, ran_star,
@@ -519,3 +520,29 @@ def test_kan_block_assembly_matches_stacked_reference(functor, along, make,
     cell = F.mor(phi)
     assert cell.src is F.obj(phi.src) and cell.dst is F.obj(phi.dst)
     assert cell.is_identity()
+
+
+def _conjugated(M, g):
+    """The sheaf g · M · g⁻¹, isomorphic to M through g."""
+    g_inv = g.inverse()
+    return Sheaf(M.base, M.field, dict(M.dim),
+                 {u: g * a * g_inv for u, a in M.mat.items()}, check=True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_hom_space_elements_are_natural(field):
+    """Every basis element of Hom(M, N) is natural, also when the
+    intertwiners are not closed under transposition: the standard
+    representation against a non-symmetric gauge of itself, and against
+    the permutation representation (different dimensions)."""
+    std = std_rep_s3(field)
+    gstd = _conjugated(std, Matrix.from_int_rows(field, [[1, 1], [0, 1]]))
+    perm = Sheaf(BS3, field, {BS3.objects[0]: 3},
+                 {g: _perm_matrix(field, g) for g in S3.elements},
+                 check=True)
+    for M, N, dim in ((std, gstd, 1), (std, perm, 1), (perm, std, 1)):
+        basis = hom_space(M, N)
+        assert len(basis) == dim
+        assert all(b.validate() == [] for b in basis)
+    iso = find_isomorphism(std, gstd)
+    assert iso is not None and iso.validate() == []
