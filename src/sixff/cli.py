@@ -11,8 +11,17 @@
     sixff hecke table --group S3 --subgroup "(12)" [--field q]
     sixff presets
 
-Exit status is 0 iff no check failed, and 2 on a usage error such as a
-bad --field.
+Exit status:
+
+    0  every check passed
+    1  a check failed
+    2  usage error or bad input: a bad --field, or an input file that is
+       missing, not JSON, lacks a key or holds malformed tables
+    3  the semisimplicity gate failed (GateError): the characteristic of
+       the field divides an automorphism-group order
+
+Exit statuses 2 and 3 come with one line on standard error,
+`sixff: PATH: ...` for a bad input file.
 """
 
 from __future__ import annotations
@@ -22,8 +31,9 @@ import json
 import sys
 
 from . import presets
-from .fields import parse_field
+from .fields import GateError, parse_field
 from .groupoid import delooping, identity_functor, terminal_groupoid
+from .io import InputError
 from .suite import SUITES, SuiteConfig, emit_report, run_suite
 
 
@@ -341,7 +351,14 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_presets)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as e:
+        print("sixff: %s" % e, file=sys.stderr)
+        return 2
+    except GateError as e:
+        print("sixff: gate: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

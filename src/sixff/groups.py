@@ -12,6 +12,14 @@ from .groupoid import StructureError, okey
 
 class FiniteGroup:
     def __init__(self, elements, table, name=None):
+        self._set_table(elements, table, name)
+        bad = self.axiom_report()
+        if bad:
+            raise StructureError("group axiom fails: %s" % bad[0])
+
+    def _set_table(self, elements, table, name):
+        """Everything `__init__` does but the |G|^3 axiom scan: the table is
+        total, an identity exists and inverses are found."""
         self.elements = tuple(sorted(elements, key=okey))
         self.table = dict(table)
         self.name = name or "G%d" % len(self.elements)
@@ -32,9 +40,6 @@ class FiniteGroup:
                    self.table[(b, a)] == self.identity:
                     self._inv[a] = b
                     break
-        bad = self.axiom_report()
-        if bad:
-            raise StructureError("group axiom fails: %s" % bad[0])
 
     def _find_identity(self):
         for e in self.elements:
@@ -110,12 +115,18 @@ class FiniteGroup:
                            name=name or "%sx%s" % (G.name, H.name))
 
     def subgroup(self, elems, name=None):
+        """The subgroup on a subset closed under multiplication.  A closed
+        subset of a finite group is a subgroup, and its table is part of
+        this one, which is already checked, so the axioms are not scanned
+        again."""
         elems = set(elems)
         table = {(a, b): self.mul(a, b) for a in elems for b in elems}
         for v in table.values():
             if v not in elems:
                 raise StructureError("subset not closed under multiplication")
-        return FiniteGroup(sorted(elems, key=okey), table, name=name)
+        H = FiniteGroup.__new__(FiniteGroup)
+        H._set_table(elems, table, name)
+        return H
 
     def generated_subgroup(self, gens):
         span = {self.identity}

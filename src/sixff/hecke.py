@@ -16,6 +16,7 @@ coset basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import GateError
 from .groupoid import (
@@ -129,11 +130,17 @@ class InducedModel:
     comparison: SheafMorphism   # invertible intertwiner to the Lan model
 
     def coset_of(self, g):
-        G, K = self.group, self.subgroup
+        """(j, k) with g = k reps[j] and k in K."""
+        G = self.group
         for j, r in enumerate(self.reps):
-            if G.mul(g, G.inv(r)) in set(K.elements):
-                return j, G.mul(g, G.inv(r))
+            k = G.mul(g, G.inv(r))
+            if k in self._kset:
+                return j, k
         raise KeyError(g)
+
+    @cached_property
+    def _kset(self):
+        return frozenset(self.subgroup.elements)
 
 
 def compact_induction(G, K, V, field=None):
@@ -297,25 +304,28 @@ class HeckeAlgebra:
     def to_function(self, T):
         """Phi(T)(g) v = T([1, v])(g): evaluate the endomorphism on the
         canonical generators."""
-        G, K, V, field = self.G, self.K, self.V, self.field
+        G, V, field = self.G, self.V, self.field
         d = V.dim[V.base.objects[0]]
         reps = self.induced.reps
         mat = T.comp[self.obG]
         # [1, v] in coordinates: supported on the coset of the identity
         j0, k0 = self.induced.coset_of(G.identity)
         rho_g0 = V.mat[k0]    # value shift if the representative is not e
+        # T([1, e_b]) for each basis vector e_b; only its reading depends on g
+        images = []
+        for b in range(d):
+            vcol = Matrix.column(field, [field.one if i == b else
+                                         field.zero for i in range(d)])
+            coeff = rho_g0 * vcol
+            vec = [field.zero] * (len(reps) * d)
+            for i in range(d):
+                vec[j0 * d + i] = coeff.rows[i][0]
+            images.append(mat * Matrix.column(field, vec))
         values = {}
         for g in G.elements:
             j, k = self.induced.coset_of(g)
             out_cols = []
-            for b in range(d):
-                vcol = Matrix.column(field, [field.one if i == b else
-                                             field.zero for i in range(d)])
-                coeff = rho_g0 * vcol
-                vec = [field.zero] * (len(reps) * d)
-                for i in range(d):
-                    vec[j0 * d + i] = coeff.rows[i][0]
-                image = mat * Matrix.column(field, vec)
+            for image in images:
                 block = [image.rows[j * d + i][0] for i in range(d)]
                 valcol = V.mat[k] * Matrix.column(field, block)
                 out_cols.append([valcol.rows[i][0] for i in range(d)])

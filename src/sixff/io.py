@@ -10,6 +10,7 @@ machine-readable violation codes.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .corr import GeometricSetup
@@ -22,12 +23,53 @@ from .linalg import Matrix
 from .sheaves import Sheaf
 
 
+class InputError(StructureError):
+    """An input document that cannot be read as what it claims to be: the
+    file is missing or not JSON, a key is missing, or the tables it holds
+    are malformed.  The message names the file (when the document came
+    from `load_document`) and, for a missing key, the key."""
+
+    def __init__(self, path, detail):
+        super().__init__("%s: %s" % (path, detail) if path else detail)
+        self.path = path
+
+
+class _Document(dict):
+    """A JSON object read from `path`; a missing key raises InputError."""
+
+    def __init__(self, pairs, path):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise InputError(self.path, "missing key %r" % (key,))
+
+
+def _loader(fn):
+    """Re-raise whatever `fn` rejects in a document as one InputError that
+    names the document's file."""
+    @functools.wraps(fn)
+    def load(doc, *args, **kwargs):
+        try:
+            return fn(doc, *args, **kwargs)
+        except InputError:
+            raise
+        except KeyError as e:
+            raise InputError(getattr(doc, "path", None),
+                             "unknown key or id %r" % (e.args[0],)) from e
+        except (StructureError, LookupError, TypeError, ValueError,
+                AttributeError) as e:
+            raise InputError(getattr(doc, "path", None), str(e)) from e
+    return load
+
+
 def _as_id(v):
     if isinstance(v, list):
         return tuple(_as_id(x) for x in v)
     return v
 
 
+@_loader
 def load_group(doc, name=None):
     """{"table": [[...]]} with elements 0..n-1, or
     {"permutations": [[...], ...]}; presets by {"preset": "S3"}."""
@@ -47,6 +89,7 @@ def load_group(doc, name=None):
     raise StructureError("group document needs 'table' or 'permutations'")
 
 
+@_loader
 def load_groupoid(doc):
     objects = [_as_id(x) for x in doc["objects"]]
     morphisms = []
@@ -71,12 +114,14 @@ def load_groupoid(doc):
     return FiniteCategory(objects, morphisms, src, dst, identity, compose)
 
 
+@_loader
 def load_functor(doc, dom, cod):
     ob = {_as_id(k): _as_id(v) for k, v in doc["objects"].items()}
     mor = {_as_id(k): _as_id(v) for k, v in doc["morphisms"].items()}
     return Functor(dom, cod, ob, mor, name=doc.get("name"))
 
 
+@_loader
 def load_setup(doc):
     """Category document plus an exceptional flag per morphism (either a
     list under "exceptional" or per-record booleans)."""
@@ -107,6 +152,7 @@ def load_matrix(field, rows, ncols=None):
                   ncols=ncols)
 
 
+@_loader
 def load_sheaf(doc, base, field=None):
     """{"field": "q" | "fp:5", "dims": {...}, "matrices": {morphism-id:
     rows}}: matrices may be given on generators only; the loader closes
@@ -153,8 +199,19 @@ def load_sheaf(doc, base, field=None):
 
 
 def load_document(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in the file at `path`; InputError if it cannot be
+    read, is not JSON or is not an object."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh, object_pairs_hook=lambda pairs:
+                            _Document(pairs, path))
+    except OSError as e:
+        raise InputError(path, e.strerror or str(e)) from e
+    except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+        raise InputError(path, "malformed JSON: %s" % e) from e
+    if not isinstance(doc, dict):
+        raise InputError(path, "not a JSON object")
+    return doc
 
 
 def violations_as_json(report):
@@ -165,7 +222,8 @@ def load_inputs(paths, field_spec="q"):
     """Validated object store: every document is routed by its "kind" field
     (group, groupoid, category, setup, sheaf) through its module validator;
     the semisimplicity gate is checked wherever a field pairs with a
-    groupoid.  Returns {name: object}; raises on the first invalid input.
+    groupoid.  Returns {name: object}; raises InputError (or GateError)
+    on the first invalid input.
     """
     from .fields import check_gate
     field = parse_field(field_spec)
@@ -183,7 +241,7 @@ def load_inputs(paths, field_spec="q"):
             g = load_groupoid(doc)
             bad = g.validate()
             if bad:
-                raise StructureError("%s: %s" % (name, bad[0]))
+                raise InputError(path, "%s: %s" % (name, bad[0]))
             if getattr(g, "is_groupoid", False):
                 check_gate(field, g)
             store[name] = g
@@ -193,8 +251,9 @@ def load_inputs(paths, field_spec="q"):
         elif kind == "sheaf":
             pending_sheaves.append((name, doc))
         else:
-            raise StructureError("unknown input kind %r" % (kind,))
+            raise InputError(path, "unknown input kind %r" % (kind,))
     for name, doc in pending_sheaves:
-        base = store[doc["base"]]
-        store[name] = load_sheaf(doc, base, field)
+        if doc["base"] not in store:
+            raise InputError(doc.path, "unknown base %r" % (doc["base"],))
+        store[name] = load_sheaf(doc, store[doc["base"]], field)
     return store

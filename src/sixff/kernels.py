@@ -596,8 +596,8 @@ def suave_test(f, P, field=None):
 def _prim_mate(calc, P, r, eta, eps):
     """T ↦ mate(T): r -> r for an endomorphism T of P, the chain
     r = id_S∘r -> (r∘P̌)∘r -> r∘(P̌∘r) -> r∘id_X -> r with T whiskered
-    into the counit: eps after pi1*T ⊗ id.  Everything but the whiskered
-    counit is built once."""
+    into the counit: pi2_!(id_{pi1*r} ⊗ eps∘(pi1*T ⊗ id)).  Everything but
+    the component matrices of that whiskered counit is built once."""
     etaR = calc.pull_f.then(TensorRightFunctor(r)).mor(eta)
     rp_t = tensor(r, P)
     pf4 = projection_formula_cell_right(calc.pi2, calc.pull_p1.obj(rp_t), r)
@@ -607,18 +607,24 @@ def _prim_mate(calc, P, r, eta, eps):
     head = SheafMorphism(r, etaR.dst, etaR.comp).then(
         SheafMorphism(etaR.dst, a4_fwd.src, a4.comp))
     rho = calc.right_unitor_reduced(r).comp
-    p1r, id_p2r = calc.pull_p1.obj(r), identity_morphism(calc.pull_p2.obj(r))
-    # A Kan functor's memo keeps every sheaf it is given, and mate lives as
-    # long as the certificate.  So mate keeps what it reads, not calc, and
-    # builds its whiskering functor r∘(-) per call.
-    pull_p1, pi2, mid = calc.pull_p1, calc.pi2, a4_fwd.src
+    mid = a4_fwd.src
+    # Only the components depend on T, so the whiskered counit always runs
+    # from A = pi1*r ⊗ (pi1*P ⊗ pi2*r) to B = pi1*r ⊗ id_XX.  The mate
+    # keeps what it reads, not calc, and one pi2_! whose memo holds just A
+    # and B with their images, however often mate is called.
+    p1r, p2r = calc.pull_p1.obj(r), calc.pull_p2.obj(r)
+    A, B = tensor(p1r, eps.src), tensor(p1r, eps.dst)
+    lan = LanFunctor(calc.pi2)
+    fld, p1 = r.field, calc.pi1.ob
+    legs = {x: (Matrix.identity(fld, p1r.dim[x]), eps.comp[x], p1[x],
+                Matrix.identity(fld, p2r.dim[x])) for x in A.dim}
 
     def mate(T):
-        r_after = TensorLeftFunctor(p1r).then(LanFunctor(pi2))
-        whisk = r_after.mor(tensor_morphisms(pull_p1.mor(T),
-                                             id_p2r).then(eps))
-        whisk = SheafMorphism(mid, whisk.dst, whisk.comp)
-        return head.then(whisk).then(SheafMorphism(whisk.dst, r, rho))
+        comp = {x: i1.kron(e * T.comp[y].kron(i2))
+                for x, (i1, e, y, i2) in legs.items()}
+        whisk = lan.mor(SheafMorphism(A, B, comp))
+        return head.then(SheafMorphism(mid, whisk.dst, whisk.comp)).then(
+            SheafMorphism(whisk.dst, r, rho))
 
     return mate
 

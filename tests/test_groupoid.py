@@ -80,6 +80,32 @@ def test_delooping_does_not_recheck_group_axioms(monkeypatch):
     assert len(BS3.morphisms) == 6 and validate_category(BS3) == []
 
 
+def test_subgroup_does_not_recheck_group_axioms(monkeypatch):
+    S4 = presets.group("S4")
+    calls = []
+    original = FiniteGroup.axiom_report
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FiniteGroup, "axiom_report", counting)
+    V4 = S4.subgroup([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                      (3, 2, 1, 0)], name="V4")
+    assert calls == []
+    assert len(V4) == 4 and V4.identity == S4.identity
+    assert all(V4.mul(a, V4.inv(a)) == V4.identity for a in V4.elements)
+    assert original(V4) == []
+    with pytest.raises(StructureError, match="not closed"):
+        S4.subgroup([(0, 1, 2, 3), (1, 2, 0, 3), (1, 0, 2, 3)])
+    with pytest.raises(StructureError, match="no identity"):
+        S4.subgroup([])
+    # tables from outside are still scanned
+    C3 = FiniteGroup(range(3), {(a, b): (a + b) % 3
+                                for a in range(3) for b in range(3)})
+    assert calls == [C3]
+
+
 def test_sign_functor_s3_to_c2():
     S3, C2 = presets.group("S3"), presets.group("C2")
     B1, B2 = delooping(S3), delooping(C2)

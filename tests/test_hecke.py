@@ -9,7 +9,7 @@ from sixff.hecke import (
     right_coset_reps,
 )
 from sixff.linalg import Matrix
-from sixff.sheaves import Sheaf, hom_dim, unit_sheaf
+from sixff.sheaves import Sheaf, hom_dim, identity_morphism, unit_sheaf
 
 S3 = presets.group("S3")
 C2 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")
@@ -105,6 +105,31 @@ def test_hecke_algebra_trivial_cases():
     algE = HeckeAlgebra(S3, E, unit_sheaf(delooping(E), QQ))
     # End_G(k[G]) = k[G]: dimension |G|
     assert algE.dim == 6
+
+
+def test_coset_of_factors_every_element():
+    S4 = presets.group("S4")
+    K = S4.subgroup(S4.generated_subgroup([(1, 0, 2, 3), (0, 1, 3, 2)]))
+    ind = compact_induction(S4, K, unit_sheaf(delooping(K), QQ))
+    for g in S4.elements:
+        j, k = ind.coset_of(g)
+        assert k in K.elements and S4.mul(k, ind.reps[j]) == g
+
+
+def test_to_function_on_a_rank_two_weight():
+    """The regular representation of C2 as weight: the unit goes to the
+    unit, and the evaluation map is multiplicative."""
+    BK = delooping(C2)
+    swap = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
+    V = Sheaf(BK, QQ, {BK.objects[0]: 2},
+              {k: swap if k != C2.identity else Matrix.identity(QQ, 2)
+               for k in C2.elements})
+    alg = HeckeAlgebra(S3, C2, V)
+    one = identity_morphism(alg.induced.sheaf)
+    assert alg.to_function(one) == alg.function_identity()
+    T1, T2 = alg.end_basis[0], alg.end_basis[-1]
+    assert alg.to_function(T2.then(T1)) == alg.convolve(
+        alg.to_function(T1), alg.to_function(T2))
 
 
 def test_anti_involution_s3_c2():

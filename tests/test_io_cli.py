@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -7,7 +8,8 @@ from sixff.cli import main
 from sixff.fields import GF, QQ, parse_field
 from sixff.groupoid import StructureError, delooping
 from sixff.io import (
-    load_group, load_groupoid, load_matrix, load_setup, load_sheaf,
+    InputError, load_document, load_group, load_groupoid, load_inputs,
+    load_matrix, load_setup, load_sheaf,
 )
 from sixff.suite import SuiteConfig, emit_report, run_suite
 
@@ -156,3 +158,88 @@ def test_cli_run_echoes_a_valid_field_spec_unchanged(capsys):
                  "--field", "FP:5"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["config"]["field"] == "FP:5"
+
+
+GROUPOID_WITHOUT_MORPHISMS = {"objects": ["x"], "identity": {"x": "e"},
+                              "compose": [["e", "e", "e"]]}
+# a loop of order 5 with identity 0 and every element its own inverse:
+# (1*2)*2 = 4 while 1*(2*2) = 1
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_load_document_names_the_file(tmp_path):
+    bad = _write(tmp_path, "bad.json", '{"objects": [')
+    with pytest.raises(InputError, match="^%s: malformed JSON" % re.escape(bad)):
+        load_document(bad)
+    with pytest.raises(InputError, match="not a JSON object"):
+        load_document(_write(tmp_path, "list.json", "[1, 2]"))
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(InputError) as exc:
+        load_document(missing)
+    assert exc.value.path == missing
+
+
+def test_loaders_name_the_file_and_the_missing_key(tmp_path):
+    path = _write(tmp_path, "g.json", json.dumps(GROUPOID_WITHOUT_MORPHISMS))
+    with pytest.raises(InputError) as exc:
+        load_groupoid(load_document(path))
+    assert str(exc.value) == "%s: missing key 'morphisms'" % path
+    # nested records too
+    doc = dict(GROUPOID_WITHOUT_MORPHISMS,
+               morphisms=[{"id": "e", "src": "x"}])
+    path = _write(tmp_path, "h.json", json.dumps(doc))
+    with pytest.raises(InputError, match="missing key 'dst'$"):
+        load_groupoid(load_document(path))
+
+
+def test_load_inputs_names_the_file_of_a_malformed_table(tmp_path):
+    path = _write(tmp_path, "loop.json", json.dumps({"table": LOOP5}))
+    with pytest.raises(InputError, match="^%s: .*associativity" % re.escape(path)) as exc:
+        load_inputs([path])
+    assert isinstance(exc.value, StructureError)
+    sheaf = _write(tmp_path, "s.json", json.dumps(
+        {"kind": "sheaf", "base": "nowhere", "dims": {}}))
+    with pytest.raises(InputError, match="unknown base 'nowhere'"):
+        load_inputs([sheaf])
+
+
+@pytest.mark.parametrize("argv, text, detail", [
+    (["setup", "check", "--input"], '{"objects": [', "malformed JSON"),
+    (["setup", "check", "--input"], json.dumps(GROUPOID_WITHOUT_MORPHISMS),
+     "missing key 'morphisms'"),
+    (["kernels", "verify", "--base"], json.dumps(GROUPOID_WITHOUT_MORPHISMS),
+     "missing key 'morphisms'"),
+    (["run", "--suite", "adj", "--input"], json.dumps({"table": LOOP5}),
+     "associativity"),
+], ids=["setup-json", "setup-key", "kernels-key", "run-table"])
+def test_cli_bad_input_is_one_line_and_exit_2(argv, text, detail, tmp_path,
+                                              capsys):
+    path = _write(tmp_path, "in.json", text)
+    assert main(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sixff: %s: " % path) and detail in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_missing_input_file_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    assert main(["setup", "check", "--input", path]) == 2
+    assert capsys.readouterr().err.startswith("sixff: %s: " % path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hecke", "table", "--group", "S3", "--subgroup", "(12)",
+     "--field", "fp:3"],
+    ["descent", "--field", "fp:2"],
+], ids=["hecke", "descent"])
+def test_cli_gate_error_is_one_line_and_exit_3(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sixff: gate: ") and err.count("\n") == 1

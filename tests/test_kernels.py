@@ -18,8 +18,10 @@ from sixff.kernels import (
 from sixff.hecke import compact_induction
 from sixff.linalg import Matrix
 from sixff.sheaves import (
-    PullbackFunctor, Sheaf, hom_dim, hom_space, identity_morphism,
-    sheaves_equal, unit_sheaf,
+    LanFunctor, PullbackFunctor, Sheaf, SheafMorphism, TensorLeftFunctor,
+    TensorRightFunctor, hom_dim, hom_space, identity_morphism,
+    linear_combination, projection_formula_cell_right, sheaves_equal, tensor,
+    tensor_morphisms, unit_sheaf,
 )
 
 PT = terminal_groupoid()
@@ -473,3 +475,56 @@ def test_prim_mate_is_unital_and_reverses_composition(field):
     for T1 in basis:
         for T2 in basis:
             assert mate(T1.then(T2)).comp == mate(T2).then(mate(T1)).comp
+
+
+def _mate_through_whiskering_functor(calc, P, r, eta, eps, T):
+    """mate(T) as the composite of whole sheaf functors: T is whiskered
+    into the counit by pulling it back along pi1, tensoring with id_{pi2*r},
+    and sending the result through r∘(-) = pi2_!(pi1*r ⊗ -), each step
+    building its own source and target sheaves."""
+    etaR = calc.pull_f.then(TensorRightFunctor(r)).mor(eta)
+    rp_t = tensor(r, P)
+    pf4 = projection_formula_cell_right(calc.pi2, calc.pull_p1.obj(rp_t), r)
+    a4_fwd = pf4.then(tensor_morphisms(calc.bc_p2p1(rp_t),
+                                       identity_morphism(r)))
+    head = SheafMorphism(r, etaR.dst, etaR.comp).then(
+        SheafMorphism(etaR.dst, a4_fwd.src, a4_fwd.inverse().comp))
+    r_after = TensorLeftFunctor(calc.pull_p1.obj(r)).then(LanFunctor(calc.pi2))
+    whisk = r_after.mor(tensor_morphisms(
+        calc.pull_p1.mor(T),
+        identity_morphism(calc.pull_p2.obj(r))).then(eps))
+    whisk = SheafMorphism(a4_fwd.src, whisk.dst, whisk.comp)
+    rho = calc.right_unitor_reduced(r).comp
+    return head.then(whisk).then(SheafMorphism(whisk.dst, r, rho))
+
+
+C3 = presets.group("C3")
+TRIV_C3 = C3.subgroup([C3.identity], name="1")
+
+
+@pytest.mark.parametrize("G, K, field", [
+    (S3, C2, QQ), (S3, C2, GF(7)), (C3, TRIV_C3, QQ),
+], ids=["S3-C2-QQ", "S3-C2-GF7", "C3-1-QQ"])
+def test_prim_mate_matches_the_whiskering_functor_chain(G, K, field):
+    """The certificate's mate, which builds its whiskered counit's source
+    and target once, agrees component by component with the composite of
+    whole functors on every basis endomorphism and one combination of
+    them, and its pi2_! keeps two sheaves however often it is called."""
+    P = compact_induction(G, K, unit_sheaf(delooping(K), field), field).sheaf
+    f = to_terminal(P.base, PT)
+    cert = prim_test(f, P, field, check_double_dual=False)
+    assert cert.ok
+    calc = MapCalculus(f, field)
+    basis = hom_space(P, P)
+    combo = linear_combination(P, P, basis, [field.of(c) for c in
+                                             (3, -2, 5)[:len(basis)]])
+    for T in basis + [combo]:
+        want = _mate_through_whiskering_functor(
+            calc, P, cert.dual, cert.unit, cert.counit, T)
+        assert cert.mate(T).comp == want.comp
+    [lan] = [c.cell_contents for c in cert.mate.__closure__
+             if isinstance(c.cell_contents, LanFunctor)]
+    assert len(lan._cache) == 2
+    for T in basis * 3:
+        cert.mate(T)
+    assert len(lan._cache) == 2
