@@ -15,19 +15,25 @@ Exit status:
 
     0  every check passed
     1  a check failed
-    2  usage error or bad input: a bad --field, or an input file that is
+    2  usage error or bad input: a bad --field, a pyramid or sections
+       level N that is not an integer >= 0, a hecke table --group that is
+       not a preset permutation group, a --subgroup that is not disjoint
+       cycles of an element of that group, or an input file that is
        missing, not JSON, lacks a key or holds malformed tables
     3  the semisimplicity gate failed (GateError): the characteristic of
        the field divides an automorphism-group order
 
-Exit statuses 2 and 3 come with one line on standard error,
-`sixff: PATH: ...` for a bad input file.
+A bad input file, a bad hecke table value and a gate failure end in one
+line on standard error: `sixff: PATH: ...`, `sixff: --group: ...` or
+`sixff: --subgroup: ...`, and `sixff: gate: ...`.  The other usage errors
+print the command's usage line first.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import presets
@@ -35,6 +41,22 @@ from .fields import GateError, parse_field
 from .groupoid import delooping, identity_functor, terminal_groupoid
 from .io import InputError
 from .suite import SUITES, SuiteConfig, emit_report, run_suite
+
+
+class UsageError(Exception):
+    """An option value that argparse cannot check on its own, such as a
+    --subgroup that must lie in the chosen --group; exit status 2."""
+
+
+def _nonnegative_int(text):
+    """argparse type of a pyramid level: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
 
 
 def _field_spec(spec):
@@ -207,36 +229,29 @@ def _cmd_adj(args):
 
 
 def _parse_cycles(text, degree):
-    """Parse a permutation in cycle notation, e.g. "(12)" or "(0 1 2)(3 4)";
-    single-digit entries may be juxtaposed, 1-based if no 0 appears."""
+    """Parse a permutation of 0..degree-1 given by disjoint cycles, e.g.
+    "(12)" or "(0 1 2)(3 4)"; single-digit entries may be juxtaposed,
+    1-based if no 0 appears.  Anything else raises ValueError."""
     text = text.strip()
+    if re.sub(r"\([^()]*\)", "", text).strip():
+        raise ValueError("%r is not in cycle notation" % text)
+    spaced = " " in text or "," in text
     cycles = []
-    cur = None
-    token = ""
-    for ch in text:
-        if ch == "(":
-            cur = []
-            token = ""
-        elif ch == ")":
-            if token:
-                cur.append(int(token))
-                token = ""
-            cycles.append(cur)
-            cur = None
-        elif ch in " ,":
-            if token:
-                cur.append(int(token))
-                token = ""
-        elif cur is not None:
-            if " " in text or "," in text:
-                token += ch
-            else:
-                cur.append(int(ch))
+    for body in re.findall(r"\(([^()]*)\)", text):
+        entries = body.replace(",", " ").split() if spaced else list(body)
+        if not all(e.isdecimal() for e in entries):
+            raise ValueError("%r is not in cycle notation" % text)
+        cycles.append([int(e) for e in entries])
     base = 0 if any(0 in c for c in cycles) else 1
+    flat = [v - base for c in cycles for v in c]
+    if any(not 0 <= v < degree for v in flat):
+        raise ValueError("%r moves a point outside 0..%d" % (text, degree - 1))
+    if len(set(flat)) != len(flat):
+        raise ValueError("the cycles of %r are not disjoint" % text)
     perm = list(range(degree))
     for c in cycles:
         for i, v in enumerate(c):
-            perm[c[i] - base] = c[(i + 1) % len(c)] - base
+            perm[v - base] = c[(i + 1) % len(c)] - base
     return tuple(perm)
 
 
@@ -244,11 +259,27 @@ def _cmd_hecke(args):
     from .hecke import HeckeAlgebra, anti_involution
     from .sheaves import unit_sheaf
     field = parse_field(args.field)
-    G = presets.group(args.group)
-    degree = len(G.elements[0]) if isinstance(G.elements[0], tuple) else None
-    if degree is None:
-        raise SystemExit("subgroup selection needs a permutation group")
-    gens = [_parse_cycles(tok, degree) for tok in args.subgroup.split(";")]
+    try:
+        G = presets.group(args.group)
+    except KeyError:
+        raise UsageError("--group: unknown preset group %r (presets: %s)"
+                         % (args.group, ", ".join(presets.GROUP_PRESETS)))
+    first = G.elements[0]
+    degree = len(first) if isinstance(first, tuple) else 0
+    points = set(range(degree))
+    if not degree or any(not isinstance(g, tuple) or len(g) != degree
+                         or set(g) != points for g in G.elements):
+        raise UsageError("--group: %s is not a permutation group"
+                         % args.group)
+    try:
+        gens = [_parse_cycles(t, degree) for t in args.subgroup.split(";")]
+    except ValueError as e:
+        raise UsageError("--subgroup: %s" % e)
+    elements = set(G.elements)
+    for g in gens:
+        if g not in elements:
+            raise UsageError("--subgroup: %r is not an element of %s"
+                             % (g, args.group))
     K = G.subgroup(G.generated_subgroup(gens), name="K")
     alg = HeckeAlgebra(G, K, unit_sheaf(delooping(K), field))
     print("Hecke algebra of (%s, K) with |K|=%d: dimension %d"
@@ -313,13 +344,13 @@ def main(argv=None):
     pc.set_defaults(fn=_cmd_setup)
 
     p = sub.add_parser("pyramid", help="print a pyramid poset")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_nonnegative_int)
     p.add_argument("--variant", choices=("sigma", "sigma2", "lambda"),
                    default="sigma")
     p.set_defaults(fn=_cmd_pyramid)
 
     p = sub.add_parser("sections", help="print the pyramid section tables")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_nonnegative_int)
     p.set_defaults(fn=_cmd_sections)
 
     p = sub.add_parser("descent", help="descent comparison report")
@@ -353,7 +384,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, UsageError) as e:
         print("sixff: %s" % e, file=sys.stderr)
         return 2
     except GateError as e:

@@ -216,6 +216,32 @@ class FiniteGroupoid(FiniteCategory):
         return report
 
 
+def presented_category(objects, arrows, identity, compose):
+    """The finite category on `objects` whose morphisms a -> b are the ids
+    `arrows(a, b)`, with identities `identity(a)`; `compose(g, f)` is
+    tabled over every composable pair."""
+    objects = list(objects)
+    morphisms, src, dst, into = [], {}, {}, {}
+    for a in objects:
+        for b in objects:
+            for m in arrows(a, b):
+                morphisms.append(m)
+                src[m], dst[m] = a, b
+                into.setdefault(b, []).append(m)
+    table = {(g, f): compose(g, f)
+             for g in morphisms for f in into.get(src[g], ())}
+    return FiniteCategory(objects, morphisms, src, dst,
+                          {a: identity(a) for a in objects}, table)
+
+
+def poset_category(elements, leq, tag="le"):
+    """The poset category of `elements` under `leq`: one morphism
+    (tag, a, b) exactly when leq(a, b)."""
+    return presented_category(
+        elements, lambda a, b: [(tag, a, b)] if leq(a, b) else [],
+        lambda a: (tag, a, a), lambda g, f: (tag, f[1], g[2]))
+
+
 def validate_category(cat):
     return cat.validate()
 
@@ -268,7 +294,7 @@ class Functor:
         return "Functor(%s)" % (self.name or "%r -> %r" % (self.dom, self.cod))
 
 
-def validate_functor(F, dom=None, cod=None):
+def validate_functor(F):
     return F.validate()
 
 

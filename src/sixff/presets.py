@@ -7,9 +7,10 @@ external input files.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
-from .groupoid import FiniteCategory
+from .groupoid import poset_category, presented_category
 from .groups import FiniteGroup
 
 
@@ -60,33 +61,12 @@ GROUP_PRESETS = ("1", "C2", "C3", "C4", "S3", "S4", "D4", "Q8", "C2xC4")
 def finset_category(max_size=3):
     """Skeleton of finite sets of cardinality <= max_size, with all
     functions as morphisms.  Objects are the integers 0..max_size."""
-    objects = list(range(max_size + 1))
-    morphisms, src, dst = [], {}, {}
-
-    def functions(n, m):
-        if n == 0:
-            return [()]
-        out = [()]
-        for _ in range(n):
-            out = [t + (v,) for t in out for v in range(m)]
-        return out
-
-    for n in objects:
-        for m in objects:
-            for fn in functions(n, m):
-                mid = ("fn", n, m, fn)
-                morphisms.append(mid)
-                src[mid], dst[mid] = n, m
-    identity = {n: ("fn", n, n, tuple(range(n))) for n in objects}
-    compose = {}
-    for g in morphisms:
-        for f in morphisms:
-            if dst[f] != src[g]:
-                continue
-            _, n, _, ft = f
-            _, _, m, gt = g
-            compose[(g, f)] = ("fn", n, m, tuple(gt[v] for v in ft))
-    return FiniteCategory(objects, morphisms, src, dst, identity, compose)
+    return presented_category(
+        range(max_size + 1),
+        lambda n, m: [("fn", n, m, fn)
+                      for fn in itertools.product(range(m), repeat=n)],
+        lambda n: ("fn", n, n, tuple(range(n))),
+        lambda g, f: ("fn", f[1], g[2], tuple(g[3][v] for v in f[3])))
 
 
 @lru_cache(maxsize=None)
@@ -94,72 +74,30 @@ def divisor_poset(n):
     """Divisors of n ordered by divisibility, as a poset category with a
     unique morphism d -> e whenever d | e."""
     divs = [d for d in range(1, n + 1) if n % d == 0]
-    morphisms, src, dst = [], {}, {}
-    for d in divs:
-        for e in divs:
-            if e % d == 0:
-                mid = ("le", d, e)
-                morphisms.append(mid)
-                src[mid], dst[mid] = d, e
-    identity = {d: ("le", d, d) for d in divs}
-    compose = {}
-    for g in morphisms:
-        for f in morphisms:
-            if dst[f] == src[g]:
-                compose[(g, f)] = ("le", src[f], dst[g])
-    return FiniteCategory(divs, morphisms, src, dst, identity, compose)
+    return poset_category(divs, lambda d, e: e % d == 0)
 
 
 def chain_poset(names=("a", "b", "c")):
     """A linear order as a poset category."""
-    objs = list(names)
-    morphisms, src, dst = [], {}, {}
-    for i, d in enumerate(objs):
-        for e in objs[i:]:
-            mid = ("le", d, e)
-            morphisms.append(mid)
-            src[mid], dst[mid] = d, e
-    identity = {d: ("le", d, d) for d in objs}
-    compose = {(g, f): ("le", src[f], dst[g])
-               for g in morphisms for f in morphisms if dst[f] == src[g]}
-    return FiniteCategory(objs, morphisms, src, dst, identity, compose)
+    names = list(names)
+    return poset_category(names, lambda d, e: names.index(d) <= names.index(e))
+
+
+def _no_composites(objs, arrows):
+    """Objects `objs` with identities ("id", o) and the non-identity
+    morphisms `arrows[(a, b)]`, no two of which are composable."""
+    return presented_category(
+        objs,
+        lambda a, b: ([("id", a)] if a == b else []) + arrows.get((a, b), []),
+        lambda a: ("id", a), lambda g, f: f if g[0] == "id" else g)
 
 
 def cospan_category():
     """Three objects x -> z <- y (plus identities); has no pullbacks."""
-    objs = ["x", "y", "z"]
-    morphisms = [("id", o) for o in objs] + [("f", "x", "z"), ("g", "y", "z")]
-    src = {("id", o): o for o in objs}
-    dst = dict(src)
-    src[("f", "x", "z")], dst[("f", "x", "z")] = "x", "z"
-    src[("g", "y", "z")], dst[("g", "y", "z")] = "y", "z"
-    identity = {o: ("id", o) for o in objs}
-    compose = {}
-    for g in morphisms:
-        for f in morphisms:
-            if dst[f] != src[g]:
-                continue
-            if g == ("id", src[g]):
-                compose[(g, f)] = f
-            elif f == ("id", src[f]):
-                compose[(g, f)] = g
-    return FiniteCategory(objs, morphisms, src, dst, identity, compose)
+    return _no_composites(["x", "y", "z"], {("x", "z"): [("f", "x", "z")],
+                                            ("y", "z"): [("g", "y", "z")]})
 
 
 def parallel_arrows_category():
     """Two objects with two parallel arrows x => y."""
-    objs = ["x", "y"]
-    morphisms = [("id", "x"), ("id", "y"), ("f",), ("g",)]
-    src = {("id", "x"): "x", ("id", "y"): "y", ("f",): "x", ("g",): "x"}
-    dst = {("id", "x"): "x", ("id", "y"): "y", ("f",): "y", ("g",): "y"}
-    identity = {"x": ("id", "x"), "y": ("id", "y")}
-    compose = {}
-    for g in morphisms:
-        for f in morphisms:
-            if dst[f] != src[g]:
-                continue
-            if g in (("id", "x"), ("id", "y")):
-                compose[(g, f)] = f
-            elif f in (("id", "x"), ("id", "y")):
-                compose[(g, f)] = g
-    return FiniteCategory(objs, morphisms, src, dst, identity, compose)
+    return _no_composites(["x", "y"], {("x", "y"): [("f",), ("g",)]})

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corr import NoPullback, pullback
-from .groupoid import FiniteCategory, Functor, Violation
+from .groupoid import (
+    FiniteCategory, Functor, Violation, poset_category, presented_category,
+)
 
 SIGMA, SIGMA2, LAMBDA = "sigma", "sigma2", "lambda"
 
@@ -61,18 +63,7 @@ def build_pyramid(n, variant=SIGMA):
             return a[0] <= b[0] and a[1] == b[1]
         return a[0] <= b[0] and b[1] <= a[1]
 
-    morphisms, src, dst = [], {}, {}
-    for a in elements:
-        for b in elements:
-            if leq(a, b):
-                mid = ("le", a, b)
-                morphisms.append(mid)
-                src[mid], dst[mid] = a, b
-    identity = {a: ("le", a, a) for a in elements}
-    compose = {(g, f): ("le", src[f], dst[g])
-               for g in morphisms for f in morphisms if dst[f] == src[g]}
-    cat = FiniteCategory(elements, morphisms, src, dst, identity, compose)
-    return PyramidPoset(n, variant, cat)
+    return PyramidPoset(n, variant, poset_category(elements, leq))
 
 
 def is_cartesian(F, ambient):
@@ -354,24 +345,12 @@ def descent_index(index_set, kind="delta", truncation=2):
             for _ in range(n + 1):
                 idxs = [t + (i,) for t in idxs for i in index_set]
             objects.extend([(n, t) for t in idxs])
-        morphisms, src, dst = [], {}, {}
-        for (n, it) in objects:
-            for (m, jt) in objects:
-                for al in _monotone_maps(n, m):
-                    if all(it[k] == jt[al[k]] for k in range(n + 1)):
-                        mid = ("al", (n, it), (m, jt), al)
-                        morphisms.append(mid)
-                        src[mid], dst[mid] = (n, it), (m, jt)
-        identity = {(n, it): ("al", (n, it), (n, it), tuple(range(n + 1)))
-                    for (n, it) in objects}
-        compose = {}
-        for g in morphisms:
-            for f in morphisms:
-                if dst[f] != src[g]:
-                    continue
-                al = tuple(g[3][v] for v in f[3])
-                compose[(g, f)] = ("al", src[f], dst[g], al)
-        cat = FiniteCategory(objects, morphisms, src, dst, identity, compose)
+        cat = presented_category(
+            objects,
+            lambda a, b: [("al", a, b, al) for al in _monotone_maps(a[0], b[0])
+                          if all(a[1][k] == b[1][v] for k, v in enumerate(al))],
+            lambda a: ("al", a, a, tuple(range(a[0] + 1))),
+            lambda g, f: ("al", f[1], g[2], tuple(g[3][v] for v in f[3])))
         return DescentIndex("delta", index_set, truncation, cat)
     if kind == "subsets":
         objects = []
@@ -379,16 +358,6 @@ def descent_index(index_set, kind="delta", truncation=2):
         for mask in range(1, 1 << m):
             objects.append(frozenset(index_set[i] for i in range(m)
                                      if mask >> i & 1))
-        morphisms, src, dst = [], {}, {}
-        for a in objects:
-            for b in objects:
-                if a <= b:
-                    mid = ("sub", a, b)
-                    morphisms.append(mid)
-                    src[mid], dst[mid] = a, b
-        identity = {a: ("sub", a, a) for a in objects}
-        compose = {(g, f): ("sub", src[f], dst[g])
-                   for g in morphisms for f in morphisms if dst[f] == src[g]}
-        cat = FiniteCategory(objects, morphisms, src, dst, identity, compose)
+        cat = poset_category(objects, lambda a, b: a <= b, tag="sub")
         return DescentIndex("subsets", index_set, truncation, cat)
     raise ValueError("kind must be 'delta' or 'subsets'")

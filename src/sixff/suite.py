@@ -485,15 +485,21 @@ def check_inputs(config, rng):
         len(store), ", ".join(sorted(store)))
 
 
+def _check_rng(config, check_id):
+    """The random stream of one check: it depends on the seed and the check
+    id only, so a check draws the same instances whatever else runs."""
+    return random.Random("%s/%s" % (config.seed, check_id))
+
+
 def run_suite(config):
-    rng = random.Random(config.seed)
     selected = set(config.suites) if config.suites else set(SUITES)
     results = []
     if config.inputs:
         # an input that does not load raises (InputError or GateError), so
         # bad input is never reported as a failed check
         t0 = time.time()
-        status, witness = check_inputs(config, rng)
+        status, witness = check_inputs(
+            config, _check_rng(config, "inputs.validate"))
         results.append(CheckResult("inputs.validate", "input-validation",
                                    status, witness, time.time() - t0))
     for check_id, anchor, suite, fn in CHECKS:
@@ -501,7 +507,7 @@ def run_suite(config):
             continue
         t0 = time.time()
         try:
-            status, witness = fn(config, rng)
+            status, witness = fn(config, _check_rng(config, check_id))
         except TheoremViolation as e:
             status, witness = "fail", "alarm: %s" % e
         results.append(CheckResult(check_id, anchor, status, witness,

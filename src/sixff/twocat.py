@@ -2,13 +2,17 @@
 triangle verification, the weak-triangle upgrade, mates, uniqueness of
 adjoints, and the pointwise criterion audit.
 
-Every structure here is finite and every check is a table equality.  The
-module ships two builders: a scalar model (one 1-cell per hom, 2-cells a
-prime field, horizontal composition = multiplication) whose hom-sets are
-tiny enough for exhaustive mate checks, and a Kronecker model (1-cells are
+Every structure here is finite and every check is a table equality.  Each
+builder gives its hom categories by `presented_category` and its
+horizontal composition as two rules, which `StrictTwoCat` tables over every
+composable pair.  The builders: a scalar model (one 1-cell per hom, 2-cells
+a prime field, horizontal composition = multiplication) whose hom-sets are
+tiny enough for exhaustive mate checks; a Kronecker model (1-cells are
 dimensions, 2-cells all matrices over a prime field, horizontal composition
 the Kronecker product) which is strict because row-major flattening of
-Kronecker products is associative on the nose.
+Kronecker products is associative on the nose; a model generated by
+multiplicity-matrix 1-cells and block-matrix 2-cells; and the full
+sub-2-category of Cat on given finite categories.
 """
 
 from __future__ import annotations
@@ -18,20 +22,20 @@ import math
 from dataclasses import dataclass
 
 from .fields import GF
-from .groupoid import FiniteCategory, StructureError, Violation, okey
+from .groupoid import StructureError, Violation, okey, presented_category
 from .linalg import Matrix
 
 
 class StrictTwoCat:
     """objects; hom[(X,Y)]: FiniteCategory whose objects are 1-cells and
-    morphisms are 2-cells; horizontal composition tables for both."""
+    morphisms are 2-cells.  The horizontal composition rules h1(g, f) on
+    1-cells and h2(beta, alpha) on 2-cells are tabled as hcomp1 and hcomp2
+    over every composable pair."""
 
-    def __init__(self, objects, hom, id1, hcomp1, hcomp2):
+    def __init__(self, objects, hom, id1, h1, h2):
         self.objects = tuple(objects)
         self.hom = dict(hom)
         self.id1 = dict(id1)
-        self.hcomp1 = dict(hcomp1)
-        self.hcomp2 = dict(hcomp2)
         self._home1 = {}
         self._home2 = {}
         for (X, Y), cat in self.hom.items():
@@ -43,6 +47,18 @@ class StrictTwoCat:
                 if t in self._home2:
                     raise StructureError("2-cell id %r reused" % (t,))
                 self._home2[t] = (X, Y)
+        self.hcomp1 = {}
+        self.hcomp2 = {}
+        for (X, Y), first in self.hom.items():
+            for (Y2, Z), second in self.hom.items():
+                if Y2 != Y:
+                    continue
+                for f in first.objects:
+                    for g in second.objects:
+                        self.hcomp1[(g, f)] = h1(g, f)
+                for alpha in first.morphisms:
+                    for beta in second.morphisms:
+                        self.hcomp2[(beta, alpha)] = h2(beta, alpha)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -172,8 +188,6 @@ class AdjunctionQuadruple:
 def verify_adjunction(q, C):
     """(pass, failing triangle name or None): checks (εf)∘(fη) = id_f and
     (gε)∘(ηg) = id_g by table evaluation."""
-    Y = C.hom_of_1cell(q.f)[0]
-    X = C.hom_of_1cell(q.f)[1]
     t1 = C.vcomp(C.whisker_r(q.eps, q.f), C.whisker_l(q.f, q.eta))
     if t1 != C.id2(q.f):
         return False, "left triangle (εf)∘(fη)"
@@ -432,36 +446,20 @@ def scalar_two_cat(objects, p):
     """One 1-cell per ordered pair of objects; 2-cells are F_p scalars;
     horizontal and vertical composition are both multiplication.  Hom sets
     have exactly p 2-cells."""
-    field = GF(p)
-    hom = {}
-    id1 = {}
-    hcomp1 = {}
-    hcomp2 = {}
-    cells = {}
-    for X in objects:
-        for Y in objects:
-            c = ("c", X, Y)
-            cells[(X, Y)] = c
-            morphs = [("s", X, Y, v) for v in range(p)]
-            src = {m: c for m in morphs}
-            dst = {m: c for m in morphs}
-            ident = {c: ("s", X, Y, 1)}
-            comp = {(m2, m1): ("s", X, Y, (m2[3] * m1[3]) % p)
-                    for m2 in morphs for m1 in morphs}
-            hom[(X, Y)] = FiniteCategory([c], morphs, src, dst, ident, comp)
-        id1[X] = ("c", X, X)
-    for X in objects:
-        for Y in objects:
-            for Z in objects:
-                hcomp1[(cells[(Y, Z)], cells[(X, Y)])] = cells[(X, Z)]
-                for v in range(p):
-                    for w in range(p):
-                        hcomp2[(("s", Y, Z, v), ("s", X, Y, w))] = \
-                            ("s", X, Z, (v * w) % p)
-    return StrictTwoCat(objects, hom, id1, hcomp1, hcomp2)
+    def hom(X, Y):
+        return presented_category(
+            [("c", X, Y)], lambda a, b: [("s", X, Y, v) for v in range(p)],
+            lambda a: ("s", X, Y, 1),
+            lambda t2, t1: ("s", X, Y, t2[3] * t1[3] % p))
+
+    return StrictTwoCat(
+        objects, {(X, Y): hom(X, Y) for X in objects for Y in objects},
+        {X: ("c", X, X) for X in objects},
+        lambda g, f: ("c", f[1], g[2]),
+        lambda t2, t1: ("s", t1[1], t2[2], t2[3] * t1[3] % p))
 
 
-def kron_two_cat(objects, dims, p, max_dim=None):
+def kron_two_cat(objects, dims, p):
     """1-cells are dimensions from `dims` (which must be closed under
     products along composable homs, 1 included); 2-cells all matrices over
     F_p; horizontal composition is the Kronecker product, which is strictly
@@ -481,47 +479,20 @@ def kron_two_cat(objects, dims, p, max_dim=None):
             out.append(Matrix(field, rows, ncols=n))
         return out
 
-    hom = {}
-    id1 = {}
-    hcomp1 = {}
-    hcomp2 = {}
-    for X in objects:
-        for Y in objects:
-            one_cells = [("d", X, Y, n) for n in dims]
-            morphs = []
-            src, dst = {}, {}
-            for n in dims:
-                for m in dims:
-                    for mat in all_matrices(n, m):
-                        t = ("m", X, Y, n, m, mat)
-                        morphs.append(t)
-                        src[t] = ("d", X, Y, n)
-                        dst[t] = ("d", X, Y, m)
-            ident = {("d", X, Y, n): ("m", X, Y, n, n,
-                                      Matrix.identity(field, n))
-                     for n in dims}
-            comp = {}
-            for t2 in morphs:
-                for t1 in morphs:
-                    if src[t2] == dst[t1]:
-                        comp[(t2, t1)] = ("m", X, Y, t1[3], t2[4],
-                                          t2[5] * t1[5])
-            hom[(X, Y)] = FiniteCategory(one_cells, morphs, src, dst,
-                                         ident, comp)
-        id1[X] = ("d", X, X, 1)
-    for X in objects:
-        for Y in objects:
-            for Z in objects:
-                for n in dims:
-                    for m in dims:
-                        hcomp1[(("d", Y, Z, n), ("d", X, Y, m))] = \
-                            ("d", X, Z, n * m)
-                for t2 in hom[(Y, Z)].morphisms:
-                    for t1 in hom[(X, Y)].morphisms:
-                        mat = t2[5].kron(t1[5])
-                        hcomp2[(t2, t1)] = ("m", X, Z, t2[3] * t1[3],
-                                            t2[4] * t1[4], mat)
-    return StrictTwoCat(objects, hom, id1, hcomp1, hcomp2)
+    def hom(X, Y):
+        return presented_category(
+            [("d", X, Y, n) for n in dims],
+            lambda a, b: [("m", X, Y, a[3], b[3], mat)
+                          for mat in all_matrices(a[3], b[3])],
+            lambda a: ("m", X, Y, a[3], a[3], Matrix.identity(field, a[3])),
+            lambda t2, t1: ("m", X, Y, t1[3], t2[4], t2[5] * t1[5]))
+
+    return StrictTwoCat(
+        objects, {(X, Y): hom(X, Y) for X in objects for Y in objects},
+        {X: ("d", X, X, 1) for X in objects},
+        lambda g, f: ("d", f[1], g[2], g[3] * f[3]),
+        lambda t2, t1: ("m", t1[1], t2[2], t2[3] * t1[3], t2[4] * t1[4],
+                        t2[5].kron(t1[5])))
 
 
 def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
@@ -590,8 +561,7 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
         # t1 in hom(X, Y), t2 in hom(Y, Z)
         srcA, dstA = t1[1], t1[2]
         srcB, dstB = t2[1], t2[2]
-        A, Ap = srcA[3], dstA[3]
-        B, Bp = srcB[3], dstB[3]
+        A, B = srcA[3], srcB[3]
         bA, bB = blocks_of(t1), blocks_of(t2)
         src = comp_one(srcB, srcA)
         dst = comp_one(dstB, dstA)
@@ -653,31 +623,17 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
                         two_cells.add(t)
                         changed = True
 
-    hom = {}
-    id1 = {X: one_id(X) for X in objs}
-    for X in objs:
-        for Y in objs:
-            cells_xy = [c for c in one_cells if c[1] == X and c[2] == Y]
-            morphs = [t for t in two_cells
-                      if t[1][1] == X and t[1][2] == Y]
-            src = {t: t[1] for t in morphs}
-            dst = {t: t[2] for t in morphs}
-            ident = {c: two_identity(c) for c in cells_xy}
-            comp = {(t2, t1): vcomp_two(t2, t1)
-                    for t1 in morphs for t2 in morphs if t1[2] == t2[1]}
-            hom[(X, Y)] = FiniteCategory(cells_xy, morphs, src, dst, ident,
-                                         comp)
-    hcomp1 = {}
-    hcomp2 = {}
-    for f in one_cells:
-        for g in one_cells:
-            if g[1] == f[2]:
-                hcomp1[(g, f)] = comp_one(g, f)
-    for t1 in two_cells:
-        for t2 in two_cells:
-            if t2[1][1] == t1[1][2]:
-                hcomp2[(t2, t1)] = hcomp_two(t2, t1)
-    out = StrictTwoCat(objs, hom, id1, hcomp1, hcomp2)
+    by_ends = {}
+    for t in two_cells:
+        by_ends.setdefault((t[1], t[2]), []).append(t)
+
+    def hom(X, Y):
+        return presented_category(
+            [c for c in one_cells if c[1] == X and c[2] == Y],
+            lambda a, b: by_ends.get((a, b), []), two_identity, vcomp_two)
+
+    out = StrictTwoCat(objs, {(X, Y): hom(X, Y) for X in objs for Y in objs},
+                       {X: one_id(X) for X in objs}, comp_one, hcomp_two)
     bad = out.validate()
     if bad:
         raise StructureError("generated instance not strict: %s" % bad[0])
@@ -691,17 +647,14 @@ def cat_two_cat(named_cats):
     associative on the nose."""
     names = list(named_cats)
 
+    def frozen(table):
+        return tuple(sorted(table.items(), key=lambda kv: okey(kv[0])))
+
     def fun_id(A, B, ob, mor):
-        return ("fun", A, B,
-                tuple(sorted(ob.items(), key=lambda kv: okey(kv[0]))),
-                tuple(sorted(mor.items(), key=lambda kv: okey(kv[0]))))
+        return ("fun", A, B, frozen(ob), frozen(mor))
 
     def fun_maps(fid):
         return dict(fid[3]), dict(fid[4])
-
-    def all_functors(A, B):
-        return [fun_id(A, B, F.ob, F.mor) for F in _functor_candidates(
-            named_cats[A], named_cats[B], math.inf)]
 
     def nat_cells(A, B, fid, gid):
         dom, cod = named_cats[A], named_cats[B]
@@ -717,77 +670,43 @@ def cat_two_cat(named_cats):
             if all(cod.compose(comp[dom.dst[m]], fmor[m])
                    == cod.compose(gmor[m], comp[dom.src[m]])
                    for m in dom.morphisms):
-                out.append(("nt", A, B, fid, gid,
-                            tuple(sorted(comp.items(),
-                                         key=lambda kv: okey(kv[0])))))
+                out.append(("nt", A, B, fid, gid, frozen(comp)))
         return out
 
-    hom = {}
-    id1 = {}
-    one_cells = {}
-    for A in names:
-        for B in names:
-            funs = all_functors(A, B)
-            one_cells[(A, B)] = funs
-            morphs = []
-            src, dst = {}, {}
-            for fid in funs:
-                for gid in funs:
-                    for t in nat_cells(A, B, fid, gid):
-                        morphs.append(t)
-                        src[t], dst[t] = fid, gid
-            ident = {}
-            dom, cod = named_cats[A], named_cats[B]
-            for fid in funs:
-                fob, _ = fun_maps(fid)
-                ident[fid] = ("nt", A, B, fid, fid,
-                              tuple(sorted({x: cod.identity[fob[x]]
-                                            for x in dom.objects}.items(),
-                                           key=lambda kv: okey(kv[0]))))
-            comp = {}
-            for t2 in morphs:
-                for t1 in morphs:
-                    if dst[t1] != src[t2]:
-                        continue
-                    c1 = dict(t1[5])
-                    c2 = dict(t2[5])
-                    comp[(t2, t1)] = ("nt", A, B, t1[3], t2[4],
-                                      tuple(sorted(
-                                          {x: cod.compose(c2[x], c1[x])
-                                           for x in dom.objects}.items(),
-                                          key=lambda kv: okey(kv[0]))))
-            hom[(A, B)] = FiniteCategory(funs, morphs, src, dst, ident, comp)
-        A_cat = named_cats[A]
-        id1[A] = fun_id(A, A, {x: x for x in A_cat.objects},
-                        {m: m for m in A_cat.morphisms})
-    hcomp1 = {}
-    hcomp2 = {}
-    for A in names:
-        for B in names:
-            for Cn in names:
-                for fid in one_cells[(A, B)]:
-                    fob, fmor = fun_maps(fid)
-                    for gid in one_cells[(B, Cn)]:
-                        gob, gmor = fun_maps(gid)
-                        ob = {x: gob[fob[x]] for x in named_cats[A].objects}
-                        mor = {m: gmor[fmor[m]]
-                               for m in named_cats[A].morphisms}
-                        hcomp1[(gid, fid)] = fun_id(A, Cn, ob, mor)
-                for t2 in hom[(B, Cn)].morphisms:
-                    for t1 in hom[(A, B)].morphisms:
-                        h_ob, h_mor = fun_maps(t2[3])
-                        c1 = dict(t1[5])
-                        c2 = dict(t2[5])
-                        f_ob, _ = fun_maps(t1[3])
-                        g_ob, _ = fun_maps(t1[4])
-                        cod = named_cats[Cn]
-                        comp = {}
-                        for x in named_cats[A].objects:
-                            comp[x] = cod.compose(c2[g_ob[x]],
-                                                  h_mor[c1[x]])
-                        hcomp2[(t2, t1)] = (
-                            "nt", A, Cn, hcomp1[(t2[3], t1[3])],
-                            hcomp1[(t2[4], t1[4])],
-                            tuple(sorted(comp.items(),
-                                         key=lambda kv: okey(kv[0]))))
-    return StrictTwoCat(names, hom, id1, hcomp1, hcomp2)
+    def hom(A, B):
+        cod = named_cats[B]
+
+        def identity(fid):
+            return ("nt", A, B, fid, fid,
+                    frozen({x: cod.identity[y] for x, y in fid[3]}))
+
+        def vcomp(t2, t1):
+            c2 = dict(t2[5])
+            return ("nt", A, B, t1[3], t2[4],
+                    frozen({x: cod.compose(c2[x], t) for x, t in t1[5]}))
+
+        funs = [fun_id(A, B, F.ob, F.mor) for F in _functor_candidates(
+            named_cats[A], cod, math.inf)]
+        return presented_category(
+            funs, lambda fid, gid: nat_cells(A, B, fid, gid), identity, vcomp)
+
+    def h1(gid, fid):
+        fob, fmor = fun_maps(fid)
+        gob, gmor = fun_maps(gid)
+        return fun_id(fid[1], gid[2], {x: gob[y] for x, y in fob.items()},
+                      {m: gmor[n] for m, n in fmor.items()})
+
+    def h2(t2, t1):
+        _, h_mor = fun_maps(t2[3])
+        c2 = dict(t2[5])
+        g_ob, _ = fun_maps(t1[4])
+        cod = named_cats[t2[2]]
+        return ("nt", t1[1], t2[2], h1(t2[3], t1[3]), h1(t2[4], t1[4]),
+                frozen({x: cod.compose(c2[g_ob[x]], h_mor[t])
+                        for x, t in t1[5]}))
+
+    id1 = {A: fun_id(A, A, {x: x for x in named_cats[A].objects},
+                     {m: m for m in named_cats[A].morphisms})
+           for A in names}
+    return StrictTwoCat(names, {(A, B): hom(A, B) for A in names
+                                for B in names}, id1, h1, h2)

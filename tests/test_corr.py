@@ -84,6 +84,16 @@ def test_pullback_product_sets():
     assert pb2.apex == 2
 
 
+def test_divisor_poset_has_an_arrow_exactly_along_divisibility():
+    P = presets.divisor_poset(12)
+    divisors = [1, 2, 3, 4, 6, 12]
+    assert sorted(P.objects) == divisors
+    for d in divisors:
+        for e in divisors:
+            assert P.hom(d, e) == ([("le", d, e)] if e % d == 0 else [])
+    assert P.validate() == []
+
+
 def test_pullback_divisor_poset_meet():
     P = presets.divisor_poset(12)
     pb = pullback(P, ("le", 4, 12), ("le", 6, 12))

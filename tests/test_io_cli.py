@@ -243,3 +243,55 @@ def test_cli_gate_error_is_one_line_and_exit_3(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("sixff: gate: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group, subgroup, detail", [
+    ("X", "(12)", "--group: unknown preset group 'X'"),
+    ("C3", "(12)", "--group: C3 is not a permutation group"),
+    ("Q8", "(12)", "--group: Q8 is not a permutation group"),
+    ("S3", "(1x)", "--subgroup: '(1x)' is not in cycle notation"),
+    ("S3", "(12", "--subgroup: '(12' is not in cycle notation"),
+    ("S3", "(19)", "--subgroup: '(19)' moves a point outside 0..2"),
+    ("S3", "(12)(13)", "--subgroup: the cycles of '(12)(13)' are not"),
+    ("D4", "(12)", "--subgroup: (1, 0, 2, 3) is not an element of D4"),
+], ids=["unknown-group", "cyclic-group", "quaternions", "bad-entry",
+        "unclosed", "out-of-range", "overlapping", "not-in-group"])
+def test_cli_hecke_bad_value_is_one_line_and_exit_2(group, subgroup, detail,
+                                                     capsys):
+    assert main(["hecke", "table", "--group", group,
+                 "--subgroup", subgroup]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sixff: " + detail) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["pyramid", "sections"])
+@pytest.mark.parametrize("n", ["-1", "x"])
+def test_cli_level_must_be_a_nonnegative_int(cmd, n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, n])
+    assert exc.value.code == 2
+    assert "argument n" in capsys.readouterr().err
+
+
+def test_run_suite_draws_each_check_from_its_own_stream(monkeypatch):
+    import random
+
+    from sixff import suite
+    draws = {}
+
+    def recorder(check_id):
+        def check(config, rng):
+            draws.setdefault(check_id, []).append(rng.random())
+            return "pass", "recorded"
+        return check
+
+    monkeypatch.setattr(suite, "CHECKS", [
+        (cid, "anchor", name, recorder(cid)) for cid, name in
+        (("corr.first", "corr"), ("kernel.second", "kernel"),
+         ("hecke.third", "hecke"))])
+    run_suite(SuiteConfig(seed=5))
+    for only in ("corr", "kernel", "hecke"):
+        run_suite(SuiteConfig(suites=(only,), seed=5))
+    for cid, seen in draws.items():
+        # the full run and the single-suite run draw the same first value
+        assert seen == [random.Random("5/" + cid).random()] * 2

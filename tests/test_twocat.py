@@ -4,13 +4,15 @@ import pytest
 
 from sixff import presets
 from sixff.fields import QQ
-from sixff.groupoid import StructureError, delooping, terminal_groupoid, to_terminal
+from sixff.groupoid import (
+    FiniteCategory, StructureError, delooping, terminal_groupoid, to_terminal,
+)
 from sixff.linalg import Matrix
 from sixff.twocat import (
     AdjunctionQuadruple, BoundedSearchRefusal, PointwiseAuditReport,
-    StrictTwoCat, adjoint_uniqueness, generated_two_cat, kron_two_cat,
-    mate_lambda, mate_rho, pointwise_audit, scalar_two_cat, upgrade_weak,
-    verify_adjunction,
+    StrictTwoCat, adjoint_uniqueness, cat_two_cat, generated_two_cat,
+    kron_two_cat, mate_lambda, mate_rho, pointwise_audit, scalar_two_cat,
+    upgrade_weak, verify_adjunction,
 )
 
 
@@ -158,13 +160,8 @@ def test_pointwise_audit_equivalence():
     assert report.agreement
 
 
-def test_pointwise_audit_failure_case():
-    """In the genuine 2-category of small categories, post-composition with
-    the collapse functor [1] -> {0,1} onto one point has no right adjoint
-    on hom(1, -), so condition (a) of the criterion fails."""
-    from sixff.groupoid import FiniteCategory
-    from sixff.twocat import cat_two_cat
-
+def _cat_two_cat():
+    """Cat on the terminal category Z, the arrow Y and two points X."""
     one = FiniteCategory(["*"], [("i",)], {("i",): "*"}, {("i",): "*"},
                          {"*": ("i",)}, {(("i",), ("i",)): ("i",)})
     arrow_objs = ["a0", "a1"]
@@ -185,7 +182,14 @@ def test_pointwise_audit_failure_case():
         {"d0": ("id", "d0"), "d1": ("id", "d1")},
         {(("id", "d0"), ("id", "d0")): ("id", "d0"),
          (("id", "d1"), ("id", "d1")): ("id", "d1")})
-    C = cat_two_cat({"Z": one, "Y": arrow, "X": two_disc})
+    return cat_two_cat({"Z": one, "Y": arrow, "X": two_disc})
+
+
+def test_pointwise_audit_failure_case():
+    """In the genuine 2-category of small categories, post-composition with
+    the collapse functor [1] -> {0,1} onto one point has no right adjoint
+    on hom(1, -), so condition (a) of the criterion fails."""
+    C = _cat_two_cat()
     assert C.validate() == []
     # the collapse functor Y -> X constant at d0
     f = None
@@ -209,11 +213,10 @@ def test_pointwise_audit_budget_refusal():
         pointwise_audit(("d", "0", "1", 1), C, budget=1)
 
 
-def test_generated_two_cat_sheaf_witness():
-    """Embed the exceptional-pushforward adjunction for */C2 -> * as a
-    strict 2-category of multiplicity matrices and verify its triangles."""
+def _sheaf_witness_two_cat():
+    """The exceptional-pushforward adjunction for */C2 -> * as a strict
+    2-category of multiplicity matrices."""
     from sixff.fields import QQ as QQf
-    from sixff.groupoid import identity_functor
     from sixff.sheaves import adj_lan_pullback, unit_sheaf
     C2 = presets.group("C2")
     BC2 = delooping(C2)
@@ -240,7 +243,13 @@ def test_generated_two_cat_sheaf_witness():
     gens1["FG"] = ("X", "X", ((1,),))
     gens1["idX"] = ("X", "X", ((1,),))
     gens2 = [("idY", "GF", eta_blocks), ("FG", "idX", eps_blocks)]
-    C = generated_two_cat(obj_simples, gens1, gens2, QQf)
+    return generated_two_cat(obj_simples, gens1, gens2, QQf)
+
+
+def test_generated_two_cat_sheaf_witness():
+    """Embed the exceptional-pushforward adjunction for */C2 -> * as a
+    strict 2-category of multiplicity matrices and verify its triangles."""
+    C = _sheaf_witness_two_cat()
     f1 = ("d", "Y", "X", ((1, 0),))
     g1 = ("d", "X", "Y", ((1,), (0,)))
     eta = None
@@ -258,3 +267,44 @@ def test_generated_two_cat_sheaf_witness():
     q = AdjunctionQuadruple(f1, g1, eta, eps)
     ok, why = verify_adjunction(q, C)
     assert ok, why
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scalar_two_cat(["0", "1", "2"], 3),
+    lambda: scalar_two_cat(["0", "1"], 3),
+    lambda: scalar_two_cat(["0", "1"], 5),
+    lambda: scalar_two_cat(["0"], 5),
+    lambda: kron_two_cat(["0", "1"], [0, 1], 3),
+    _cat_two_cat,
+    _sheaf_witness_two_cat,
+], ids=["scalar3x3", "scalar2x3", "scalar2x5", "scalar1x5", "kron", "cat",
+        "generated"])
+def test_horizontal_tables_have_one_entry_per_composable_pair(build):
+    C = build()
+    ones = [f for cat in C.hom.values() for f in cat.objects]
+    twos = [t for cat in C.hom.values() for t in cat.morphisms]
+    pairs1 = {(g, f) for f in ones for g in ones
+              if C.hom_of_1cell(g)[0] == C.hom_of_1cell(f)[1]}
+    pairs2 = {(b, a) for a in twos for b in twos
+              if C.hom_of_1cell(C.cell_src(b))[0]
+              == C.hom_of_1cell(C.cell_src(a))[1]}
+    assert pairs1 and pairs2
+    assert set(C.hcomp1) == pairs1 and len(C.hcomp1) == len(pairs1)
+    assert set(C.hcomp2) == pairs2 and len(C.hcomp2) == len(pairs2)
+
+
+def test_kron_h2_is_the_kronecker_product():
+    C = kron_two_cat(["0", "1"], [0, 1], 3)
+    for (b, a), t in C.hcomp2.items():
+        assert t == ("m", a[1], b[2], b[3] * a[3], b[4] * a[4],
+                     b[5].kron(a[5]))
+        assert C.h2(b, a) == t
+
+
+def test_scalar_h2_is_the_product_mod_p():
+    C = scalar_two_cat(["0", "1"], 5)
+    for X, Y, Z in itertools.product(C.objects, repeat=3):
+        for v in range(5):
+            for w in range(5):
+                assert C.h2(("s", Y, Z, v), ("s", X, Y, w)) == \
+                    ("s", X, Z, v * w % 5)
