@@ -15,11 +15,12 @@ Exit status:
 
     0  every check passed
     1  a check failed
-    2  usage error or bad input: a bad --field, a pyramid or sections
-       level N that is not an integer >= 0, a hecke table --group that is
-       not a preset permutation group, a --subgroup that is not disjoint
-       cycles of an element of that group, or an input file that is
-       missing, not JSON, lacks a key or holds malformed tables
+    2  usage error or bad input: a bad --field, a run --probes that is
+       not an integer >= 1, a pyramid or sections level N that is not an
+       integer >= 0, a hecke table --group that is not a preset
+       permutation group, a --subgroup that is not disjoint cycles of an
+       element of that group, or an input file that is missing, not JSON,
+       lacks a key or holds malformed tables
     3  the semisimplicity gate failed (GateError): the characteristic of
        the field divides an automorphism-group order
 
@@ -48,15 +49,18 @@ class UsageError(Exception):
     --subgroup that must lie in the chosen --group; exit status 2."""
 
 
-def _nonnegative_int(text):
-    """argparse type of a pyramid level: an int >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
-    return n
+def _int_at_least(lo):
+    """argparse type of an int option that must be >= lo."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if n < lo:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d"
+                                             % (lo, n))
+        return n
+    return parse
 
 
 def _field_spec(spec):
@@ -330,7 +334,7 @@ def main(argv=None):
     p.add_argument("--suite", action="append", choices=SUITES)
     p.add_argument("--field", type=_field_spec, default="q")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=int, default=2)
+    p.add_argument("--probes", type=_int_at_least(1), default=2)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--input", action="append")
     p.set_defaults(fn=_cmd_run)
@@ -344,13 +348,13 @@ def main(argv=None):
     pc.set_defaults(fn=_cmd_setup)
 
     p = sub.add_parser("pyramid", help="print a pyramid poset")
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=_int_at_least(0))
     p.add_argument("--variant", choices=("sigma", "sigma2", "lambda"),
                    default="sigma")
     p.set_defaults(fn=_cmd_pyramid)
 
     p = sub.add_parser("sections", help="print the pyramid section tables")
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=_int_at_least(0))
     p.set_defaults(fn=_cmd_sections)
 
     p = sub.add_parser("descent", help="descent comparison report")

@@ -4,8 +4,14 @@ Matrices are immutable, row-major, and act on column vectors: a Matrix of
 shape (m, n) maps k^n -> k^m and composition is `a * b` = "a after b".
 Pivoting is deterministic (first nonzero entry scanning top-down), so every
 derived basis is reproducible bit for bit.  Inner loops test an entry for
-zero by truthiness (`Fraction` and `FpElement` both define it) and read the
+zero by truthiness (`Fraction` and `int` both define it) and read the
 field's constants once, outside the loop.
+
+Over F_p every entry is an int in `range(p)` (see `fields`).  `__mul__`
+adds up unreduced products along each output row and reduces the row once
+(delayed modular reduction); every other operation that computes an entry
+reduces it, so `rref` can test zeros by truthiness.  Over Q the loops are
+the plain `Fraction` ones.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ class SingularMatrixError(Exception):
 
 
 class Matrix:
-    __slots__ = ("rows", "nrows", "ncols", "field")
+    __slots__ = ("rows", "nrows", "ncols", "field", "_hash")
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
@@ -62,10 +68,15 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.shape == other.shape
-                and self.rows == other.rows)
+                and self.rows == other.rows and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.shape, self.rows))
+        # matrices are immutable, so the hash is computed once, on first use
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.shape, self.rows))
+            return h
 
     def __repr__(self):
         return "Matrix(%dx%d, %r)" % (self.nrows, self.ncols, self.rows)
@@ -80,25 +91,29 @@ class Matrix:
             return Matrix(self.field, [], ncols=self.nrows)
         return Matrix(self.field, list(zip(*self.rows)))
 
+    def _reduced(self, rows):
+        """A matrix of this field and width from freshly computed rows,
+        reduced into range(p) over F_p."""
+        p = self.field.characteristic
+        if p:
+            rows = [[a % p for a in r] for r in rows]
+        return Matrix(self.field, rows, ncols=self.ncols)
+
     def __add__(self, other):
         assert self.shape == other.shape
-        return Matrix(self.field, [[a + b for a, b in zip(r, s)]
-                                   for r, s in zip(self.rows, other.rows)],
-                      ncols=self.ncols)
+        return self._reduced([[a + b for a, b in zip(r, s)]
+                              for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         assert self.shape == other.shape
-        return Matrix(self.field, [[a - b for a, b in zip(r, s)]
-                                   for r, s in zip(self.rows, other.rows)],
-                      ncols=self.ncols)
+        return self._reduced([[a - b for a, b in zip(r, s)]
+                              for r, s in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows],
-                      ncols=self.ncols)
+        return self._reduced([[-a for a in r] for r in self.rows])
 
     def scale(self, c):
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows],
-                      ncols=self.ncols)
+        return self._reduced([[c * a for a in r] for r in self.rows])
 
     def __mul__(self, other):
         assert self.ncols == other.nrows, \
@@ -106,6 +121,7 @@ class Matrix:
         if self.nrows == 0 or other.ncols == 0:
             return Matrix.zero(self.field, self.nrows, other.ncols)
         zero, one = self.field.zero, self.field.one
+        p = self.field.characteristic
         orows = other.rows
         n = other.ncols
         out = []
@@ -116,15 +132,18 @@ class Matrix:
                     continue
                 brow = orows[j]
                 if acc is None:
-                    if a == one:
-                        acc = list(brow)
-                    else:
-                        acc = [a * b for b in brow]
+                    acc = brow if a == one else [a * b for b in brow]
                 elif a == one:
                     acc = [x + b for x, b in zip(acc, brow)]
                 else:
                     acc = [x + a * b for x, b in zip(acc, brow)]
-            out.append([zero] * n if acc is None else acc)
+            if acc is None:
+                acc = [zero] * n
+            elif p and acc is not brow:
+                # one reduction per row; a row of `other` taken as it is
+                # is reduced already
+                acc = [x % p for x in acc]
+            out.append(acc)
         return Matrix(self.field, out, ncols=n)
 
     def is_zero(self):
@@ -179,6 +198,7 @@ class Matrix:
         strictly associative and kron with a 1x1 identity is the identity
         operation on the nose."""
         f = self.field
+        char = f.characteristic
         m, n = self.shape
         p, q = other.shape
         zero = f.zero
@@ -189,8 +209,12 @@ class Matrix:
                 if not a:
                     continue    # out is zero-filled already
                 for k in range(p):
-                    for l in range(q):
-                        out[i * p + k][j * q + l] = a * other.rows[k][l]
+                    if char:
+                        out[i * p + k][j * q:(j + 1) * q] = [
+                            a * b % char for b in other.rows[k]]
+                    else:
+                        for l in range(q):
+                            out[i * p + k][j * q + l] = a * other.rows[k][l]
         return Matrix(f, out, ncols=n * q)
 
     def submatrix(self, row_idx, col_idx):
@@ -203,6 +227,7 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot column list)."""
         f = self.field
+        p = f.characteristic
         rows = [list(r) for r in self.rows]
         m, n = self.nrows, self.ncols
         pivots = []
@@ -217,11 +242,21 @@ class Matrix:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
             inv = f.inv(rows[r][c])
-            rows[r] = [inv * a for a in rows[r]]
+            # over F_p each row operation reduces, so the pivot search above
+            # sees a zero as 0
+            if p:
+                rows[r] = [inv * a % p for a in rows[r]]
+            else:
+                rows[r] = [inv * a for a in rows[r]]
             for i in range(m):
                 if i != r and rows[i][c]:
                     factor = rows[i][c]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                    if p:
+                        rows[i] = [(a - factor * b) % p
+                                   for a, b in zip(rows[i], rows[r])]
+                    else:
+                        rows[i] = [a - factor * b
+                                   for a, b in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
             if r == m:
@@ -265,6 +300,7 @@ class Matrix:
         """Deterministic basis of the right kernel, as a list of column
         matrices."""
         f = self.field
+        p = f.characteristic
         red, pivots = self.rref()
         n = self.ncols
         free = [c for c in range(n) if c not in pivots]
@@ -275,6 +311,8 @@ class Matrix:
             v[fc] = one
             for r, pc in enumerate(pivots):
                 v[pc] = -red.rows[r][fc]
+            if p:
+                v = [a % p for a in v]
             basis.append(Matrix.column(f, v))
         return basis
 

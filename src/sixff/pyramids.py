@@ -12,6 +12,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .corr import NoPullback, pullback
 from .groupoid import (
@@ -31,8 +32,14 @@ class PyramidPoset:
     def elements(self):
         return self.category.objects
 
+    @cached_property
+    def _order(self):
+        """The pairs (a, b) with a <= b: one per morphism of the category."""
+        c = self.category
+        return {(c.src[m], c.dst[m]) for m in c.morphisms}
+
     def leq(self, a, b):
-        return len(self.category.hom(a, b)) == 1
+        return (a, b) in self._order
 
     def covers(self):
         """Covering relations a < b with nothing in between."""

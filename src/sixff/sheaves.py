@@ -93,7 +93,7 @@ def sheaf_from_rep(base, field, rep):
 
 
 def sheaves_equal(M, N):
-    return M.dim == N.dim and M.mat == N.mat
+    return M.field == N.field and M.dim == N.dim and M.mat == N.mat
 
 
 class SheafMorphism:
@@ -357,8 +357,8 @@ _INVARIANT_CACHE_SIZE = 4096
 def _invariant_data(field, d, mats, averaging):
     """(iota, pi, leg) of one fiber component, from its content alone: the
     field, d = dim M(y_rep), the automorphism matrices `mats` in fiber
-    order, and whether leg averages.  The field is part of the key because
-    `Matrix.__eq__` ignores it (a 0x0 matrix over QQ equals one over GF(5)).
+    order, and whether leg averages.  The field is part of the key, so data
+    computed over one field never answers a call over another.
     The gate is left to the caller, which must check it on every call,
     cached or not.
     """

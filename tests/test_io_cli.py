@@ -273,6 +273,19 @@ def test_cli_level_must_be_a_nonnegative_int(cmd, n, capsys):
     assert "argument n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("probes", ["0", "-3", "x"])
+def test_cli_run_probes_must_be_a_positive_int(probes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suite", "adj", "--probes", probes])
+    assert exc.value.code == 2
+    assert "argument --probes" in capsys.readouterr().err
+
+
+def test_suite_config_rejects_probes_below_one():
+    with pytest.raises(ValueError):
+        SuiteConfig(probes=0)
+
+
 def test_run_suite_draws_each_check_from_its_own_stream(monkeypatch):
     import random
 

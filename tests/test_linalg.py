@@ -2,7 +2,9 @@
 
 Entries are drawn rich in 0 and 1, the values the inner loops of
 `Matrix.__mul__`, `kron` and `rref` single out.  Every property is checked
-against a definition or a plain reference written here.
+against a definition or a plain reference written here; the references pass
+each scalar step through `field.of`, which over GF(5) is the reduced int
+that `Matrix` keeps.
 """
 
 from hypothesis import given, settings
@@ -102,16 +104,16 @@ def _reference_rref(a):
         rows[r], rows[cands[-1]] = rows[cands[-1]], rows[r]
         for i in range(r + 1, a.nrows):
             if rows[i][c] != f.zero:
-                t = rows[i][c] * f.inv(rows[r][c])
-                rows[i] = [x - t * y for x, y in zip(rows[i], rows[r])]
+                t = f.of(rows[i][c] * f.inv(rows[r][c]))
+                rows[i] = [f.of(x - t * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     for r in reversed(range(len(pivots))):
         c = pivots[r]
         s = f.inv(rows[r][c])
-        rows[r] = [s * x for x in rows[r]]
+        rows[r] = [f.of(s * x) for x in rows[r]]
         for i in range(r):
             t = rows[i][c]
-            rows[i] = [x - t * y for x, y in zip(rows[i], rows[r])]
+            rows[i] = [f.of(x - t * y) for x, y in zip(rows[i], rows[r])]
     return Matrix(f, rows, ncols=a.ncols), pivots
 
 
@@ -126,7 +128,7 @@ def test_product_is_the_triple_sum(ab):
         for j in range(b.ncols):
             acc = f.zero
             for k in range(a.ncols):
-                acc = acc + a.rows[i][k] * b.rows[k][j]
+                acc = f.of(acc + a.rows[i][k] * b.rows[k][j])
             row.append(acc)
         expected.append(row)
     c = a * b
@@ -146,7 +148,7 @@ def test_kron_matches_its_definition(ab):
             for k in range(p):
                 for t in range(q):
                     assert c.rows[i * p + k][j * q + t] == \
-                        a.rows[i][j] * b.rows[k][t]
+                        a.field.of(a.rows[i][j] * b.rows[k][t])
 
 
 @PROPS
@@ -193,6 +195,32 @@ def test_inverse_is_two_sided_when_it_exists(a):
     inv = a.inverse()
     eye = Matrix.identity(a.field, a.nrows)
     assert a * inv == eye and inv * a == eye
+
+
+@st.composite
+def f5_operands(draw):
+    """a (m x k), b (k x n), c of a's shape and a scalar, all over GF(5)."""
+    f, m, k, n = GF(5), draw(_dim()), draw(_dim()), draw(_dim())
+    return (draw(_matrix(f, m, k)), draw(_matrix(f, k, n)),
+            draw(_matrix(f, m, k)), f.of(*draw(_ENTRY)))
+
+
+@PROPS
+@given(f5_operands())
+def test_f5_results_hold_reduced_ints(ops):
+    a, b, c, s = ops
+    f = a.field
+    square = a * a.transpose()
+    results = [a * b, a + c, a - c, -a, a.scale(s), a.kron(b),
+               Matrix.block(f, [a.nrows, b.nrows], [a.ncols, b.ncols],
+                            {(0, 0): a, (1, 1): b}),
+               a.rref()[0], a.solve(a * b)] + a.nullspace()
+    if square.is_invertible():
+        results.append(square.inverse())
+    for r in results:
+        assert r.field == f
+        assert all(type(x) is int and 0 <= x < 5 for row in r.rows
+                   for x in row)
 
 
 @PROPS

@@ -33,6 +33,24 @@ def test_sigma2_keeps_vertical_moves_only():
     assert not pyr.leq((0, 2), (0, 1))
 
 
+@pytest.mark.parametrize("variant", [SIGMA, SIGMA2, LAMBDA])
+def test_covers_match_a_scan_of_the_morphisms(variant):
+    # leq reads a table of the category's arrows; the reference asks the
+    # category for each hom set
+    for n in range(6):
+        pyr = build_pyramid(n, variant)
+        cat, els = pyr.category, pyr.elements
+
+        def le(a, b):
+            return len(cat.hom(a, b)) == 1
+
+        expected = [(a, b) for a in els for b in els
+                    if a != b and le(a, b) and not any(
+                        c not in (a, b) and le(a, c) and le(c, b)
+                        for c in els)]
+        assert pyr.covers() == expected
+
+
 def _chain_of_spans(cat, spans):
     """Functor on the wide pyramid from a list of spans s_i: X_{i-1} => X_i."""
     n = len(spans)

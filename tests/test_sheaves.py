@@ -19,7 +19,8 @@ from sixff.sheaves import (
     identity_morphism, internal_hom, lan_identity_comparison, lan_shriek,
     norm_certificate, norm_map, projection_formula_cell_left,
     projection_formula_cell_right, ran_projection_cell, ran_star,
-    sheaf_from_rep, swap_cell, tensor, unit_sheaf, upper_shriek,
+    sheaf_from_rep, sheaves_equal, swap_cell, tensor, unit_sheaf,
+    upper_shriek,
     verify_base_change, verify_projection_formula, zero_sheaf,
 )
 from sixff.sheaves import _invariant_data
@@ -326,8 +327,8 @@ def test_lan_gate_raises_where_ran_does_not():
 
 
 def test_invariant_cache_keys_on_the_field():
-    # 0x0 matrices over QQ and GF(5) compare equal, so only the field in
-    # the key keeps the QQ data from answering the GF(5) call
+    # the zero sheaves over QQ and GF(5) have 0x0 matrices, with no entry
+    # to tell them apart; the QQ data must not answer the GF(5) call
     _invariant_data.cache_clear()
     for functor in (LanFunctor, RanFunctor):
         functor(P_C2)._data(zero_sheaf(BC2, QQ))
@@ -355,6 +356,14 @@ def test_invariant_cache_cold_equals_warm(field):
     again = data()
     assert _invariant_data.cache_info().misses == misses
     assert cold == warm == again
+
+
+def test_equality_sees_the_field():
+    # an F_p scalar is an int, and Fraction(1) == 1, so only the field
+    # tells these apart
+    for a, b, equal in ((QQ, GF(5), False), (GF(5), GF(5), True)):
+        assert (Matrix.identity(a, 2) == Matrix.identity(b, 2)) is equal
+        assert sheaves_equal(unit_sheaf(BC2, a), unit_sheaf(BC2, b)) is equal
 
 
 def test_unit_sheaf_on_bc2_has_identity_invariant_data():
