@@ -29,8 +29,8 @@ print("  End has dimension %d (the Hecke algebra!)" % hom_dim(ind, ind))
 
 print("\nnorm map along */C2 -> * on the trivial sheaf:")
 nm = norm_certificate(to_terminal(BC2, PT), unit_sheaf(BC2, QQ))
-print("  1x1 matrix %r - the order of C2, invertible over Q"
-      % nm.comp[PT.objects[0]].rows)
+print("  1x1 matrix %s - the order of C2, invertible over Q"
+      % nm.comp[PT.objects[0]])
 
 print("\nproper base change on the square * -> */S3 <- */C2:")
 pt_incl = Functor(PT, BS3, {PT.objects[0]: BS3.objects[0]},

@@ -29,8 +29,8 @@ for label, scalar in (("trivial", 1), ("sign", -1)):
           % (label, st.is_valid(datum)))
     V, theta = st.descend(datum)
     nontriv = [g for g in C2.elements if g != C2.identity][0]
-    print("    descends to the representation with matrix %r"
-          % V.mat[nontriv].rows)
+    print("    descends to the representation with matrix %s"
+          % V.mat[nontriv])
 
 print("\nbad gluing scalars are refused:")
 bad = {o: Matrix.from_int_rows(

@@ -1,12 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 Every computation in the engine is exact; there is no floating point
-anywhere.  A field object carries the arithmetic, and scalars are either
-`fractions.Fraction` (characteristic 0) or a plain `int` in `range(p)`
-(characteristic p).  Either prints as the report shows it (`1/2`, `3`),
-and zero is its only falsy value.  `PrimeField.of` and `inv` return
-reduced ints and `linalg.Matrix` reduces what it computes, so an F_p
-entry is never an unreduced int.
+anywhere.  A field object carries the arithmetic.  Over Q a scalar is a
+plain `int` when it is integral and a `fractions.Fraction` otherwise;
+over F_p it is an `int` in `range(p)`.  Python's mixed `int`/`Fraction`
+arithmetic is exact, and an integral `Fraction` that a product leaves
+behind compares, hashes and prints (`str`) like the equal `int`, so
+`linalg.Matrix` needs no normalising pass.  Every scalar prints by `str`
+as the report shows it (`1/2`, `3`), and zero is its only falsy value.
+`PrimeField.of` and `inv` return reduced ints and `linalg.Matrix` reduces
+what it computes, so an F_p entry is never an unreduced int.
 """
 
 from __future__ import annotations
@@ -61,31 +64,36 @@ class FpElement:
         return "%d" % self.val
 
 
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+def _rational(q):
+    """The Q scalar of the Fraction q: its numerator when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class RationalField:
-    """The rationals.  `zero` and `one` are shared constants (scalars are
-    immutable), so reading them in a matrix loop allocates nothing."""
+    """The rationals, with integral scalars held as ints.  `zero` and `one`
+    are `0` and `1`; they stay properties, as in `PrimeField`, so that the
+    benchmark's count-only tracer can count reads of them."""
 
     characteristic = 0
     name = "Q"
 
     def of(self, n, d=1):
-        return Fraction(n, d)
+        """n / d, an int when d divides n."""
+        return _rational(Fraction(n, d))
 
     @property
     def zero(self):
-        return _Q_ZERO
+        return 0
 
     @property
     def one(self):
-        return _Q_ONE
+        return 1
 
     def inv(self, x):
-        if x == 0:
+        if not x:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / x
+        # never 1 / x: on an int that is a float
+        return _rational(1 / Fraction(x))
 
     def __repr__(self):
         return "QQ"

@@ -136,15 +136,22 @@ def load_setup(doc):
     return GeometricSetup(cat, exc)
 
 
+def _int(x):
+    """An int given as a JSON int or as decimal text.  A JSON float or bool
+    is refused: int() would truncate it to a different scalar."""
+    if isinstance(x, (bool, float)):
+        raise ValueError("scalar part %r is not an integer" % (x,))
+    return int(x)
+
+
 def _scalar(field, v):
-    if isinstance(v, str):
-        if "/" in v:
-            num, den = v.split("/")
-            return field.of(int(num), int(den))
-        return field.of(int(v))
+    """A scalar written as n, "n", "n/d" or [n, d]."""
+    if isinstance(v, str) and "/" in v:
+        v = v.split("/")
     if isinstance(v, list):
-        return field.of(int(v[0]), int(v[1]))
-    return field.of(int(v))
+        num, den = v
+        return field.of(_int(num), _int(den))
+    return field.of(_int(v))
 
 
 def load_matrix(field, rows, ncols=None):

@@ -10,8 +10,12 @@ field's constants once, outside the loop.
 Over F_p every entry is an int in `range(p)` (see `fields`).  `__mul__`
 adds up unreduced products along each output row and reduces the row once
 (delayed modular reduction); every other operation that computes an entry
-reduces it, so `rref` can test zeros by truthiness.  Over Q the loops are
-the plain `Fraction` ones.
+reduces it, so `rref` can test zeros by truthiness.  Over Q an entry is an
+int when it is integral and a `Fraction` otherwise, so the loops over the
+mostly small integral entries run on Python's C-level int arithmetic.  A
+`Fraction` meets an int only in exact mixed arithmetic, and the integral
+`Fraction`s that leaves behind are equal, hash equal and print equal to
+the ints, so no loop normalises its results.
 """
 
 from __future__ import annotations
@@ -79,7 +83,12 @@ class Matrix:
             return h
 
     def __repr__(self):
-        return "Matrix(%dx%d, %r)" % (self.nrows, self.ncols, self.rows)
+        return "Matrix(%dx%d, %s)" % (self.nrows, self.ncols, self)
+
+    def __str__(self):
+        # entries by str, so 2 and Fraction(2) both print as 2
+        return "[%s]" % ", ".join("[%s]" % ", ".join(map(str, r))
+                                  for r in self.rows)
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -203,18 +212,14 @@ class Matrix:
         p, q = other.shape
         zero = f.zero
         out = [[zero] * (n * q) for _ in range(m * p)]
-        for i in range(m):
-            for j in range(n):
-                a = self.rows[i][j]
+        for i, arow in enumerate(self.rows):
+            for j, a in enumerate(arow):
                 if not a:
                     continue    # out is zero-filled already
-                for k in range(p):
-                    if char:
-                        out[i * p + k][j * q:(j + 1) * q] = [
-                            a * b % char for b in other.rows[k]]
-                    else:
-                        for l in range(q):
-                            out[i * p + k][j * q + l] = a * other.rows[k][l]
+                for k, brow in enumerate(other.rows):
+                    out[i * p + k][j * q:(j + 1) * q] = (
+                        [a * b % char for b in brow] if char
+                        else [a * b for b in brow])
         return Matrix(f, out, ncols=n * q)
 
     def submatrix(self, row_idx, col_idx):

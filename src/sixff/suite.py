@@ -420,7 +420,8 @@ def check_hecke(config, rng):
     te, tw = supp.index(2), supp.index(4)
     coords = sc[tw][tw]
     if not (coords[te] == QQ.of(2) and coords[tw] == QQ.of(1)):
-        return "fail", "T_w^2 != 2T_e + T_w: got %r" % (coords,)
+        return "fail", "T_w^2 != 2T_e + T_w: got [%s]" % ", ".join(
+            map(str, coords))
     iota, cert = anti_involution(alg)
     if not (cert.anti_multiplicative and cert.involutive):
         return "fail", "iota fails its certificates"

@@ -1,5 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +42,27 @@ def test_load_group_permutations_closed():
 def test_load_group_malformed():
     with pytest.raises(StructureError):
         load_group({"table": [[0, 1], [1, 1]]})
+
+
+def test_load_matrix_reads_q_scalars_as_ints_when_integral():
+    m = load_matrix(QQ, [["4/2", [4, 2], "3", 5, "1/3", [-2, 6]]])
+    assert m.rows == ((2, 2, 3, 5, Fraction(1, 3), Fraction(-1, 3)),)
+    assert [type(x) for x in m.rows[0]] == [int] * 4 + [Fraction] * 2
+
+
+@pytest.mark.parametrize("bad", [0.5, True, [1.5, 2], [1, 2, 3], "1/2/3"])
+def test_load_matrix_refuses_a_scalar_it_would_truncate(bad):
+    with pytest.raises(ValueError):
+        load_matrix(QQ, [[bad]])
+
+
+def test_python_dash_m_sixff_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "sixff", "presets"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("groups:")
 
 
 def test_load_groupoid_and_sheaf():

@@ -7,6 +7,9 @@ each scalar step through `field.of`, which over GF(5) is the reduced int
 that `Matrix` keeps.
 """
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,17 +200,33 @@ def test_inverse_is_two_sided_when_it_exists(a):
     assert a * inv == eye and inv * a == eye
 
 
+def _fraction_matrix(m, n):
+    """A QQ matrix whose every entry is a `Fraction`, integral ones too:
+    the form an entry can take after mixed int/Fraction arithmetic."""
+    cells = st.lists(_ENTRY, min_size=m * n, max_size=m * n)
+    return cells.map(lambda c: Matrix(
+        QQ, [[Fraction(*c[i * n + j]) for j in range(n)]
+             for i in range(m)], ncols=n))
+
+
 @st.composite
-def f5_operands(draw):
-    """a (m x k), b (k x n), c of a's shape and a scalar, all over GF(5)."""
-    f, m, k, n = GF(5), draw(_dim()), draw(_dim()), draw(_dim())
-    return (draw(_matrix(f, m, k)), draw(_matrix(f, k, n)),
-            draw(_matrix(f, m, k)), f.of(*draw(_ENTRY)))
+def operands(draw, field):
+    """a (m x k), b (k x n), c of a's shape and a scalar, all over `field`;
+    over QQ each matrix may hold its integral entries as `Fraction`s."""
+    m, k, n = draw(_dim()), draw(_dim()), draw(_dim())
+
+    def matrix(m, n):
+        if field == QQ and draw(st.booleans()):
+            return draw(_fraction_matrix(m, n))
+        return draw(_matrix(field, m, n))
+
+    return (matrix(m, k), matrix(k, n), matrix(m, k),
+            field.of(*draw(_ENTRY)))
 
 
-@PROPS
-@given(f5_operands())
-def test_f5_results_hold_reduced_ints(ops):
+def _results(ops):
+    """Every result of `*`, `+`, `-`, unary `-`, `scale`, `kron`, `block`,
+    `rref`, `inverse`, `solve` and `nullspace` on `operands`."""
     a, b, c, s = ops
     f = a.field
     square = a * a.transpose()
@@ -217,10 +236,45 @@ def test_f5_results_hold_reduced_ints(ops):
                a.rref()[0], a.solve(a * b)] + a.nullspace()
     if square.is_invertible():
         results.append(square.inverse())
-    for r in results:
-        assert r.field == f
+    assert all(r.field == f for r in results)
+    return results
+
+
+@PROPS
+@given(operands(GF(5)))
+def test_f5_results_hold_reduced_ints(ops):
+    for r in _results(ops):
         assert all(type(x) is int and 0 <= x < 5 for row in r.rows
                    for x in row)
+
+
+@PROPS
+@given(operands(QQ))
+def test_qq_results_stay_exact(ops):
+    # never a float (1 / x on an int) and never a bool (an int subclass)
+    for r in _results(ops):
+        assert all(type(x) in (int, Fraction) for row in r.rows
+                   for x in row)
+
+
+def test_qq_scalars_are_ints_when_integral():
+    assert type(QQ.of(4, 2)) is int and QQ.of(4, 2) == 2
+    assert QQ.of(1, 3) == Fraction(1, 3)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+
+
+def test_matrix_prints_entries_as_the_report_does():
+    for two in (2, Fraction(2)):
+        m = Matrix(QQ, [[two, Fraction(1, 2)]])
+        assert str(m) == "[[2, 1/2]]"
+        assert repr(m) == "Matrix(1x2, [[2, 1/2]])"
 
 
 @PROPS

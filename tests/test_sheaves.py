@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -359,11 +360,33 @@ def test_invariant_cache_cold_equals_warm(field):
 
 
 def test_equality_sees_the_field():
-    # an F_p scalar is an int, and Fraction(1) == 1, so only the field
+    # integral Q scalars and F_p scalars are both ints, so only the field
     # tells these apart
     for a, b, equal in ((QQ, GF(5), False), (GF(5), GF(5), True)):
         assert (Matrix.identity(a, 2) == Matrix.identity(b, 2)) is equal
         assert sheaves_equal(unit_sheaf(BC2, a), unit_sheaf(BC2, b)) is equal
+
+
+def test_scalar_representation_splits_no_equality_or_cache_entry():
+    # a QQ entry is an int when integral, but mixed arithmetic can leave an
+    # integral Fraction; both forms must be one matrix, one sheaf and one
+    # cache entry
+    def sign_rep(scalar):
+        mats = {g: Matrix(QQ, [[scalar(1 if g == C2sub.identity else -1)]])
+                for g in C2sub.elements}
+        return Sheaf(BC2, QQ, {BC2.objects[0]: 1}, mats, check=True)
+
+    as_ints, as_fractions = sign_rep(int), sign_rep(Fraction)
+    for g in C2sub.elements:
+        a, b = as_ints.mat[g], as_fractions.mat[g]
+        assert type(b.entry(0, 0)) is Fraction
+        assert a == b and hash(a) == hash(b)
+    assert sheaves_equal(as_ints, as_fractions)
+    _invariant_data.cache_clear()
+    for M in (as_ints, as_fractions):
+        LanFunctor(P_C2)._data(M)
+    assert _invariant_data.cache_info().misses == 1
+    assert _invariant_data.cache_info().hits == 1
 
 
 def test_unit_sheaf_on_bc2_has_identity_invariant_data():
