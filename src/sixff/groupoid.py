@@ -14,6 +14,8 @@ testing, component/automorphism extraction, and truncated Čech nerves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import getitem
 
 
 class StructureError(Exception):
@@ -726,6 +728,19 @@ def iso_comma_pullback(f, g):
     return IsoComma(P, p1, p2, phi)
 
 
+class _Composites:
+    """The composites g∘f of a category without a composition table, read
+    as `table[(g, f)]`, like a table."""
+
+    __slots__ = ("cat",)
+
+    def __init__(self, cat):
+        self.cat = cat
+
+    def __getitem__(self, gf):
+        return self.cat.compose(*gf)
+
+
 class RelProduct:
     """Anchored n-fold relative product of maps a_i: X_i -> S (n >= 2).
 
@@ -758,37 +773,34 @@ class RelProduct:
                         rec(i + 1, xs + [x], ms + [m])
 
         rec(0, [], [])
+        # each factor's morphisms out of each object, in morphism order
+        outs = []
+        for X in Xs:
+            out = {x: [] for x in X.objects}
+            for u in X.morphisms:
+                out[X.src[u]].append(u)
+            outs.append(out)
         morphisms, src, dst, ident, inv = [], {}, {}, {}, {}
         for o in objects:
             xs, ms = o
-            # enumerate tuples of morphisms out of xs
-            outs = [[u for u in Xs[i].morphisms if Xs[i].src[u] == xs[i]]
-                    for i in range(n)]
+            for us in product(*(out[x] for out, x in zip(outs, xs))):
+                back = S.inverse[As[0].mor[us[0]]]
+                new_ms = tuple(S.compose(As[k].mor[us[k]],
+                                         S.compose(ms[k - 1], back))
+                               for k in range(1, n))
+                o2 = (tuple(X.dst[u] for X, u in zip(Xs, us)), new_ms)
+                mm = (o, us)
+                morphisms.append(mm)
+                src[mm], dst[mm] = o, o2
+                inv[mm] = (o2, tuple(X.inverse[u] for X, u in zip(Xs, us)))
+            ident[o] = (o, tuple(X.identity[x] for X, x in zip(Xs, xs)))
+        # a factor's composition table, or for a factor without one (a
+        # product) its own compose; both are read as table[(g, f)]
+        tables = [X._comp if X._comp is not None else _Composites(X)
+                  for X in Xs]
 
-            def rec_m(i, us):
-                if i == n:
-                    us_t = tuple(us)
-                    a0u0 = As[0].mor[us[0]]
-                    new_ms = []
-                    for k in range(1, n):
-                        mk = S.compose(As[k].mor[us[k]],
-                                       S.compose(ms[k - 1], S.inverse[a0u0]))
-                        new_ms.append(mk)
-                    o2 = (tuple(Xs[i2].dst[us[i2]] for i2 in range(n)),
-                          tuple(new_ms))
-                    mm = (o, us_t)
-                    morphisms.append(mm)
-                    src[mm], dst[mm] = o, o2
-                    inv[mm] = (o2, tuple(Xs[i2].inverse[us[i2]] for i2 in range(n)))
-                    return
-                for u in outs[i]:
-                    rec_m(i + 1, us + [u])
-
-            rec_m(0, [])
-            ident[o] = (o, tuple(Xs[i].identity[xs[i]] for i in range(n)))
         def comp(m2, m1):
-            return (src[m1], tuple(Xs[i].compose(m2[1][i], m1[1][i])
-                                   for i in range(n)))
+            return (src[m1], tuple(map(getitem, tables, zip(m2[1], m1[1]))))
 
         self.grpd = FiniteGroupoid(objects, morphisms, src, dst, ident,
                                    comp, inv)

@@ -39,13 +39,15 @@ from .sheaves import (
 
 
 class KernelContext:
-    """Registry of kernel objects over S with cached fiber products."""
+    """Registry of kernel objects over S with cached fiber products and
+    projections between them."""
 
     def __init__(self, S, field):
         check_gate(field, S)
         self.S, self.field = S, field
         self.objects = {}
         self._prods = {}
+        self._projs = {}
 
     def add_object(self, name, X, a):
         assert a.dom is X and a.cod is self.S
@@ -61,9 +63,13 @@ class KernelContext:
         return self._prods[key]
 
     def proj(self, names, indices):
-        """The reindexing prod(names) -> prod(names[i] for i in indices)."""
-        return self.prod(names).proj_onto(
-            indices, self.prod([names[i] for i in indices]))
+        """The reindexing prod(names) -> prod(names[i] for i in indices),
+        built once, so the Kan functors along it share their fibers."""
+        key = (tuple(names), tuple(indices))
+        if key not in self._projs:
+            self._projs[key] = self.prod(names).proj_onto(
+                indices, self.prod([names[i] for i in indices]))
+        return self._projs[key]
 
     def legs(self, x, y, z):
         """(p12, p23, p13) out of prod(x, y, z)."""

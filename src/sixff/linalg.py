@@ -32,16 +32,21 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols", "field", "_hash")
 
     def __init__(self, field, rows, ncols=None):
+        # tuple() hands back a row that is a tuple already, so rows taken
+        # from another Matrix are not copied
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        if self.rows:
-            self.ncols = len(self.rows[0])
-        else:
+        self.rows = rows = tuple(map(tuple, rows))
+        self.nrows = len(rows)
+        if not rows:
             self.ncols = 0 if ncols is None else ncols
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
+            return
+        widths = set(map(len, rows))
+        if len(widths) != 1:
+            raise ValueError("ragged matrix")
+        (self.ncols,) = widths
+        if ncols is not None and ncols != self.ncols:
+            raise ValueError("ncols=%d, but the rows have %d entries"
+                             % (ncols, self.ncols))
 
     # -- constructors ------------------------------------------------------
 
@@ -53,8 +58,8 @@ class Matrix:
 
     @staticmethod
     def zero(field, m, n):
-        z = field.zero
-        return Matrix(field, [[z] * n for _ in range(m)], ncols=n)
+        # one row tuple, shared by every row: __init__ does not copy it
+        return Matrix(field, ((field.zero,) * n,) * m, ncols=n)
 
     @staticmethod
     def from_int_rows(field, rows):

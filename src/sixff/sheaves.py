@@ -23,6 +23,7 @@ invertible natural transformations - never searched.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
 from .fields import GateError, TheoremViolation, check_gate
@@ -240,10 +241,12 @@ class _Fiber:
 
     kind "lan": objects (y, m: f(y) -> x);  kind "ran": (y, m: x -> f(y)).
     `hom[(a, b)]` lists the morphisms a -> b of f.cod and `out[y]` those
-    out of y in f.dom, both in morphism order; one Kan functor builds them
-    once and shares them across its fibers.  `locate[o]` is (i, p): the
-    index i of o's component in `reps` and the morphism p: y_rep -> y of
-    f.dom along the breadth-first path rep -> o, composed once per object.
+    out of y in f.dom, both in morphism order, which is okey order; they
+    are built once per functor and shared across its fibers.  `reps` holds
+    the okey-least object of each component, `auts[rep]` the automorphisms
+    of rep in morphism order, and `locate[o]` is (i, p): the index i of o's
+    component in `reps` and the first morphism p: y_rep -> y of f.dom, in
+    morphism order, that is an arrow rep -> o of the fiber.
     """
 
     __slots__ = ("reps", "auts", "locate")
@@ -256,37 +259,56 @@ class _Fiber:
         else:
             objs = [(y, m) for y in Y.objects
                     for m in hom.get((x, f.ob[y]), ())]
-        # connecting arrows u: (y,m) -> (y',m') iff m'∘f(u) = m (lan)
-        #                                     iff f(u)∘m = m'  (ran)
-        adj = {o: [] for o in objs}
-        for (y, m) in objs:
+        reps, auts, locate = [], {}, {}
+        for rep in sorted(objs, key=okey):
+            if rep in locate:
+                continue
+            i = len(reps)
+            reps.append(rep)
+            locate[rep] = (i, Y.identity[rep[0]])
+            # arrows u: (y,m) -> (y',m') iff m'∘f(u) = m (lan)
+            #                            iff f(u)∘m = m'  (ran).
+            # The fiber is a groupoid, so every object of rep's component is
+            # the end of an arrow out of rep: one pass locates them all.
+            y, m = rep
+            auts[rep] = []
             for u in out[y]:
                 if kind == "lan":
                     m2 = X.compose(m, X.inverse[f.mor[u]])
                 else:
                     m2 = X.compose(f.mor[u], m)
                 o2 = (Y.dst[u], m2)
-                adj[(y, m)].append((u, o2))
-        objs_sorted = sorted(objs, key=okey)
-        locate = {}
-        reps = []
-        for o in objs_sorted:
-            if o in locate:
-                continue
-            i = len(reps)
-            reps.append(o)
-            locate[o] = (i, Y.identity[o[0]])
-            frontier = [o]
-            while frontier:
-                cur = frontier.pop(0)
-                for (u, o2) in sorted(adj[cur], key=lambda p: okey(p[0])):
-                    if o2 not in locate:
-                        locate[o2] = (i, Y.compose(u, locate[cur][1]))
-                        frontier.append(o2)
-        self.reps = reps
-        self.locate = locate
-        self.auts = {rep: [u for (u, o2) in adj[rep] if o2 == rep]
-                     for rep in reps}
+                if o2 == rep:
+                    auts[rep].append(u)
+                elif o2 not in locate:
+                    locate[o2] = (i, u)
+        self.reps, self.auts, self.locate = reps, auts, locate
+
+
+# The fibers of each functor object f, shared by every Kan functor on f:
+# _FIBERS[f] maps "hom" and "out" (see _Fiber) and each kind built so far
+# to its fibers.  Keyed weakly, so a dropped functor drops its fibers; no
+# value refers to f.
+_FIBERS = weakref.WeakKeyDictionary()
+
+
+def _fibers_of(f, kind):
+    """(fibers by target object, out) of f for kind "lan" or "ran"."""
+    shared = _FIBERS.get(f)
+    if shared is None:
+        Y, X = f.dom, f.cod
+        hom, out = {}, {y: [] for y in Y.objects}
+        for m in X.morphisms:
+            hom.setdefault((X.src[m], X.dst[m]), []).append(m)
+        for u in Y.morphisms:
+            out[Y.src[u]].append(u)
+        shared = _FIBERS[f] = {"hom": hom, "out": out}
+    fibers = shared.get(kind)
+    if fibers is None:
+        fibers = shared[kind] = {
+            x: _Fiber(f, x, kind, shared["hom"], shared["out"])
+            for x in f.cod.objects}
+    return fibers, shared["out"]
 
 
 # ---------------------------------------------------------------------------
@@ -399,29 +421,27 @@ class _KanExtension(SheafFunctor):
     defines `_blocks`.
 
     Memo levels:
+      - per functor object f, in `_FIBERS`: the fibers, built on the first
+        Kan functor of their kind on f and shared by every later one, so a
+        new `LanFunctor(f)` builds no groupoid data.  The entry is keyed
+        weakly by f and holds no sheaf, so it lives exactly as long as f;
       - per functor instance, keyed by the sheaf instance id(M): the entry
         [M, data, built sheaf] holds M, so the id stays unique, and the
         sheaf f_!M or f_*M, built on the first `obj` call, so `obj`, `mor`
-        and the adjunction cells build it once per sheaf;
+        and the adjunction cells build it once per sheaf.  It stays per
+        instance: kept on f, it would keep every sheaf ever pushed along a
+        long-lived f alive;
       - `_invariant_data`, shared by every Kan functor and keyed by
         content: (field, dim M(y_rep), the tuple of matrices M(u) over the
         component's automorphisms u, averaging).  So a new functor over the
         same fibers, or a new sheaf with the same matrices, solves nothing
         again.
     The gate is checked whenever the data of a sheaf is computed, before
-    the second level, so a GateError is never cached."""
+    the last level, so a GateError is never cached."""
 
     def __init__(self, f):
         self.f = f
-        Y, X = f.dom, f.cod
-        hom, out = {}, {y: [] for y in Y.objects}
-        for m in X.morphisms:
-            hom.setdefault((X.src[m], X.dst[m]), []).append(m)
-        for u in Y.morphisms:
-            out[Y.src[u]].append(u)
-        self._out = out
-        self.fibers = {x: _Fiber(f, x, self.kind, hom, out)
-                       for x in X.objects}
+        self.fibers, self._out = _fibers_of(f, self.kind)
         self.name = "%s%s" % (f.name or "f", self.suffix)
         self._cache = {}
 

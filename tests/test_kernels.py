@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -247,6 +249,77 @@ def test_swap_compatibility_group_base():
     assert sheaves_equal(cell.src, sw.payload)
     rhs = kernel_compose(kernel_swap(N), kernel_swap(M))
     assert sheaves_equal(cell.dst, rhs.payload)
+
+
+def test_proj_is_built_once_per_names_and_indices():
+    ctx = KernelContext(BS3, QQ)
+    for name in ("Y0", "Y1"):
+        ctx.add_object(name, BC2, INCL)
+    p = ctx.proj(("Y0", "Y1", "Y1"), (0, 2))
+    assert ctx.proj(["Y0", "Y1", "Y1"], [0, 2]) is p
+    assert ctx.legs("Y0", "Y1", "Y1")[2] is p
+    assert ctx.proj(("Y0", "Y1", "Y1"), (0, 1)) is not p
+
+
+class _TrackedSheaf(Sheaf):
+    """A Sheaf that can be referenced weakly."""
+
+
+def test_sheaf_is_freed_with_its_kan_functor_on_a_memoised_proj():
+    ctx = KernelContext(BS3, QQ)
+    for name in ("Y0", "Y1"):
+        ctx.add_object(name, BC2, INCL)
+    p13 = ctx.proj(("Y0", "Y1", "Y1"), (0, 2))
+    base = ctx.prod(("Y0", "Y1", "Y1")).grpd
+    unit = unit_sheaf(base, QQ)
+    M = _TrackedSheaf(base, QQ, unit.dim, unit.mat)
+    F = LanFunctor(p13)
+    F.obj(M)
+    ref = weakref.ref(M)
+    del M, F
+    gc.collect()
+    assert ref() is None
+    # the fibers outlive the functor, on the proj that the context keeps
+    assert LanFunctor(p13).fibers is LanFunctor(ctx.proj(
+        ("Y0", "Y1", "Y1"), (0, 2))).fibers
+
+
+def test_associator_and_unitors_over_bs3_with_sign_kernels():
+    """Kernels between (BC2, INCL) objects over BS3 built from the sign
+    and trivial characters: the fibers of every leg have automorphisms."""
+    from sixff.sheaves import sheaf_from_rep
+    ctx = KernelContext(BS3, QQ)
+    for name in ("Y0", "Y1", "Y2", "Y3"):
+        ctx.add_object(name, BC2, INCL)
+    sign = sheaf_from_rep(BC2, QQ, {
+        g: Matrix.from_int_rows(QQ, [[1 if g == C2.identity else -1]])
+        for g in C2.elements})
+    triv = unit_sheaf(BC2, QQ)
+
+    def kernel(tgt, src, left, right):
+        rp = ctx.prod((tgt, src))
+        payload = tensor(PullbackFunctor(rp.factor_proj(0)).obj(left),
+                         PullbackFunctor(rp.factor_proj(1)).obj(right))
+        return Kernel(ctx, src, tgt, payload)
+
+    M = kernel("Y0", "Y1", sign, triv)
+    N = kernel("Y1", "Y2", triv, sign)
+    L = kernel("Y2", "Y3", sign, sign)
+    al = associator(M, N, L)
+    assert al.is_invertible()
+    lhs = kernel_compose(kernel_compose(M, N), L)
+    rhs = kernel_compose(M, kernel_compose(N, L))
+    assert sheaves_equal(al.src, lhs.payload)
+    assert sheaves_equal(al.dst, rhs.payload)
+    assert sum(lhs.payload.dim.values()) == 54    # not vacuous
+    ru, lu = right_unitor(M), left_unitor(M)
+    for cell in (ru, lu):
+        assert cell.is_invertible()
+        assert sheaves_equal(cell.dst, M.payload)
+    assert sheaves_equal(ru.src,
+                         kernel_compose(M, kernel_identity(ctx, "Y1")).payload)
+    assert sheaves_equal(lu.src,
+                         kernel_compose(kernel_identity(ctx, "Y0"), M).payload)
 
 
 def test_phi_graph_kernel():

@@ -300,3 +300,24 @@ def test_direct_sum_is_block_diagonal_placement(blocks):
                            {(i, i): b for i, b in enumerate(blocks)})
     got = Matrix.direct_sum(f, blocks)
     assert got.shape == ref.shape and got.rows == ref.rows
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([[1, 2], [3]], None),      # ragged rows
+    ([[1, 2], [3]], 2),
+    ([[1, 2]], 3),              # ncols disagrees with the rows
+    ([[1, 2], [3, 4]], 1),
+    ([[], []], 2),
+])
+def test_bad_shapes_raise(rows, ncols):
+    with pytest.raises(ValueError):
+        Matrix(QQ, rows, ncols=ncols)
+
+
+def test_ncols_is_kept_for_empty_rows_and_shares_tuple_rows():
+    assert Matrix(QQ, [], ncols=3).shape == (0, 3)
+    assert Matrix(QQ, [[], []], ncols=0).shape == (2, 0)
+    a = Matrix(QQ, [[1, 2], [3, 4]])
+    b = Matrix(QQ, a.rows, ncols=2)
+    assert b.shape == (2, 2)
+    assert all(r is s for r, s in zip(b.rows, a.rows))

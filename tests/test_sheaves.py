@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +10,7 @@ from sixff import presets
 from sixff.fields import GF, QQ, GateError, check_gate
 from sixff.groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
-    terminal_groupoid, to_terminal,
+    okey, rel_product, terminal_groupoid, to_terminal,
 )
 from sixff.linalg import Matrix, stack_columns, stack_rows
 from sixff.sheaves import (
@@ -24,7 +27,7 @@ from sixff.sheaves import (
     upper_shriek,
     verify_base_change, verify_projection_formula, zero_sheaf,
 )
-from sixff.sheaves import _invariant_data
+from sixff.sheaves import _FIBERS, _invariant_data
 
 S3 = presets.group("S3")
 BS3 = delooping(S3)
@@ -578,3 +581,137 @@ def test_hom_space_elements_are_natural(field):
         assert all(b.validate() == [] for b in basis)
     iso = find_isomorphism(std, gstd)
     assert iso is not None and iso.validate() == []
+
+
+# ---------------------------------------------------------------------------
+# Fibers: shared per functor object, and equal to a plain breadth-first search
+# ---------------------------------------------------------------------------
+
+def _reference_fiber(f, x, kind):
+    """(reps, locate, auts) of the fiber of f over x by a plain
+    breadth-first search: every adjacency list sorted by okey, the frontier
+    a list popped from the front."""
+    Y, X = f.dom, f.cod
+    if kind == "lan":
+        objs = [(y, m) for y in Y.objects for m in X.hom(f.ob[y], x)]
+    else:
+        objs = [(y, m) for y in Y.objects for m in X.hom(x, f.ob[y])]
+    adj = {o: [] for o in objs}
+    for (y, m) in objs:
+        for u in Y.morphisms:
+            if Y.src[u] != y:
+                continue
+            if kind == "lan":
+                m2 = X.compose(m, X.inverse[f.mor[u]])
+            else:
+                m2 = X.compose(f.mor[u], m)
+            adj[(y, m)].append((u, (Y.dst[u], m2)))
+    locate, reps = {}, []
+    for o in sorted(objs, key=okey):
+        if o in locate:
+            continue
+        i = len(reps)
+        reps.append(o)
+        locate[o] = (i, Y.identity[o[0]])
+        frontier = [o]
+        while frontier:
+            cur = frontier.pop(0)
+            for (u, o2) in sorted(adj[cur], key=lambda p: okey(p[0])):
+                if o2 not in locate:
+                    locate[o2] = (i, Y.compose(u, locate[cur][1]))
+                    frontier.append(o2)
+    auts = {rep: [u for (u, o2) in adj[rep] if o2 == rep] for rep in reps}
+    return reps, locate, auts
+
+
+_C3 = S3.subgroup(S3.generated_subgroup([(1, 2, 0)]), name="C3")
+_TRIVIAL = presets.group("1")
+# (group, generators) for the components of the random disjoint unions
+_GROUPS = ((S3, [(1, 0, 2), (1, 2, 0)]), (C2sub, [(1, 0, 2)]),
+           (_C3, [(1, 2, 0)]), (_TRIVIAL, []))
+
+
+def _homomorphisms(G, gens, H):
+    """Every homomorphism G -> H, each as a dict, found from the images of
+    the generators of G."""
+    out = []
+    for images in product(H.elements, repeat=len(gens)):
+        phi = {G.identity: H.identity}
+        todo = [G.identity]
+        for g in todo:
+            for s, t in zip(gens, images):
+                sg, img = G.mul(s, g), H.mul(t, phi[g])
+                if sg not in phi:
+                    phi[sg] = img
+                    todo.append(sg)
+        if all(phi[G.mul(a, b)] == H.mul(phi[a], phi[b])
+               for a in G.elements for b in G.elements):
+            out.append(phi)
+    return out
+
+
+def _random_union_map(rng):
+    """A random functor between disjoint unions of deloopings, given on
+    each component of the domain by a random homomorphism into a random
+    component of the codomain."""
+    dom = [rng.choice(_GROUPS) for _ in range(rng.randint(1, 3))]
+    cod = [rng.choice(_GROUPS)[0] for _ in range(rng.randint(1, 2))]
+    D = disjoint_union([delooping(G) for G, _ in dom])
+    C = disjoint_union([delooping(H) for H in cod])
+    ob, mor = {}, {}
+    for i, (G, gens) in enumerate(dom):
+        j = rng.randrange(len(cod))
+        phi = rng.choice(_homomorphisms(G, gens, cod[j]))
+        ob[(i, "*")] = (j, "*")
+        mor.update({(i, g): (j, phi[g]) for g in G.elements})
+    return Functor(D, C, ob, mor)
+
+
+def _product_projection():
+    """pr02 out of the triple product of (BC2, INCL) over BS3, a functor
+    whose fibers have components of several objects."""
+    triple = rel_product(BS3, [(BC2, INCL)] * 3)
+    return triple.proj_onto((0, 2), rel_product(BS3, [(BC2, INCL)] * 2))
+
+
+@pytest.mark.parametrize("kind", [LanFunctor, RanFunctor], ids=["lan", "ran"])
+def test_fibers_equal_the_plain_breadth_first_search(kind):
+    rng = random.Random(13)
+    nontrivial = 0
+    for f in [_random_union_map(rng) for _ in range(25)] + [
+            _product_projection()]:
+        assert f.validate() == []
+        F = kind(f)
+        assert F.fibers.keys() == set(f.cod.objects)
+        for x, fiber in F.fibers.items():
+            reps, locate, auts = _reference_fiber(f, x, F.kind)
+            assert fiber.reps == reps
+            assert fiber.locate == locate
+            assert fiber.auts == auts
+            nontrivial += any(len(a) > 1 for a in auts.values())
+    assert nontrivial > 0
+
+
+def test_kan_functors_on_one_functor_share_fibers_not_sheaf_memos():
+    M = sign_rep_c2()
+    F1, F2 = LanFunctor(INCL), LanFunctor(INCL)
+    assert F1.fibers is F2.fibers
+    assert RanFunctor(INCL).fibers is RanFunctor(INCL).fibers
+    assert RanFunctor(INCL).fibers is not F1.fibers
+    assert F1._cache is not F2._cache
+    F1.obj(M)
+    assert id(M) in F1._cache and id(M) not in F2._cache
+    # keyed by the functor object, not by its content
+    twin = Functor(INCL.dom, INCL.cod, INCL.ob, INCL.mor)
+    assert LanFunctor(twin).fibers is not F1.fibers
+
+
+def test_fibers_are_dropped_with_their_functor():
+    f = Functor(INCL.dom, INCL.cod, INCL.ob, INCL.mor)
+    LanFunctor(f).obj(sign_rep_c2())
+    RanFunctor(f)
+    assert f in _FIBERS
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
