@@ -22,7 +22,7 @@ print("\nfiber product */C2 x_{*/S3} */C2:")
 ic = iso_comma_pullback(incl, incl)
 print("  objects: %d (one per group element)" % len(ic.grpd.objects))
 for rep, auts, _table in pi0_and_aut(ic.grpd):
-    print("  component of %-30s |Aut| = %d" % (rep[2], len(auts)))
+    print("  component of %-30s |Aut| = %d" % (rep[1][0], len(auts)))
 print("two components with automorphism orders 2 and 1: the two double")
 print("cosets C2\\S3/C2 of sizes 2 and 4, exactly as the stabilizers say.")
 

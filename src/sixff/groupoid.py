@@ -6,14 +6,16 @@ nested tuples); equality is always by id, never positional.  All structure
 axiom check is an exact table lookup.
 
 The module provides validation, deloopings of finite groups, action
-groupoids, iso-comma fiber products (the 2-categorical pullback of
-groupoids), anchored n-fold relative products, skeletalization, equivalence
-testing, component/automorphism extraction, and truncated Čech nerves.
+groupoids, anchored n-fold relative products (the one fiber-product
+construction; the iso-comma 2-categorical pullback of groupoids is its
+binary case), skeletalization, equivalence testing, component/automorphism
+extraction, and truncated Čech nerves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import getitem
 
@@ -451,26 +453,6 @@ def disjoint_union(grpds):
 # Components, automorphism groups, skeletalization, equivalence
 # ---------------------------------------------------------------------------
 
-def _components(grpd):
-    parent = {x: x for x in grpd.objects}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for m in grpd.morphisms:
-        a, b = find(grpd.src[m]), find(grpd.dst[m])
-        if a != b:
-            parent[max(a, b, key=okey)] = min(a, b, key=okey)
-    comps = {}
-    for x in grpd.objects:
-        comps.setdefault(find(x), []).append(x)
-    return {rep: sorted(xs, key=okey) for rep, xs in
-            sorted(comps.items(), key=lambda kv: okey(kv[0]))}
-
-
 def pi0_and_aut(grpd):
     """List of (component representative, automorphism multiplication table).
 
@@ -478,39 +460,39 @@ def pi0_and_aut(grpd):
     representative (all invertible in a groupoid).
     """
     out = []
-    for rep, _xs in _components(grpd).items():
-        auts = grpd.hom(rep, rep)
+    for rep in dict.fromkeys(transport_to_reps(grpd)[1].values()):
+        auts = tuple(grpd.hom(rep, rep))
         table = {(g, h): grpd.compose(g, h) for g in auts for h in auts}
-        out.append((rep, tuple(sorted(auts, key=okey)), table))
+        out.append((rep, auts, table))
     return out
 
 
 def transport_to_reps(grpd):
     """For each object pick a morphism t_x: rep -> x (t_rep = id), by
-    deterministic BFS inside each component."""
+    deterministic BFS inside each component.  The representative is the
+    okey-least object of its component: objects are visited in okey order,
+    and in a groupoid each reaches its whole component."""
     t = {}
     comp_of = {}
     by_src = {}
-    for m in sorted(grpd.morphisms, key=okey):
+    for m in grpd.morphisms:
         by_src.setdefault(grpd.src[m], []).append(m)
-    for rep, xs in _components(grpd).items():
+    for rep in grpd.objects:
+        if rep in comp_of:
+            continue
         t[rep] = grpd.identity[rep]
         comp_of[rep] = rep
         frontier = [rep]
-        seen = {rep}
         while frontier:
             new = []
             for x in frontier:
                 for m in by_src.get(x, ()):
                     y = grpd.dst[m]
-                    if y not in seen:
-                        seen.add(y)
+                    if y not in comp_of:
                         t[y] = grpd.compose(m, t[x])
                         comp_of[y] = rep
                         new.append(y)
             frontier = new
-        for x in xs:
-            comp_of[x] = rep
     return t, comp_of
 
 
@@ -666,68 +648,6 @@ def equivalent_groupoids(X, Y):
 # Iso-comma fiber products and anchored relative products
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IsoComma:
-    grpd: FiniteGroupoid
-    p1: Functor   # to the domain of f
-    p2: Functor   # to the domain of g
-    phi: NatTrans  # f∘p1 -> g∘p2, invertible
-
-    def mediate(self, W, p, q, nu):
-        """Universal factorization: for a cone (p: W->Y, q: W->X,
-        nu: f∘p -> g∘q) return the induced functor W -> grpd."""
-        ob = {w: (p.ob[w], q.ob[w], nu.component[w]) for w in W.objects}
-        mor = {m: (ob[W.src[m]], (p.mor[m], q.mor[m])) for m in W.morphisms}
-        return Functor(W, self.grpd, ob, mor, name="mediator")
-
-
-def iso_comma_pullback(f, g):
-    """2-categorical fiber product of groupoids along f: Y -> S <- X :g.
-
-    Objects are triples (y, x, m) with m: f(y) -> g(x) in S; morphisms are
-    pairs (u, v) making the evident square commute.
-    """
-    Y, X, S = f.dom, g.dom, f.cod
-    if not (Y.is_groupoid and X.is_groupoid and S.is_groupoid):
-        raise StructureError("iso-comma is defined here only for groupoids")
-    objects = []
-    for y in Y.objects:
-        for x in X.objects:
-            for m in S.hom(f.ob[y], g.ob[x]):
-                objects.append((y, x, m))
-    morphisms, src, dst, ident, inv = [], {}, {}, {}, {}
-    for o in objects:
-        y, x, m = o
-        for u in Y.morphisms:
-            if Y.src[u] != y:
-                continue
-            fu = f.mor[u]
-            for v in X.morphisms:
-                if X.src[v] != x:
-                    continue
-                # target anchor: m' with m'∘f(u) = g(v)∘m
-                m2 = S.compose(g.mor[v], S.compose(m, S.inverse[fu]))
-                o2 = (Y.dst[u], X.dst[v], m2)
-                mm = (o, (u, v))
-                morphisms.append(mm)
-                src[mm], dst[mm] = o, o2
-                inv[mm] = (o2, (Y.inverse[u], X.inverse[v]))
-        ident[o] = (o, (Y.identity[y], X.identity[x]))
-    def comp(m2, m1):
-        o1, (u1, v1) = m1
-        _o2, (u2, v2) = m2
-        return (o1, (Y.compose(u2, u1), X.compose(v2, v1)))
-
-    P = FiniteGroupoid(objects, morphisms, src, dst, ident, comp, inv)
-    p1 = Functor(P, Y, {o: o[0] for o in objects},
-                 {m: m[1][0] for m in morphisms}, name="pr1")
-    p2 = Functor(P, X, {o: o[1] for o in objects},
-                 {m: m[1][1] for m in morphisms}, name="pr2")
-    phi = NatTrans(compose_functors(f, p1), compose_functors(g, p2),
-                   {o: o[2] for o in objects})
-    return IsoComma(P, p1, p2, phi)
-
-
 class _Composites:
     """The composites g∘f of a category without a composition table, read
     as `table[(g, f)]`, like a table."""
@@ -739,6 +659,12 @@ class _Composites:
 
     def __getitem__(self, gf):
         return self.cat.compose(*gf)
+
+
+def _table(cat):
+    """`cat`'s composition table, or for a category without one (a
+    product) its own compose; both are read as table[(g, f)]."""
+    return cat._comp if cat._comp is not None else _Composites(cat)
 
 
 class RelProduct:
@@ -773,31 +699,29 @@ class RelProduct:
                         rec(i + 1, xs + [x], ms + [m])
 
         rec(0, [], [])
-        # each factor's morphisms out of each object, in morphism order
-        outs = []
-        for X in Xs:
+        # each factor's legs (u, dst u, u^-1, a(u)) out of each object, in
+        # morphism order
+        legs = []
+        for X, a in factors:
             out = {x: [] for x in X.objects}
             for u in X.morphisms:
-                out[X.src[u]].append(u)
-            outs.append(out)
+                out[X.src[u]].append((u, X.dst[u], X.inverse[u], a.mor[u]))
+            legs.append(out)
+        s_comp, s_inv = _table(S), S.inverse
         morphisms, src, dst, ident, inv = [], {}, {}, {}, {}
         for o in objects:
             xs, ms = o
-            for us in product(*(out[x] for out, x in zip(outs, xs))):
-                back = S.inverse[As[0].mor[us[0]]]
-                new_ms = tuple(S.compose(As[k].mor[us[k]],
-                                         S.compose(ms[k - 1], back))
-                               for k in range(1, n))
-                o2 = (tuple(X.dst[u] for X, u in zip(Xs, us)), new_ms)
+            for combo in product(*(out[x] for out, x in zip(legs, xs))):
+                us, ys, vs, aus = zip(*combo)
+                back = s_inv[aus[0]]
+                o2 = (ys, tuple(s_comp[(au, s_comp[(m, back)])]
+                                for au, m in zip(aus[1:], ms)))
                 mm = (o, us)
                 morphisms.append(mm)
                 src[mm], dst[mm] = o, o2
-                inv[mm] = (o2, tuple(X.inverse[u] for X, u in zip(Xs, us)))
+                inv[mm] = (o2, vs)
             ident[o] = (o, tuple(X.identity[x] for X, x in zip(Xs, xs)))
-        # a factor's composition table, or for a factor without one (a
-        # product) its own compose; both are read as table[(g, f)]
-        tables = [X._comp if X._comp is not None else _Composites(X)
-                  for X in Xs]
+        tables = [_table(X) for X in Xs]
 
         def comp(m2, m1):
             return (src[m1], tuple(map(getitem, tables, zip(m2[1], m1[1]))))
@@ -848,8 +772,44 @@ class RelProduct:
         return Functor(X, self.grpd, ob, mor, name="diag")
 
 
-def rel_product(S, factors):
-    return RelProduct(S, factors)
+class IsoComma(RelProduct):
+    """2-categorical fiber product Y x_S X of groupoids along
+    f: Y -> S <- X :g, the binary relative product with factors (Y, f) and
+    (X, g).  Objects are ((y, x), (m,)) with m: f(y) -> g(x) in S;
+    morphisms are pairs (u, v) making the evident square commute.  The
+    legs are built on first use: most callers read only `grpd`."""
+
+    @cached_property
+    def p1(self):
+        """Projection to the domain of f."""
+        return self.factor_proj(0)
+
+    @cached_property
+    def p2(self):
+        """Projection to the domain of g."""
+        return self.factor_proj(1)
+
+    @cached_property
+    def phi(self):
+        """The invertible comparison f∘p1 -> g∘p2."""
+        (_, f), (_, g) = self.factors
+        return NatTrans(compose_functors(f, self.p1),
+                        compose_functors(g, self.p2),
+                        {o: o[1][0] for o in self.grpd.objects})
+
+    def mediate(self, W, p, q, nu):
+        """Universal factorization: for a cone (p: W->Y, q: W->X,
+        nu: f∘p -> g∘q) return the induced functor W -> grpd."""
+        ob = {w: ((p.ob[w], q.ob[w]), (nu.component[w],)) for w in W.objects}
+        mor = {m: (ob[W.src[m]], (p.mor[m], q.mor[m])) for m in W.morphisms}
+        return Functor(W, self.grpd, ob, mor, name="mediator")
+
+
+def iso_comma_pullback(f, g):
+    """2-categorical fiber product of groupoids along f: Y -> S <- X :g."""
+    if not (f.dom.is_groupoid and g.dom.is_groupoid and f.cod.is_groupoid):
+        raise StructureError("iso-comma is defined here only for groupoids")
+    return IsoComma(f.cod, [(f.dom, f), (g.dom, g)])
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +878,7 @@ def cech_nerve(f, N=3):
     levels = [Y]
     prods = [None]
     for n in range(1, N + 1):
-        rp = rel_product(X, [(Y, f)] * (n + 1))
+        rp = RelProduct(X, [(Y, f)] * (n + 1))
         prods.append(rp)
         levels.append(rp.grpd)
     faces = [None] * (N + 1)

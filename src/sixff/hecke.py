@@ -84,14 +84,15 @@ def _cross_check_against_fiber_product(dc):
         raise TheoremViolation(
             "fiber product component count %d != double coset count %d"
             % (len(comps), len(dc.representatives)))
-    # component containing (•,•,m) corresponds to the double coset of m^{-1}
+    # component containing ((•,•),(m,)) corresponds to the double coset
+    # of m^{-1}
     expected = {}
     for w, st in zip(dc.representatives, dc.stabilizer_orders):
         orbit = frozenset(G.mul(G.mul(h, w), k) for h in H.elements
                           for k in K.elements)
         expected[orbit] = st
     for rep_obj, auts, _table in comps:
-        m = rep_obj[2]
+        m = rep_obj[1][0]
         w = G.inv(m)
         orbit = frozenset(G.mul(G.mul(h, w), k) for h in H.elements
                           for k in K.elements)

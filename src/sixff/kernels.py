@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .fields import check_gate
 from .groupoid import (
-    Functor, NatTrans, compose_functors, rel_product,
+    Functor, NatTrans, RelProduct, compose_functors,
 )
 from .linalg import Matrix
 from .sheaves import (
@@ -59,7 +59,7 @@ class KernelContext:
         key = tuple(names)
         if key not in self._prods:
             factors = [self.objects[n] for n in key]
-            self._prods[key] = rel_product(self.S, factors)
+            self._prods[key] = RelProduct(self.S, factors)
         return self._prods[key]
 
     def proj(self, names, indices):
@@ -433,7 +433,7 @@ class MapCalculus:
         self.f, self.field = f, field
         X, S = f.dom, f.cod
         self.X, self.S = X, S
-        self.rp = rel_product(S, [(X, f), (X, f)])
+        self.rp = RelProduct(S, [(X, f), (X, f)])
         self.PXX = self.rp.grpd
         self.pi1 = self.rp.factor_proj(0)
         self.pi2 = self.rp.factor_proj(1)

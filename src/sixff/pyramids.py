@@ -330,7 +330,7 @@ class DescentIndex:
     def fiber_power(self, obj, base, cover_maps):
         """Attach a cover: the fiber power of the cover members named by
         `obj` (a Delta_I object ([n], i_bullet) or a P_I subset)."""
-        from .groupoid import rel_product
+        from .groupoid import RelProduct
         if self.kind == "delta":
             _n, idx = obj
             factors = [cover_maps[i] for i in idx]
@@ -338,7 +338,7 @@ class DescentIndex:
             factors = [cover_maps[i] for i in sorted(obj)]
         if len(factors) == 1:
             return factors[0][0]
-        return rel_product(base, factors).grpd
+        return RelProduct(base, factors).grpd
 
 
 def descent_index(index_set, kind="delta", truncation=2):

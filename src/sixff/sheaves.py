@@ -933,7 +933,7 @@ class CommutingSquare:
 
     @staticmethod
     def from_iso_comma(f, g):
-        from .groupoid import iso_comma_pullback, compose_functors
+        from .groupoid import iso_comma_pullback
         ic = iso_comma_pullback(f, g)
         return CommutingSquare(f, g, ic.p2, ic.p1, ic.phi), ic
 

@@ -3,9 +3,10 @@ import pytest
 from sixff.groupoid import (
     FiniteCategory, FiniteGroupoid, Functor, StructureError,
     action_groupoid, cech_nerve, compose_functors, delooping,
-    delooping_hom, disjoint_union, equivalent_groupoids, identity_functor,
-    iso_comma_pullback, pi0_and_aut, rel_product, skeletalize,
-    terminal_groupoid, to_terminal, validate_category, validate_functor,
+    delooping_hom, disjoint_union, equivalent_groupoids, functors_equal,
+    identity_functor, iso_comma_pullback, okey, pi0_and_aut, poset_category,
+    RelProduct, skeletalize, terminal_groupoid, to_terminal,
+    transport_to_reps, validate_category, validate_functor,
     group_table_isomorphic,
 )
 from sixff.groups import FiniteGroup
@@ -175,6 +176,17 @@ def test_iso_comma_mediator():
     u = ic.mediate(BC2, identity_functor(BC2), identity_functor(BC2), nu)
     assert validate_functor(u) == []
     assert compose_functors(ic.p1, u).ob == identity_functor(BC2).ob
+    for p in (ic.p1, ic.p2):
+        assert functors_equal(compose_functors(p, u), identity_functor(BC2))
+    for w in BC2.objects:
+        assert ic.phi.component[u.ob[w]] == nu.component[w]
+
+
+def test_iso_comma_rejects_non_groupoids():
+    P = poset_category([0, 1], lambda a, b: a <= b)
+    f = identity_functor(P)
+    with pytest.raises(StructureError):
+        iso_comma_pullback(f, f)
 
 
 def test_pi0_discrete_and_torsor():
@@ -200,6 +212,57 @@ def test_action_groupoid_swap():
     assert len(comps) == 1
     assert len(comps[0][1]) == 1  # trivial automorphisms
     assert equivalent_groupoids(G, terminal_groupoid())
+
+
+def _swap_groupoid():
+    C2 = presets.group("C2")
+    act = {(0, "p"): "p", (0, "q"): "q", (1, "p"): "q", (1, "q"): "p"}
+    return action_groupoid(C2, ["q", "p"], act)[0]
+
+
+def _conjugation_groupoid():
+    S3 = presets.group("S3")
+    act = {(g, x): S3.mul(S3.mul(g, x), S3.inv(g))
+           for g in S3.elements for x in S3.elements}
+    return action_groupoid(S3, list(S3.elements), act)[0]
+
+
+@pytest.mark.parametrize("make", [
+    # twelve summands: (10, .) sorts before (2, .) under okey
+    lambda: disjoint_union(
+        [_swap_groupoid(), delooping(presets.group("C2")),
+         terminal_groupoid()] * 4),
+    lambda: disjoint_union([delooping(presets.group("C2")),
+                            terminal_groupoid()]),
+    _conjugation_groupoid,
+], ids=["mixed-union", "BC2+pt", "S3-conjugation"])
+def test_transport_to_reps_picks_least_object(make):
+    G = make()
+    t, comp_of = transport_to_reps(G)
+    # components by undirected closure, independent of the BFS
+    comp = {}
+    for x in G.objects:
+        if x in comp:
+            continue
+        members, stack = {x}, [x]
+        while stack:
+            y = stack.pop()
+            for m in G.morphisms:
+                for a, b in ((G.src[m], G.dst[m]), (G.dst[m], G.src[m])):
+                    if a == y and b not in members:
+                        members.add(b)
+                        stack.append(b)
+        for y in members:
+            comp[y] = frozenset(members)
+    assert set(comp_of) == set(t) == set(G.objects)
+    for x in G.objects:
+        assert comp_of[x] == min(comp[x], key=okey)
+        assert G.src[t[x]] == comp_of[x] and G.dst[t[x]] == x
+    for x in G.objects:
+        for y in G.objects:
+            assert (comp_of[x] == comp_of[y]) == (comp[x] == comp[y])
+    reps = [rep for rep, _, _ in pi0_and_aut(G)]
+    assert set(reps) == set(comp_of.values()) and len(reps) == len(set(reps))
 
 
 def test_action_groupoid_rejects_bad_action():
@@ -252,8 +315,8 @@ def test_rel_product_strict_projections():
     BC2 = delooping(C2)
     pt = terminal_groupoid()
     q = to_terminal(BC2, pt)
-    rp3 = rel_product(pt, [(BC2, q)] * 3)
-    rp2 = rel_product(pt, [(BC2, q)] * 2)
+    rp3 = RelProduct(pt, [(BC2, q)] * 3)
+    rp2 = RelProduct(pt, [(BC2, q)] * 2)
     p12 = rp3.proj_onto([0, 1], rp2)
     p23 = rp3.proj_onto([1, 2], rp2)
     p13 = rp3.proj_onto([0, 2], rp2)
@@ -278,8 +341,8 @@ def test_rel_product_reindexing_over_bs3(indices):
     BC2 = delooping(C2)
     incl = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
     factors = [(BC2, incl), (BS3, identity_functor(BS3)), (BC2, incl)]
-    rp = rel_product(BS3, factors)
-    target = rel_product(BS3, [factors[i] for i in indices])
+    rp = RelProduct(BS3, factors)
+    target = RelProduct(BS3, [factors[i] for i in indices])
     F = rp.proj_onto(list(indices), target)
     assert validate_functor(F) == []
     for k, i in enumerate(indices):

@@ -9,8 +9,8 @@ import pytest
 from sixff import presets
 from sixff.fields import GF, QQ, GateError, check_gate
 from sixff.groupoid import (
-    Functor, delooping, delooping_hom, disjoint_union, identity_functor,
-    okey, rel_product, terminal_groupoid, to_terminal,
+    Functor, RelProduct, delooping, delooping_hom, disjoint_union,
+    identity_functor, okey, terminal_groupoid, to_terminal,
 )
 from sixff.linalg import Matrix, stack_columns, stack_rows
 from sixff.sheaves import (
@@ -670,8 +670,8 @@ def _random_union_map(rng):
 def _product_projection():
     """pr02 out of the triple product of (BC2, INCL) over BS3, a functor
     whose fibers have components of several objects."""
-    triple = rel_product(BS3, [(BC2, INCL)] * 3)
-    return triple.proj_onto((0, 2), rel_product(BS3, [(BC2, INCL)] * 2))
+    triple = RelProduct(BS3, [(BC2, INCL)] * 3)
+    return triple.proj_onto((0, 2), RelProduct(BS3, [(BC2, INCL)] * 2))
 
 
 @pytest.mark.parametrize("kind", [LanFunctor, RanFunctor], ids=["lan", "ran"])
