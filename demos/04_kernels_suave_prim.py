@@ -32,8 +32,8 @@ BC2 = delooping(C2)
 incl = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
 
 print("\nsuave and prim certificates for */C2 -> */S3 on the unit:")
-sv = suave_test(incl, unit_sheaf(BC2, QQ), QQ)
-pr = prim_test(incl, unit_sheaf(BC2, QQ), QQ)
+sv = suave_test(incl, unit_sheaf(BC2, QQ))
+pr = prim_test(incl, unit_sheaf(BC2, QQ))
 print("  suave: triangles (%s, %s), dual dimension %d"
       % (sv.triangle1, sv.triangle2, sv.dual.total_dim()))
 print("  prim:  triangles (%s, %s), duality self-inverse: %s"

@@ -761,14 +761,18 @@ class RelProduct:
         return Functor(self.grpd, target.grpd, ob, mor,
                        name="pr" + "".join(str(i) for i in indices))
 
-    def diagonal_from(self, X, a, copies):
-        """For the product of `copies` identical factors (X, a): the
-        diagonal functor X -> product."""
-        def ob_map(x):
-            ms = tuple(self.S.identity[a.ob[x]] for _ in range(copies - 1))
-            return ((x,) * copies, ms)
-        ob = {x: ob_map(x) for x in X.objects}
-        mor = {m: (ob[X.src[m]], (m,) * copies) for m in X.morphisms}
+    @cached_property
+    def diagonal(self):
+        """The diagonal functor X -> product of a product of identical
+        factors (X, a), built once, so the Kan functors along it share
+        their fibers."""
+        (X, a), *rest = self.factors
+        assert all(Y is X and b is a for Y, b in rest), "factors differ"
+        ident = self.S.identity
+        ob = {x: ((x,) * len(self.factors), (ident[a.ob[x]],) * len(rest))
+              for x in X.objects}
+        mor = {m: (ob[X.src[m]], (m,) * len(self.factors))
+               for m in X.morphisms}
         return Functor(X, self.grpd, ob, mor, name="diag")
 
 
@@ -895,7 +899,7 @@ def cech_nerve(f, N=3):
         faces[n] = fs
     for n in range(0, N):
         if n == 0:
-            degeneracies[0] = [prods[1].diagonal_from(Y, f, 2)]
+            degeneracies[0] = [prods[1].diagonal]
         else:
             degeneracies[n] = [
                 prods[n].proj_onto(list(range(i + 1)) + list(range(i, n + 1)),

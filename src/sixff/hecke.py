@@ -144,11 +144,11 @@ class InducedModel:
         return frozenset(self.subgroup.elements)
 
 
-def compact_induction(G, K, V, field=None):
+def compact_induction(G, K, V):
     """Function-space model of the induced sheaf on */G: functions
     f: G -> V with f(kg) = k f(g), acted on by right translation, with a
     certified isomorphism to the exceptional pushforward."""
-    field = field or V.field
+    field = V.field
     if field.characteristic and len(G.elements) % field.characteristic == 0:
         raise GateError("characteristic divides the group order")
     BK = V.base
@@ -206,10 +206,9 @@ class HeckeFunction:
 class HeckeAlgebra:
     """Both models of End_G(cInd_K^G V) with structure constants."""
 
-    def __init__(self, G, K, V, field=None):
-        field = field or V.field
-        self.G, self.K, self.V, self.field = G, K, V, field
-        self.induced = compact_induction(G, K, V, field)
+    def __init__(self, G, K, V):
+        self.G, self.K, self.V, self.field = G, K, V, V.field
+        self.induced = compact_induction(G, K, V)
         self.dc = double_cosets(G, K, K)
         # model A: endomorphisms of the induced sheaf
         self.end_basis = hom_space(self.induced.sheaf, self.induced.sheaf)
@@ -453,9 +452,9 @@ def prim_duality_on_hecke(G, K, field):
     agreement with the concrete anti-involution on the double coset basis."""
     BK = delooping(K)
     trivK = unit_sheaf(BK, field)
-    P = compact_induction(G, K, trivK, field).sheaf
+    P = compact_induction(G, K, trivK).sheaf
     f = to_terminal(P.base, terminal_groupoid())
-    cert = prim_test(f, P, field, check_double_dual=False)
+    cert = prim_test(f, P, check_double_dual=False)
     if not cert.ok:
         return PrimDualityCertificate(False, False, False, False, 0)
     c = find_isomorphism(cert.dual, P)
@@ -468,7 +467,7 @@ def prim_duality_on_hecke(G, K, field):
     def transported(T):
         return c_inv.then(cert.mate(T)).then(c)
 
-    alg = HeckeAlgebra(G, K, trivK, field)
+    alg = HeckeAlgebra(G, K, trivK)
     # express P-endomorphisms in the algebra's own model: P here IS the
     # function model sheaf, so the bases coincide
     iota, _ = anti_involution(alg)
@@ -480,10 +479,9 @@ def prim_duality_on_hecke(G, K, field):
     return PrimDualityCertificate(True, True, anti_ok, agree, alg.dim)
 
 
-def frobenius_check(G, K, V, W, field=None):
+def frobenius_check(G, K, V, W):
     """dim Hom_G(cInd V, W) == dim Hom_K(V, Res W), both by linear algebra."""
-    field = field or V.field
-    ind = compact_induction(G, K, V, field)
+    ind = compact_induction(G, K, V)
     BK = V.base
     BG = W.base
     incl = delooping_hom({k: k for k in K.elements}, BK, BG)

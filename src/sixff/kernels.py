@@ -102,10 +102,8 @@ def kernel_hom(ctx, xname, yname):
 
 def kernel_identity(ctx, xname):
     """Identity 1-morphism: the diagonal pushforward of the unit."""
-    X, a = ctx.objects[xname]
-    rp = ctx.prod((xname, xname))
-    diag = rp.diagonal_from(X, a, 2)
-    payload = LanFunctor(diag).obj(unit_sheaf(X, ctx.field))
+    diag = ctx.prod((xname, xname)).diagonal
+    payload = LanFunctor(diag).obj(unit_sheaf(diag.dom, ctx.field))
     return Kernel(ctx, xname, xname, payload)
 
 
@@ -163,14 +161,13 @@ def right_unitor(M):
     """Canonical invertible 2-cell M ∘ id_src -> M."""
     ctx = M.ctx
     x, y = M.tgt, M.src
-    Y, ay = ctx.objects[y]
     rp2 = ctx.prod((x, y))
     p12, p23, p13 = ctx.legs(x, y, y)
-    diag = ctx.prod((y, y)).diagonal_from(Y, ay, 2)
+    diag = ctx.prod((y, y)).diagonal
     j = ctx.proj((x, y), (0, 1, 1))    # (x, y, m) -> (x, y, y, m, m)
     q = rp2.factor_proj(1)
     square = _strict_square(f=diag, g=p23, fp=j, gp=q)
-    bc = base_change_cell(square, unit_sheaf(Y, ctx.field))
+    bc = base_change_cell(square, unit_sheaf(diag.dom, ctx.field))
     if not bc.is_invertible():
         raise TheoremViolation("unitor base-change not invertible")
     pM = PullbackFunctor(p12).obj(M.payload)
@@ -187,14 +184,13 @@ def left_unitor(M):
     """Canonical invertible 2-cell id_tgt ∘ M -> M."""
     ctx = M.ctx
     x, y = M.tgt, M.src
-    X, ax = ctx.objects[x]
     rp2 = ctx.prod((x, y))
     p12, p23, p13 = ctx.legs(x, x, y)
-    diag = ctx.prod((x, x)).diagonal_from(X, ax, 2)
+    diag = ctx.prod((x, x)).diagonal
     jp = ctx.proj((x, y), (0, 0, 1))    # (x, y, m) -> (x, x, y, id, m)
     p = rp2.factor_proj(0)
     square = _strict_square(f=diag, g=p12, fp=jp, gp=p)
-    bc = base_change_cell(square, unit_sheaf(X, ctx.field))
+    bc = base_change_cell(square, unit_sheaf(diag.dom, ctx.field))
     if not bc.is_invertible():
         raise TheoremViolation("unitor base-change not invertible")
     pM = PullbackFunctor(p23).obj(M.payload)
@@ -437,7 +433,7 @@ class MapCalculus:
         self.PXX = self.rp.grpd
         self.pi1 = self.rp.factor_proj(0)
         self.pi2 = self.rp.factor_proj(1)
-        self.diag = self.rp.diagonal_from(X, f, 2)
+        self.diag = self.rp.diagonal
         self.unit_X = unit_sheaf(X, field)
         self.unit_S = unit_sheaf(S, field)
         self.id_XX = LanFunctor(self.diag).obj(self.unit_X)
@@ -538,12 +534,11 @@ def _solve_unit(id_obj, target_obj, m_cell, tau):
                               [row[0] for row in sol.rows])
 
 
-def suave_test(f, P, field=None):
+def suave_test(f, P):
     """Suaveness of P along f: X -> S, with the closed-form candidate dual
     iHom(P, f^!1); builds the canonical unit/counit and checks both
     triangle identities exactly."""
-    field = field or P.field
-    calc = MapCalculus(f, field)
+    calc = MapCalculus(f, P.field)
     from .sheaves import upper_shriek
     omega = upper_shriek(f, calc.unit_S).sheaf          # f^! 1 = f* 1
     Q = internal_hom(P, omega)
@@ -635,13 +630,12 @@ def _prim_mate(calc, P, r, eta, eps):
     return mate
 
 
-def prim_test(f, P, field=None, check_double_dual=True):
+def prim_test(f, P, check_double_dual=True):
     """Primness of P along f: X -> S: P viewed as a morphism S -> X must be
     a left adjoint, with the closed-form right adjoint
     r = pi2_* iHom(pi1* P, Delta_! 1); both triangle identities are checked
     exactly, and the duality is certified self-inverse."""
-    field = field or P.field
-    calc = MapCalculus(f, field)
+    calc = MapCalculus(f, P.field)
     p1P = calc.pull_p1.obj(P)
     adjS = compose_adjunctions(calc.adj_f_ran, adj_tensor_hom(P))
     adjX = compose_adjunctions(calc.adj_p2_ran, adj_tensor_hom(p1P))
@@ -804,7 +798,7 @@ def etale_proper_test(f, field, probes=()):
     proper_ok = all(c.is_invertible() for c in proper_cells)
     from .sheaves import upper_shriek
     omega = upper_shriek(f, calc.unit_S).sheaf
-    sv = suave_test(f, calc.unit_X, field)
+    sv = suave_test(f, calc.unit_X)
     if not sv.ok:
         raise TheoremViolation("unit not suave under the gate")
     delta_adj = compose_adjunctions(calc.adj_p2_ran,

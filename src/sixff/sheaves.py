@@ -19,6 +19,14 @@ identities are verified exactly.  All "canonical maps" downstream (base
 change, projection formula, mates, twists) are assembled from these
 units/counits, strict equalities of composites, and transports along
 invertible natural transformations - never searched.
+
+Global sections are Γ = p_* along p: X -> *, and Hom(M, N) = Γ(iHom(M, N)):
+`hom_space` reads each section at every object x through the fiber object
+(x, id) of p.  A fiber component is represented by its okey-least fiber
+object, so Hom is solved at the x whose (x, id) sorts first.  That is
+usually the okey-least x, but not always: okey("x") is a prefix of
+okey("x'"), yet in (x, id) it is followed by ",", which sorts after "'",
+so the component of x and x' is represented by x'.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import weakref
 from functools import lru_cache
 
 from .fields import GateError, TheoremViolation, check_gate
-from .groupoid import okey, transport_to_reps
+from .groupoid import okey, terminal_groupoid, to_terminal
 from .linalg import Matrix, stack_columns, stack_rows
 
 # ---------------------------------------------------------------------------
@@ -148,49 +156,26 @@ def identity_morphism(M):
 
 
 def hom_space(M, N):
-    """Deterministic basis of Hom(M, N), solved per component: a morphism is
-    determined by an equivariant block at each component representative."""
-    G = M.base
-    f = M.field
-    t, comp_of = transport_to_reps(G)
-    reps = sorted(set(comp_of.values()), key=okey)
-    basis_blocks = {}
-    for r in reps:
-        # the identity contributes the zero equation; skip it
-        auts = [a for a in G.hom(r, r) if a != G.identity[r]]
-        dm, dn = M.dim[r], N.dim[r]
-        if dm == 0 or dn == 0:
-            basis_blocks[r] = []
-            continue
-        # unknowns: dn x dm block phi with N(a) phi = phi M(a) for all a
-        rows = []
-        for a in auts:
-            Na, Ma = N.mat[a], M.mat[a]
-            # row-major vec: vec(phi * M a - N a * phi)
-            #   = (I_n kron Ma^T - Na kron I_m) vec phi
-            eye_m = Matrix.identity(f, dm)
-            eye_n = Matrix.identity(f, dn)
-            lhs = eye_n.kron(Ma.transpose()) - Na.kron(eye_m)
-            rows.append(lhs)
-        null = stack_rows(f, rows, dm * dn).nullspace()
-        blocks = []
-        for v in null:
-            phi = Matrix(f, [[v.rows[i * dm + j][0] for j in range(dm)]
-                             for i in range(dn)], ncols=dm)
-            blocks.append(phi)
-        basis_blocks[r] = blocks
-    out = []
-    for r in reps:
-        for phi in basis_blocks[r]:
-            comp = {}
-            for x in G.objects:
-                if comp_of[x] != r:
-                    comp[x] = Matrix.zero(f, N.dim[x], M.dim[x])
-                else:
-                    tx = t[x]
-                    comp[x] = N.mat[tx] * phi * M.mat[G.inverse[tx]]
-            out.append(SheafMorphism(M, N, comp))
-    return out
+    """Deterministic basis of Hom(M, N) = Γ(iHom(M, N)), the sections of
+    H = iHom(M, N) pushed along p: X -> * by p_*.  Basis element j is read
+    at each object x through the section value H(x) <- Γ at the fiber
+    object (x, id), unvec'd row-major into a dim N(x) x dim M(x) block.
+    The basis runs over the fiber components, each solved at the x whose
+    (x, id) is okey-least: usually the okey-least x of the component, but
+    x' rather than x for objects "x" and "x'" (see the module docstring).
+    """
+    p, o = _to_point(M.base)
+    H = internal_hom(M, N)
+    gam = RanFunctor(p)
+    e = p.cod.identity[o]
+    basis = [{} for _ in range(gam.obj(H).dim[o])]
+    for x in M.base.objects:
+        dn, dm = N.dim[x], M.dim[x]
+        sections = gam.section_value(H, o, (x, e)).transpose().rows
+        for comp, v in zip(basis, sections):
+            comp[x] = Matrix(M.field, [v[i * dm:(i + 1) * dm]
+                                       for i in range(dn)], ncols=dm)
+    return [SheafMorphism(M, N, comp) for comp in basis]
 
 
 def linear_combination(M, N, basis, coeffs):
@@ -688,10 +673,9 @@ class Adjunction:
     """Explicit unit/counit families for L ⊣ R; the triangle identities are
     exact checks."""
 
-    def __init__(self, left, right, unit, counit, left_tag="", right_tag=""):
+    def __init__(self, left, right, unit, counit):
         self.left, self.right = left, right
         self.unit, self.counit = unit, counit
-        self.left_tag, self.right_tag = left_tag, right_tag
 
     def triangles_ok(self, dom_probes, cod_probes):
         for M in dom_probes:
@@ -726,7 +710,7 @@ def adj_lan_pullback(f):
             N.dim[x]) for x in f.cod.objects}
         return SheafMorphism(FpN, N, comp)
 
-    return Adjunction(lan, pull, unit, counit, "f_!", "f*")
+    return Adjunction(lan, pull, unit, counit)
 
 
 def adj_pullback_ran(f):
@@ -749,7 +733,7 @@ def adj_pullback_ran(f):
             comp[y] = ran.section_value(N, x, (y, f.cod.identity[x]))
         return SheafMorphism(pull.obj(rN), N, comp)
 
-    return Adjunction(pull, ran, unit, counit, "f*", "f_*")
+    return Adjunction(pull, ran, unit, counit)
 
 
 def adj_tensor_hom(W):
@@ -758,8 +742,7 @@ def adj_tensor_hom(W):
     hom = HomFromFunctor(W)
     return Adjunction(ten, hom,
                       lambda M: coevaluation_cell(W, M),
-                      lambda N: evaluation_cell(W, N),
-                      "W⊗-", "iHom(W,-)")
+                      lambda N: evaluation_cell(W, N))
 
 
 def compose_adjunctions(inner, outer):
@@ -777,9 +760,7 @@ def compose_adjunctions(inner, outer):
         second = outer.counit(N)
         return first.then(second)
 
-    return Adjunction(L, R, unit, counit,
-                      "%s∘%s" % (outer.left_tag, inner.left_tag),
-                      "%s∘%s" % (inner.right_tag, outer.right_tag))
+    return Adjunction(L, R, unit, counit)
 
 
 def left_adjoint_comparison(adj1, adj2, M):
@@ -847,7 +828,7 @@ def adj_ambidextrous(f):
         nm = norm_certificate(f, N)
         return pull.mor(nm).then(adj2.counit(N))
 
-    return Adjunction(pull, lan, unit, counit, "f*", "f_!")
+    return Adjunction(pull, lan, unit, counit)
 
 
 def upper_shriek(f, M, probes=()):
@@ -878,14 +859,17 @@ def ran_star(f, M):
     return ran.obj(M), adj_pullback_ran(f)
 
 
-def global_sections(X, M, point=None):
+def _to_point(X):
+    """(p: X -> *, the object of *): Γ = p_* and Γ_c = p_!."""
+    pt = terminal_groupoid()
+    return to_terminal(X, pt), pt.objects[0]
+
+
+def global_sections(X, M):
     """(dim Γ, Γ sheaf, dim Γ_c, Γ_c sheaf) via the map to the point."""
-    from .groupoid import terminal_groupoid, to_terminal
-    pt = point or terminal_groupoid()
-    p = to_terminal(X, pt)
+    p, o = _to_point(X)
     gam = RanFunctor(p).obj(M)
     gam_c = LanFunctor(p).obj(M)
-    o = pt.objects[0]
     return gam.dim[o], gam, gam_c.dim[o], gam_c
 
 
@@ -1006,8 +990,7 @@ def compose_comparison_ran(g, f, M):
 def _identity_adjunction():
     """Id ⊣ Id with identity unit and counit."""
     ident = IdentityFunctor()
-    return Adjunction(ident, ident, identity_morphism, identity_morphism,
-                      "Id", "Id")
+    return Adjunction(ident, ident, identity_morphism, identity_morphism)
 
 
 def lan_identity_comparison(C, M):

@@ -315,10 +315,10 @@ def check_suave_prim(config, rng):
                      _random_sheaf(rng, three, field)]))
     for f, sheaves in battery:
         for P in sheaves:
-            sv = suave_test(f, P, field)
+            sv = suave_test(f, P)
             if not sv.ok:
                 return "fail", "suave fails for %r: %s" % (f, sv.failing)
-            pr = prim_test(f, P, field)
+            pr = prim_test(f, P)
             if not pr.ok or pr.double_dual_ok is False:
                 return "fail", "prim fails for %r: %s" % (f, pr.failing)
             # DSuave∘DSuave ≅ identity (double dual cell)

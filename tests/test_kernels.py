@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from sixff import presets
+from sixff import presets, sheaves
 from sixff.fields import GF, QQ
 from sixff.groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
@@ -261,6 +261,27 @@ def test_proj_is_built_once_per_names_and_indices():
     assert ctx.proj(("Y0", "Y1", "Y1"), (0, 1)) is not p
 
 
+def test_kernel_identity_shares_one_diagonal_and_its_fibers(monkeypatch):
+    ctx = KernelContext(BS3, QQ)
+    ctx.add_object("Y", BC2, INCL)
+    first = kernel_identity(ctx, "Y")
+    diag = ctx.prod(("Y", "Y")).diagonal
+    fibers = LanFunctor(diag).fibers
+    built = []
+    init = sheaves._Fiber.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(sheaves._Fiber, "__init__", counted)
+    second = kernel_identity(ctx, "Y")
+    assert ctx.prod(("Y", "Y")).diagonal is diag
+    assert LanFunctor(diag).fibers is fibers
+    assert built == []
+    assert sheaves_equal(first.payload, second.payload)
+
+
 class _TrackedSheaf(Sheaf):
     """A Sheaf that can be referenced weakly."""
 
@@ -413,7 +434,7 @@ def test_suave_test_identity_map():
     # S = X, f = id: suave dual of any sheaf is its pointwise dual
     f = identity_functor(BC2)
     P = unit_sheaf(BC2, QQ)
-    cert = suave_test(f, P, QQ)
+    cert = suave_test(f, P)
     assert cert.ok and cert.triangle1 and cert.triangle2
     assert cert.dual.dim == P.dim
 
@@ -421,7 +442,7 @@ def test_suave_test_identity_map():
 def test_suave_test_classifying_map():
     f = to_terminal(BC2, PT)
     P = unit_sheaf(BC2, QQ)
-    cert = suave_test(f, P, QQ)
+    cert = suave_test(f, P)
     assert cert.ok
     assert cert.dual.dim[BC2.objects[0]] == 1
 
@@ -430,7 +451,7 @@ def test_suave_test_finite_sets():
     X = discrete(3)
     f = to_terminal(X, PT)
     P = sheaf_on(X, [1, 2, 0])
-    cert = suave_test(f, P, QQ)
+    cert = suave_test(f, P)
     assert cert.ok
     for x in X.objects:
         assert cert.dual.dim[x] == P.dim[x]
@@ -438,14 +459,14 @@ def test_suave_test_finite_sets():
 
 def test_suave_test_subgroup_inclusion():
     P = unit_sheaf(BC2, QQ)
-    cert = suave_test(INCL, P, QQ)
+    cert = suave_test(INCL, P)
     assert cert.ok, cert.failing
 
 
 def test_prim_test_identity_and_unit():
     f = identity_functor(BC2)
     P = unit_sheaf(BC2, QQ)
-    cert = prim_test(f, P, QQ)
+    cert = prim_test(f, P)
     assert cert.ok and cert.double_dual_ok
 
 
@@ -453,14 +474,14 @@ def test_prim_test_zero_sheaf():
     from sixff.sheaves import zero_sheaf
     f = to_terminal(BC2, PT)
     P = zero_sheaf(BC2, QQ)
-    cert = prim_test(f, P, QQ)
+    cert = prim_test(f, P)
     assert cert.ok
     assert cert.dual.total_dim() == 0
 
 
 def test_prim_test_subgroup_inclusion():
     P = unit_sheaf(BC2, QQ)
-    cert = prim_test(INCL, P, QQ, check_double_dual=True)
+    cert = prim_test(INCL, P, check_double_dual=True)
     assert cert.ok, cert.failing
     assert cert.double_dual_ok
 
@@ -536,9 +557,8 @@ def test_prim_mate_is_unital_and_reverses_composition(field):
     """The certificate's mate transport on the induced unit of (S3, C2)
     along */S3 -> *: triangle 2 (the mate of id_P is id_r), and the mate
     is an anti-homomorphism End(P) -> End(r)."""
-    P = compact_induction(S3, C2, unit_sheaf(BC2, field), field).sheaf
-    cert = prim_test(to_terminal(P.base, PT), P, field,
-                     check_double_dual=False)
+    P = compact_induction(S3, C2, unit_sheaf(BC2, field)).sheaf
+    cert = prim_test(to_terminal(P.base, PT), P, check_double_dual=False)
     assert cert.ok and cert.triangle2
     mate = cert.mate
     assert mate(identity_morphism(P)).is_identity()
@@ -583,9 +603,9 @@ def test_prim_mate_matches_the_whiskering_functor_chain(G, K, field):
     and target once, agrees component by component with the composite of
     whole functors on every basis endomorphism and one combination of
     them, and its pi2_! keeps two sheaves however often it is called."""
-    P = compact_induction(G, K, unit_sheaf(delooping(K), field), field).sheaf
+    P = compact_induction(G, K, unit_sheaf(delooping(K), field)).sheaf
     f = to_terminal(P.base, PT)
-    cert = prim_test(f, P, field, check_double_dual=False)
+    cert = prim_test(f, P, check_double_dual=False)
     assert cert.ok
     calc = MapCalculus(f, field)
     basis = hom_space(P, P)

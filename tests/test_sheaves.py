@@ -9,8 +9,9 @@ import pytest
 from sixff import presets
 from sixff.fields import GF, QQ, GateError, check_gate
 from sixff.groupoid import (
-    Functor, RelProduct, delooping, delooping_hom, disjoint_union,
-    identity_functor, okey, terminal_groupoid, to_terminal,
+    Functor, RelProduct, action_groupoid, delooping, delooping_hom,
+    disjoint_union, identity_functor, okey, terminal_groupoid, to_terminal,
+    transport_to_reps,
 )
 from sixff.linalg import Matrix, stack_columns, stack_rows
 from sixff.sheaves import (
@@ -21,6 +22,7 @@ from sixff.sheaves import (
     double_dual_cell, find_isomorphism, global_sections, hom_dim,
     hom_form_cell, hom_space,
     identity_morphism, internal_hom, lan_identity_comparison, lan_shriek,
+    morphism_coordinates,
     norm_certificate, norm_map, projection_formula_cell_left,
     projection_formula_cell_right, ran_projection_cell, ran_star,
     sheaf_from_rep, sheaves_equal, swap_cell, tensor, unit_sheaf,
@@ -715,3 +717,166 @@ def test_fibers_are_dropped_with_their_functor():
     del f
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# Hom(M, N) = Γ(iHom(M, N)) against the commutant solver it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_hom_space(M, N):
+    """Basis of Hom(M, N) solved per component of `transport_to_reps`: the
+    commutant equations N(a) φ = φ M(a) over the automorphisms a of the
+    representative, then φ transported to every other object x of the
+    component along t_x: rep -> x."""
+    G = M.base
+    f = M.field
+    t, comp_of = transport_to_reps(G)
+    reps = sorted(set(comp_of.values()), key=okey)
+    basis_blocks = {}
+    for r in reps:
+        auts = [a for a in G.hom(r, r) if a != G.identity[r]]
+        dm, dn = M.dim[r], N.dim[r]
+        if dm == 0 or dn == 0:
+            basis_blocks[r] = []
+            continue
+        rows = []
+        for a in auts:
+            # row-major vec: (I_n kron M(a)^T - N(a) kron I_m) vec φ
+            lhs = (Matrix.identity(f, dn).kron(M.mat[a].transpose())
+                   - N.mat[a].kron(Matrix.identity(f, dm)))
+            rows.append(lhs)
+        null = stack_rows(f, rows, dm * dn).nullspace()
+        basis_blocks[r] = [
+            Matrix(f, [[v.rows[i * dm + j][0] for j in range(dm)]
+                       for i in range(dn)], ncols=dm) for v in null]
+    out = []
+    for r in reps:
+        for phi in basis_blocks[r]:
+            comp = {}
+            for x in G.objects:
+                if comp_of[x] != r:
+                    comp[x] = Matrix.zero(f, N.dim[x], M.dim[x])
+                else:
+                    comp[x] = N.mat[t[x]] * phi * M.mat[G.inverse[t[x]]]
+            out.append(SheafMorphism(M, N, comp))
+    return out
+
+
+# S3, C2, C3 and 1, as groups of permutations of {0, 1, 2}
+_S3_SUBGROUPS = (S3, C2sub, _C3, S3.subgroup([S3.identity], name="1"))
+
+
+def _random_piece(rng):
+    """(groupoid, group, the group element of each morphism): the action
+    groupoid of a subgroup of S3 on {0, 1, 2}, whose components have
+    several objects when the group moves the points, or its delooping."""
+    H = rng.choice(_S3_SUBGROUPS)
+    if rng.random() < 0.5:
+        return BS3 if H is S3 else delooping(H), H, lambda g: g
+    pts = (0, 1, 2)
+    grpd, _ = action_groupoid(H, pts, {(g, x): g[x] for g in H.elements
+                                       for x in pts})
+    return grpd, H, lambda u: u[0]
+
+
+def _random_rep(rng, field):
+    """A random direct sum of the trivial, sign and permutation
+    representations of S3 (restricted to any subgroup), possibly empty."""
+    parts = [rng.choice((lambda g: [[1]], lambda g: [[_sign(g)]],
+                         lambda g: [[1 if g[j] == i else 0 for j in range(3)]
+                                    for i in range(3)]))
+             for _ in range(rng.randint(0, 2))]
+    return lambda g: Matrix.direct_sum(
+        field, [Matrix.from_int_rows(field, part(g)) for part in parts])
+
+
+def _random_gauge(rng, field, d):
+    while True:
+        g = Matrix.from_int_rows(field, [[rng.randint(-2, 2) for _ in range(d)]
+                                         for _ in range(d)])
+        if g.is_invertible():
+            return g
+
+
+def _gauged_sheaf(rng, G, pieces, reps, field):
+    """The sheaf on the disjoint union G of `pieces` that is the pullback
+    of reps[i] on piece i, conjugated by a random invertible matrix at
+    every object: the automorphisms of each representative act by gauged
+    matrices, and a component may be zero-dimensional."""
+    gauge, inverse = {}, {}
+    for (i, x) in G.objects:
+        d = reps[i](pieces[i][1].identity).nrows
+        gauge[(i, x)] = _random_gauge(rng, field, d)
+        inverse[(i, x)] = gauge[(i, x)].inverse()
+    mats = {u: gauge[G.dst[u]] * reps[u[0]](pieces[u[0]][2](u[1]))
+            * inverse[G.src[u]] for u in G.morphisms}
+    return Sheaf(G, field, {x: g.nrows for x, g in gauge.items()}, mats,
+                 check=True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_hom_space_equals_the_reference_solver(field):
+    """On random disjoint unions of action groupoids and deloopings of S3,
+    C2, C3 and 1 with gauge-conjugated sheaves, the basis read from
+    Γ(iHom(M, N)) is the commutant solver's, entry by entry."""
+    rng = random.Random(41)
+    several = zero_dim = transported = 0
+    for _ in range(12):
+        pieces = [_random_piece(rng) for _ in range(rng.randint(1, 3))]
+        G = disjoint_union([p[0] for p in pieces])
+        reps_m = [_random_rep(rng, field) for _ in pieces]
+        reps_n = reps_m if rng.random() < 0.5 else \
+            [_random_rep(rng, field) for _ in pieces]
+        M = _gauged_sheaf(rng, G, pieces, reps_m, field)
+        N = _gauged_sheaf(rng, G, pieces, reps_n, field)
+        basis, ref = hom_space(M, N), _reference_hom_space(M, N)
+        assert len(basis) == len(ref)
+        for b, r in zip(basis, ref):
+            assert b.comp.keys() == r.comp.keys()
+            for x, a in b.comp.items():
+                assert a.shape == r.comp[x].shape
+                assert all(a.entry(i, j) == r.comp[x].entry(i, j)
+                           for i in range(a.nrows) for j in range(a.ncols))
+            assert b.validate() == []
+        comps = transport_to_reps(G)[1]
+        several += len(set(comps.values())) < len(G.objects)
+        zero_dim += 0 in M.dim.values() or 0 in N.dim.values()
+        transported += any(not b.comp[x].is_zero() for b in basis
+                           for x in G.objects if comps[x] != x)
+    assert several and zero_dim and transported
+
+
+def test_hom_space_representative_in_the_prefix_case():
+    """Objects "x" and "x'" of one component: okey("x") is a prefix of
+    okey("x'"), but in the fiber object (x, id) it is followed by ",",
+    which sorts after "'", so Γ reads the component at x', not at x as
+    the commutant solver did.  The basis is pinned; it spans the same
+    space as the solver's."""
+    A3 = _C3.elements
+    act = {(g, o): o if g in A3 else {"x": "x'", "x'": "x"}[o]
+           for g in S3.elements for o in ("x", "x'")}
+    G, proj = action_groupoid(S3, ["x", "x'"], act)
+    std = std_rep_s3()
+    gauge = {"x": Matrix.from_int_rows(QQ, [[1, 1], [0, 1]]),
+             "x'": Matrix.from_int_rows(QQ, [[2, 1], [1, 1]])}
+    M = PullbackFunctor(proj).obj(std)
+    N = Sheaf(G, QQ, M.dim, {
+        u: gauge[G.dst[u]] * a * gauge[G.src[u]].inverse()
+        for u, a in M.mat.items()}, check=True)
+    e = PT.identity[PT.objects[0]]
+    assert okey("x") < okey("x'") and okey(("x'", e)) < okey(("x", e))
+    basis, ref = hom_space(M, N), _reference_hom_space(M, N)
+    third = Fraction(1, 3)
+    pinned = [  # each basis element's blocks at x and at x'
+        ([[0, 1], [-third, 2 * third]], [[5 * third, -third], [1, 0]]),
+        ([[1, 0], [third, third]], [[third, 4 * third], [0, 1]]),
+    ]
+    assert [[b.comp[x] for x in ("x", "x'")] for b in basis] == [
+        [Matrix(QQ, rows) for rows in pair] for pair in pinned]
+    assert len(ref) == 2
+    assert all(b.validate() == [] for b in basis)
+    for b in basis:
+        morphism_coordinates(ref, b)
+    for r in ref:
+        morphism_coordinates(basis, r)
+    assert [b.comp for b in basis] != [r.comp for r in ref]
