@@ -193,6 +193,19 @@ class FiniteCategory:
         return "%s(%d objects, %d morphisms)" % (
             type(self).__name__, len(self.objects), len(self.morphisms))
 
+    # Built once per category, so the Kan functors along them share their
+    # fibers.  Each refers back to the category; the cycle is collected
+    # with it.
+
+    @cached_property
+    def to_point(self):
+        """The map to a terminal groupoid of its own."""
+        return to_terminal(self, terminal_groupoid())
+
+    @cached_property
+    def identity_functor(self):
+        return identity_functor(self)
+
 
 class FiniteGroupoid(FiniteCategory):
     is_groupoid = True

@@ -35,7 +35,7 @@ import weakref
 from functools import lru_cache
 
 from .fields import GateError, TheoremViolation, check_gate
-from .groupoid import okey, terminal_groupoid, to_terminal
+from .groupoid import okey
 from .linalg import Matrix, stack_columns, stack_rows
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,8 @@ from .linalg import Matrix, stack_columns, stack_rows
 # ---------------------------------------------------------------------------
 
 class Sheaf:
-    __slots__ = ("base", "field", "dim", "mat")
+    # weakly referable: the Kan push memo holds f_!M and f_*M weakly
+    __slots__ = ("base", "field", "dim", "mat", "__weakref__")
 
     def __init__(self, base, field, dim, mat, check=False):
         self.base = base
@@ -164,7 +165,8 @@ def hom_space(M, N):
     (x, id) is okey-least: usually the okey-least x of the component, but
     x' rather than x for objects "x" and "x'" (see the module docstring).
     """
-    p, o = _to_point(M.base)
+    p = M.base.to_point
+    o, = p.cod.objects
     H = internal_hom(M, N)
     gam = RanFunctor(p)
     e = p.cod.identity[o]
@@ -270,15 +272,19 @@ class _Fiber:
         self.reps, self.auts, self.locate = reps, auts, locate
 
 
-# The fibers of each functor object f, shared by every Kan functor on f:
+# The memo of each functor object f, shared by every Kan functor on f:
 # _FIBERS[f] maps "hom" and "out" (see _Fiber) and each kind built so far
-# to its fibers.  Keyed weakly, so a dropped functor drops its fibers; no
-# value refers to f.
+# to its fibers, "pushes" the content key of a sheaf M (see
+# `_KanExtension._entry`) to the built f_!M or f_*M, and "data" that built
+# sheaf to its component data.  "pushes" holds its values and "data" its
+# keys weakly, so a push lives exactly as long as someone holds it.  The
+# whole entry is keyed weakly by f, so a dropped functor drops it; no value
+# refers to f.
 _FIBERS = weakref.WeakKeyDictionary()
 
 
-def _fibers_of(f, kind):
-    """(fibers by target object, out) of f for kind "lan" or "ran"."""
+def _memo_of(f, kind):
+    """The _FIBERS entry of f, with the fibers of kind "lan" or "ran"."""
     shared = _FIBERS.get(f)
     if shared is None:
         Y, X = f.dom, f.cod
@@ -287,13 +293,13 @@ def _fibers_of(f, kind):
             hom.setdefault((X.src[m], X.dst[m]), []).append(m)
         for u in Y.morphisms:
             out[Y.src[u]].append(u)
-        shared = _FIBERS[f] = {"hom": hom, "out": out}
-    fibers = shared.get(kind)
-    if fibers is None:
-        fibers = shared[kind] = {
-            x: _Fiber(f, x, kind, shared["hom"], shared["out"])
-            for x in f.cod.objects}
-    return fibers, shared["out"]
+        shared = _FIBERS[f] = {"hom": hom, "out": out,
+                               "pushes": weakref.WeakValueDictionary(),
+                               "data": weakref.WeakKeyDictionary()}
+    if kind not in shared:
+        shared[kind] = {x: _Fiber(f, x, kind, shared["hom"], shared["out"])
+                        for x in f.cod.objects}
+    return shared
 
 
 # ---------------------------------------------------------------------------
@@ -406,36 +412,56 @@ class _KanExtension(SheafFunctor):
     defines `_blocks`.
 
     Memo levels:
-      - per functor object f, in `_FIBERS`: the fibers, built on the first
-        Kan functor of their kind on f and shared by every later one, so a
-        new `LanFunctor(f)` builds no groupoid data.  The entry is keyed
-        weakly by f and holds no sheaf, so it lives exactly as long as f;
+      - per functor object f, in `_FIBERS`, shared by every Kan functor on
+        f and keyed weakly by f:
+          - the fibers, built by the first Kan functor of their kind on f,
+            so a new `LanFunctor(f)` builds no groupoid data;
+          - the pushes: f_!M or f_*M by the content of M, (kind, field,
+            dims over f.dom.objects, matrices over f.dom.morphisms), with
+            its component data.  The key is exact: equal keys mean equal
+            matrices over the same field.  A push is held weakly, so it
+            lives exactly as long as someone holds f_!M or f_*M; while
+            it lives, every Kan functor on f reuses it for a sheaf of the
+            same content and assembles nothing;
       - per functor instance, keyed by the sheaf instance id(M): the entry
-        [M, data, built sheaf] holds M, so the id stays unique, and the
-        sheaf f_!M or f_*M, built on the first `obj` call, so `obj`, `mor`
-        and the adjunction cells build it once per sheaf.  It stays per
-        instance: kept on f, it would keep every sheaf ever pushed along a
-        long-lived f alive;
+        (M, data, built sheaf), so `obj`, `mor` and the adjunction cells
+        look the content key up once per sheaf.  It holds M, so the id
+        stays unique, and the built sheaf, so the push lives at least as
+        long as the functor.  It stays per instance: kept on f, it would
+        keep every sheaf ever pushed along a long-lived f alive;
       - `_invariant_data`, shared by every Kan functor and keyed by
         content: (field, dim M(y_rep), the tuple of matrices M(u) over the
-        component's automorphisms u, averaging).  So a new functor over the
-        same fibers, or a new sheaf with the same matrices, solves nothing
-        again.
+        component's automorphisms u, averaging).  So a new push whose
+        components were seen before solves nothing again.
     The gate is checked whenever the data of a sheaf is computed, before
-    the last level, so a GateError is never cached."""
+    the last level; a push is stored only once it is built, so a GateError
+    is never cached."""
 
     def __init__(self, f):
         self.f = f
-        self.fibers, self._out = _fibers_of(f, self.kind)
+        shared = _memo_of(f, self.kind)
+        self.fibers, self._out = shared[self.kind], shared["out"]
+        self._pushes, self._push_data = shared["pushes"], shared["data"]
         self.name = "%s%s" % (f.name or "f", self.suffix)
         self._cache = {}
 
     def _entry(self, M):
+        """(M, data, built sheaf), from the pushes of f when one with the
+        content of M is alive, built and stored there otherwise."""
         entry = self._cache.get(id(M))
         if entry is None:
-            data = {x: [self._component(M, fiber, rep) for rep in fiber.reps]
-                    for x, fiber in self.fibers.items()}
-            entry = self._cache[id(M)] = [M, data, None]
+            Y = self.f.dom
+            key = (self.kind, M.field,
+                   tuple(map(M.dim.__getitem__, Y.objects)),
+                   tuple(map(M.mat.__getitem__, Y.morphisms)))
+            FM = self._pushes.get(key)
+            if FM is None:
+                data = {x: [self._component(M, fiber, rep)
+                            for rep in fiber.reps]
+                        for x, fiber in self.fibers.items()}
+                FM = self._pushes[key] = self._build(M, data)
+                self._push_data[FM] = data
+            entry = self._cache[id(M)] = (M, self._push_data[FM], FM)
         return entry
 
     def _data(self, M):
@@ -450,20 +476,19 @@ class _KanExtension(SheafFunctor):
         return _invariant_data(fld, M.dim[rep[0]], mats,
                                self.averaging) + (rep,)
 
+    def _build(self, M, data):
+        widths = {x: [c[0].ncols for c in data[x]] for x in data}
+        X = self.f.cod
+        mats = {}
+        for xi in X.morphisms:
+            x, x2 = X.src[xi], X.dst[xi]
+            mats[xi] = Matrix.block(M.field, widths[x2], widths[x],
+                                    self._blocks(M, data, xi))
+        return Sheaf(X, M.field, {x: sum(w) for x, w in widths.items()},
+                     mats)
+
     def obj(self, M):
-        entry = self._entry(M)
-        if entry[2] is None:
-            data = entry[1]
-            widths = {x: [c[0].ncols for c in data[x]] for x in data}
-            X = self.f.cod
-            mats = {}
-            for xi in X.morphisms:
-                x, x2 = X.src[xi], X.dst[xi]
-                mats[xi] = Matrix.block(M.field, widths[x2], widths[x],
-                                        self._blocks(M, data, xi))
-            entry[2] = Sheaf(X, M.field,
-                             {x: sum(w) for x, w in widths.items()}, mats)
-        return entry[2]
+        return self._entry(M)[2]
 
     def mor(self, phi):
         dM = self._data(phi.src)
@@ -859,15 +884,10 @@ def ran_star(f, M):
     return ran.obj(M), adj_pullback_ran(f)
 
 
-def _to_point(X):
-    """(p: X -> *, the object of *): Γ = p_* and Γ_c = p_!."""
-    pt = terminal_groupoid()
-    return to_terminal(X, pt), pt.objects[0]
-
-
 def global_sections(X, M):
     """(dim Γ, Γ sheaf, dim Γ_c, Γ_c sheaf) via the map to the point."""
-    p, o = _to_point(X)
+    p = X.to_point
+    o, = p.cod.objects
     gam = RanFunctor(p).obj(M)
     gam_c = LanFunctor(p).obj(M)
     return gam.dim[o], gam, gam_c.dim[o], gam_c
@@ -996,15 +1016,13 @@ def _identity_adjunction():
 def lan_identity_comparison(C, M):
     """id_! M -> M, canonical (Lan along the identity vs the identity
     functor, both left adjoint to id*)."""
-    from .groupoid import identity_functor
-    adj1 = adj_lan_pullback(identity_functor(C))
+    adj1 = adj_lan_pullback(C.identity_functor)
     return left_adjoint_comparison(adj1, _identity_adjunction(), M)
 
 
 def ran_identity_comparison(C, M):
     """id_* M -> M, canonical (both right adjoint to id*)."""
-    from .groupoid import identity_functor
-    adj1 = adj_pullback_ran(identity_functor(C))
+    adj1 = adj_pullback_ran(C.identity_functor)
     return right_adjoint_comparison(adj1, _identity_adjunction(), M)
 
 

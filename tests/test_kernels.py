@@ -282,10 +282,6 @@ def test_kernel_identity_shares_one_diagonal_and_its_fibers(monkeypatch):
     assert sheaves_equal(first.payload, second.payload)
 
 
-class _TrackedSheaf(Sheaf):
-    """A Sheaf that can be referenced weakly."""
-
-
 def test_sheaf_is_freed_with_its_kan_functor_on_a_memoised_proj():
     ctx = KernelContext(BS3, QQ)
     for name in ("Y0", "Y1"):
@@ -293,7 +289,7 @@ def test_sheaf_is_freed_with_its_kan_functor_on_a_memoised_proj():
     p13 = ctx.proj(("Y0", "Y1", "Y1"), (0, 2))
     base = ctx.prod(("Y0", "Y1", "Y1")).grpd
     unit = unit_sheaf(base, QQ)
-    M = _TrackedSheaf(base, QQ, unit.dim, unit.mat)
+    M = Sheaf(base, QQ, unit.dim, unit.mat)
     F = LanFunctor(p13)
     F.obj(M)
     ref = weakref.ref(M)

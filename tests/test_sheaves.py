@@ -1,12 +1,13 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from sixff import presets
+from sixff import presets, sheaves
 from sixff.fields import GF, QQ, GateError, check_gate
 from sixff.groupoid import (
     Functor, RelProduct, action_groupoid, delooping, delooping_hom,
@@ -694,7 +695,7 @@ def test_fibers_equal_the_plain_breadth_first_search(kind):
     assert nontrivial > 0
 
 
-def test_kan_functors_on_one_functor_share_fibers_not_sheaf_memos():
+def test_kan_functors_on_one_functor_share_fibers_and_pushes():
     M = sign_rep_c2()
     F1, F2 = LanFunctor(INCL), LanFunctor(INCL)
     assert F1.fibers is F2.fibers
@@ -703,6 +704,8 @@ def test_kan_functors_on_one_functor_share_fibers_not_sheaf_memos():
     assert F1._cache is not F2._cache
     F1.obj(M)
     assert id(M) in F1._cache and id(M) not in F2._cache
+    # the push is shared through the functor object, the id(M) memo is not
+    assert F2.obj(M) is F1.obj(M)
     # keyed by the functor object, not by its content
     twin = Functor(INCL.dom, INCL.cod, INCL.ob, INCL.mor)
     assert LanFunctor(twin).fibers is not F1.fibers
@@ -717,6 +720,111 @@ def test_fibers_are_dropped_with_their_functor():
     del f
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# The push memo: f_!M and f_*M by functor object and content, held weakly
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("functor", [LanFunctor, RanFunctor],
+                         ids=["lan", "ran"])
+@pytest.mark.parametrize("f, sheaf", [
+    (INCL, sign_rep_c2), (P_S3, std_rep_s3),
+], ids=["INCL-sign", "BS3-to-pt-std"])
+def test_equal_sheaves_on_new_functors_share_one_push(functor, f, sheaf):
+    M, M2 = sheaf(), sheaf()
+    assert M is not M2 and sheaves_equal(M, M2)
+    FM = functor(f).obj(M)
+    assert functor(f).obj(M2) is FM
+    assert functor(f)._data(M2) is functor(f)._data(M)
+
+
+def test_pushes_never_cross_fields_or_functor_objects():
+    # equal integer matrices over QQ and GF(5), and a twin of INCL with
+    # equal tables: each gets a push of its own
+    for functor in (LanFunctor, RanFunctor):
+        over_q = functor(INCL).obj(unit_sheaf(BC2, QQ))
+        over_5 = functor(INCL).obj(unit_sheaf(BC2, GF(5)))
+        assert over_q is not over_5
+        assert over_q.field == QQ and over_5.field == GF(5)
+        twin = Functor(INCL.dom, INCL.cod, INCL.ob, INCL.mor)
+        FM = functor(INCL).obj(sign_rep_c2())
+        FM_twin = functor(twin).obj(sign_rep_c2())
+        assert FM_twin is not FM and sheaves_equal(FM_twin, FM)
+
+
+def test_push_is_dropped_with_the_built_sheaf():
+    f = Functor(INCL.dom, INCL.cod, INCL.ob, INCL.mor)
+    FM = LanFunctor(f).obj(sign_rep_c2())
+    memo = _FIBERS[f]
+    assert list(memo["pushes"].values()) == [FM]
+    assert len(memo["data"]) == 1
+    ref = weakref.ref(FM)
+    del FM
+    gc.collect()
+    assert ref() is None
+    assert len(memo["pushes"]) == 0 and len(memo["data"]) == 0
+
+
+def test_gate_error_is_raised_on_every_call_and_never_stored():
+    obj = BC2.objects[0]
+    F2 = GF(2)
+
+    def triv():
+        return Sheaf(BC2, F2, {obj: 1},
+                     {g: Matrix.identity(F2, 1) for g in C2sub.elements})
+
+    # a live f_* push of the same content lends f_! nothing
+    held = RanFunctor(P_C2).obj(triv())
+    lan = LanFunctor(P_C2)
+    for M in (triv(), triv()):
+        for F in (lan, lan, LanFunctor(P_C2)):
+            with pytest.raises(GateError):
+                F.obj(M)
+    pushes = _FIBERS[P_C2]["pushes"]
+    assert held in pushes.values()
+    assert all(kind != "lan" for kind, *_ in pushes)
+
+
+def _count_fiber_builds(monkeypatch):
+    """Counter of `_Fiber` builds by (functor name, kind)."""
+    builds = Counter()
+    init = sheaves._Fiber.__init__
+
+    def counting(self, f, x, kind, hom, out):
+        builds[(f.name, kind)] += 1
+        init(self, f, x, kind, hom, out)
+
+    monkeypatch.setattr(sheaves._Fiber, "__init__", counting)
+    return builds
+
+
+def test_point_map_and_identity_are_built_once_per_category(monkeypatch):
+    X = disjoint_union([BC2, BS3])
+    builds = _count_fiber_builds(monkeypatch)
+    M = unit_sheaf(X, QQ)
+    for _ in range(3):
+        hom_space(M, M)
+        global_sections(X, M)
+        lan_identity_comparison(X, M)
+    assert builds[("to *", "ran")] == 1
+    assert builds[("to *", "lan")] == 1
+    # one fiber per target object, built once
+    assert builds[("id", "lan")] == len(X.objects)
+    assert X.to_point is X.to_point and X.to_point.dom is X
+    assert X.identity_functor is X.identity_functor
+
+
+def test_category_is_freed_with_its_point_map():
+    X = disjoint_union([BC2, BC2])
+    M = unit_sheaf(X, QQ)
+    hom_space(M, M)
+    p = X.to_point
+    assert p in _FIBERS
+    refs = [weakref.ref(X), weakref.ref(p)]
+    del X, M, p
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------
