@@ -173,8 +173,7 @@ def check_gate(field, groupoid):
     if p == 0:
         return
     for x in groupoid.objects:
-        n = sum(1 for m in groupoid.morphisms
-                if groupoid.src[m] == x and groupoid.dst[m] == x)
+        n = len(groupoid.hom(x, x))
         if n % p == 0:
             raise GateError(
                 "char %d divides |Aut(%r)| = %d" % (p, x, n))

@@ -92,9 +92,6 @@ class FinSetCategory:
         _, dom, cod, images = m
         return len(dom) == len(cod) and len(set(images)) == len(images)
 
-    def is_identity_morphism(self, m):
-        return m[1] == m[2] and m[3] == m[1]
-
     def to_terminal(self, x):
         return ("fn", x, self.terminal, ("*",) * len(x))
 

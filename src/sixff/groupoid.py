@@ -3,13 +3,16 @@
 Objects and morphisms are identified by hashable ids (strings, ints, or
 nested tuples); equality is always by id, never positional.  All structure
 (composition, identities, inverses) is stored in explicit tables, and every
-axiom check is an exact table lookup.
+axiom check is an exact table lookup.  A category indexes its arrows once,
+by source (`FiniteCategory.out`); hom sets and composable pairs are read
+from that index.
 
 The module provides validation, deloopings of finite groups, action
 groupoids, anchored n-fold relative products (the one fiber-product
 construction; the iso-comma 2-categorical pullback of groupoids is its
-binary case), skeletalization, equivalence testing, component/automorphism
-extraction, and truncated Čech nerves.
+binary case), skeletalization, equivalence testing, the one component
+search (`component_search`, behind `transport_to_reps` and the Kan fibers
+of `sheaves`), and truncated Čech nerves.
 """
 
 from __future__ import annotations
@@ -116,28 +119,37 @@ class FiniteCategory:
             raise StructureError("missing composite (%r, %r)" % (g, f))
         return self._comp_fn(g, f)
 
-    def composable_pairs(self):
-        by_src = {}
+    @cached_property
+    def out(self):
+        """out[x]: the tuple of morphisms out of x, in morphism order.  The
+        one arrow index of the category, built on first use."""
+        out = {x: [] for x in self.objects}
         for m in self.morphisms:
-            by_src.setdefault(self.src[m], []).append(m)
+            out[self.src[m]].append(m)
+        return {x: tuple(ms) for x, ms in out.items()}
+
+    def composable_pairs(self):
+        out = self.out
         for f in self.morphisms:
-            for g in by_src.get(self.dst[f], ()):
+            for g in out[self.dst[f]]:
                 yield g, f
 
     def hom(self, x, y):
-        return [m for m in self.morphisms
-                if self.src[m] == x and self.dst[m] == y]
+        dst = self.dst
+        return [m for m in self.out.get(x, ()) if dst[m] == y]
 
-    def is_identity_morphism(self, m):
-        return self.identity.get(self.src[m]) == m
-
-    def is_iso(self, m):
+    def inverse_of(self, m):
+        """The first n: dst m -> src m, in morphism order, with n∘m and
+        m∘n identities; None if m is not invertible."""
         x, y = self.src[m], self.dst[m]
         for n in self.hom(y, x):
             if (self.compose(n, m) == self.identity[x]
                     and self.compose(m, n) == self.identity[y]):
-                return True
-        return False
+                return n
+        return None
+
+    def is_iso(self, m):
+        return self.inverse_of(m) is not None
 
     def validate(self):
         """Axiom report: empty iff the tables form a category."""
@@ -480,32 +492,42 @@ def pi0_and_aut(grpd):
     return out
 
 
-def transport_to_reps(grpd):
-    """For each object pick a morphism t_x: rep -> x (t_rep = id), by
-    deterministic BFS inside each component.  The representative is the
-    okey-least object of its component: objects are visited in okey order,
-    and in a groupoid each reaches its whole component."""
-    t = {}
-    comp_of = {}
-    by_src = {}
-    for m in grpd.morphisms:
-        by_src.setdefault(grpd.src[m], []).append(m)
-    for rep in grpd.objects:
-        if rep in comp_of:
+def component_search(objects, arrows, identity):
+    """Components of a finite groupoid in one pass over the arrows out of
+    each representative.  `objects` come in okey order, `arrows(o)` lists
+    the arrows (u, o2) out of o in morphism order and `identity(o)` is o's
+    identity.  Returns (reps, auts, locate): the okey-least object of each
+    component; auts[rep], the arrows rep -> rep in morphism order; and
+    locate[o] = (i, u), with i the index of o's component in reps and u the
+    first arrow reps[i] -> o (the identity at a representative).  In a
+    groupoid every object of a component is the end of an arrow out of its
+    representative, so one pass locates them all."""
+    reps, auts, locate = [], {}, {}
+    for rep in objects:
+        if rep in locate:
             continue
-        t[rep] = grpd.identity[rep]
-        comp_of[rep] = rep
-        frontier = [rep]
-        while frontier:
-            new = []
-            for x in frontier:
-                for m in by_src.get(x, ()):
-                    y = grpd.dst[m]
-                    if y not in comp_of:
-                        t[y] = grpd.compose(m, t[x])
-                        comp_of[y] = rep
-                        new.append(y)
-            frontier = new
+        i = len(reps)
+        reps.append(rep)
+        locate[rep] = (i, identity(rep))
+        ends = auts[rep] = []
+        for u, o in arrows(rep):
+            if o == rep:
+                ends.append(u)
+            elif o not in locate:
+                locate[o] = (i, u)
+    return reps, auts, locate
+
+
+def transport_to_reps(grpd):
+    """(t, comp_of): comp_of[x] is the okey-least object of x's component
+    and t[x]: comp_of[x] -> x its first arrow to x in morphism order
+    (t_rep = id), both read off `component_search`."""
+    dst, out = grpd.dst, grpd.out
+    reps, _, locate = component_search(
+        grpd.objects, lambda x: [(u, dst[u]) for u in out[x]],
+        grpd.identity.__getitem__)
+    t = {x: u for x, (_, u) in locate.items()}
+    comp_of = {x: reps[i] for x, (i, _) in locate.items()}
     return t, comp_of
 
 
@@ -712,19 +734,16 @@ class RelProduct:
                         rec(i + 1, xs + [x], ms + [m])
 
         rec(0, [], [])
-        # each factor's legs (u, dst u, u^-1, a(u)) out of each object, in
-        # morphism order
-        legs = []
-        for X, a in factors:
-            out = {x: [] for x in X.objects}
-            for u in X.morphisms:
-                out[X.src[u]].append((u, X.dst[u], X.inverse[u], a.mor[u]))
-            legs.append(out)
+        def legs(X, a, x):
+            """The legs (u, dst u, u^-1, a(u)) out of x, in morphism
+            order."""
+            return [(u, X.dst[u], X.inverse[u], a.mor[u]) for u in X.out[x]]
+
         s_comp, s_inv = _table(S), S.inverse
         morphisms, src, dst, ident, inv = [], {}, {}, {}, {}
         for o in objects:
             xs, ms = o
-            for combo in product(*(out[x] for out, x in zip(legs, xs))):
+            for combo in product(*map(legs, Xs, As, xs)):
                 us, ys, vs, aus = zip(*combo)
                 back = s_inv[aus[0]]
                 o2 = (ys, tuple(s_comp[(au, s_comp[(m, back)])]

@@ -21,7 +21,6 @@ from functools import cached_property
 from .fields import GateError
 from .groupoid import (
     delooping, delooping_hom, iso_comma_pullback, okey, pi0_and_aut,
-    terminal_groupoid, to_terminal,
 )
 from .groups import FiniteGroup
 from .kernels import prim_test
@@ -453,8 +452,7 @@ def prim_duality_on_hecke(G, K, field):
     BK = delooping(K)
     trivK = unit_sheaf(BK, field)
     P = compact_induction(G, K, trivK).sheaf
-    f = to_terminal(P.base, terminal_groupoid())
-    cert = prim_test(f, P, check_double_dual=False)
+    cert = prim_test(P.base.to_point, P, check_double_dual=False)
     if not cert.ok:
         return PrimDualityCertificate(False, False, False, False, 0)
     c = find_isomorphism(cert.dual, P)

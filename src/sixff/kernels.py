@@ -76,10 +76,6 @@ class KernelContext:
         return tuple(self.proj((x, y, z), ix)
                      for ix in ((0, 1), (1, 2), (0, 2)))
 
-    def hom_pair(self, xname, yname):
-        """Fun(Y -> X) is the sheaf category on this groupoid."""
-        return self.prod((xname, yname))
-
 @dataclass
 class Kernel:
     ctx: KernelContext
@@ -95,7 +91,7 @@ class Kernel:
 
 def kernel_hom(ctx, xname, yname):
     """The sheaf-category descriptor D(X x_S Y) with its projections."""
-    rp = ctx.hom_pair(xname, yname)
+    rp = ctx.prod((xname, yname))
     return {"groupoid": rp.grpd, "p1": rp.factor_proj(0),
             "p2": rp.factor_proj(1), "product": rp}
 

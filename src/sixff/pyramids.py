@@ -12,7 +12,6 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .corr import NoPullback, pullback
 from .groupoid import (
@@ -32,14 +31,8 @@ class PyramidPoset:
     def elements(self):
         return self.category.objects
 
-    @cached_property
-    def _order(self):
-        """The pairs (a, b) with a <= b: one per morphism of the category."""
-        c = self.category
-        return {(c.src[m], c.dst[m]) for m in c.morphisms}
-
     def leq(self, a, b):
-        return (a, b) in self._order
+        return bool(self.category.hom(a, b))
 
     def covers(self):
         """Covering relations a < b with nothing in between."""
@@ -129,10 +122,8 @@ def lambda_to_sigma(f, setup):
         arrows[(a, b)] = m
 
     # seed with the wide part
-    for a in lam.objects:
-        for b in lam.objects:
-            if ("le", a, b) in set(lam.morphisms):
-                set_arrow(a, b, f.mor[("le", a, b)])
+    for m in lam.morphisms:
+        set_arrow(lam.src[m], lam.dst[m], f.mor[m])
     # fill corners by increasing height j - i
     for h in range(2, n + 1):
         for i in range(0, n - h + 1):

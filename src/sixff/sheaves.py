@@ -35,7 +35,7 @@ import weakref
 from functools import lru_cache
 
 from .fields import GateError, TheoremViolation, check_gate
-from .groupoid import okey
+from .groupoid import component_search, okey
 from .linalg import Matrix, stack_columns, stack_rows
 
 # ---------------------------------------------------------------------------
@@ -224,62 +224,68 @@ def morphism_coordinates(basis, phi):
 # ---------------------------------------------------------------------------
 
 class _Fiber:
-    """Component data of the comma groupoid over one target object.
+    """Component data of the comma groupoid over one target object x,
+    found by `component_search` over its objects `objs` (see `_fibers`).
 
     kind "lan": objects (y, m: f(y) -> x);  kind "ran": (y, m: x -> f(y)).
-    `hom[(a, b)]` lists the morphisms a -> b of f.cod and `out[y]` those
-    out of y in f.dom, both in morphism order, which is okey order; they
-    are built once per functor and shared across its fibers.  `reps` holds
-    the okey-least object of each component, `auts[rep]` the automorphisms
-    of rep in morphism order, and `locate[o]` is (i, p): the index i of o's
-    component in `reps` and the first morphism p: y_rep -> y of f.dom, in
-    morphism order, that is an arrow rep -> o of the fiber.
+    Arrows u: (y, m) -> (y', m') are the morphisms u: y -> y' of f.dom with
+    m'∘f(u) = m (lan) or f(u)∘m = m' (ran), read from `f.dom.out`.  `reps`
+    holds the okey-least object of each component, `auts[rep]` the
+    automorphisms of rep in morphism order, and `locate[o]` is (i, p): the
+    index i of o's component in `reps` and the first morphism
+    p: y_rep -> y of f.dom, in morphism order, that is an arrow rep -> o of
+    the fiber.
     """
 
     __slots__ = ("reps", "auts", "locate")
 
-    def __init__(self, f, x, kind, hom, out):
+    def __init__(self, f, kind, objs):
         Y, X = f.dom, f.cod
+        dst, out, fmor = Y.dst, Y.out, f.mor
         if kind == "lan":
-            objs = [(y, m) for y in Y.objects
-                    for m in hom.get((f.ob[y], x), ())]
+            inv = X.inverse
+
+            def arrows(o):
+                y, m = o
+                return [(u, (dst[u], X.compose(m, inv[fmor[u]])))
+                        for u in out[y]]
         else:
-            objs = [(y, m) for y in Y.objects
-                    for m in hom.get((x, f.ob[y]), ())]
-        reps, auts, locate = [], {}, {}
-        for rep in sorted(objs, key=okey):
-            if rep in locate:
-                continue
-            i = len(reps)
-            reps.append(rep)
-            locate[rep] = (i, Y.identity[rep[0]])
-            # arrows u: (y,m) -> (y',m') iff m'∘f(u) = m (lan)
-            #                            iff f(u)∘m = m'  (ran).
-            # The fiber is a groupoid, so every object of rep's component is
-            # the end of an arrow out of rep: one pass locates them all.
-            y, m = rep
-            auts[rep] = []
-            for u in out[y]:
-                if kind == "lan":
-                    m2 = X.compose(m, X.inverse[f.mor[u]])
-                else:
-                    m2 = X.compose(f.mor[u], m)
-                o2 = (Y.dst[u], m2)
-                if o2 == rep:
-                    auts[rep].append(u)
-                elif o2 not in locate:
-                    locate[o2] = (i, u)
-        self.reps, self.auts, self.locate = reps, auts, locate
+            def arrows(o):
+                y, m = o
+                return [(u, (dst[u], X.compose(fmor[u], m))) for u in out[y]]
+
+        self.reps, self.auts, self.locate = component_search(
+            sorted(objs, key=okey), arrows, lambda o: Y.identity[o[0]])
+
+
+def _fibers(f, kind):
+    """The fibers of f of one kind by object x of f.cod.  Their objects
+    come from one pass over `f.cod.out`: the arrows out of each f(y) (lan)
+    or into it (ran)."""
+    X = f.cod
+    over = {}
+    for y in f.dom.objects:
+        over.setdefault(f.ob[y], []).append(y)
+    objs = {x: [] for x in X.objects}
+    if kind == "lan":           # (y, m: f(y) -> x)
+        for c, ys in over.items():
+            for m in X.out[c]:
+                objs[X.dst[m]].extend((y, m) for y in ys)
+    else:                       # (y, m: x -> f(y))
+        for x, ms in X.out.items():
+            for m in ms:
+                objs[x].extend((y, m) for y in over.get(X.dst[m], ()))
+    return {x: _Fiber(f, kind, objs[x]) for x in X.objects}
 
 
 # The memo of each functor object f, shared by every Kan functor on f:
-# _FIBERS[f] maps "hom" and "out" (see _Fiber) and each kind built so far
-# to its fibers, "pushes" the content key of a sheaf M (see
-# `_KanExtension._entry`) to the built f_!M or f_*M, and "data" that built
-# sheaf to its component data.  "pushes" holds its values and "data" its
-# keys weakly, so a push lives exactly as long as someone holds it.  The
-# whole entry is keyed weakly by f, so a dropped functor drops it; no value
-# refers to f.
+# _FIBERS[f] maps each kind built so far to its fibers, "pushes" the
+# content key of a sheaf M (see `_KanExtension._entry`) to the built f_!M
+# or f_*M, and "data" that built sheaf to its component data.  The fibers
+# read their arrows from the categories' own index (`FiniteCategory.out`).
+# "pushes" holds its values and "data" its keys weakly, so a push lives
+# exactly as long as someone holds it.  The whole entry is keyed weakly by
+# f, so a dropped functor drops it; no value refers to f.
 _FIBERS = weakref.WeakKeyDictionary()
 
 
@@ -287,18 +293,10 @@ def _memo_of(f, kind):
     """The _FIBERS entry of f, with the fibers of kind "lan" or "ran"."""
     shared = _FIBERS.get(f)
     if shared is None:
-        Y, X = f.dom, f.cod
-        hom, out = {}, {y: [] for y in Y.objects}
-        for m in X.morphisms:
-            hom.setdefault((X.src[m], X.dst[m]), []).append(m)
-        for u in Y.morphisms:
-            out[Y.src[u]].append(u)
-        shared = _FIBERS[f] = {"hom": hom, "out": out,
-                               "pushes": weakref.WeakValueDictionary(),
+        shared = _FIBERS[f] = {"pushes": weakref.WeakValueDictionary(),
                                "data": weakref.WeakKeyDictionary()}
     if kind not in shared:
-        shared[kind] = {x: _Fiber(f, x, kind, shared["hom"], shared["out"])
-                        for x in f.cod.objects}
+        shared[kind] = _fibers(f, kind)
     return shared
 
 
@@ -415,7 +413,9 @@ class _KanExtension(SheafFunctor):
       - per functor object f, in `_FIBERS`, shared by every Kan functor on
         f and keyed weakly by f:
           - the fibers, built by the first Kan functor of their kind on f,
-            so a new `LanFunctor(f)` builds no groupoid data;
+            so a new `LanFunctor(f)` builds no groupoid data.  They read
+            their arrows from the arrow index `out` of f.dom and f.cod,
+            built once per category;
           - the pushes: f_!M or f_*M by the content of M, (kind, field,
             dims over f.dom.objects, matrices over f.dom.morphisms), with
             its component data.  The key is exact: equal keys mean equal
@@ -440,7 +440,7 @@ class _KanExtension(SheafFunctor):
     def __init__(self, f):
         self.f = f
         shared = _memo_of(f, self.kind)
-        self.fibers, self._out = shared[self.kind], shared["out"]
+        self.fibers = shared[self.kind]
         self._pushes, self._push_data = shared["pushes"], shared["data"]
         self.name = "%s%s" % (f.name or "f", self.suffix)
         self._cache = {}
@@ -549,8 +549,8 @@ class LanFunctor(_KanExtension):
             blocks = []
             for (iota, _, _, (y_c, m_c)) in self._data(M)[f.ob[y]]:
                 total = Matrix.zero(fld, M.dim[y], M.dim[y_c])
-                for u in self._out[y_c]:
-                    if Y.dst[u] == y and f.mor[u] == m_c:
+                for u in Y.hom(y_c, y):
+                    if f.mor[u] == m_c:
                         total = total + M.mat[u]
                 blocks.append(total * iota)
             comp[y] = stack_columns(fld, blocks, M.dim[y])

@@ -95,8 +95,7 @@ def _random_map_to(rng, X):
     ok = True
     for m in Y.morphisms:
         a, b = Y.src[m], Y.dst[m]
-        cands = [t for t in X.morphisms
-                 if X.src[t] == ob[a] and X.dst[t] == ob[b]]
+        cands = X.hom(ob[a], ob[b])
         if not cands:
             ok = False
             break

@@ -110,12 +110,10 @@ class StrictTwoCat:
 
     def invert_2cell(self, t):
         cat = self.hom[self._home2[t]]
-        f, g = cat.src[t], cat.dst[t]
-        for t2 in cat.hom(g, f):
-            if cat.compose(t2, t) == cat.identity[f] and \
-               cat.compose(t, t2) == cat.identity[g]:
-                return t2
-        raise StructureError("2-cell %r is not invertible" % (t,))
+        t2 = cat.inverse_of(t)
+        if t2 is None:
+            raise StructureError("2-cell %r is not invertible" % (t,))
+        return t2
 
     # -- validation ----------------------------------------------------------
 
@@ -272,9 +270,7 @@ def _functor_candidates(dom, cod, budget):
         mor_choices = []
         feasible = True
         for m in dom.morphisms:
-            cands = [t for t in cod.morphisms
-                     if cod.src[t] == ob[dom.src[m]]
-                     and cod.dst[t] == ob[dom.dst[m]]]
+            cands = cod.hom(ob[dom.src[m]], ob[dom.dst[m]])
             if not cands:
                 feasible = False
                 break
@@ -662,8 +658,7 @@ def cat_two_cat(named_cats):
         gob, gmor = fun_maps(gid)
         combos = []
         for x in dom.objects:
-            combos.append([t for t in cod.morphisms
-                           if cod.src[t] == fob[x] and cod.dst[t] == gob[x]])
+            combos.append(cod.hom(fob[x], gob[x]))
         out = []
         for assignment in itertools.product(*combos):
             comp = dict(zip(dom.objects, assignment))

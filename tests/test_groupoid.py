@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sixff.groupoid import (
     FiniteCategory, FiniteGroupoid, Functor, StructureError,
@@ -258,6 +260,9 @@ def test_transport_to_reps_picks_least_object(make):
     for x in G.objects:
         assert comp_of[x] == min(comp[x], key=okey)
         assert G.src[t[x]] == comp_of[x] and G.dst[t[x]] == x
+        # the first arrow comp_of[x] -> x in morphism order
+        assert t[x] == next(m for m in G.morphisms
+                            if G.src[m] == comp_of[x] and G.dst[m] == x)
     for x in G.objects:
         for y in G.objects:
             assert (comp_of[x] == comp_of[y]) == (comp[x] == comp[y])
@@ -425,3 +430,56 @@ def test_subgroup_enumeration():
     S4 = presets.group("S4")
     assert len(S4.all_subgroups()) == 30
     assert len(S4.subgroups_up_to_conjugacy()) == 11
+
+
+# ---------------------------------------------------------------------------
+# The arrow index: hom sets and composable pairs against brute-force scans
+# ---------------------------------------------------------------------------
+
+PRESET_CATEGORIES = [
+    presets.finset_category(2), presets.finset_category(3),
+    presets.divisor_poset(12), presets.chain_poset(),
+    presets.cospan_category(), presets.parallel_arrows_category(),
+]
+SMALL_GROUPS = ("1", "C2", "C3", "C4", "S3")
+
+
+@st.composite
+def _summands(draw):
+    """A delooping, or the action groupoid of left multiplication on the
+    cosets g<h> of a cyclic subgroup."""
+    G = presets.group(draw(st.sampled_from(SMALL_GROUPS)))
+    if draw(st.booleans()):
+        return delooping(G)
+    H = G.generated_subgroup([draw(st.sampled_from(G.elements))])
+    cosets = list({frozenset(G.mul(g, h) for h in H) for g in G.elements})
+    act = {(g, c): frozenset(G.mul(g, x) for x in c)
+           for g in G.elements for c in cosets}
+    return action_groupoid(G, cosets, act)[0]
+
+
+def _unions():
+    return st.lists(_summands(), min_size=1, max_size=5).map(disjoint_union)
+
+
+def _with_presets(test):
+    for C in PRESET_CATEGORIES:
+        test = example(C)(test)
+    return test
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_unions())
+@_with_presets
+def test_arrow_index_matches_brute_force_scans(C):
+    index = C.out
+    for x in C.objects:
+        assert index[x] == tuple(m for m in C.morphisms if C.src[m] == x)
+        for y in C.objects:
+            assert C.hom(x, y) == [m for m in C.morphisms
+                                   if C.src[m] == x and C.dst[m] == y]
+    assert list(C.composable_pairs()) == [
+        (g, f) for f in C.morphisms for g in C.morphisms
+        if C.src[g] == C.dst[f]]
+    # one index per category, built once
+    assert C.out is index

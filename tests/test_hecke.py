@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from sixff import presets
+from sixff import hecke, presets
 from sixff.fields import GF, QQ, GateError
 from sixff.groupoid import delooping, okey
 from sixff.hecke import (
@@ -228,3 +230,19 @@ def test_prim_duality_on_hecke_c4_c2():
     cert = prim_duality_on_hecke(C4, C2sub, QQ)
     assert cert.prim_ok and cert.agrees_with_iota
     assert cert.algebra_dim == 2
+
+
+def test_prim_duality_tests_the_point_map_of_its_base(monkeypatch):
+    # the prim test runs on P.base.to_point, the map that `hom_space` on
+    # the same base pushes along, so both share its fibers
+    seen = []
+
+    def recording(f, P, **kwargs):
+        seen.append((f, P))
+        return SimpleNamespace(ok=False)
+
+    monkeypatch.setattr(hecke, "prim_test", recording)
+    cert = prim_duality_on_hecke(S3, C2, QQ)
+    assert not cert.prim_ok
+    (f, P), = seen
+    assert f is P.base.to_point

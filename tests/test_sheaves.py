@@ -791,9 +791,9 @@ def _count_fiber_builds(monkeypatch):
     builds = Counter()
     init = sheaves._Fiber.__init__
 
-    def counting(self, f, x, kind, hom, out):
+    def counting(self, f, kind, objs):
         builds[(f.name, kind)] += 1
-        init(self, f, x, kind, hom, out)
+        init(self, f, kind, objs)
 
     monkeypatch.setattr(sheaves._Fiber, "__init__", counting)
     return builds
