@@ -3,23 +3,26 @@
 Objects and morphisms are identified by hashable ids (strings, ints, or
 nested tuples); equality is always by id, never positional.  All structure
 (composition, identities, inverses) is stored in explicit tables, and every
-axiom check is an exact table lookup.  A category indexes its arrows once,
-by source (`FiniteCategory.out`); hom sets and composable pairs are read
-from that index.
+axiom check is an exact table lookup.  Construction checks the tables in
+one pass over the morphisms, and that pass also builds the category's one
+arrow index, by source (`FiniteCategory.out`); hom sets and composable
+pairs are read from that index.  Ids are often nested tuples, whose hashes
+Python does not cache, so constructions look each id up as few times as
+they can.
 
-The module provides validation, deloopings of finite groups, action
-groupoids, anchored n-fold relative products (the one fiber-product
-construction; the iso-comma 2-categorical pullback of groupoids is its
-binary case), skeletalization, equivalence testing, the one component
-search (`component_search`, behind `transport_to_reps` and the Kan fibers
-of `sheaves`), and truncated Čech nerves.
+The module provides validation, deloopings of finite groups (one per group
+and object), action groupoids, anchored n-fold relative products (the one
+fiber-product construction; the iso-comma 2-categorical pullback of
+groupoids is its binary case), skeletalization, equivalence testing, the
+one component search (`component_search`, behind `transport_to_reps` and
+the Kan fibers of `sheaves`), and truncated Čech nerves.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import getitem
 
 
@@ -66,6 +69,9 @@ class FiniteCategory:
     """A finite category given by explicit tables.
 
     compose[(g, f)] = g∘f, defined exactly when dst(f) == src(g).
+    out[x] is the tuple of morphisms out of x, in morphism order: the one
+    arrow index of the category, built at construction by the pass that
+    checks the tables.
     """
 
     is_groupoid = False
@@ -85,29 +91,41 @@ class FiniteCategory:
         self._check_structure()
 
     def _check_structure(self):
-        oset, mset = set(self.objects), set(self.morphisms)
-        if len(oset) != len(self.objects) or len(mset) != len(self.morphisms):
+        """Check the tables, building `out` in the same pass over the
+        morphisms; return the set of morphisms."""
+        objects, morphisms = self.objects, self.morphisms
+        mset = set(morphisms)
+        if len(set(objects)) != len(objects) or len(mset) != len(morphisms):
             raise StructureError("duplicate ids")
-        for m in self.morphisms:
-            if m not in self.src or m not in self.dst:
-                raise StructureError("morphism %r missing source/target" % (m,))
-            if self.src[m] not in oset or self.dst[m] not in oset:
+        src, dst = self.src, self.dst
+        out = {x: [] for x in objects}
+        for m in morphisms:
+            try:
+                x, y = src[m], dst[m]
+            except KeyError:
+                raise StructureError(
+                    "morphism %r missing source/target" % (m,)) from None
+            ms = out.get(x)
+            if ms is None or y not in out:
                 raise StructureError("morphism %r has dangling endpoint" % (m,))
-        for x in self.objects:
+            ms.append(m)
+        for x in objects:
             if x not in self.identity:
                 raise StructureError("object %r has no identity" % (x,))
             e = self.identity[x]
             if e not in mset:
                 raise StructureError("identity of %r is dangling" % (x,))
-            if self.src[e] != x or self.dst[e] != x:
+            if src[e] != x or dst[e] != x:
                 raise StructureError("identity of %r is not an endomorphism" % (x,))
         if self._comp is not None:
             for (g, f), h in self._comp.items():
                 if g not in mset or f not in mset or h not in mset:
                     raise StructureError("composition entry with dangling id")
-                if self.dst[f] != self.src[g]:
+                if dst[f] != src[g]:
                     raise StructureError(
                         "composition entry (%r,%r) not composable" % (g, f))
+        self.out = {x: tuple(ms) for x, ms in out.items()}
+        return mset
 
     def compose(self, g, f):
         if self._comp is not None:
@@ -118,15 +136,6 @@ class FiniteCategory:
         if self.dst[f] != self.src[g]:
             raise StructureError("missing composite (%r, %r)" % (g, f))
         return self._comp_fn(g, f)
-
-    @cached_property
-    def out(self):
-        """out[x]: the tuple of morphisms out of x, in morphism order.  The
-        one arrow index of the category, built on first use."""
-        out = {x: [] for x in self.objects}
-        for m in self.morphisms:
-            out[self.src[m]].append(m)
-        return {x: tuple(ms) for x, ms in out.items()}
 
     def composable_pairs(self):
         out = self.out
@@ -219,16 +228,24 @@ class FiniteCategory:
         return identity_functor(self)
 
 
+_MISSING = object()
+
+
 class FiniteGroupoid(FiniteCategory):
     is_groupoid = True
 
     def __init__(self, objects, morphisms, src, dst, identity, compose, inverse):
-        super().__init__(objects, morphisms, src, dst, identity, compose)
         self.inverse = dict(inverse)
-        mset = set(self.morphisms)
+        super().__init__(objects, morphisms, src, dst, identity, compose)
+
+    def _check_structure(self):
+        """The category checks, then one inverse lookup per morphism."""
+        mset = super()._check_structure()
+        get = self.inverse.get
         for m in self.morphisms:
-            if m not in self.inverse or self.inverse[m] not in mset:
+            if get(m, _MISSING) not in mset:
                 raise StructureError("morphism %r lacks an inverse entry" % (m,))
+        return mset
 
     def validate(self):
         report = super().validate()
@@ -387,19 +404,30 @@ class NatTrans:
 # Group deloopings and action groupoids
 # ---------------------------------------------------------------------------
 
+# _DELOOPINGS[group][obj] is the delooping of group at obj.  It holds no
+# reference to the group, so the entry dies with the group.
+_DELOOPINGS = weakref.WeakKeyDictionary()
+
+
 def delooping(group, obj="*"):
     """One-object groupoid of a finite group (see groups.FiniteGroup, whose
-    constructor checks the group axioms)."""
-    e = group.identity
-    morphisms = list(group.elements)
-    return FiniteGroupoid(
+    constructor checks the group axioms), built once per (group, obj).  Its
+    composites are the group's table."""
+    built = _DELOOPINGS.setdefault(group, {})
+    if obj in built:
+        return built[obj]
+    morphisms, table = group.elements, group.table
+    if len(table) != len(morphisms) ** 2:
+        table = {(g, h): table[(g, h)] for g in morphisms for h in morphisms}
+    built[obj] = FiniteGroupoid(
         objects=[obj],
         morphisms=morphisms,
-        src={g: obj for g in morphisms},
-        dst={g: obj for g in morphisms},
-        identity={obj: e},
-        compose={(g, h): group.mul(g, h) for g in morphisms for h in morphisms},
+        src=dict.fromkeys(morphisms, obj),
+        dst=dict.fromkeys(morphisms, obj),
+        identity={obj: group.identity},
+        compose=table,
         inverse={g: group.inv(g) for g in morphisms})
+    return built[obj]
 
 
 def delooping_hom(phi, dom_grpd, cod_grpd):
@@ -734,24 +762,38 @@ class RelProduct:
                         rec(i + 1, xs + [x], ms + [m])
 
         rec(0, [], [])
-        def legs(X, a, x):
-            """The legs (u, dst u, u^-1, a(u)) out of x, in morphism
-            order."""
-            return [(u, X.dst[u], X.inverse[u], a.mor[u]) for u in X.out[x]]
-
         s_comp, s_inv = _table(S), S.inverse
+        # A morphism (u_0, ..., u_{n-1}) out of (xs, ms) moves anchor m_i to
+        # a_i(u_i)∘c_i with c_i = m_i∘a_0(u_0)^-1, so c_i is found once per
+        # first leg u_0.  legs[i][x]: the legs (u, dst u, u^-1, a_i(u)) out
+        # of x in X_i, in morphism order.  moved[i - 1][(x, c)]: the same
+        # legs with a_i(u)∘c in place of a_i(u), built once per (x, c).
+        legs = [{x: [(u, X.dst[u], X.inverse[u], a.mor[u]) for u in X.out[x]]
+                 for x in X.objects} for X, a in factors]
+        moved = [{} for _ in factors[1:]]
         morphisms, src, dst, ident, inv = [], {}, {}, {}, {}
         for o in objects:
             xs, ms = o
-            for combo in product(*map(legs, Xs, As, xs)):
-                us, ys, vs, aus = zip(*combo)
-                back = s_inv[aus[0]]
-                o2 = (ys, tuple(s_comp[(au, s_comp[(m, back)])]
-                                for au, m in zip(aus[1:], ms)))
-                mm = (o, us)
-                morphisms.append(mm)
-                src[mm], dst[mm] = o, o2
-                inv[mm] = (o2, vs)
+            later = list(zip(moved, legs[1:], xs[1:], ms))
+            for u0, y0, v0, au0 in legs[0][xs[0]]:
+                back = s_inv[au0]
+                partial = [((u0,), (y0,), (v0,), ())]
+                for memo, legs_i, x, m in later:
+                    c = s_comp[(m, back)]
+                    step = memo.get((x, c))
+                    if step is None:
+                        step = memo[(x, c)] = [
+                            (u, y, v, s_comp[(au, c)])
+                            for u, y, v, au in legs_i[x]]
+                    partial = [(us + (u,), ys + (y,), vs + (v,), an + (c2,))
+                               for us, ys, vs, an in partial
+                               for u, y, v, c2 in step]
+                for us, ys, vs, an in partial:
+                    o2 = (ys, an)
+                    mm = (o, us)
+                    morphisms.append(mm)
+                    src[mm], dst[mm] = o, o2
+                    inv[mm] = (o2, vs)
             ident[o] = (o, tuple(X.identity[x] for X, x in zip(Xs, xs)))
         tables = [_table(X) for X in Xs]
 

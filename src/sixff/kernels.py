@@ -89,13 +89,6 @@ class Kernel:
             raise TheoremViolation("payload base mismatch for kernel")
 
 
-def kernel_hom(ctx, xname, yname):
-    """The sheaf-category descriptor D(X x_S Y) with its projections."""
-    rp = ctx.prod((xname, yname))
-    return {"groupoid": rp.grpd, "p1": rp.factor_proj(0),
-            "p2": rp.factor_proj(1), "product": rp}
-
-
 def kernel_identity(ctx, xname):
     """Identity 1-morphism: the diagonal pushforward of the unit."""
     diag = ctx.prod((xname, xname)).diagonal

@@ -35,15 +35,16 @@ class PyramidPoset:
         return bool(self.category.hom(a, b))
 
     def covers(self):
-        """Covering relations a < b with nothing in between."""
+        """Covering relations a < b with nothing in between, in element
+        order.  Each element's up-set is read from the arrow index once."""
+        cat, els = self.category, self.elements
+        up = {a: {cat.dst[m] for m in cat.out[a]} for a in els}
         out = []
-        els = self.elements
         for a in els:
             for b in els:
-                if a == b or not self.leq(a, b):
+                if a == b or b not in up[a]:
                     continue
-                if any(c not in (a, b) and self.leq(a, c) and self.leq(c, b)
-                       for c in els):
+                if any(c not in (a, b) and b in up[c] for c in up[a]):
                     continue
                 out.append((a, b))
         return out

@@ -1,7 +1,14 @@
+import gc
+import random
+import re
+import weakref
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sixff import groupoid
 from sixff.groupoid import (
     FiniteCategory, FiniteGroupoid, Functor, StructureError,
     action_groupoid, cech_nerve, compose_functors, delooping,
@@ -483,3 +490,286 @@ def test_arrow_index_matches_brute_force_scans(C):
         if C.src[g] == C.dst[f]]
     # one index per category, built once
     assert C.out is index
+
+
+# ---------------------------------------------------------------------------
+# Relative products against the reference construction
+# ---------------------------------------------------------------------------
+
+def _reference_rel_product(S, factors):
+    """(objects, morphisms, src, dst, identity, inverse, compose) of the
+    relative product, with one `product` over the legs of every factor per
+    object: the construction that `RelProduct` replaced, kept as a
+    reference."""
+    n = len(factors)
+    Xs = [g for g, _ in factors]
+    As = [a for _, a in factors]
+    objects = []
+
+    def rec(i, xs, ms):
+        if i == n:
+            objects.append((tuple(xs), tuple(ms)))
+            return
+        X = Xs[i]
+        for x in X.objects:
+            if i == 0:
+                rec(1, [x], [])
+            else:
+                for m in S.hom(As[0].ob[xs[0]], As[i].ob[x]):
+                    rec(i + 1, xs + [x], ms + [m])
+
+    rec(0, [], [])
+
+    def legs(X, a, x):
+        return [(u, X.dst[u], X.inverse[u], a.mor[u]) for u in X.out[x]]
+
+    morphisms, src, dst, ident, inv = [], {}, {}, {}, {}
+    for o in objects:
+        xs, ms = o
+        for combo in product(*map(legs, Xs, As, xs)):
+            us, ys, vs, aus = zip(*combo)
+            back = S.inverse[aus[0]]
+            o2 = (ys, tuple(S.compose(au, S.compose(m, back))
+                            for au, m in zip(aus[1:], ms)))
+            mm = (o, us)
+            morphisms.append(mm)
+            src[mm], dst[mm] = o, o2
+            inv[mm] = (o2, vs)
+        ident[o] = (o, tuple(X.identity[x] for X, x in zip(Xs, xs)))
+
+    def comp(m2, m1):
+        return (src[m1], tuple(X.compose(g, f)
+                               for X, g, f in zip(Xs, m2[1], m1[1])))
+
+    return objects, morphisms, src, dst, ident, inv, comp
+
+
+def _random_summand(rng, G):
+    """A groupoid with a functor to */G: the delooping of a cyclic subgroup
+    H (its inclusion, or the trivial map), or the action groupoid of G on
+    the cosets gH (its projection)."""
+    BG = delooping(G)
+    H = G.subgroup(G.generated_subgroup([rng.choice(G.elements)]))
+    kind = rng.choice(("incl", "trivial", "action"))
+    if kind == "action":
+        cosets = sorted({frozenset(G.mul(g, h) for h in H.elements)
+                         for g in G.elements}, key=okey)
+        act = {(g, c): frozenset(G.mul(g, x) for x in c)
+               for g in G.elements for c in cosets}
+        return action_groupoid(G, cosets, act)
+    BH = delooping(H)
+    phi = {h: h if kind == "incl" else G.identity for h in H.elements}
+    return BH, delooping_hom(phi, BH, BG)
+
+
+def _random_factors(rng, n, cap=3000):
+    """(S, factors) with S the delooping of a small group or a disjoint
+    union of two copies of it, and n factors, each one summand or the
+    disjoint union of two, sent into a random copy.  S and the factors are
+    drawn again until the relative product has between 1 and `cap`
+    morphisms."""
+    G = presets.group(rng.choice(("C2", "C3", "S3", "S3")))
+    BG = delooping(G)
+    while True:
+        copies = rng.choice((1, 2))
+        S = BG if copies == 1 else disjoint_union([BG, BG])
+
+        def place(j, x):
+            return x if copies == 1 else (j, x)
+
+        factors = []
+        for _ in range(n):
+            parts = [_random_summand(rng, G)
+                     for _ in range(rng.choice((1, 2)))]
+            where = [rng.randrange(copies) for _ in parts]
+            if len(parts) == 1:
+                (X, a), j = parts[0], where[0]
+                F = Functor(X, S, {x: place(j, a.ob[x]) for x in X.objects},
+                            {m: place(j, a.mor[m]) for m in X.morphisms})
+            else:
+                X = disjoint_union([Y for Y, _ in parts])
+                F = Functor(
+                    X, S,
+                    {(i, x): place(j, a.ob[x])
+                     for i, ((Y, a), j) in enumerate(zip(parts, where))
+                     for x in Y.objects},
+                    {(i, m): place(j, a.mor[m])
+                     for i, ((Y, a), j) in enumerate(zip(parts, where))
+                     for m in Y.morphisms})
+            factors.append((X, F))
+        if 0 < _product_size(S, factors) <= cap:
+            return S, factors
+
+
+def _product_size(S, factors):
+    (X0, a0), *rest = factors
+    total = 0
+    for x0 in X0.objects:
+        size = len(X0.out[x0])
+        for X, a in rest:
+            size *= sum(len(S.hom(a0.ob[x0], a.ob[x])) * len(X.out[x])
+                        for x in X.objects)
+        total += size
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(8))
+def test_rel_product_matches_reference_construction(n, seed):
+    rng = random.Random("relprod/%d/%d" % (n, seed))
+    S, factors = _random_factors(rng, n)
+    P = RelProduct(S, factors).grpd
+    objects, morphisms, src, dst, ident, inv, comp = \
+        _reference_rel_product(S, factors)
+    assert P.objects == tuple(sorted(objects, key=okey))
+    assert P.morphisms == tuple(sorted(morphisms, key=okey))
+    assert (P.src, P.dst, P.identity, P.inverse) == (src, dst, ident, inv)
+    assert P.out == {x: tuple(m for m in P.morphisms if src[m] == x)
+                     for x in P.objects}
+    for f in rng.sample(P.morphisms, min(40, len(P.morphisms))):
+        g = rng.choice(P.out[dst[f]])
+        assert P.compose(g, f) == comp(g, f)
+
+
+def test_rel_product_draws_include_nonabelian_anchors():
+    # an anchor composed in the wrong order changes the product only over
+    # a nonabelian group, so every n gets draws over */S3
+    for n in (2, 3, 4):
+        orders = [len(_random_factors(
+            random.Random("relprod/%d/%d" % (n, seed)), n)[0].morphisms)
+            for seed in range(8)]
+        assert any(k % 6 == 0 for k in orders), (n, orders)
+
+
+# ---------------------------------------------------------------------------
+# Malformed tables: one message per branch, in a fixed order of precedence
+# ---------------------------------------------------------------------------
+
+def _iso_tables():
+    """The groupoid f: x <-> y :g with g = f^-1, plus a lone object z, as
+    raw constructor arguments."""
+    return dict(
+        objects=["x", "y", "z"],
+        morphisms=["f", "g", "ix", "iy", "iz"],
+        src={"f": "x", "g": "y", "ix": "x", "iy": "y", "iz": "z"},
+        dst={"f": "y", "g": "x", "ix": "x", "iy": "y", "iz": "z"},
+        identity={"x": "ix", "y": "iy", "z": "iz"},
+        compose={("ix", "ix"): "ix", ("iy", "iy"): "iy",
+                 ("iz", "iz"): "iz", ("f", "ix"): "f", ("iy", "f"): "f",
+                 ("g", "iy"): "g", ("ix", "g"): "g", ("g", "f"): "ix",
+                 ("f", "g"): "iy"},
+        inverse={"f": "g", "g": "f", "ix": "ix", "iy": "iy", "iz": "iz"})
+
+
+def _break(key, change):
+    def apply(t):
+        change(t[key])
+    return apply
+
+
+# (how the tables are broken, the message), in order of precedence: each
+# breakage is independent of the others, and with several at once the
+# first one's message is raised.
+BREAKAGES = [
+    (_break("objects", lambda o: o.append("x")), "duplicate ids"),
+    (_break("src", lambda d: d.pop("f")),
+     "morphism 'f' missing source/target"),
+    (_break("dst", lambda d: d.update(g="w")),
+     "morphism 'g' has dangling endpoint"),
+    (_break("identity", lambda d: d.pop("x")), "object 'x' has no identity"),
+    (_break("identity", lambda d: d.update(y="jy")),
+     "identity of 'y' is dangling"),
+    (_break("identity", lambda d: d.update(z="iy")),
+     "identity of 'z' is not an endomorphism"),
+    (_break("compose", lambda d: d.update({("h", "iz"): "iz"})),
+     "composition entry with dangling id"),
+    (_break("compose", lambda d: d.update({("f", "f"): "f"})),
+     "composition entry ('f','f') not composable"),
+    (_break("inverse", lambda d: d.pop("f")),
+     "morphism 'f' lacks an inverse entry"),
+]
+
+# One more breakage per branch, each alone.
+MORE_BREAKAGES = [
+    (_break("morphisms", lambda m: m.append("f")), "duplicate ids"),
+    (_break("dst", lambda d: d.pop("iz")),
+     "morphism 'iz' missing source/target"),
+    (_break("src", lambda d: d.update(f="w")),
+     "morphism 'f' has dangling endpoint"),
+    (_break("compose", lambda d: d.update({("iz", "iz"): "h"})),
+     "composition entry with dangling id"),
+    (_break("inverse", lambda d: d.update(g="h")),
+     "morphism 'g' lacks an inverse entry"),
+]
+
+
+def _construct(t):
+    return FiniteGroupoid(t["objects"], t["morphisms"], t["src"], t["dst"],
+                          t["identity"], t["compose"], t["inverse"])
+
+
+def test_iso_tables_form_a_groupoid():
+    G = _construct(_iso_tables())
+    assert G.validate() == []
+    assert G.out == {"x": ("f", "ix"), "y": ("g", "iy"), "z": ("iz",)}
+
+
+@pytest.mark.parametrize("k", range(len(BREAKAGES) + len(MORE_BREAKAGES)))
+def test_malformed_table_message(k):
+    brk, message = (BREAKAGES + MORE_BREAKAGES)[k]
+    t = _iso_tables()
+    brk(t)
+    with pytest.raises(StructureError, match="^%s$" % re.escape(message)):
+        _construct(t)
+
+
+@pytest.mark.parametrize("k", range(len(BREAKAGES)))
+def test_malformed_table_precedence(k):
+    t = _iso_tables()
+    for brk, _ in BREAKAGES[k:]:
+        brk(t)
+    with pytest.raises(StructureError,
+                       match="^%s$" % re.escape(BREAKAGES[k][1])):
+        _construct(t)
+
+
+def test_malformed_category_message_without_inverses():
+    t = _iso_tables()
+    t["identity"]["z"] = "iy"
+    del t["inverse"]
+    with pytest.raises(StructureError, match="not an endomorphism"):
+        FiniteCategory(**t)
+
+
+# ---------------------------------------------------------------------------
+# Deloopings are built once per group and die with it
+# ---------------------------------------------------------------------------
+
+def test_delooping_built_once_per_group():
+    G = FiniteGroup.cyclic(5)
+    B = delooping(G)
+    assert delooping(G) is B
+    assert delooping(G, "o") is delooping(G, "o") is not B
+    assert B.objects == ("*",) and B.morphisms == G.elements
+    assert all(B.compose(g, h) == G.mul(g, h) and B.inverse[g] == G.inv(g)
+               for g in G.elements for h in G.elements)
+    assert validate_category(B) == []
+
+
+def test_delooping_cache_entry_dies_with_the_group():
+    G = FiniteGroup.cyclic(4)
+    refs = [weakref.ref(G), weakref.ref(delooping(G)),
+            weakref.ref(delooping(G, "o"))]
+    entries = len(groupoid._DELOOPINGS)
+    del G
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert len(groupoid._DELOOPINGS) == entries - 1
+
+
+def test_delooping_reads_only_the_group_part_of_its_table():
+    table = {(a, b): (a + b) % 2 for a in range(2) for b in range(2)}
+    table[(5, 5)] = 5
+    G = FiniteGroup(range(2), table)
+    B = delooping(G)
+    assert B.morphisms == (0, 1) and validate_category(B) == []

@@ -12,7 +12,7 @@ from sixff.groupoid import (
 )
 from sixff.kernels import (
     Kernel, KernelContext, MapCalculus, associator, base_change_suave_prim,
-    etale_proper_test, kernel_compose, kernel_hom, kernel_identity,
+    etale_proper_test, kernel_compose, kernel_identity,
     kernel_swap, left_unitor, phi, prim_test, PsiEvaluator,
     psi_composition_certificate, psi_phi_certificate, right_unitor,
     suave_test, swap_compatibility, whisker_left,
