@@ -84,7 +84,7 @@ def _cmd_run(args):
 
 
 def _cmd_setup(args):
-    from .corr import GeometricSetup, validate_setup
+    from .corr import GeometricSetup, merge_setup_checks
     from .io import load_document, load_setup, violations_as_json
     if args.demo or not args.input:
         from .presets import chain_poset
@@ -95,9 +95,10 @@ def _cmd_setup(args):
         print("demo: chain poset a->b->c with E missing a->b")
     else:
         setup = load_setup(load_document(args.input))
-    d_ok, d_rep = setup.diagonal_check()
-    r_ok, r_rep = setup.right_cancellative_check()
-    report, cross = validate_setup(setup)
+    diagonal = setup.diagonal_check()
+    right_cancellative = setup.right_cancellative_check()
+    report, cross = merge_setup_checks(diagonal, right_cancellative)
+    d_ok, r_ok = diagonal[0], right_cancellative[0]
     print("diagonal-in-E verdict:        %s" % d_ok)
     print("right-cancellativity verdict: %s" % r_ok)
     print("cross-check (verdicts agree): %s" % cross)

@@ -10,6 +10,7 @@ compared up to span isomorphism.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .fields import TheoremViolation
@@ -40,48 +41,66 @@ class PullbackResult:
 
 
 def _cones(cat, f, g):
-    """All cones (W, p: W->X, q: W->Y) over the cospan f: X->S <- Y :g."""
+    """The cones (p: W->X, q: W->Y) over X -f-> S <-g- Y, as a dict from
+    apex W, in object order, to its cones in leg order."""
     X, Y = cat.src[f], cat.src[g]
-    out = []
-    for p in cat.morphisms:
-        if cat.dst[p] != X:
-            continue
-        W = cat.src[p]
-        for q in cat.morphisms:
-            if cat.dst[q] != Y or cat.src[q] != W:
-                continue
-            if cat.compose(f, p) == cat.compose(g, q):
-                out.append((W, p, q))
+    out = {}
+    for W in cat.objects:
+        qs = cat.hom(W, Y)
+        cs = [(p, q) for p in cat.hom(W, X) for q in qs
+              if cat.compose(f, p) == cat.compose(g, q)]
+        if cs:
+            out[W] = cs
     return out
+
+
+def _terminal_at(cat, cones, W, candidates):
+    """The cones (p, q) among `candidates`, all at apex W, such that every
+    cone at every apex W2 is (p∘h, q∘h) for exactly one h in hom(W2, W)."""
+    homs = [(cat.hom(W2, W), cs) for W2, cs in cones.items()]
+
+    def terminal(p, q):
+        for hs, cs in homs:
+            if len(hs) < len(cs):
+                return False
+            images = Counter((cat.compose(p, h), cat.compose(q, h))
+                             for h in hs)
+            if any(images[c] != 1 for c in cs):
+                return False
+        return True
+
+    return [(p, q) for p, q in candidates if terminal(p, q)]
 
 
 def pullback(cat, f, g):
     """Canonical pullback of the cospan X -f-> S <-g- Y, or None.
 
     For tabled categories the canonical choice is the lexicographically
-    minimal terminal cone (ordered by object id, then leg ids), verified by
-    enumerating every cone and its mediators, so downstream composition is
-    deterministic.  Lazy function categories certify universality
+    minimal terminal cone (ordered by object id, then leg ids), so
+    downstream composition is deterministic.  Terminality is certified
+    exhaustively: every cone is enumerated from the hom sets, and a cone
+    at W is terminal iff, for every apex W2, the arrows of hom(W2, W) map
+    one-to-one onto the cones at W2; that image count is made once per
+    candidate and apex W2.  Lazy function categories certify universality
     element-wise instead (see sixff.finset).
     """
     if getattr(cat, "lazy", False):
         return cat.fiber_product(f, g)
     cones = _cones(cat, f, g)
-    terminal = []
-    for (W, p, q) in cones:
-        ok = True
-        for (W2, p2, q2) in cones:
-            mediators = [h for h in cat.hom(W2, W)
-                         if cat.compose(p, h) == p2 and cat.compose(q, h) == q2]
-            if len(mediators) != 1:
-                ok = False
-                break
-        if ok:
-            terminal.append((W, p, q))
+    terminal = [(W, p, q) for W, cs in cones.items()
+                for p, q in _terminal_at(cat, cones, W, cs)]
     if not terminal:
         return None
     W, p, q = min(terminal, key=lambda c: (okey(c[0]), okey(c[1]), okey(c[2])))
-    return PullbackResult(W, p, q, len(cones))
+    return PullbackResult(W, p, q, sum(map(len, cones.values())))
+
+
+def is_pullback_cone(cat, f, g, W, p, q):
+    """True iff (W, p, q) is a pullback cone of X -f-> S <-g- Y, by the
+    exhaustive check that `pullback` makes."""
+    if cat.compose(f, p) != cat.compose(g, q):
+        return False
+    return bool(_terminal_at(cat, _cones(cat, f, g), W, [(p, q)]))
 
 
 def mediating_morphism(cat, pb, p2, q2):
@@ -215,8 +234,13 @@ class GeometricSetup:
 def validate_setup(setup):
     """Full validation report plus the cross-check flag asserting that the
     diagonal condition and right cancellativity give identical verdicts."""
-    d_ok, d_report = setup.diagonal_check()
-    r_ok, r_report = setup.right_cancellative_check()
+    return merge_setup_checks(setup.diagonal_check(),
+                              setup.right_cancellative_check())
+
+
+def merge_setup_checks(diagonal, right_cancellative):
+    """`validate_setup` from the (verdict, report) pairs of the two checks."""
+    (d_ok, d_report), (r_ok, r_report) = diagonal, right_cancellative
     cross_check = (d_ok == r_ok)
     report = list({(v.code, v.detail): v for v in d_report + r_report}.values())
     report.sort(key=lambda v: (v.code, v.detail))
@@ -325,22 +349,12 @@ class CorrHomSet:
 def corr_hom(x, y, setup, bound=10000):
     """All span iso-classes x => y with apex among the objects of C."""
     cat = setup.cat
-    candidates = []
-    count = 0
-    for left in cat.morphisms:
-        if cat.dst[left] != x:
-            continue
-        w = cat.src[left]
-        for right in cat.morphisms:
-            if cat.src[right] != w or cat.dst[right] != y:
-                continue
-            if not setup.in_e(right):
-                continue
-            count += 1
-            if count > bound:
-                raise PartialEnumerationError(
-                    "more than %d candidate spans" % bound)
-            candidates.append(Span(x, w, y, left, right))
+    per_apex = [(w, cat.hom(w, x), [r for r in cat.hom(w, y) if setup.in_e(r)])
+                for w in cat.objects]
+    if sum(len(ls) * len(rs) for _, ls, rs in per_apex) > bound:
+        raise PartialEnumerationError("more than %d candidate spans" % bound)
+    candidates = [Span(x, w, y, left, right) for w, ls, rs in per_apex
+                  for left in ls for right in rs]
     classes = []
     for s in sorted(candidates, key=lambda s: (okey(s.apex), okey(s.left),
                                                okey(s.right))):

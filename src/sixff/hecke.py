@@ -43,6 +43,7 @@ class DoubleCosets:
     representatives: tuple     # minimal under the element order
     sizes: tuple
     stabilizer_orders: tuple   # |H ∩ w K w^{-1}| per representative
+    rep_of: dict               # element g -> representative of HgK
 
 
 def double_cosets(G, H, K):
@@ -52,22 +53,23 @@ def double_cosets(G, H, K):
     for sub in (H, K):
         if not G.is_subgroup(sub.elements):
             raise TheoremViolation("not a subgroup of the ambient group")
-    seen = set()
+    rep_of = {}
     reps, sizes, stabs = [], [], []
     for g in G.elements:
-        if g in seen:
+        if g in rep_of:
             continue
         orbit = {G.mul(G.mul(h, g), k) for h in H.elements
                  for k in K.elements}
-        seen |= orbit
         w = min(orbit, key=okey)
+        rep_of.update(dict.fromkeys(orbit, w))
         reps.append(w)
         sizes.append(len(orbit))
         conj = {G.mul(G.mul(w, k), G.inv(w)) for k in K.elements}
         stabs.append(len(set(H.elements) & conj))
     if sum(sizes) != len(G.elements):
         raise TheoremViolation("double coset sizes do not sum to |G|")
-    out = DoubleCosets(G, H, K, tuple(reps), tuple(sizes), tuple(stabs))
+    out = DoubleCosets(G, H, K, tuple(reps), tuple(sizes), tuple(stabs),
+                       rep_of)
     _cross_check_against_fiber_product(out)
     return out
 
@@ -85,22 +87,15 @@ def _cross_check_against_fiber_product(dc):
             % (len(comps), len(dc.representatives)))
     # component containing ((•,•),(m,)) corresponds to the double coset
     # of m^{-1}
-    expected = {}
-    for w, st in zip(dc.representatives, dc.stabilizer_orders):
-        orbit = frozenset(G.mul(G.mul(h, w), k) for h in H.elements
-                          for k in K.elements)
-        expected[orbit] = st
+    expected = dict(zip(dc.representatives, dc.stabilizer_orders))
     for rep_obj, auts, _table in comps:
-        m = rep_obj[1][0]
-        w = G.inv(m)
-        orbit = frozenset(G.mul(G.mul(h, w), k) for h in H.elements
-                          for k in K.elements)
-        if orbit not in expected:
+        w = dc.rep_of.get(G.inv(rep_obj[1][0]))
+        if w not in expected:
             raise TheoremViolation("component does not match any double coset")
-        if len(auts) != expected[orbit]:
+        if len(auts) != expected[w]:
             raise TheoremViolation(
                 "automorphism order %d != stabilizer order %d"
-                % (len(auts), expected[orbit]))
+                % (len(auts), expected[w]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +405,8 @@ def anti_involution(algebra, pairing=None):
             if lhs != rhs:
                 anti = False
     invol = all(iota(iota(F)) == F for F in algebra.function_basis)
-    swap = {}
-    K = algebra.K
-    for w in algebra.dc.representatives:
-        wi = G.inv(w)
-        orbit = {G.mul(G.mul(k, wi), kp) for k in K.elements
-                 for kp in K.elements}
-        swap[w] = min(orbit, key=okey)
+    dc = algebra.dc
+    swap = {w: dc.rep_of[G.inv(w)] for w in dc.representatives}
     return iota, InvolutionCertificate(anti, invol, swap)
 
 

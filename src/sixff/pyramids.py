@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corr import NoPullback, pullback
+from .corr import NoPullback, is_pullback_cone, pullback
 from .groupoid import (
     FiniteCategory, Functor, Violation, poset_category, presented_category,
 )
@@ -82,22 +82,9 @@ def is_cartesian(F, ambient):
             b = F.mor[("le", (i + 1, j), (i + 1, j - 1))]
             p = F.mor[("le", (i, j), (i, j - 1))]
             q = F.mor[("le", (i, j), (i + 1, j))]
-            if not _is_pullback_cone(ambient, a, b, F.ob[(i, j)], p, q):
+            if not is_pullback_cone(ambient, a, b, F.ob[(i, j)], p, q):
                 return False, (i, j)
     return True, None
-
-
-def _is_pullback_cone(cat, f, g, apex, p, q):
-    if cat.compose(f, p) != cat.compose(g, q):
-        return False
-    from .corr import _cones
-    cones = _cones(cat, f, g)
-    for (W2, p2, q2) in cones:
-        mediators = [h for h in cat.hom(W2, apex)
-                     if cat.compose(p, h) == p2 and cat.compose(q, h) == q2]
-        if len(mediators) != 1:
-            return False
-    return True
 
 
 def lambda_to_sigma(f, setup):

@@ -6,12 +6,15 @@ import pytest
 from sixff import presets
 from sixff.corr import (
     GeometricSetup, PartialEnumerationError, Span, compose_spans, corr_hom,
-    dual_data, full_setup, identity_span, iso_setup, product, pullback,
-    span_from_map, span_from_map_op, span_iso, terminal_object, validate_setup,
+    dual_data, full_setup, identity_span, is_pullback_cone, iso_setup, product,
+    pullback, span_from_map, span_from_map_op, span_iso, terminal_object,
+    validate_setup,
 )
+from sixff.groupoid import okey
 
 
 FS = presets.finset_category(3)
+FS4 = presets.finset_category(4)
 FULL = full_setup(FS)
 
 
@@ -100,6 +103,69 @@ def test_pullback_divisor_poset_meet():
     assert pb is not None and pb.apex == 2
 
 
+def reference_terminal_cones(cat, f, g):
+    """Every cone over X -f-> S <-g- Y found by scanning the morphisms, and
+    the cones with exactly one mediator from each cone, one hom scan per
+    pair of cones."""
+    X, Y = cat.src[f], cat.src[g]
+    cones = []
+    for p in cat.morphisms:
+        if cat.dst[p] != X:
+            continue
+        W = cat.src[p]
+        for q in cat.morphisms:
+            if cat.dst[q] != Y or cat.src[q] != W:
+                continue
+            if cat.compose(f, p) == cat.compose(g, q):
+                cones.append((W, p, q))
+    terminal = []
+    for (W, p, q) in cones:
+        if all(len([h for h in cat.hom(W2, W)
+                    if cat.compose(p, h) == p2 and cat.compose(q, h) == q2])
+               == 1 for (W2, p2, q2) in cones):
+            terminal.append((W, p, q))
+    return cones, terminal
+
+
+def _reference_pullback(cones, terminal):
+    """(apex, p1, p2, cone count) of the least terminal cone, or None."""
+    if not terminal:
+        return None
+    W, p, q = min(terminal, key=lambda c: (okey(c[0]), okey(c[1]), okey(c[2])))
+    return W, p, q, len(cones)
+
+
+def _cospans(cat):
+    return [(f, g) for f in cat.morphisms for g in cat.morphisms
+            if cat.dst[f] == cat.dst[g]]
+
+
+def test_pullback_matches_the_reference_loop():
+    small = [presets.chain_poset(), presets.cospan_category(),
+             presets.parallel_arrows_category(), presets.divisor_poset(12),
+             presets.finset_category(2)]
+    cases = [(cat, f, g) for cat in small for f, g in _cospans(cat)]
+    cases += [(FS, f, g)
+              for f, g in random.Random(0).sample(_cospans(FS), 200)]
+    cases.append((FS4, fn(2, 1, [0, 0]), fn(2, 1, [0, 0])))
+    missing = refused = 0
+    for cat, f, g in cases:
+        cones, terminal = reference_terminal_cones(cat, f, g)
+        pb = pullback(cat, f, g)
+        got = None if pb is None else (pb.apex, pb.p1, pb.p2, pb.cones)
+        assert got == _reference_pullback(cones, terminal), (f, g)
+        missing += pb is None
+        # every cone's verdict, not only the least terminal one's: a weakly
+        # terminal cone (one cone with two mediators) must be refused.  One
+        # call per cone is cheap only in the small categories.
+        if cat in small:
+            assert [is_pullback_cone(cat, f, g, *c) for c in cones] == \
+                [c in terminal for c in cones], (f, g)
+            refused += len(cones) - len(terminal)
+    # both outcomes are exercised
+    assert 0 < missing < len(cases) and refused
+
+
 def test_compose_spans_identity_unit():
     s = Span(2, 2, 3, fn(2, 2, [1, 0]), fn(2, 3, [0, 2]))
     u = identity_span(FS, 3)
@@ -125,7 +191,6 @@ def test_compose_spans_functoriality_of_embedding():
 
 def test_compose_spans_point_apex_count():
     # [* <- 2 -> *] composed with itself: apex of size 4 needs FinSet<=4
-    FS4 = presets.finset_category(4)
     setup = full_setup(FS4)
     s = Span(1, 2, 1, ("fn", 2, 1, (0, 0)), ("fn", 2, 1, (0, 0)))
     c = compose_spans(s, s, setup)
@@ -142,7 +207,6 @@ def test_span_iso_basics():
 def test_span_iso_two_pullback_choices():
     # two terminal cones for the same cospan are linked by an iso found by
     # span_iso: compare the canonical pullback against a permuted copy
-    FS4 = presets.finset_category(4)
     f = ("fn", 2, 1, (0, 0))
     pb = pullback(FS4, f, f)
     assert pb is not None and pb.apex == 4

@@ -44,7 +44,17 @@ def test_double_cosets_battery_cross_check():
             H = G.subgroup(H_el)
             for K_el in G.subgroups_up_to_conjugacy():
                 K = G.subgroup(K_el)
-                double_cosets(G, H, K)  # raises on any mismatch
+                dc = double_cosets(G, H, K)  # raises on any mismatch
+                # the kept index sends every element to the least element
+                # of its double coset
+                assert dc.rep_of == {g: _orbit_min(G, H, K, g)
+                                     for g in G.elements}
+                assert set(dc.rep_of.values()) == set(dc.representatives)
+
+
+def _orbit_min(G, H, K, g):
+    return min({G.mul(G.mul(h, g), k) for h in H.elements
+                for k in K.elements}, key=okey)
 
 
 def test_compact_induction_dimensions():
@@ -144,6 +154,18 @@ def test_anti_involution_s3_c2():
         assert wrep == w
     for F in alg.function_basis:
         assert iota(iota(F)) == F
+
+
+def test_coset_swap_moves_the_cosets_of_c3():
+    # with K trivial every double coset is a point, and in C3 inversion
+    # exchanges the two non-identity points: K w K != K w^-1 K
+    C3 = presets.group("C3")
+    E = C3.subgroup(frozenset({C3.identity}), name="1")
+    alg = HeckeAlgebra(C3, E, unit_sheaf(delooping(E), QQ))
+    _, cert = anti_involution(alg)
+    assert cert.coset_swap == {w: _orbit_min(C3, E, E, C3.inv(w))
+                               for w in alg.dc.representatives}
+    assert sum(w != wrep for w, wrep in cert.coset_swap.items()) == 2
 
 
 def test_anti_involution_identity_element():

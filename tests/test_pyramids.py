@@ -101,14 +101,14 @@ def test_lambda_to_sigma_constant():
     assert is_cartesian(F, P)[0]
 
 
-def test_is_cartesian_detects_enlarged_corner():
+def _enlarged_corner():
+    """A genuine cartesian extension over FinSet<=2 and a copy whose corner
+    (0, 2) is enlarged past the fiber product."""
     FS2 = presets.finset_category(2)
-    # build a genuine cartesian extension, then enlarge the corner object
     from sixff.corr import Span
     setup = full_setup(FS2)
     s = Span(1, 1, 1, ("fn", 1, 1, (0,)), ("fn", 1, 1, (0,)))
     F = lambda_to_sigma(_chain_of_spans(FS2, [s, s]), setup)
-    assert is_cartesian(F, FS2)[0]
     bad_ob = dict(F.ob)
     bad_ob[(0, 2)] = 2  # strictly larger than the fiber product (= 1)
     bad_mor = dict(F.mor)
@@ -120,9 +120,45 @@ def test_is_cartesian_detects_enlarged_corner():
                 bad_mor[m] = ("fn", 2, 2, (0, 1))
             else:
                 bad_mor[m] = ("fn", 2, tgt, (0,) * 2)
-    bad = Functor(F.dom, FS2, bad_ob, bad_mor)
-    flag, corner = is_cartesian(bad, FS2)
+    return F, Functor(F.dom, FS2, bad_ob, bad_mor)
+
+
+def test_is_cartesian_detects_enlarged_corner():
+    F, bad = _enlarged_corner()
+    assert is_cartesian(F, F.cod)[0]
+    flag, corner = is_cartesian(bad, bad.cod)
     assert not flag and corner == (0, 2)
+
+
+def test_is_cartesian_matches_the_reference_loop():
+    from sixff.corr import Span
+    from test_corr import reference_terminal_cones
+
+    def reference(F, ambient):
+        n = max(j for (_, j) in F.dom.objects)
+        for i in range(n + 1):
+            for j in range(i + 2, n + 1):
+                a = F.mor[("le", (i, j - 1), (i + 1, j - 1))]
+                b = F.mor[("le", (i + 1, j), (i + 1, j - 1))]
+                cone = (F.ob[(i, j)], F.mor[("le", (i, j), (i, j - 1))],
+                        F.mor[("le", (i, j), (i + 1, j))])
+                if cone not in reference_terminal_cones(ambient, a, b)[1]:
+                    return False, (i, j)
+        return True, None
+
+    FS2, P = presets.finset_category(2), presets.divisor_poset(6)
+    s1 = Span(1, 2, 1, ("fn", 2, 1, (0, 0)), ("fn", 2, 1, (0, 0)))
+    s2 = Span(1, 1, 1, ("fn", 1, 1, (0,)), ("fn", 1, 1, (0,)))
+    s6 = Span(6, 6, 6, ("le", 6, 6), ("le", 6, 6))
+    functors = [
+        lambda_to_sigma(_chain_of_spans(FS2, [s1, s2]), full_setup(FS2)),
+        lambda_to_sigma(_chain_of_spans(FS2, [s2, s1, s2]), full_setup(FS2)),
+        lambda_to_sigma(_chain_of_spans(P, [s6, s6]), full_setup(P)),
+        *_enlarged_corner(),
+    ]
+    results = [is_cartesian(F, F.cod) for F in functors]
+    assert results == [reference(F, F.cod) for F in functors]
+    assert (True, None) in results and (False, (0, 2)) in results
 
 
 def test_pyramid_sections_values():
