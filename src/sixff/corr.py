@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import TheoremViolation
 from .groupoid import Violation, okey
@@ -193,10 +194,15 @@ class GeometricSetup:
                         "base change of %r along %r leaves E" % (e, g)))
         return report
 
+    @cached_property
+    def _precondition_report(self):
+        # both checks start from it, each from its own copy
+        return tuple(self._preconditions())
+
     def diagonal_check(self):
         """Every f: Y->X in E has its diagonal Y -> Y x_X Y in E.
         Requires the preconditions; returns (verdict, report)."""
-        report = self._preconditions()
+        report = list(self._precondition_report)
         if report:
             return False, report
         cat = self.cat
@@ -216,7 +222,7 @@ class GeometricSetup:
     def right_cancellative_check(self):
         """f, f∘g in E implies g in E.  Requires the preconditions;
         returns (verdict, report)."""
-        report = self._preconditions()
+        report = list(self._precondition_report)
         if report:
             return False, report
         cat = self.cat

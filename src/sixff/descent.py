@@ -110,17 +110,13 @@ class DescentSetting:
         for b in basis:
             lhs = datum1.alpha.then(self.p1.mor(b))
             rhs = self.p0.mor(b).then(datum2.alpha)
-            entries = []
-            for o in sorted(self.Y1.objects, key=okey):
-                d = lhs.comp[o] - rhs.comp[o]
-                for row in d.rows:
-                    entries.extend(row)
-            rows.append(entries)
+            rows.append([a for o in sorted(self.Y1.objects, key=okey)
+                         for a in (lhs.comp[o] - rhs.comp[o]).entries()])
         if not rows[0]:
             return basis
         mat = Matrix(field, list(map(list, zip(*rows))), ncols=len(rows))
         return [linear_combination(datum1.sheaf, datum2.sheaf, basis,
-                                   [row[0] for row in c.rows])
+                                   c.column_entries())
                 for c in mat.nullspace()]
 
     def hom_dim(self, datum1, datum2):

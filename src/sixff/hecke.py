@@ -24,7 +24,7 @@ from .groupoid import (
 )
 from .groups import FiniteGroup
 from .kernels import prim_test
-from .linalg import Matrix, stack_columns, stack_rows
+from .linalg import Matrix, coordinates, stack_rows
 from .sheaves import (
     LanFunctor, PullbackFunctor, Sheaf, SheafMorphism, TheoremViolation,
     find_isomorphism, hom_dim, hom_space, unit_sheaf,
@@ -153,25 +153,17 @@ def compact_induction(G, K, V):
     BG = delooping(G)
     obG = BG.objects[0]
 
-    def block_index(j, b):
-        return j * d + b
-
     mats = {}
     kset = set(K.elements)
     for x in G.elements:
-        rows = [[field.zero] * (n * d) for _ in range(n * d)]
+        placed = {}
         for i, gi in enumerate(reps):
-            target = G.mul(gi, G.inv(x))
             for j, gj in enumerate(reps):
                 k = G.mul(gj, G.mul(x, G.inv(gi)))
                 if k in kset:
-                    blk = V.mat[k]
-                    for a in range(d):
-                        for b in range(d):
-                            rows[block_index(j, a)][block_index(i, b)] = \
-                                blk.rows[a][b]
+                    placed[(j, i)] = V.mat[k]
                     break
-        mats[x] = Matrix(field, rows, ncols=n * d)
+        mats[x] = Matrix.block(field, [d] * n, [d] * n, placed)
     sheaf = Sheaf(BG, field, {obG: n * d}, mats)
     bad = sheaf.validate()
     if bad:
@@ -217,7 +209,8 @@ class HeckeAlgebra:
         if not self.phi_matrix.is_invertible():
             raise TheoremViolation("model comparison not invertible")
         self._check_phi_multiplicative()
-        self.identity_coords = self._identity_coords()
+        self.identity_coords = self.function_coordinates(
+            self.function_identity())
 
     # -- model B -------------------------------------------------------------
 
@@ -236,9 +229,7 @@ class HeckeAlgebra:
                     lhs = V.mat[k].kron(V.mat[kp].transpose())
                     rows.append(lhs - Matrix.identity(field, d * d))
             for vec in stack_rows(field, rows, d * d).nullspace():
-                Tw = Matrix(field, [[vec.rows[i * d + j][0]
-                                     for j in range(d)] for i in range(d)],
-                            ncols=d)
+                Tw = Matrix.from_entries(field, vec.entries(), d, d)
                 out.append(self._extend_function(w, Tw))
         return out
 
@@ -274,65 +265,49 @@ class HeckeAlgebra:
         return HeckeFunction(values)
 
     def function_coordinates(self, F):
-        field = self.field
-        cols = []
+        return self._coordinates([F])[0]
+
+    def _coordinates(self, functions):
+        """The coordinates of each function in the double-coset basis, by
+        one solve for all of them."""
         order = sorted(self.G.elements, key=okey)
-        for b in self.function_basis:
-            entries = []
-            for g in order:
-                for row in b.values[g].rows:
-                    entries.extend(row)
-            cols.append(Matrix.column(field, entries))
-        target = []
-        for g in order:
-            for row in F.values[g].rows:
-                target.extend(row)
-        mat = stack_columns(field, cols, len(target))
-        sol = mat.solve(Matrix.column(field, target))
-        if sol is None:
+
+        def flat(F):
+            return [a for g in order for a in F.values[g].entries()]
+
+        coords = coordinates(self.field, [flat(b) for b in self.function_basis],
+                             [flat(F) for F in functions])
+        if coords is None:
             raise TheoremViolation("function outside the coset-basis span")
-        return [sol.rows[i][0] for i in range(len(cols))]
+        return coords
 
     # -- the comparison A -> B -----------------------------------------------
 
     def to_function(self, T):
         """Phi(T)(g) v = T([1, v])(g): evaluate the endomorphism on the
         canonical generators."""
-        G, V, field = self.G, self.V, self.field
+        G, V = self.G, self.V
         d = V.dim[V.base.objects[0]]
-        reps = self.induced.reps
+        n = len(self.induced.reps)
         mat = T.comp[self.obG]
-        # [1, v] in coordinates: supported on the coset of the identity
+        # [1, v] in coordinates: supported on the coset j0 of the identity,
+        # with value shift rho_g0 if the representative is not e; so
+        # T([1, v]) is the column block j0 of T times rho_g0 v
         j0, k0 = self.induced.coset_of(G.identity)
-        rho_g0 = V.mat[k0]    # value shift if the representative is not e
-        # T([1, e_b]) for each basis vector e_b; only its reading depends on g
-        images = []
-        for b in range(d):
-            vcol = Matrix.column(field, [field.one if i == b else
-                                         field.zero for i in range(d)])
-            coeff = rho_g0 * vcol
-            vec = [field.zero] * (len(reps) * d)
-            for i in range(d):
-                vec[j0 * d + i] = coeff.rows[i][0]
-            images.append(mat * Matrix.column(field, vec))
+        image = mat.submatrix(range(n * d), range(j0 * d, (j0 + 1) * d)) \
+            * V.mat[k0]
+        images = [image.submatrix(range(j * d, (j + 1) * d), range(d))
+                  for j in range(n)]
         values = {}
         for g in G.elements:
             j, k = self.induced.coset_of(g)
-            out_cols = []
-            for image in images:
-                block = [image.rows[j * d + i][0] for i in range(d)]
-                valcol = V.mat[k] * Matrix.column(field, block)
-                out_cols.append([valcol.rows[i][0] for i in range(d)])
-            values[g] = Matrix(field, list(map(list, zip(*out_cols))),
-                               ncols=d)
+            values[g] = V.mat[k] * images[j]
         return HeckeFunction(values)
 
     def _phi_matrix(self):
-        cols = []
-        for T in self.end_basis:
-            coords = self.function_coordinates(self.to_function(T))
-            cols.append(Matrix.column(self.field, coords))
-        return stack_columns(self.field, cols, self.dim)
+        coords = self._coordinates([self.to_function(T)
+                                    for T in self.end_basis])
+        return Matrix(self.field, zip(*coords), ncols=self.dim)
 
     def _check_phi_multiplicative(self):
         for T1 in self.end_basis:
@@ -345,21 +320,16 @@ class HeckeAlgebra:
                     raise TheoremViolation(
                         "evaluation map is not an algebra homomorphism")
 
-    def _identity_coords(self):
-        return self.function_coordinates(self.function_identity())
-
     # -- structure constants --------------------------------------------------
 
     def structure_constants(self):
         """c[i][j][k]: basis_i * basis_j = sum_k c[i][j][k] basis_k in the
         convolution model."""
-        out = []
-        for F1 in self.function_basis:
-            row = []
-            for F2 in self.function_basis:
-                row.append(self.function_coordinates(self.convolve(F1, F2)))
-            out.append(row)
-        return out
+        basis = self.function_basis
+        coords = self._coordinates([self.convolve(F1, F2)
+                                    for F1 in basis for F2 in basis])
+        return [coords[i:i + self.dim]
+                for i in range(0, len(coords), self.dim)]
 
 
 # ---------------------------------------------------------------------------

@@ -510,17 +510,14 @@ def _solve_unit(id_obj, target_obj, m_cell, tau):
                     for x in id_obj.dim}
             return SheafMorphism(id_obj, target_obj, comp)
         return None
-    cols = []
-    for b in basis1:
-        cols.append(morphism_coordinates(basis2, b.then(m_cell)))
-    mat = Matrix(f, [[cols[j][i] for j in range(len(basis1))]
-                     for i in range(len(basis2))], ncols=len(basis1))
+    cols = [morphism_coordinates(basis2, b.then(m_cell)) for b in basis1]
+    mat = Matrix(f, zip(*cols), ncols=len(basis1))
     rhs = Matrix.column(f, morphism_coordinates(basis2, tau))
     sol = mat.solve(rhs)
     if sol is None or mat.nullspace():
         return None
     return linear_combination(id_obj, target_obj, basis1,
-                              [row[0] for row in sol.rows])
+                              sol.column_entries())
 
 
 def suave_test(f, P):

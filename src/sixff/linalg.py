@@ -16,6 +16,12 @@ mostly small integral entries run on Python's C-level int arithmetic.  A
 `Fraction` meets an int only in exact mixed arithmetic, and the integral
 `Fraction`s that leaves behind are equal, hash equal and print equal to
 the ints, so no loop normalises its results.
+
+Row storage is private to this module: no other module reads `rows`.
+Callers read a matrix through `entry`, `entries` (the row-major flatten),
+`column_entries` and `shape`, build one back with `from_entries`, and
+solve for coordinates with `coordinates`.  That leaves the storage free to
+change (a sparse `Matrix`) without touching the callers.
 """
 
 from __future__ import annotations
@@ -69,6 +75,16 @@ class Matrix:
     def column(field, entries):
         return Matrix(field, [[x] for x in entries], ncols=1)
 
+    @staticmethod
+    def from_entries(field, entries, m, n):
+        """The m x n matrix with the row-major `entries`; the inverse of
+        `entries()`."""
+        entries = tuple(entries)
+        assert len(entries) == m * n, \
+            "%d entries for a %dx%d matrix" % (len(entries), m, n)
+        return Matrix(field, [entries[i * n:(i + 1) * n] for i in range(m)],
+                      ncols=n)
+
     # -- basics ------------------------------------------------------------
 
     @property
@@ -97,6 +113,14 @@ class Matrix:
 
     def entry(self, i, j):
         return self.rows[i][j]
+
+    def entries(self):
+        """All entries, row by row, as one tuple."""
+        return tuple(a for r in self.rows for a in r)
+
+    def column_entries(self, j=0):
+        """The entries of column j, top to bottom, as a list."""
+        return [r[j] for r in self.rows]
 
     def transpose(self):
         if self.nrows == 0:
@@ -325,6 +349,22 @@ class Matrix:
                 v = [a % p for a in v]
             basis.append(Matrix.column(f, v))
         return basis
+
+
+def coordinates(field, vectors, targets):
+    """The coefficients of each target in the span of `vectors`, by one
+    `Matrix.solve` for all targets: for each target t a list c with
+    t = sum(c[i] * vectors[i]).  Vectors and targets are entry sequences
+    of one length; None if any target lies outside the span."""
+    if not targets:
+        return []
+    n = len(targets[0])
+    a, b = (Matrix.from_entries(field, (x for v in vs for x in v), len(vs),
+                                n).transpose() for vs in (vectors, targets))
+    sol = a.solve(b)
+    if sol is None:
+        return None
+    return [sol.column_entries(j) for j in range(len(targets))]
 
 
 def stack_columns(field, cols, nrows):

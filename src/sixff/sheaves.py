@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from .fields import GateError, TheoremViolation, check_gate
 from .groupoid import component_search, okey
-from .linalg import Matrix, stack_columns, stack_rows
+from .linalg import Matrix, coordinates, stack_columns, stack_rows
 
 # ---------------------------------------------------------------------------
 # Sheaves and their morphisms
@@ -172,11 +172,10 @@ def hom_space(M, N):
     e = p.cod.identity[o]
     basis = [{} for _ in range(gam.obj(H).dim[o])]
     for x in M.base.objects:
-        dn, dm = N.dim[x], M.dim[x]
-        sections = gam.section_value(H, o, (x, e)).transpose().rows
-        for comp, v in zip(basis, sections):
-            comp[x] = Matrix(M.field, [v[i * dm:(i + 1) * dm]
-                                       for i in range(dn)], ncols=dm)
+        sections = gam.section_value(H, o, (x, e))
+        for j, comp in enumerate(basis):
+            comp[x] = Matrix.from_entries(M.field, sections.column_entries(j),
+                                          N.dim[x], M.dim[x])
     return [SheafMorphism(M, N, comp) for comp in basis]
 
 
@@ -198,25 +197,17 @@ def hom_dim(M, N):
 
 def morphism_coordinates(basis, phi):
     """Coordinates of phi in a hom-space basis (exact solve)."""
-    f = phi.src.field
     if not basis:
         return []
-    cols = []
-    for b in basis:
-        entries = []
-        for x in sorted(phi.comp, key=okey):
-            for row in b.comp[x].rows:
-                entries.extend(row)
-        cols.append(Matrix.column(f, entries))
-    target = []
-    for x in sorted(phi.comp, key=okey):
-        for row in phi.comp[x].rows:
-            target.extend(row)
-    mat = stack_columns(f, cols, len(target))
-    sol = mat.solve(Matrix.column(f, target))
-    if sol is None:
+    order = sorted(phi.comp, key=okey)
+
+    def flat(m):
+        return [a for x in order for a in m.comp[x].entries()]
+
+    coords = coordinates(phi.src.field, [flat(b) for b in basis], [flat(phi)])
+    if coords is None:
         raise TheoremViolation("morphism outside hom space span")
-    return [sol.rows[i][0] for i in range(len(basis))]
+    return coords[0]
 
 
 # ---------------------------------------------------------------------------

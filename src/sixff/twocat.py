@@ -525,19 +525,9 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
                           for k in range(cols)) for i in range(rows))
         return ("d", Xf, Yg, out)
 
-    def blocks_freeze(blocks):
-        return tuple(sorted((ij, b.rows, b.shape) for ij, b in
-                            blocks.items()))
-
     def mk_two(src1, dst1, blocks):
-        return ("m", src1, dst1, blocks_freeze(blocks))
-
-    def blocks_of(t):
-        _, src1, dst1, frozen = t
-        out = {}
-        for (ij, rows, shape) in frozen:
-            out[ij] = Matrix(field, rows, ncols=shape[1])
-        return out
+        # blocks sorted by their (i, j) index, so equal cells are equal
+        return ("m", src1, dst1, tuple(sorted(blocks.items())))
 
     def two_identity(c):
         _, X, Y, A = c
@@ -549,7 +539,7 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
 
     def vcomp_two(t2, t1):
         assert t1[2] == t2[1]
-        b1, b2 = blocks_of(t1), blocks_of(t2)
+        b1, b2 = dict(t1[3]), dict(t2[3])
         out = {ij: b2[ij] * b1[ij] for ij in b1}
         return mk_two(t1[1], t2[2], out)
 
@@ -558,7 +548,7 @@ def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
         srcA, dstA = t1[1], t1[2]
         srcB, dstB = t2[1], t2[2]
         A, B = srcA[3], srcB[3]
-        bA, bB = blocks_of(t1), blocks_of(t2)
+        bA, bB = dict(t1[3]), dict(t2[3])
         src = comp_one(srcB, srcA)
         dst = comp_one(dstB, dstA)
         blocks = {}

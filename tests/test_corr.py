@@ -52,6 +52,22 @@ def test_validate_setup_missing_ab():
     assert cross and report != []
 
 
+def test_setup_checks_report_into_their_own_lists():
+    """The two checks share one precondition report but not its list: a
+    caller that extends one check's report changes neither the other's
+    nor a second call's."""
+    cat = presets.chain_poset()
+    setup = GeometricSetup(cat, [("le", "a", "a"), ("le", "b", "b"),
+                                 ("le", "c", "c"), ("le", "a", "c"),
+                                 ("le", "b", "c")])
+    d_ok, d_report = setup.diagonal_check()
+    first = list(d_report)
+    d_report.append("extra")
+    r_ok, r_report = setup.right_cancellative_check()
+    assert not d_ok and not r_ok
+    assert r_report == first and setup.diagonal_check() == (False, first)
+
+
 def test_setup_cross_check_exhaustive_small():
     """Diagonal-in-E and right-cancellativity agree on every subset E of
     three small categories."""

@@ -10,7 +10,7 @@ from sixff.hecke import (
     dual_weight_transport, frobenius_check, prim_duality_on_hecke,
     right_coset_reps,
 )
-from sixff.linalg import Matrix
+from sixff.linalg import Matrix, stack_columns
 from sixff.sheaves import Sheaf, hom_dim, identity_morphism, unit_sheaf
 
 S3 = presets.group("S3")
@@ -268,3 +268,110 @@ def test_prim_duality_tests_the_point_map_of_its_base(monkeypatch):
     assert not cert.prim_ok
     (f, P), = seen
     assert f is P.base.to_point
+
+
+# -- reference: one stack and one solve per function -----------------------
+
+def _reference_coordinates(alg, F):
+    """F's coordinates in the double-coset basis, by its own solve: the
+    basis functions flattened one column each, stacked, then solved."""
+    field = alg.field
+    order = sorted(alg.G.elements, key=okey)
+    cols = []
+    for b in alg.function_basis:
+        entries = []
+        for g in order:
+            for row in b.values[g].rows:
+                entries.extend(row)
+        cols.append(Matrix.column(field, entries))
+    target = []
+    for g in order:
+        for row in F.values[g].rows:
+            target.extend(row)
+    mat = stack_columns(field, cols, len(target))
+    sol = mat.solve(Matrix.column(field, target))
+    assert sol is not None
+    return [sol.rows[i][0] for i in range(len(cols))]
+
+
+def _reference_to_function(alg, T):
+    """Phi(T), evaluated on the generators [1, e_b] one unit vector e_b at
+    a time."""
+    G, V, field = alg.G, alg.V, alg.field
+    d = V.dim[V.base.objects[0]]
+    reps = alg.induced.reps
+    mat = T.comp[alg.obG]
+    j0, k0 = alg.induced.coset_of(G.identity)
+    rho_g0 = V.mat[k0]
+    images = []
+    for b in range(d):
+        vcol = Matrix.column(field, [field.one if i == b else field.zero
+                                     for i in range(d)])
+        coeff = rho_g0 * vcol
+        vec = [field.zero] * (len(reps) * d)
+        for i in range(d):
+            vec[j0 * d + i] = coeff.rows[i][0]
+        images.append(mat * Matrix.column(field, vec))
+    values = {}
+    for g in G.elements:
+        j, k = alg.induced.coset_of(g)
+        out_cols = []
+        for image in images:
+            block = [image.rows[j * d + i][0] for i in range(d)]
+            valcol = V.mat[k] * Matrix.column(field, block)
+            out_cols.append([valcol.rows[i][0] for i in range(d)])
+        values[g] = Matrix(field, list(map(list, zip(*out_cols))), ncols=d)
+    return hecke.HeckeFunction(values)
+
+
+def _same_entries(got, ref):
+    """Equal values that also print alike, as the reports print them."""
+    assert got == ref
+    assert [str(c) for c in got] == [str(c) for c in ref]
+
+
+_C3 = presets.group("C3")
+
+
+@pytest.mark.parametrize("G, gen, field", [
+    (S3, (1, 0, 2), QQ), (S3, (1, 2, 0), QQ), (_C3, None, QQ),
+    (S3, (1, 0, 2), GF(7)), (S3, None, QQ),
+], ids=["S3-C2-QQ", "S3-C3-QQ", "C3-1-QQ", "S3-C2-GF7", "S3-1-QQ"])
+def test_batched_coordinates_match_the_per_function_solve(G, gen, field):
+    """The benchmark's four transport cases, and k[S3], whose product does
+    not commute: the structure constants, the comparison matrix and the
+    unit's coordinates, each from one solve, are the per-function solves'
+    entry by entry."""
+    K_el = [G.identity] if gen is None else G.generated_subgroup([gen])
+    K = G.subgroup(K_el)
+    alg = HeckeAlgebra(G, K, unit_sheaf(delooping(K), field))
+    basis = alg.function_basis
+    sc = alg.structure_constants()
+    assert len(sc) == alg.dim
+    for i, F1 in enumerate(basis):
+        assert len(sc[i]) == alg.dim
+        for j, F2 in enumerate(basis):
+            _same_entries(sc[i][j],
+                          _reference_coordinates(alg, alg.convolve(F1, F2)))
+    phi = alg.phi_matrix
+    assert phi.shape == (alg.dim, alg.dim)
+    for j, T in enumerate(alg.end_basis):
+        assert alg.to_function(T) == _reference_to_function(alg, T)
+        ref = _reference_coordinates(alg, _reference_to_function(alg, T))
+        _same_entries([phi.entry(i, j) for i in range(alg.dim)], ref)
+    _same_entries(alg.identity_coords,
+                  _reference_coordinates(alg, alg.function_identity()))
+
+
+def test_to_function_matches_the_unit_vector_reference_on_rank_two():
+    """A rank-two weight (the regular representation of C2), where each
+    value of Phi(T) has two columns."""
+    BK = delooping(C2)
+    swap = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
+    V = Sheaf(BK, QQ, {BK.objects[0]: 2},
+              {k: swap if k != C2.identity else Matrix.identity(QQ, 2)
+               for k in C2.elements})
+    alg = HeckeAlgebra(S3, C2, V)
+    assert alg.dim > 1
+    for T in alg.end_basis:
+        assert alg.to_function(T) == _reference_to_function(alg, T)

@@ -334,3 +334,39 @@ def test_run_suite_draws_each_check_from_its_own_stream(monkeypatch):
     for cid, seen in draws.items():
         # the full run and the single-suite run draw the same first value
         assert seen == [random.Random("5/" + cid).random()] * 2
+
+
+_SETUP_DEMO_TEXT = """\
+demo: chain poset a->b->c with E missing a->b
+diagonal-in-E verdict:        False
+right-cancellativity verdict: False
+cross-check (verdicts agree): True
+  [setup/base-change] base change of ('le', 'a', 'c') along ('le', 'b', 'c') leaves E
+"""
+
+
+_SETUP_DEMO_JSON = (
+    '{"cross_check": true, "diagonal": false, "right_cancellative": false, '
+    '"violations": [{"code": "setup/base-change", "detail": "base change of '
+    '(\'le\', \'a\', \'c\') along (\'le\', \'b\', \'c\') leaves E"}]}\n')
+
+
+@pytest.mark.parametrize("json_flag, expected", [
+    ([], _SETUP_DEMO_TEXT), (["--json"], _SETUP_DEMO_TEXT + _SETUP_DEMO_JSON),
+], ids=["text", "json"])
+def test_cli_setup_runs_the_preconditions_once(json_flag, expected,
+                                               monkeypatch, capsys):
+    """Both setup checks read one precondition report; the output is
+    pinned byte for byte."""
+    from sixff.corr import GeometricSetup
+    runs = []
+    preconditions = GeometricSetup._preconditions
+
+    def counted(self):
+        runs.append(self)
+        return preconditions(self)
+
+    monkeypatch.setattr(GeometricSetup, "_preconditions", counted)
+    assert main(["setup", "check", "--demo"] + json_flag) == 0
+    assert len(runs) == 1
+    assert capsys.readouterr().out == expected

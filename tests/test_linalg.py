@@ -7,14 +7,17 @@ each scalar step through `field.of`, which over GF(5) is the reduced int
 that `Matrix` keeps.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sixff.fields import GF, QQ
-from sixff.linalg import Matrix, stack_columns, stack_rows
+import sixff
+from sixff.linalg import Matrix, coordinates, stack_columns, stack_rows
 
 PROPS = settings(max_examples=60, derandomize=True, deadline=None,
                  database=None)
@@ -321,3 +324,96 @@ def test_ncols_is_kept_for_empty_rows_and_shares_tuple_rows():
     b = Matrix(QQ, a.rows, ncols=2)
     assert b.shape == (2, 2)
     assert all(r is s for r, s in zip(b.rows, a.rows))
+
+
+# -- the readers: entries, from_entries, column_entries, coordinates -------
+
+@PROPS
+@given(singles())
+def test_from_entries_inverts_entries(a):
+    flat = a.entries()
+    assert len(flat) == a.nrows * a.ncols
+    assert flat == tuple(a.entry(i, j) for i in range(a.nrows)
+                         for j in range(a.ncols))
+    back = Matrix.from_entries(a.field, flat, a.nrows, a.ncols)
+    assert back == a and back.shape == a.shape
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (2, 0)])
+def test_from_entries_keeps_empty_shapes(m, n):
+    a = Matrix.zero(QQ, m, n)
+    assert a.entries() == ()
+    assert Matrix.from_entries(QQ, (), m, n) == a
+    assert Matrix.from_entries(QQ, (), m, n).shape == (m, n)
+
+
+@PROPS
+@given(singles())
+def test_column_entries_are_the_rows_of_the_transpose(a):
+    t = a.transpose()
+    for j in range(a.ncols):
+        assert a.column_entries(j) == list(t.rows[j])
+
+
+@st.composite
+def coordinate_problems(draw):
+    """(field, vectors, targets): k vectors of length n and 1-3 targets,
+    each a combination of the vectors or an arbitrary vector; n = 0 and
+    k = 0 allowed."""
+    f, n, k = draw(FIELD), draw(_dim(4)), draw(_dim(3))
+    entry = _ENTRY.map(lambda c: f.of(*c))
+    vectors = [draw(st.lists(entry, min_size=n, max_size=n))
+               for _ in range(k)]
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            cs = draw(st.lists(entry, min_size=k, max_size=k))
+            targets.append([f.of(sum(c * v[i] for c, v in zip(cs, vectors)))
+                            for i in range(n)])
+        else:
+            targets.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return f, vectors, targets
+
+
+@PROPS
+@given(coordinate_problems())
+def test_coordinates_agree_with_one_solve_per_target(problem):
+    f, vectors, targets = problem
+    n, k = len(targets[0]), len(vectors)
+    a = Matrix(f, [[v[i] for v in vectors] for i in range(n)], ncols=k)
+    singles_ = [a.solve(Matrix.column(f, t)) for t in targets]
+    got = coordinates(f, vectors, targets)
+    if any(x is None for x in singles_):
+        assert got is None
+        return
+    assert got == [x.column_entries() for x in singles_]
+    for c, t in zip(got, targets):
+        assert len(c) == k
+        assert a * Matrix.column(f, c) == Matrix.column(f, t)
+
+
+def test_coordinates_edge_cases():
+    assert coordinates(QQ, [[1, 0]], []) == []
+    # vectors of length 0, and no vectors at all
+    assert coordinates(QQ, [[], []], [[]]) == [[0, 0]]
+    assert coordinates(QQ, [], [[]]) == [[]]
+    assert coordinates(QQ, [], [[0, 0]]) == [[]]
+    assert coordinates(QQ, [], [[0, 1]]) is None
+    # one target outside the span makes the whole answer None
+    assert coordinates(QQ, [[1, 0]], [[2, 0], [0, 1]]) is None
+    assert coordinates(GF(5), [[1, 1], [0, 1]], [[2, 0], [1, 4]]) == \
+        [[2, 3], [1, 3]]
+
+
+def test_no_module_but_linalg_reads_matrix_rows():
+    """Row storage is private to `linalg`: no other module of the package
+    reads a `.rows` attribute, so the storage can change in one place."""
+    src = Path(sixff.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "rows":
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

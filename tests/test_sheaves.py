@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixff import presets, sheaves
 from sixff.fields import GF, QQ, GateError, check_gate
@@ -920,6 +922,55 @@ def _gauged_sheaf(rng, G, pieces, reps, field):
             * inverse[G.src[u]] for u in G.morphisms}
     return Sheaf(G, field, {x: g.nrows for x, g in gauge.items()}, mats,
                  check=True)
+
+
+@st.composite
+def gauged_sheaves(draw):
+    """(M, u): a gauge-conjugated sheaf M over QQ or GF(5) on a random
+    disjoint union of action groupoids and deloopings of subgroups of S3,
+    and a morphism u whose matrix is not 0 x 0, not an identity where
+    another one will do (None if every matrix is 0 x 0)."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    pieces = [_random_piece(rng) for _ in range(rng.randint(1, 3))]
+    G = disjoint_union([p[0] for p in pieces])
+    M = _gauged_sheaf(rng, G, pieces,
+                      [_random_rep(rng, field) for _ in pieces], field)
+    live = [u for u in G.morphisms if M.dim[G.src[u]]]
+    moving = [u for u in live if u != G.identity[G.src[u]]]
+    return M, draw(st.sampled_from(moving or live)) if live else None
+
+
+def _perturbed(M, u):
+    """M with the (0, 0) entry of its matrix A at u moved by c.  No valid
+    sheaf has the result: u∘u⁻¹ = id fails, and for u = u⁻¹ the (0, 0)
+    entry of (A + cE)² - 1 is c(2a + c), which c = 1 or 2 keeps nonzero."""
+    f = M.field
+    a = M.mat[u]
+    c = f.one if f.of(2 * a.entry(0, 0) + 1) else f.of(2)
+    bump = Matrix.from_entries(f, [c] + [f.zero] * (a.nrows * a.ncols - 1),
+                               a.nrows, a.ncols)
+    return Sheaf(M.base, f, M.dim, {**M.mat, u: a + bump})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(gauged_sheaves())
+def test_validate_accepts_sheaves_and_rejects_one_perturbed_matrix(case):
+    M, u = case
+    assert M.validate() == []
+    if u is not None:
+        assert _perturbed(M, u).validate() != []
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(gauged_sheaves())
+def test_sheaves_equal_is_reflexive_and_sees_one_morphism(case):
+    M, u = case
+    assert sheaves_equal(M, M)
+    assert sheaves_equal(M, Sheaf(M.base, M.field, M.dim, M.mat))
+    if u is not None:
+        bad = _perturbed(M, u)
+        assert not sheaves_equal(M, bad) and not sheaves_equal(bad, M)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
