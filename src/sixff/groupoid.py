@@ -16,6 +16,13 @@ fiber-product construction; the iso-comma 2-categorical pullback of
 groupoids is its binary case), skeletalization, equivalence testing, the
 one component search (`component_search`, behind `transport_to_reps` and
 the Kan fibers of `sheaves`), and truncated Čech nerves.
+
+A relative product has one arrow rule, `RelProduct.arrows_out`: the
+arrows out of one object.  Its groupoid is built from that rule on first
+use.  `pi0_and_aut` and `transport_to_reps` read any groupoid or relative
+product through its `arrows(x)`, so on a relative product they cost only
+the arrows out of the component representatives, and the product's
+groupoid is never built.
 """
 
 from __future__ import annotations
@@ -146,6 +153,12 @@ class FiniteCategory:
     def hom(self, x, y):
         dst = self.dst
         return [m for m in self.out.get(x, ()) if dst[m] == y]
+
+    def arrows(self, x):
+        """The arrows (u, dst u) out of x, in morphism order, read from
+        `out`: what the component search reads (see `RelProduct.arrows`)."""
+        dst = self.dst
+        return [(u, dst[u]) for u in self.out[x]]
 
     def inverse_of(self, m):
         """The first n: dst m -> src m, in morphism order, with n∘m and
@@ -510,11 +523,13 @@ def pi0_and_aut(grpd):
     """List of (component representative, automorphism multiplication table).
 
     The table is a dict (g, h) -> g∘h over the endomorphisms at the
-    representative (all invertible in a groupoid).
+    representative (all invertible in a groupoid).  `grpd` is a groupoid or
+    a `RelProduct`: only its objects, identities, composites and the
+    arrows out of each representative are read.
     """
     out = []
     for rep in dict.fromkeys(transport_to_reps(grpd)[1].values()):
-        auts = tuple(grpd.hom(rep, rep))
+        auts = tuple(u for u, o in grpd.arrows(rep) if o == rep)
         table = {(g, h): grpd.compose(g, h) for g in auts for h in auts}
         out.append((rep, auts, table))
     return out
@@ -549,11 +564,9 @@ def component_search(objects, arrows, identity):
 def transport_to_reps(grpd):
     """(t, comp_of): comp_of[x] is the okey-least object of x's component
     and t[x]: comp_of[x] -> x its first arrow to x in morphism order
-    (t_rep = id), both read off `component_search`."""
-    dst, out = grpd.dst, grpd.out
+    (t_rep = id), both read off `component_search` over `grpd.arrows`."""
     reps, _, locate = component_search(
-        grpd.objects, lambda x: [(u, dst[u]) for u in out[x]],
-        grpd.identity.__getitem__)
+        grpd.objects, grpd.arrows, grpd.identity.__getitem__)
     t = {x: u for x, (_, u) in locate.items()}
     comp_of = {x: reps[i] for x, (i, _) in locate.items()}
     return t, comp_of
@@ -734,8 +747,12 @@ class RelProduct:
     """Anchored n-fold relative product of maps a_i: X_i -> S (n >= 2).
 
     Objects are (xs, ms) where xs is a tuple of objects and ms[i - 1] is an
-    iso a_0(x_0) -> a_i(x_i) in S for i >= 1 (the anchor).  Morphisms are
-    tuples of morphisms.  Every reindexing (projection, diagonal, swap,
+    iso a_0(x_0) -> a_i(x_i) in S for i >= 1 (the anchor).  A morphism is
+    (o, us): its source o and a tuple of morphisms us.  `arrows_out` is the
+    one arrow rule.  The product as a FiniteGroupoid, `grpd`, is built from
+    it on first use; `arrows` reads it one object at a time, so components
+    and automorphism groups (`pi0_and_aut`) cost only the arrows out of
+    their representatives.  Every reindexing (projection, diagonal, swap,
     reversal) is `proj_onto`, and factor projections satisfy
     factor(k)∘proj_onto(I) = factor(I[k]) on the nose.
     """
@@ -762,46 +779,74 @@ class RelProduct:
                         rec(i + 1, xs + [x], ms + [m])
 
         rec(0, [], [])
-        s_comp, s_inv = _table(S), S.inverse
-        # A morphism (u_0, ..., u_{n-1}) out of (xs, ms) moves anchor m_i to
-        # a_i(u_i)∘c_i with c_i = m_i∘a_0(u_0)^-1, so c_i is found once per
-        # first leg u_0.  legs[i][x]: the legs (u, dst u, u^-1, a_i(u)) out
-        # of x in X_i, in morphism order.  moved[i - 1][(x, c)]: the same
-        # legs with a_i(u)∘c in place of a_i(u), built once per (x, c).
-        legs = [{x: [(u, X.dst[u], X.inverse[u], a.mor[u]) for u in X.out[x]]
-                 for x in X.objects} for X, a in factors]
-        moved = [{} for _ in factors[1:]]
-        morphisms, src, dst, ident, inv = [], {}, {}, {}, {}
-        for o in objects:
-            xs, ms = o
-            later = list(zip(moved, legs[1:], xs[1:], ms))
-            for u0, y0, v0, au0 in legs[0][xs[0]]:
-                back = s_inv[au0]
-                partial = [((u0,), (y0,), (v0,), ())]
-                for memo, legs_i, x, m in later:
-                    c = s_comp[(m, back)]
-                    step = memo.get((x, c))
-                    if step is None:
-                        step = memo[(x, c)] = [
-                            (u, y, v, s_comp[(au, c)])
-                            for u, y, v, au in legs_i[x]]
-                    partial = [(us + (u,), ys + (y,), vs + (v,), an + (c2,))
-                               for us, ys, vs, an in partial
-                               for u, y, v, c2 in step]
-                for us, ys, vs, an in partial:
-                    o2 = (ys, an)
-                    mm = (o, us)
-                    morphisms.append(mm)
-                    src[mm], dst[mm] = o, o2
-                    inv[mm] = (o2, vs)
-            ident[o] = (o, tuple(X.identity[x] for X, x in zip(Xs, xs)))
+        self.objects = tuple(sorted(objects, key=okey))
+        self.identity = {o: (o, tuple(X.identity[x] for X, x in zip(Xs, o[0])))
+                         for o in objects}
+        # legs[i][x]: the legs (u, dst u, u^-1, a_i(u)) out of x in X_i, in
+        # morphism order.  moved[i - 1][(x, c)]: the same legs with
+        # a_i(u)∘c in place of a_i(u), built once per (x, c).
+        self._legs = [{x: [(u, X.dst[u], X.inverse[u], a.mor[u])
+                           for u in X.out[x]] for x in X.objects}
+                      for X, a in factors]
+        self._moved = [{} for _ in factors[1:]]
+        # g∘f factor by factor; it holds the tables, not self, so `grpd`
+        # does not refer back to the product
         tables = [_table(X) for X in Xs]
+        self.compose = lambda g, f: (
+            f[0], tuple(map(getitem, tables, zip(g[1], f[1]))))
 
-        def comp(m2, m1):
-            return (src[m1], tuple(map(getitem, tables, zip(m2[1], m1[1]))))
+    def arrows_out(self, o):
+        """The morphisms m out of o as (m, dst m, m^-1), leg by leg, which
+        need not be morphism order.  The one arrow rule: (u_0, ..., u_{n-1})
+        moves anchor m_i to a_i(u_i)∘c_i with c_i = m_i∘a_0(u_0)^-1, so c_i
+        is found once per first leg."""
+        xs, ms = o
+        s_comp, s_inv = _table(self.S), self.S.inverse
+        later = list(zip(self._moved, self._legs[1:], xs[1:], ms))
+        out = []
+        for u0, y0, v0, au0 in self._legs[0][xs[0]]:
+            back = s_inv[au0]
+            partial = [((u0,), (y0,), (v0,), ())]
+            for memo, legs_i, x, m in later:
+                c = s_comp[(m, back)]
+                step = memo.get((x, c))
+                if step is None:
+                    step = memo[(x, c)] = [
+                        (u, y, v, s_comp[(au, c)])
+                        for u, y, v, au in legs_i[x]]
+                partial = [(us + (u,), ys + (y,), vs + (v,), an + (c2,))
+                           for us, ys, vs, an in partial
+                           for u, y, v, c2 in step]
+            for us, ys, vs, an in partial:
+                o2 = (ys, an)
+                out.append(((o, us), o2, (o2, vs)))
+        return out
 
-        self.grpd = FiniteGroupoid(objects, morphisms, src, dst, ident,
-                                   comp, inv)
+    def arrows(self, o):
+        """The arrows (m, dst m) out of o, in morphism order, read from
+        `arrows_out`.  A target that is not an object raises StructureError,
+        as it does when `grpd` is built."""
+        ident = self.identity
+        out = []
+        for m, o2, _ in self.arrows_out(o):
+            if o2 not in ident:
+                raise StructureError(
+                    "morphism %r has dangling endpoint" % (m,))
+            out.append((m, o2))
+        out.sort(key=lambda arrow: okey(arrow[0]))
+        return out
+
+    @cached_property
+    def grpd(self):
+        """The product as a FiniteGroupoid: `arrows_out` over every
+        object."""
+        morphisms, src, dst, inv = [], {}, {}, {}
+        for o in self.objects:
+            for m, o2, v in self.arrows_out(o):
+                morphisms.append(m)
+                src[m], dst[m], inv[m] = o, o2, v
+        return FiniteGroupoid(self.objects, morphisms, src, dst,
+                              self.identity, self.compose, inv)
 
     def factor_proj(self, i):
         X = self.factors[i][0]
@@ -855,7 +900,7 @@ class IsoComma(RelProduct):
     f: Y -> S <- X :g, the binary relative product with factors (Y, f) and
     (X, g).  Objects are ((y, x), (m,)) with m: f(y) -> g(x) in S;
     morphisms are pairs (u, v) making the evident square commute.  The
-    legs are built on first use: most callers read only `grpd`."""
+    groupoid and the legs are built on first use."""
 
     @cached_property
     def p1(self):

@@ -23,6 +23,7 @@ class FiniteGroup:
         self.elements = tuple(sorted(elements, key=okey))
         self.table = dict(table)
         self.name = name or "G%d" % len(self.elements)
+        self._subgroups = {}
         eset = set(self.elements)
         if len(eset) != len(self.elements):
             raise StructureError("duplicate group elements")
@@ -115,17 +116,22 @@ class FiniteGroup:
                            name=name or "%sx%s" % (G.name, H.name))
 
     def subgroup(self, elems, name=None):
-        """The subgroup on a subset closed under multiplication.  A closed
+        """The subgroup on a subset closed under multiplication, built once
+        per (subset, name), so its delooping is built once too.  A closed
         subset of a finite group is a subgroup, and its table is part of
         this one, which is already checked, so the axioms are not scanned
-        again."""
-        elems = set(elems)
+        again.  A subset that is not a subgroup raises on every call."""
+        elems = frozenset(elems)
+        H = self._subgroups.get((elems, name))
+        if H is not None:
+            return H
         table = {(a, b): self.mul(a, b) for a in elems for b in elems}
         for v in table.values():
             if v not in elems:
                 raise StructureError("subset not closed under multiplication")
         H = FiniteGroup.__new__(FiniteGroup)
         H._set_table(elems, table, name)
+        self._subgroups[(elems, name)] = H
         return H
 
     def generated_subgroup(self, gens):

@@ -79,8 +79,9 @@ def _cross_check_against_fiber_product(dc):
     BG, BH, BK = delooping(G), delooping(H), delooping(K)
     iH = delooping_hom({h: h for h in H.elements}, BH, BG)
     iK = delooping_hom({k: k for k in K.elements}, BK, BG)
-    ic = iso_comma_pullback(iH, iK)
-    comps = pi0_and_aut(ic.grpd)
+    # read from the arrows out of each representative: the product's
+    # groupoid is never built
+    comps = pi0_and_aut(iso_comma_pullback(iH, iK))
     if len(comps) != len(dc.representatives):
         raise TheoremViolation(
             "fiber product component count %d != double coset count %d"
@@ -205,10 +206,11 @@ class HeckeAlgebra:
         self.function_basis = self._function_basis()
         if len(self.function_basis) != self.dim:
             raise TheoremViolation("model dimensions disagree")
-        self.phi_matrix = self._phi_matrix()
+        images = [self.to_function(T) for T in self.end_basis]
+        self.phi_matrix = self._phi_matrix(images)
         if not self.phi_matrix.is_invertible():
             raise TheoremViolation("model comparison not invertible")
-        self._check_phi_multiplicative()
+        self._check_phi_multiplicative(images)
         self.identity_coords = self.function_coordinates(
             self.function_identity())
 
@@ -304,16 +306,16 @@ class HeckeAlgebra:
             values[g] = V.mat[k] * images[j]
         return HeckeFunction(values)
 
-    def _phi_matrix(self):
-        coords = self._coordinates([self.to_function(T)
-                                    for T in self.end_basis])
+    def _phi_matrix(self, images):
+        """The comparison's matrix, from the images of the basis."""
+        coords = self._coordinates(images)
         return Matrix(self.field, zip(*coords), ncols=self.dim)
 
-    def _check_phi_multiplicative(self):
-        for T1 in self.end_basis:
-            F1 = self.to_function(T1)
-            for T2 in self.end_basis:
-                F2 = self.to_function(T2)
+    def _check_phi_multiplicative(self, images):
+        """Phi(T2∘T1) == Phi(T1) * Phi(T2) for every pair of basis
+        endomorphisms; `images` are their Phi images, in basis order."""
+        for T1, F1 in zip(self.end_basis, images):
+            for T2, F2 in zip(self.end_basis, images):
                 lhs = self.to_function(T2.then(T1))
                 rhs = self.convolve(F1, F2)
                 if lhs != rhs:
@@ -409,9 +411,9 @@ def prim_duality_on_hecke(G, K, field):
     """Compute the prim dual of the induced unit, transport endomorphisms
     through the mate bijection of the resulting adjunction, and certify
     agreement with the concrete anti-involution on the double coset basis."""
-    BK = delooping(K)
-    trivK = unit_sheaf(BK, field)
-    P = compact_induction(G, K, trivK).sheaf
+    alg = HeckeAlgebra(G, K, unit_sheaf(delooping(K), field))
+    # P IS the function model sheaf of the algebra, so the bases coincide
+    P = alg.induced.sheaf
     cert = prim_test(P.base.to_point, P, check_double_dual=False)
     if not cert.ok:
         return PrimDualityCertificate(False, False, False, False, 0)
@@ -425,9 +427,6 @@ def prim_duality_on_hecke(G, K, field):
     def transported(T):
         return c_inv.then(cert.mate(T)).then(c)
 
-    alg = HeckeAlgebra(G, K, trivK)
-    # express P-endomorphisms in the algebra's own model: P here IS the
-    # function model sheaf, so the bases coincide
     iota, _ = anti_involution(alg)
     agree = all(alg.to_function(transported(T)) == iota(alg.to_function(T))
                 for T in alg.end_basis)

@@ -42,7 +42,9 @@ def test_criterion_2_corr_duals():
 def test_criterion_3_double_cosets():
     """Components and automorphism orders of */H x_{*/G} */K match the
     brute-force double cosets for every subgroup pair of S3, S4, D4, Q8
-    up to conjugacy."""
+    up to conjugacy.  They are read from the arrows out of each component
+    representative, by the product's one arrow rule
+    (`RelProduct.arrows_out`), without building the product's groupoid."""
     _report("3 double cosets vs fiber products", check_double_cosets)
 
 

@@ -116,6 +116,35 @@ def test_subgroup_does_not_recheck_group_axioms(monkeypatch):
     assert calls == [C3]
 
 
+def test_subgroup_is_built_once_per_subset_and_name(monkeypatch):
+    # a fresh S4, so no other test has filled its memo
+    G = FiniteGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    v4 = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    V4 = G.subgroup(v4, name="V4")
+    assert G.subgroup(reversed(v4), name="V4") is V4
+    assert G.subgroup(frozenset(v4), name="V4") is V4
+    unnamed = G.subgroup(v4)
+    assert unnamed is not V4 and unnamed.name == "G4"
+    assert G.subgroup(v4) is unnamed
+    # a subset that is not a subgroup raises every time, never cached
+    for _ in range(2):
+        with pytest.raises(StructureError, match="not closed"):
+            G.subgroup([(0, 1, 2, 3), (1, 2, 0, 3), (1, 0, 2, 3)])
+    # so the sweep's deloopings of a subgroup are built once
+    builds = []
+    original = FiniteGroupoid.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroupoid, "__init__", counting)
+    first = delooping(G.subgroup(v4))
+    assert len(builds) == 1
+    assert delooping(G.subgroup(list(v4))) is first
+    assert len(builds) == 1
+
+
 def test_sign_functor_s3_to_c2():
     S3, C2 = presets.group("S3"), presets.group("C2")
     B1, B2 = delooping(S3), delooping(C2)
@@ -639,6 +668,60 @@ def test_rel_product_draws_include_nonabelian_anchors():
             random.Random("relprod/%d/%d" % (n, seed)), n)[0].morphisms)
             for seed in range(8)]
         assert any(k % 6 == 0 for k in orders), (n, orders)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(8))
+def test_rel_product_reads_the_arrows_of_its_groupoid(n, seed):
+    # `arrows` lists what the built groupoid lists, object by object, and
+    # the components read from it are the groupoid's, without building it
+    S, factors = _random_factors(
+        random.Random("relprod/%d/%d" % (n, seed)), n)
+    rp = RelProduct(S, factors)
+    lazy_comps, lazy_reps = pi0_and_aut(rp), transport_to_reps(rp)
+    assert "grpd" not in vars(rp)
+    P = rp.grpd
+    assert rp.objects == P.objects and rp.identity == P.identity
+    assert all(rp.arrows(o) == P.arrows(o) for o in P.objects)
+    assert lazy_comps == pi0_and_aut(P)
+    assert lazy_reps == transport_to_reps(P)
+
+
+def test_rel_product_arrows_come_in_morphism_order():
+    # "str:e s" sorts after "str:e" but ("e s", "e") before ("e", "e s"),
+    # so the rule's leg-by-leg order is not the morphism order here
+    C2 = FiniteGroup(["e", "e s"], {("e", "e"): "e", ("e", "e s"): "e s",
+                                    ("e s", "e"): "e s", ("e s", "e s"): "e"})
+    f = identity_functor(delooping(C2))
+    rp = iso_comma_pullback(f, f)
+    o = rp.objects[0]
+    assert [m for m, _, _ in rp.arrows_out(o)] != [m for m, _ in rp.arrows(o)]
+    assert all(rp.arrows(o) == rp.grpd.arrows(o) for o in rp.objects)
+
+
+@pytest.mark.parametrize("gname", ["S3", "D4", "Q8", "S4"])
+def test_iso_comma_components_read_lazily_match_the_built_product(gname):
+    # pi0_and_aut on the iso-comma itself, as the double-coset sweep reads
+    # it, against pi0_and_aut on its groupoid: representatives,
+    # automorphism tuples and tables, for every subgroup-class pair
+    G = presets.group(gname)
+    BG = delooping(G)
+    incl = {}
+    for H_el in G.subgroups_up_to_conjugacy():
+        H = G.subgroup(H_el)
+        incl[H_el] = delooping_hom({h: h for h in H.elements},
+                                   delooping(H), BG)
+    for iH in incl.values():
+        for iK in incl.values():
+            ic = iso_comma_pullback(iH, iK)
+            lazy = pi0_and_aut(ic)
+            assert "grpd" not in vars(ic)
+            built = pi0_and_aut(ic.grpd)
+            assert len(lazy) == len(built)
+            for (rep, auts, table), (rep2, auts2, table2) in zip(lazy, built):
+                assert rep == rep2
+                assert auts == auts2
+                assert table == table2
 
 
 # ---------------------------------------------------------------------------

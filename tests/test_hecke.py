@@ -4,14 +4,19 @@ import pytest
 
 from sixff import hecke, presets
 from sixff.fields import GF, QQ, GateError
-from sixff.groupoid import delooping, okey
+from sixff.groupoid import (
+    FiniteGroupoid, RelProduct, StructureError, delooping, delooping_hom,
+    iso_comma_pullback, okey,
+)
 from sixff.hecke import (
     HeckeAlgebra, anti_involution, compact_induction, double_cosets,
     dual_weight_transport, frobenius_check, prim_duality_on_hecke,
     right_coset_reps,
 )
 from sixff.linalg import Matrix, stack_columns
-from sixff.sheaves import Sheaf, hom_dim, identity_morphism, unit_sheaf
+from sixff.sheaves import (
+    Sheaf, TheoremViolation, hom_dim, identity_morphism, unit_sheaf,
+)
 
 S3 = presets.group("S3")
 C2 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")
@@ -55,6 +60,63 @@ def test_double_cosets_battery_cross_check():
 def _orbit_min(G, H, K, g):
     return min({G.mul(G.mul(h, g), k) for h in H.elements
                 for k in K.elements}, key=okey)
+
+
+def test_cross_check_catches_anchors_composed_in_the_wrong_order(
+        monkeypatch):
+    # the planted rule moves anchor m to c∘a_1(u) with c = m∘a_0(u_0)^-1,
+    # not a_1(u)∘c: over S3 the components of */C2 x */C2 change
+    original = RelProduct.arrows_out
+
+    def anchors_reversed(rp, o):
+        S, (_, a0), rest = rp.S, rp.factors[0], rp.factors[1:]
+        out = []
+        for m, (ys, _), (_, vs) in original(rp, o):
+            us = m[1]
+            back = S.inverse[a0.mor[us[0]]]
+            o2 = (ys, tuple(S.compose(S.compose(mi, back), a.mor[u])
+                            for mi, (_, a), u in zip(o[1], rest, us[1:])))
+            out.append((m, o2, (o2, vs)))
+        return out
+
+    double_cosets(S3, C2, C2)
+    monkeypatch.setattr(RelProduct, "arrows_out", anchors_reversed)
+    with pytest.raises(TheoremViolation, match="component count"):
+        double_cosets(S3, C2, C2)
+
+
+def test_dangling_arrow_in_the_fiber_product_raises(monkeypatch):
+    original = RelProduct.arrows_out
+
+    def dangling(rp, o):
+        return [(m, ("nowhere", o2), inv) for m, o2, inv in original(rp, o)]
+
+    monkeypatch.setattr(RelProduct, "arrows_out", dangling)
+    # raised from the arrows the sweep reads, as when the groupoid is built
+    with pytest.raises(StructureError, match="dangling endpoint"):
+        double_cosets(S3, C2, C2)
+    incl = delooping_hom({k: k for k in C2.elements}, delooping(C2),
+                         delooping(S3))
+    with pytest.raises(StructureError, match="dangling endpoint"):
+        iso_comma_pullback(incl, incl).grpd
+
+
+def test_double_coset_sweep_leaves_the_fiber_product_unbuilt(monkeypatch):
+    # */S4 x_{*/S4} */S4 has 24 objects and 13,824 morphisms; the sweep
+    # reads it from the arrows out of its one representative, so no
+    # groupoid larger than a delooping of S4 is built
+    S4 = presets.group("S4")
+    sizes = []
+    original = FiniteGroupoid.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        sizes.append((len(self.objects), len(self.morphisms)))
+
+    monkeypatch.setattr(FiniteGroupoid, "__init__", recording)
+    dc = double_cosets(S4, S4, S4)
+    assert dc.sizes == (24,) and dc.stabilizer_orders == (24,)
+    assert all(n <= len(S4) and m <= len(S4) for n, m in sizes), sizes
 
 
 def test_compact_induction_dimensions():
@@ -108,6 +170,25 @@ def test_hecke_algebra_s3_c2():
     coords = sc[tw][tw]
     assert coords[te] == QQ.of(2)
     assert coords[tw] == QQ.of(1)
+
+
+def test_hecke_algebra_evaluates_each_basis_image_once(monkeypatch):
+    # dim images for the comparison matrix, shared with the
+    # multiplicativity check, which still evaluates and convolves every
+    # one of the dim^2 products: 6 + 36 evaluations for S3/1
+    calls = {"to_function": 0, "convolve": 0}
+    for name in calls:
+        original = getattr(HeckeAlgebra, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(HeckeAlgebra, name, counting)
+    E = S3.subgroup(frozenset({S3.identity}), name="1")
+    alg = HeckeAlgebra(S3, E, unit_sheaf(delooping(E), QQ))
+    assert alg.dim == 6
+    assert calls == {"to_function": 42, "convolve": 36}
 
 
 def test_hecke_algebra_trivial_cases():
@@ -268,6 +349,21 @@ def test_prim_duality_tests_the_point_map_of_its_base(monkeypatch):
     assert not cert.prim_ok
     (f, P), = seen
     assert f is P.base.to_point
+
+
+def test_prim_duality_runs_compact_induction_once(monkeypatch):
+    # the prim test reads the algebra's own induced sheaf
+    runs = []
+    original = hecke.compact_induction
+
+    def counting(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hecke, "compact_induction", counting)
+    cert = prim_duality_on_hecke(S3, C2, QQ)
+    assert cert.agrees_with_iota and cert.algebra_dim == 2
+    assert len(runs) == 1
 
 
 # -- reference: one stack and one solve per function -----------------------
