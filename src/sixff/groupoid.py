@@ -527,9 +527,11 @@ def pi0_and_aut(grpd):
     a `RelProduct`: only its objects, identities, composites and the
     arrows out of each representative are read.
     """
+    found = {}
+    transport_to_reps(grpd, found)
     out = []
-    for rep in dict.fromkeys(transport_to_reps(grpd)[1].values()):
-        auts = tuple(u for u, o in grpd.arrows(rep) if o == rep)
+    for rep, auts in found.items():
+        auts = tuple(auts)
         table = {(g, h): grpd.compose(g, h) for g in auts for h in auts}
         out.append((rep, auts, table))
     return out
@@ -561,12 +563,16 @@ def component_search(objects, arrows, identity):
     return reps, auts, locate
 
 
-def transport_to_reps(grpd):
+def transport_to_reps(grpd, auts=None):
     """(t, comp_of): comp_of[x] is the okey-least object of x's component
     and t[x]: comp_of[x] -> x its first arrow to x in morphism order
-    (t_rep = id), both read off `component_search` over `grpd.arrows`."""
-    reps, _, locate = component_search(
+    (t_rep = id), both read off `component_search` over `grpd.arrows`.
+    A dict `auts` receives, from the same pass, auts[rep]: the arrows
+    rep -> rep in morphism order, representatives in component order."""
+    reps, found, locate = component_search(
         grpd.objects, grpd.arrows, grpd.identity.__getitem__)
+    if auts is not None:
+        auts.update(found)
     t = {x: u for x, (_, u) in locate.items()}
     comp_of = {x: reps[i] for x, (i, _) in locate.items()}
     return t, comp_of

@@ -135,32 +135,39 @@ class FiniteGroup:
         return H
 
     def generated_subgroup(self, gens):
+        """The subgroup generated by `gens`, as a frozenset: the closure of
+        the identity under right multiplication by the generators.  In a
+        finite group the monoid they generate is a group, so that closure
+        is the subgroup."""
+        gens = tuple(gens)
+        table = self.table
         span = {self.identity}
-        frontier = [self.identity] + list(gens)
-        span |= set(gens)
+        frontier = [self.identity]
         while frontier:
             a = frontier.pop()
-            for g in list(span):
-                for c in (self.mul(a, g), self.mul(g, a)):
-                    if c not in span:
-                        span.add(c)
-                        frontier.append(c)
+            for g in gens:
+                c = table[(a, g)]
+                if c not in span:
+                    span.add(c)
+                    frontier.append(c)
         return frozenset(span)
 
     def all_subgroups(self):
         """All subgroups (as frozensets), by iterated one-generator
-        extension."""
-        seen = {frozenset({self.identity})}
-        frontier = [frozenset({self.identity})]
+        extension.  Each found subgroup keeps the generators it was found
+        from, and an extension closes only those and the new element."""
+        trivial = frozenset({self.identity})
+        seen = {trivial}
+        frontier = [(trivial, ())]
         while frontier:
-            H = frontier.pop()
+            H, gens = frontier.pop()
             for g in self.elements:
                 if g in H:
                     continue
-                K = self.generated_subgroup(set(H) | {g})
+                K = self.generated_subgroup(gens + (g,))
                 if K not in seen:
                     seen.add(K)
-                    frontier.append(K)
+                    frontier.append((K, gens + (g,)))
         return sorted(seen, key=lambda H: (len(H), sorted(okey(x) for x in H)))
 
     def conjugate_subgroup(self, H, g):

@@ -1,27 +1,38 @@
-"""Exact dense matrices over a coefficient field.
+"""Exact sparse matrices over a coefficient field.
 
-Matrices are immutable, row-major, and act on column vectors: a Matrix of
-shape (m, n) maps k^n -> k^m and composition is `a * b` = "a after b".
-Pivoting is deterministic (first nonzero entry scanning top-down), so every
-derived basis is reproducible bit for bit.  Inner loops test an entry for
-zero by truthiness (`Fraction` and `int` both define it) and read the
-field's constants once, outside the loop.
+Matrices are immutable and act on column vectors: a Matrix of shape (m, n)
+maps k^n -> k^m and composition is `a * b` = "a after b".  Pivoting is
+deterministic (first nonzero entry scanning top-down), so every derived
+basis is reproducible bit for bit.
 
-Over F_p every entry is an int in `range(p)` (see `fields`).  `__mul__`
-adds up unreduced products along each output row and reduces the row once
-(delayed modular reduction); every other operation that computes an entry
-reduces it, so `rref` can test zeros by truthiness.  Over Q an entry is an
-int when it is integral and a `Fraction` otherwise, so the loops over the
-mostly small integral entries run on Python's C-level int arithmetic.  A
-`Fraction` meets an int only in exact mixed arithmetic, and the integral
-`Fraction`s that leaves behind are equal, hash equal and print equal to
-the ints, so no loop normalises its results.
+Storage is sparse by rows: row i is a dict {column: value} of its nonzero
+entries, and the matrix holds the tuple of those dicts.  Every operation
+walks nonzeros only, so a product, a Kronecker product, a block matrix or
+an elimination costs what its nonzeros cost, and an identity is simply one
+entry per row.  The form is canonical, so `__eq__` compares the row dicts
+and `__hash__` hashes their items:
 
-Row storage is private to this module: no other module reads `rows`.
-Callers read a matrix through `entry`, `entries` (the row-major flatten),
-`column_entries` and `shape`, build one back with `from_entries`, and
-solve for coordinates with `coordinates`.  That leaves the storage free to
-change (a sparse `Matrix`) without touching the callers.
+- a row dict never stores a zero, and the order of its keys is free;
+- over F_p every entry is an int in `range(p)` (see `fields`);
+- over Q an entry is an int when it is integral and a `Fraction`
+  otherwise.  A `Fraction` meets an int only in exact mixed arithmetic,
+  and the integral `Fraction`s that leaves behind are equal, hash equal
+  and print equal to the ints, so no loop normalises its results;
+- row dicts are never mutated once stored, so results share them freely:
+  a product row taken from one row of `other` with coefficient 1, a block
+  placed at column 0, the rows of a stack, and the one empty dict of every
+  zero row.
+
+`__mul__` adds up unreduced products along each output row and reduces the
+row once over F_p (delayed modular reduction); every other operation that
+computes an entry reduces it, so zeros are tested by truthiness.
+
+`rows`, the dense row tuples, is a derived view, computed on first read and
+cached.  A matrix built from dense rows keeps those rows as its view.  Row
+storage is private to this module: no other module reads `rows` or the
+sparse rows.  Callers read a matrix through `entry`, `entries` (the
+row-major flatten), `column_entries` and `shape`, build one back with
+`from_entries`, and solve for coordinates with `coordinates`.
 """
 
 from __future__ import annotations
@@ -34,14 +45,39 @@ class SingularMatrixError(Exception):
     pass
 
 
+class _Rows(tuple):
+    """Canonical sparse rows, as built inside this module: a tuple of
+    dicts {column: nonzero value}, taken by `Matrix` without a check."""
+
+    __slots__ = ()
+
+
+_EMPTY = {}   # the row of every zero row; no stored row dict is mutated
+
+
+def _shifted(row, off):
+    """The sparse row `row` moved right by `off` columns."""
+    return {off + j: a for j, a in row.items()} if off and row else row
+
+
 class Matrix:
-    __slots__ = ("rows", "nrows", "ncols", "field", "_hash")
+    __slots__ = ("_nz", "_rows", "nrows", "ncols", "field", "_hash")
 
     def __init__(self, field, rows, ncols=None):
+        """The matrix with dense `rows` (sequences of entries).  Inside this
+        module `rows` may instead be `_Rows`, taken as they are, with
+        `ncols` given."""
+        self.field = field
+        if type(rows) is _Rows:
+            self._nz = rows
+            self._rows = None
+            self.nrows = len(rows)
+            self.ncols = ncols
+            return
         # tuple() hands back a row that is a tuple already, so rows taken
         # from another Matrix are not copied
-        self.field = field
-        self.rows = rows = tuple(map(tuple, rows))
+        self._rows = rows = tuple(map(tuple, rows))
+        self._nz = tuple({j: a for j, a in enumerate(r) if a} for r in rows)
         self.nrows = len(rows)
         if not rows:
             self.ncols = 0 if ncols is None else ncols
@@ -58,14 +94,12 @@ class Matrix:
 
     @staticmethod
     def identity(field, n):
-        one, zero = field.one, field.zero
-        return Matrix(field, [[one if i == j else zero for j in range(n)]
-                              for i in range(n)])
+        one = field.one
+        return Matrix(field, _Rows({i: one} for i in range(n)), n)
 
     @staticmethod
     def zero(field, m, n):
-        # one row tuple, shared by every row: __init__ does not copy it
-        return Matrix(field, ((field.zero,) * n,) * m, ncols=n)
+        return Matrix(field, _Rows((_EMPTY,) * m), n)
 
     @staticmethod
     def from_int_rows(field, rows):
@@ -73,7 +107,8 @@ class Matrix:
 
     @staticmethod
     def column(field, entries):
-        return Matrix(field, [[x] for x in entries], ncols=1)
+        return Matrix(field, _Rows({0: a} if a else _EMPTY for a in entries),
+                      1)
 
     @staticmethod
     def from_entries(field, entries, m, n):
@@ -82,8 +117,9 @@ class Matrix:
         entries = tuple(entries)
         assert len(entries) == m * n, \
             "%d entries for a %dx%d matrix" % (len(entries), m, n)
-        return Matrix(field, [entries[i * n:(i + 1) * n] for i in range(m)],
-                      ncols=n)
+        return Matrix(field, _Rows(
+            {j: a for j, a in enumerate(entries[i * n:(i + 1) * n]) if a}
+            or _EMPTY for i in range(m)), n)
 
     # -- basics ------------------------------------------------------------
 
@@ -91,16 +127,34 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self):
+        """The dense rows, as a tuple of tuples (a derived, cached view)."""
+        rows = self._rows
+        if rows is None:
+            zero, n = self.field.zero, self.ncols
+            out = []
+            for r in self._nz:
+                row = [zero] * n
+                for j, a in r.items():
+                    row[j] = a
+                out.append(tuple(row))
+            self._rows = rows = tuple(out)
+        return rows
+
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.shape == other.shape
-                and self.rows == other.rows and self.field == other.field)
+        return (isinstance(other, Matrix) and self.nrows == other.nrows
+                and self.ncols == other.ncols and self._nz == other._nz
+                and self.field == other.field)
 
     def __hash__(self):
-        # matrices are immutable, so the hash is computed once, on first use
+        # matrices are immutable, so the hash is computed once, on first use;
+        # a frozenset of items does not depend on the order of a row's keys
         try:
             return self._hash
         except AttributeError:
-            self._hash = h = hash((self.shape, self.rows))
+            self._hash = h = hash((self.nrows, self.ncols, tuple(
+                frozenset(r.items()) for r in self._nz)))
             return h
 
     def __repr__(self):
@@ -112,118 +166,172 @@ class Matrix:
                                   for r in self.rows)
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        return self._nz[i].get(j, self.field.zero)
 
     def entries(self):
         """All entries, row by row, as one tuple."""
-        return tuple(a for r in self.rows for a in r)
+        n = self.ncols
+        out = [self.field.zero] * (self.nrows * n)
+        for i, r in enumerate(self._nz):
+            base = i * n
+            for j, a in r.items():
+                out[base + j] = a
+        return tuple(out)
 
     def column_entries(self, j=0):
         """The entries of column j, top to bottom, as a list."""
-        return [r[j] for r in self.rows]
+        zero = self.field.zero
+        return [r.get(j, zero) for r in self._nz]
 
     def transpose(self):
-        if self.nrows == 0:
-            return Matrix(self.field, [()] * self.ncols, ncols=0)
-        if self.ncols == 0:
-            return Matrix(self.field, [], ncols=self.nrows)
-        return Matrix(self.field, list(zip(*self.rows)))
+        out = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._nz):
+            for j, a in r.items():
+                out[j][i] = a
+        return Matrix(self.field, _Rows(c or _EMPTY for c in out), self.nrows)
 
-    def _reduced(self, rows):
-        """A matrix of this field and width from freshly computed rows,
-        reduced into range(p) over F_p."""
+    def _like(self, rows):
+        """A matrix of this field and width with the sparse `rows`."""
+        return Matrix(self.field, _Rows(rows), self.ncols)
+
+    def _plus(self, other, c):
+        """self + c * other, for c = 1 or -1."""
+        assert self.shape == other.shape
         p = self.field.characteristic
-        if p:
-            rows = [[a % p for a in r] for r in rows]
-        return Matrix(self.field, rows, ncols=self.ncols)
+        out = []
+        for r, s in zip(self._nz, other._nz):
+            if not s:
+                out.append(r)
+                continue
+            row = dict(r)
+            get = row.get
+            for j, b in s.items():
+                v = get(j, 0) + c * b
+                if p:
+                    v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row or _EMPTY)
+        return self._like(out)
 
     def __add__(self, other):
-        assert self.shape == other.shape
-        return self._reduced([[a + b for a, b in zip(r, s)]
-                              for r, s in zip(self.rows, other.rows)])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        assert self.shape == other.shape
-        return self._reduced([[a - b for a, b in zip(r, s)]
-                              for r, s in zip(self.rows, other.rows)])
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return self._reduced([[-a for a in r] for r in self.rows])
+        return self.scale(-self.field.one)
 
     def scale(self, c):
-        return self._reduced([[c * a for a in r] for r in self.rows])
+        p = self.field.characteristic
+        if p:
+            c %= p
+        if not c:
+            return Matrix.zero(self.field, self.nrows, self.ncols)
+        if c == self.field.one:
+            return self._like(self._nz)
+        if p:
+            return self._like({j: c * a % p for j, a in r.items()}
+                              for r in self._nz)
+        return self._like({j: c * a for j, a in r.items()} for r in self._nz)
 
     def __mul__(self, other):
         assert self.ncols == other.nrows, \
             "shape mismatch %s * %s" % (self.shape, other.shape)
-        if self.nrows == 0 or other.ncols == 0:
-            return Matrix.zero(self.field, self.nrows, other.ncols)
-        zero, one = self.field.zero, self.field.one
+        one = self.field.one
         p = self.field.characteristic
-        orows = other.rows
-        n = other.ncols
+        onz = other._nz
         out = []
-        for r in self.rows:
-            acc = None
-            for j, a in enumerate(r):
-                if not a:
-                    continue
-                brow = orows[j]
-                if acc is None:
-                    acc = brow if a == one else [a * b for b in brow]
-                elif a == one:
-                    acc = [x + b for x, b in zip(acc, brow)]
+        append = out.append
+        for r in self._nz:
+            if len(r) == 1:
+                # one product, so no sum and nothing cancels; a coefficient
+                # 1 takes the row of `other` as it is
+                [(j, a)] = r.items()
+                if a == one:
+                    append(onz[j])
+                elif p:
+                    append({t: a * b % p for t, b in onz[j].items()})
                 else:
-                    acc = [x + a * b for x, b in zip(acc, brow)]
-            if acc is None:
-                acc = [zero] * n
-            elif p and acc is not brow:
-                # one reduction per row; a row of `other` taken as it is
-                # is reduced already
-                acc = [x % p for x in acc]
-            out.append(acc)
-        return Matrix(self.field, out, ncols=n)
+                    append({t: a * b for t, b in onz[j].items()})
+                continue
+            if not r:
+                append(_EMPTY)
+                continue
+            acc = None
+            for j, a in r.items():
+                brow = onz[j]
+                if acc is None:
+                    acc = (dict(brow) if a == one
+                           else {t: a * b for t, b in brow.items()})
+                    get = acc.get
+                elif a == one:
+                    for t, b in brow.items():
+                        acc[t] = get(t, 0) + b
+                else:
+                    for t, b in brow.items():
+                        acc[t] = get(t, 0) + a * b
+            # one reduction per row, which also drops what cancelled
+            if p:
+                row = {t: v for t, w in acc.items() if (v := w % p)}
+            else:
+                row = {t: v for t, v in acc.items() if v}
+            append(row or _EMPTY)
+        return Matrix(self.field, _Rows(out), other.ncols)
 
     def is_zero(self):
-        return not any(a for r in self.rows for a in r)
+        return not any(self._nz)
 
     def is_identity(self):
-        if self.nrows != self.ncols:
-            return False
-        one, zero = self.field.one, self.field.zero
-        return all(self.rows[i][j] == (one if i == j else zero)
-                   for i in range(self.nrows) for j in range(self.ncols))
+        one = self.field.one
+        return self.nrows == self.ncols and all(
+            len(r) == 1 and r.get(i) == one for i, r in enumerate(self._nz))
 
     # -- block operations ----------------------------------------------------
 
     def hstack(self, other):
         assert self.nrows == other.nrows
-        return Matrix(self.field,
-                      [ra + rb for ra, rb in zip(self.rows, other.rows)],
-                      ncols=self.ncols + other.ncols)
+        n = self.ncols
+        return Matrix(self.field, _Rows(
+            {**r, **_shifted(s, n)} if r and s else r or _shifted(s, n)
+            for r, s in zip(self._nz, other._nz)), n + other.ncols)
 
     def vstack(self, other):
         assert self.ncols == other.ncols, \
             "vstack mismatch %s %s" % (self.shape, other.shape)
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
+        return self._like(self._nz + other._nz)
 
     @staticmethod
     def block(field, row_dims, col_dims, placed):
         """The matrix with row blocks of heights `row_dims` and column blocks
         of widths `col_dims` that is zero except for `placed[(i, j)]` in
         block (i, j)."""
-        row_off = list(accumulate(row_dims, initial=0))
         col_off = list(accumulate(col_dims, initial=0))
-        n = col_off[-1]
-        zero = field.zero
-        out = [[zero] * n for _ in range(row_off[-1])]
+        parts = [[] for _ in row_dims]
         for (i, j), b in placed.items():
             assert b.shape == (row_dims[i], col_dims[j]), \
                 "block (%d, %d) has shape %s" % (i, j, b.shape)
-            i0, j0 = row_off[i], col_off[j]
-            for r, brow in enumerate(b.rows, i0):
-                out[r][j0:j0 + b.ncols] = brow
-        return Matrix(field, out, ncols=n)
+            parts[i].append((col_off[j], b._nz))
+        out = []
+        for h, part in zip(row_dims, parts):
+            if not part:
+                out.extend((_EMPTY,) * h)
+                continue
+            if len(part) == 1:
+                ((off, nz),) = part
+                out.extend(({off + j: a for j, a in r.items()} if r else r
+                            for r in nz) if off else nz)
+                continue
+            for k in range(h):
+                row = {}
+                for off, nz in part:
+                    if nz[k]:
+                        row.update(_shifted(nz[k], off))
+                out.append(row or _EMPTY)
+        return Matrix(field, _Rows(out), col_off[-1])
 
     @staticmethod
     def direct_sum(field, blocks):
@@ -235,26 +343,67 @@ class Matrix:
         """Kronecker product; index flattening is row-major, so kron is
         strictly associative and kron with a 1x1 identity is the identity
         operation on the nose."""
-        f = self.field
-        char = f.characteristic
-        m, n = self.shape
-        p, q = other.shape
-        zero = f.zero
-        out = [[zero] * (n * q) for _ in range(m * p)]
-        for i, arow in enumerate(self.rows):
-            for j, a in enumerate(arow):
-                if not a:
-                    continue    # out is zero-filled already
-                for k, brow in enumerate(other.rows):
-                    out[i * p + k][j * q:(j + 1) * q] = (
-                        [a * b % char for b in brow] if char
-                        else [a * b for b in brow])
-        return Matrix(f, out, ncols=n * q)
+        one = self.field.one
+        p = self.field.characteristic
+        q = other.ncols
+        bnz = other._nz
+        out = []
+        append = out.append
+        for arow in self._nz:
+            if len(arow) == 1:
+                # the rows of `other`, scaled and moved right as a block
+                [(j, a)] = arow.items()
+                off = j * q
+                if a == one:
+                    out.extend({off + t: b for t, b in brow.items()}
+                               if off and brow else brow for brow in bnz)
+                elif p:
+                    out.extend({off + t: a * b % p for t, b in brow.items()}
+                               for brow in bnz)
+                else:
+                    out.extend({off + t: a * b for t, b in brow.items()}
+                               for brow in bnz)
+                continue
+            for brow in bnz:
+                if not arow or not brow:
+                    append(_EMPTY)
+                elif len(brow) == 1:
+                    [(t, b)] = brow.items()
+                    if b == one:
+                        append({j * q + t: a for j, a in arow.items()})
+                    elif p:
+                        append({j * q + t: a * b % p
+                                for j, a in arow.items()})
+                    else:
+                        append({j * q + t: a * b for j, a in arow.items()})
+                else:
+                    row = {}
+                    for j, a in arow.items():
+                        if a == one:
+                            row.update(_shifted(brow, j * q))
+                        elif p:
+                            row.update({j * q + t: a * b % p
+                                        for t, b in brow.items()})
+                        else:
+                            row.update({j * q + t: a * b
+                                        for t, b in brow.items()})
+                    append(row)
+        return Matrix(self.field, _Rows(out), self.ncols * q)
 
     def submatrix(self, row_idx, col_idx):
+        """The rows `row_idx` and the distinct columns `col_idx`, in the
+        order given."""
         col_idx = list(col_idx)
-        return Matrix(self.field, [[self.rows[i][j] for j in col_idx]
-                                   for i in row_idx], ncols=len(col_idx))
+        nz = self._nz
+        if col_idx == list(range(self.ncols)):
+            return Matrix(self.field, _Rows(nz[i] for i in row_idx),
+                          self.ncols)
+        new = {j: k for k, j in enumerate(col_idx)}
+        assert len(new) == len(col_idx), "repeated column"
+        get = new.get
+        return Matrix(self.field, _Rows(
+            {k: a for j, a in nz[i].items() if (k := get(j)) is not None}
+            or _EMPTY for i in row_idx), len(col_idx))
 
     # -- elimination ---------------------------------------------------------
 
@@ -262,40 +411,50 @@ class Matrix:
         """Reduced row echelon form.  Returns (R, pivot column list)."""
         f = self.field
         p = f.characteristic
-        rows = [list(r) for r in self.rows]
+        rows = list(self._nz)
         m, n = self.nrows, self.ncols
+        # Every row at or below r has its entries in columns at or after the
+        # current pivot column, so the next pivot column is the least leading
+        # column among them, and the first row top-down that leads with it is
+        # the first nonzero of that column.
+        lead = [min(r, default=n) for r in rows]
         pivots = []
         r = 0
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
+        while r < m:
+            c = min(lead[r:])
+            if c == n:
+                break
+            pr = lead.index(c, r)
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = f.inv(rows[r][c])
-            # over F_p each row operation reduces, so the pivot search above
-            # sees a zero as 0
-            if p:
-                rows[r] = [inv * a % p for a in rows[r]]
-            else:
-                rows[r] = [inv * a for a in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c]:
-                    factor = rows[i][c]
+            lead[r], lead[pr] = lead[pr], lead[r]
+            prow = rows[r]
+            inv = f.inv(prow[c])
+            if inv != 1:
+                # over F_p each row operation reduces, so zeros are tested
+                # by truthiness
+                prow = rows[r] = ({j: inv * a % p for j, a in prow.items()}
+                                  if p else
+                                  {j: inv * a for j, a in prow.items()})
+            for i, row in enumerate(rows):
+                factor = row.get(c)
+                if not factor or i == r:
+                    continue
+                row = dict(row)
+                get = row.get
+                for j, b in prow.items():
+                    v = get(j, 0) - factor * b
                     if p:
-                        rows[i] = [(a - factor * b) % p
-                                   for a, b in zip(rows[i], rows[r])]
+                        v %= p
+                    if v:
+                        row[j] = v
                     else:
-                        rows[i] = [a - factor * b
-                                   for a, b in zip(rows[i], rows[r])]
+                        del row[j]
+                rows[i] = row or _EMPTY
+                if i > r:
+                    lead[i] = min(row, default=n)
             pivots.append(c)
             r += 1
-            if r == m:
-                break
-        return Matrix(f, rows, ncols=n), pivots
+        return self._like(rows), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -322,13 +481,10 @@ class Matrix:
         red, pivots = aug.rref()
         if any(p >= n for p in pivots):
             return None
-        f = self.field
-        zero = f.zero
-        out = [[zero] * rhs.ncols for _ in range(n)]
-        for r, c in enumerate(pivots):
-            for j in range(rhs.ncols):
-                out[c][j] = red.rows[r][n + j]
-        return Matrix(f, out, ncols=rhs.ncols)
+        out = [_EMPTY] * n
+        for row, c in zip(red._nz, pivots):
+            out[c] = {j - n: a for j, a in row.items() if j >= n} or _EMPTY
+        return Matrix(self.field, _Rows(out), rhs.ncols)
 
     def nullspace(self):
         """Deterministic basis of the right kernel, as a list of column
@@ -337,18 +493,21 @@ class Matrix:
         p = f.characteristic
         red, pivots = self.rref()
         n = self.ncols
-        free = [c for c in range(n) if c not in pivots]
-        zero, one = f.zero, f.one
-        basis = []
-        for fc in free:
-            v = [zero] * n
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][fc]
-            if p:
-                v = [a % p for a in v]
-            basis.append(Matrix.column(f, v))
-        return basis
+        is_pivot = set(pivots)
+        # basis vector of free column fc: 1 at fc, -R[r][fc] at pivot r's
+        # column; in RREF a row's only entries are its pivot and free columns
+        basis = {fc: {fc: f.one} for fc in range(n) if fc not in is_pivot}
+        for row, pc in zip(red._nz, pivots):
+            for j, a in row.items():
+                if j != pc:
+                    basis[j][pc] = -a % p if p else -a
+        out = []
+        for v in basis.values():
+            col = [_EMPTY] * n
+            for i, a in v.items():
+                col[i] = {0: a}
+            out.append(Matrix(f, _Rows(col), 1))
+        return out
 
 
 def coordinates(field, vectors, targets):

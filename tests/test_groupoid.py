@@ -468,6 +468,61 @@ def test_subgroup_enumeration():
     assert len(S4.subgroups_up_to_conjugacy()) == 11
 
 
+def _closure_reference(G, gens):
+    """The subgroup generated by `gens`, closed the slow way: multiply
+    every new element by every element already found, on both sides."""
+    span = {G.identity} | set(gens)
+    frontier = list(span)
+    while frontier:
+        a = frontier.pop()
+        for g in list(span):
+            for c in (G.mul(a, g), G.mul(g, a)):
+                if c not in span:
+                    span.add(c)
+                    frontier.append(c)
+    return frozenset(span)
+
+
+def _subgroups_reference(G):
+    """All subgroups by extending each found subgroup by one element and
+    closing the whole subgroup with it; then one least member per
+    conjugacy class."""
+    seen = {frozenset({G.identity})}
+    frontier = list(seen)
+    while frontier:
+        H = frontier.pop()
+        for g in G.elements:
+            if g not in H:
+                K = _closure_reference(G, set(H) | {g})
+                if K not in seen:
+                    seen.add(K)
+                    frontier.append(K)
+    classes, done = [], set()
+    for H in sorted(seen, key=lambda H: (len(H), sorted(map(okey, H)))):
+        if H not in done:
+            orbit = {G.conjugate_subgroup(H, g) for g in G.elements}
+            done |= orbit
+            classes.append(min(orbit, key=lambda K: sorted(map(okey, K))))
+    return classes
+
+
+@pytest.mark.parametrize("gname", ["S3", "D4", "Q8"])
+def test_generated_subgroup_matches_a_brute_force_closure(gname):
+    G = presets.group(gname)
+    subsets = [()] + [(a,) for a in G.elements] + \
+        [(a, b) for i, a in enumerate(G.elements) for b in G.elements[i + 1:]]
+    for gens in subsets:
+        got = G.generated_subgroup(gens)
+        assert got == _closure_reference(G, gens), gens
+        assert G.is_subgroup(got)
+
+
+@pytest.mark.parametrize("gname", ["S3", "S4", "D4", "Q8"])
+def test_subgroup_classes_match_the_reference_enumeration(gname):
+    G = presets.group(gname)
+    assert G.subgroups_up_to_conjugacy() == _subgroups_reference(G)
+
+
 # ---------------------------------------------------------------------------
 # The arrow index: hom sets and composable pairs against brute-force scans
 # ---------------------------------------------------------------------------
@@ -722,6 +777,29 @@ def test_iso_comma_components_read_lazily_match_the_built_product(gname):
                 assert rep == rep2
                 assert auts == auts2
                 assert table == table2
+
+
+def test_pi0_and_aut_reads_each_representative_once(monkeypatch):
+    # the components and the automorphisms of each representative come
+    # from one component search: one arrows_out call per representative
+    calls = []
+    arrows_out = RelProduct.arrows_out
+
+    def counted(self, o):
+        calls.append(o)
+        return arrows_out(self, o)
+
+    monkeypatch.setattr(RelProduct, "arrows_out", counted)
+    G = presets.group("S4")
+    BG = delooping(G)
+    incl = [delooping_hom({h: h for h in G.subgroup(H_el).elements},
+                          delooping(G.subgroup(H_el)), BG)
+            for H_el in G.subgroups_up_to_conjugacy()]
+    for iH in incl:
+        for iK in incl:
+            calls.clear()
+            comps = pi0_and_aut(iso_comma_pullback(iH, iK))
+            assert calls == [rep for rep, _, _ in comps]
 
 
 # ---------------------------------------------------------------------------

@@ -407,13 +407,293 @@ def test_coordinates_edge_cases():
 
 def test_no_module_but_linalg_reads_matrix_rows():
     """Row storage is private to `linalg`: no other module of the package
-    reads a `.rows` attribute, so the storage can change in one place."""
+    reads the dense view `.rows`, the sparse rows `._nz` or the cached view
+    `._rows`, so the storage can change in one place."""
     src = Path(sixff.__file__).parent
+    private = {"rows", "_nz", "_rows"}
+    assert private <= set(Matrix.__slots__) | {"rows"}
     found = []
     for path in sorted(src.glob("*.py")):
         if path.name == "linalg.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "rows":
+            if isinstance(node, ast.Attribute) and node.attr in private:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# -- the sparse rows against the dense operations they replaced ------------
+
+class Dense:
+    """The dense row-major `Matrix` operations that sparse rows replaced,
+    kept as a reference: each result is compared with the sparse one entry
+    by entry.  Over F_p every computed entry is reduced, as before."""
+
+    def __init__(self, field, rows, ncols):
+        self.field = field
+        self.rows = tuple(map(tuple, rows))
+        self.nrows, self.ncols = len(self.rows), ncols
+
+    @staticmethod
+    def of(m):
+        return Dense(m.field, m.rows, m.ncols)
+
+    def _reduced(self, rows, ncols=None):
+        p = self.field.characteristic
+        if p:
+            rows = [[a % p for a in r] for r in rows]
+        return Dense(self.field, rows, self.ncols if ncols is None else ncols)
+
+    def add(self, other):
+        return self._reduced([[a + b for a, b in zip(r, s)]
+                              for r, s in zip(self.rows, other.rows)])
+
+    def sub(self, other):
+        return self._reduced([[a - b for a, b in zip(r, s)]
+                              for r, s in zip(self.rows, other.rows)])
+
+    def neg(self):
+        return self._reduced([[-a for a in r] for r in self.rows])
+
+    def scale(self, c):
+        return self._reduced([[c * a for a in r] for r in self.rows])
+
+    def mul(self, other):
+        zero = self.field.zero
+        return self._reduced(
+            [[sum((r[k] * other.rows[k][j] for k in range(self.ncols)), zero)
+              for j in range(other.ncols)] for r in self.rows], other.ncols)
+
+    def kron(self, other):
+        (m, n), (p, q) = (self.nrows, self.ncols), (other.nrows, other.ncols)
+        return self._reduced(
+            [[self.rows[i][j] * other.rows[k][t]
+              for j in range(n) for t in range(q)]
+             for i in range(m) for k in range(p)], n * q)
+
+    def transpose(self):
+        return Dense(self.field, [[r[j] for r in self.rows]
+                                  for j in range(self.ncols)], self.nrows)
+
+    def hstack(self, other):
+        return Dense(self.field, [r + s for r, s in zip(self.rows, other.rows)],
+                     self.ncols + other.ncols)
+
+    def vstack(self, other):
+        return Dense(self.field, self.rows + other.rows, self.ncols)
+
+    @staticmethod
+    def block(field, row_dims, col_dims, placed):
+        out = [[field.zero] * sum(col_dims) for _ in range(sum(row_dims))]
+        for (i, j), b in placed.items():
+            i0, j0 = sum(row_dims[:i]), sum(col_dims[:j])
+            for r, brow in enumerate(b.rows, i0):
+                out[r][j0:j0 + b.ncols] = brow
+        return Dense(field, out, sum(col_dims))
+
+    def submatrix(self, row_idx, col_idx):
+        return Dense(self.field, [[self.rows[i][j] for j in col_idx]
+                                  for i in row_idx], len(col_idx))
+
+    def rref(self):
+        f = self.field
+        p = f.characteristic
+        rows = [list(r) for r in self.rows]
+        m, n = self.nrows, self.ncols
+        pivots = []
+        r = 0
+        for c in range(n):
+            pr = next((i for i in range(r, m) if rows[i][c]), None)
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            inv = f.inv(rows[r][c])
+            rows[r] = [inv * a % p if p else inv * a for a in rows[r]]
+            for i in range(m):
+                if i != r and rows[i][c]:
+                    k = rows[i][c]
+                    rows[i] = [(a - k * b) % p if p else a - k * b
+                               for a, b in zip(rows[i], rows[r])]
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+        return Dense(f, rows, n), pivots
+
+    def solve(self, rhs):
+        n = self.ncols
+        red, pivots = self.hstack(rhs).rref()
+        if any(c >= n for c in pivots):
+            return None
+        out = [[self.field.zero] * rhs.ncols for _ in range(n)]
+        for r, c in enumerate(pivots):
+            out[c] = list(red.rows[r][n:])
+        return Dense(self.field, out, rhs.ncols)
+
+    def nullspace(self):
+        f = self.field
+        p = f.characteristic
+        red, pivots = self.rref()
+        basis = []
+        for fc in range(self.ncols):
+            if fc in pivots:
+                continue
+            v = [f.zero] * self.ncols
+            v[fc] = f.one
+            for r, pc in enumerate(pivots):
+                v[pc] = -red.rows[r][fc] % p if p else -red.rows[r][fc]
+            basis.append(Dense(f, [[a] for a in v], 1))
+        return basis
+
+    def inverse(self):
+        n = self.nrows
+        eye = Dense(self.field, [[self.field.one if i == j else 0
+                                  for j in range(n)] for i in range(n)], n)
+        red, pivots = self.hstack(eye).rref()
+        if pivots[:n] != list(range(n)):
+            return None
+        return red.submatrix(range(n), range(n, 2 * n))
+
+    def is_zero(self):
+        return not any(a for r in self.rows for a in r)
+
+    def is_identity(self):
+        return self.nrows == self.ncols and all(
+            a == (1 if i == j else 0)
+            for i, r in enumerate(self.rows) for j, a in enumerate(r))
+
+
+def _assert_canonical(m):
+    """Stored rows hold no zero and, over F_p, only ints in range(p); equal
+    matrices built by the dense constructor compare and hash equal."""
+    f = m.field
+    p = f.characteristic
+    assert len(m._nz) == m.nrows
+    for r in m._nz:
+        for j, a in r.items():
+            assert type(j) is int and 0 <= j < m.ncols
+            assert a, "stored zero"
+            if p:
+                assert type(a) is int and 0 < a < p
+            else:
+                assert type(a) in (int, Fraction)
+    dense = Matrix(f, m.rows, ncols=m.ncols)
+    assert dense == m and m == dense and hash(dense) == hash(m)
+
+
+def _agrees(got, ref):
+    assert got.shape == (ref.nrows, ref.ncols)
+    assert got.rows == ref.rows
+    _assert_canonical(got)
+
+
+@st.composite
+def reference_operands(draw):
+    """(a, b, c, s): a is m x k and b is k x n; c has a's shape and is drawn
+    free, as -a or as a, so that sums and differences cancel; s is a
+    scalar.  Shapes may be empty; over QQ a matrix may hold its integral
+    entries as `Fraction`s."""
+    f = draw(FIELD)
+    m, k, n = draw(_dim()), draw(_dim()), draw(_dim())
+
+    def matrix(m, n):
+        if f == QQ and draw(st.booleans()):
+            return draw(_fraction_matrix(m, n))
+        return draw(_matrix(f, m, n))
+
+    a, b = matrix(m, k), matrix(k, n)
+    c = draw(st.sampled_from([matrix(m, k), -a, a]))
+    return a, b, c, f.of(*draw(_ENTRY))
+
+
+@PROPS
+@given(reference_operands())
+def test_arithmetic_matches_the_dense_reference(ops):
+    a, b, c, s = ops
+    da, db, dc = map(Dense.of, (a, b, c))
+    _agrees(a * b, da.mul(db))
+    _agrees(a + c, da.add(dc))
+    _agrees(a - c, da.sub(dc))
+    _agrees(-a, da.neg())
+    _agrees(a.scale(s), da.scale(s))
+    _agrees(a.transpose(), da.transpose())
+    _agrees(a.transpose() * c, da.transpose().mul(dc))
+    assert (a - c).is_zero() == da.sub(dc).is_zero()
+    assert a.is_identity() == da.is_identity()
+    sq = a * a.transpose()
+    assert sq.is_identity() == da.mul(da.transpose()).is_identity()
+
+
+@PROPS
+@given(reference_operands())
+def test_structure_matches_the_dense_reference(ops):
+    a, b, c, _ = ops
+    da, db, dc = map(Dense.of, (a, b, c))
+    _agrees(a.kron(b), da.kron(db))
+    _agrees(b.kron(a), db.kron(da))
+    _agrees(a.hstack(c), da.hstack(dc))
+    _agrees(a.vstack(c), da.vstack(dc))
+    rows = list(range(a.nrows))[::-1]
+    cols = list(range(a.ncols))[1::2] + list(range(a.ncols))[::2]
+    _agrees(a.submatrix(rows, cols), da.submatrix(rows, cols))
+    _agrees(a.submatrix(rows, range(a.ncols)),
+            da.submatrix(rows, range(a.ncols)))
+    f = a.field
+    layout = ([a.nrows, b.nrows, c.nrows], [a.ncols, b.ncols])
+    placed = {(0, 1): Matrix.zero(f, a.nrows, b.ncols), (1, 1): b,
+              (2, 0): c, (2, 1): Matrix.zero(f, c.nrows, b.ncols)}
+    _agrees(Matrix.block(f, *layout, {(0, 0): a, **placed}),
+            Dense.block(f, *layout, {(0, 0): da, (1, 1): db, (2, 0): dc}))
+    _agrees(Matrix.direct_sum(f, [a, b, c]),
+            Dense.block(f, [a.nrows, b.nrows, c.nrows],
+                        [a.ncols, b.ncols, c.ncols],
+                        {(0, 0): da, (1, 1): db, (2, 2): dc}))
+
+
+@PROPS
+@given(reference_operands())
+def test_elimination_matches_the_dense_reference(ops):
+    a, b, c, _ = ops
+    da, dc = Dense.of(a), Dense.of(c)
+    (red, pivots), (dred, dpivots) = a.rref(), da.rref()
+    assert pivots == dpivots
+    _agrees(red, dred)
+    basis, dbasis = a.nullspace(), da.nullspace()
+    assert len(basis) == len(dbasis)
+    for v, dv in zip(basis, dbasis):
+        _agrees(v, dv)
+    for rhs in (a * b, c.transpose().transpose()):
+        x, dx = a.solve(rhs), da.solve(Dense.of(rhs))
+        assert (x is None) == (dx is None)
+        if x is not None:
+            _agrees(x, dx)
+    sq = a * a.transpose() + Matrix.identity(a.field, a.nrows)
+    dsq = Dense.of(sq)
+    dinv = dsq.inverse()
+    assert sq.is_invertible() == (dinv is not None)
+    if dinv is not None:
+        _agrees(sq.inverse(), dinv)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_cancelling_sums_store_no_zero(field):
+    one = field.one
+    a = Matrix(field, [[one, one], [one, 0]])
+    b = Matrix(field, [[one, 0], [field.of(-1), one]])
+    prod = a * b                       # row 0: 1 - 1 = 0 in column 0
+    assert prod.rows == ((0, one), (one, 0))
+    for m in (prod, a - a, a + (-a), a.scale(field.zero), a * b - a * b):
+        _assert_canonical(m)
+    assert (a - a).is_zero() and (a - a) == Matrix.zero(field, 2, 2)
+    assert hash(a - a) == hash(Matrix.zero(field, 2, 2))
+    assert prod == Matrix(field, [[0, one], [one, 0]])
+    assert hash(prod) == hash(Matrix(field, [[0, one], [one, 0]]))
+
+
+def test_integral_fractions_compare_and_hash_as_ints():
+    a = Matrix(QQ, [[Fraction(2), Fraction(0)], [Fraction(1, 2), 3]])
+    b = Matrix(QQ, [[2, 0], [Fraction(1, 2), Fraction(3)]])
+    assert a == b and hash(a) == hash(b)
+    _assert_canonical(a)
+    _assert_canonical(a * b)
+    assert (a - b).is_zero()
