@@ -9,7 +9,11 @@ composition is
 on the anchored triple product.  Coherence cells (unitors, associators,
 swap compatibility) and all suave/prim/etale/proper certificates are
 assembled from the explicit unit/counit witnesses of the six operations
-plus transports along invertible natural transformations.  Nothing is
+plus transports along invertible natural transformations.  Every
+reassociation cell (unitors, associator, Psi composition, the suave and
+prim associators) is the projection formula along a square's fp followed
+by that square's base change, whiskered by the fixed factor: `_pf_bc`,
+with the fixed factor's side of the tensor as its parameter.  Nothing is
 searched: the only solve is for the uniquely determined adjunction unit,
 exactly as the pointwise criterion prescribes, and a failed triangle
 identity is diagnostic, not retried.
@@ -50,7 +54,8 @@ class KernelContext:
         self._projs = {}
 
     def add_object(self, name, X, a):
-        assert a.dom is X and a.cod is self.S
+        if a.dom is not X or a.cod is not self.S:
+            raise ValueError("structure map of %r must run X -> S" % name)
         check_gate(self.field, X)
         self.objects[name] = (X, a)
         return name
@@ -99,7 +104,8 @@ def kernel_identity(ctx, xname):
 def kernel_compose(M, N):
     """M ∘ N for M: Y => X and N: Z => Y."""
     ctx = M.ctx
-    assert M.src == N.tgt, "kernels not composable"
+    if M.src != N.tgt:
+        raise ValueError("kernels not composable")
     p12, p23, p13 = ctx.legs(M.tgt, M.src, N.src)
     inner = tensor(PullbackFunctor(p12).obj(M.payload),
                    PullbackFunctor(p23).obj(N.payload))
@@ -107,14 +113,32 @@ def kernel_compose(M, N):
     return Kernel(ctx, N.src, M.tgt, payload)
 
 
+def _sided(side, fixed, other):
+    """(fixed, other) in tensor order, `fixed` on `side`; self-inverse."""
+    return (fixed, other) if side == "left" else (other, fixed)
+
+
 def whisker_left(M, beta, z):
     """M ∘ beta for a kernel M: Y => X and 2-cell beta between kernels
     Z => Y (beta given as a SheafMorphism on prod(Y, Z))."""
-    p12, p23, p13 = M.ctx.legs(M.tgt, M.src, z)
-    lifted = tensor_morphisms(
-        identity_morphism(PullbackFunctor(p12).obj(M.payload)),
-        PullbackFunctor(p23).mor(beta))
-    return LanFunctor(p13).mor(lifted)
+    return _whisker(M, beta, z, "left")
+
+
+def whisker_right(beta, N, x):
+    """beta ∘ N for a 2-cell beta between kernels Y => X (given as a
+    SheafMorphism on prod(X, Y)) and a kernel N: Z => Y."""
+    return _whisker(N, beta, x, "right")
+
+
+def _whisker(K, beta, name, side):
+    """pr13_!(id ⊗ beta), id that of K on `side`, over the triple product
+    whose third name is `name` (Z for whisker_left, X for whisker_right)."""
+    names = (K.tgt, K.src, name) if side == "left" else (name, K.tgt, K.src)
+    p12, p23, p13 = K.ctx.legs(*names)
+    leg, beta_leg = _sided(side, p12, p23)
+    ident = identity_morphism(PullbackFunctor(leg).obj(K.payload))
+    lifted = PullbackFunctor(beta_leg).mor(beta)
+    return LanFunctor(p13).mor(tensor_morphisms(*_sided(side, ident, lifted)))
 
 
 def kernel_swap(M):
@@ -146,107 +170,97 @@ def _strict_square(f, g, fp, gp):
 # Coherence cells
 # ---------------------------------------------------------------------------
 
-def right_unitor(M):
-    """Canonical invertible 2-cell M ∘ id_src -> M."""
+def _pf(f, W, V, side):
+    """f_!(f*W ⊗ V) -> W ⊗ f_!V or its mirror, via the traced public names."""
+    if side == "left":
+        return projection_formula_cell_left(f, W, V)
+    return projection_formula_cell_right(f, V, W)
+
+
+def _pf_bc(fp, bc, gX, W, side):
+    """For a square's base change bc: fp_! gp*X -> g* f_! X, with gX = gp*X
+    and W on `side` (here "left"; "right" mirrors it), the cell
+        fp_!(fp*W ⊗ gp*X) --pf--> W ⊗ fp_! gp*X --W ⊗ bc--> W ⊗ g* f_! X.
+    Callers build gX and bc (MapCalculus by bc_p2p1/bc_p1p2) and may
+    certify bc; _pf_bc adds no check."""
+    pf = _pf(fp, W, gX, side)
+    return pf.then(tensor_morphisms(*_sided(side, identity_morphism(W), bc)))
+
+
+def _unitor(M, side):
+    """M∘id_src -> M for side "left", id_tgt∘M -> M for "right": the side
+    that M's factor takes in pr12*(-) ⊗ pr23*(-)."""
     ctx = M.ctx
     x, y = M.tgt, M.src
     rp2 = ctx.prod((x, y))
-    p12, p23, p13 = ctx.legs(x, y, y)
-    diag = ctx.prod((y, y)).diagonal
-    j = ctx.proj((x, y), (0, 1, 1))    # (x, y, m) -> (x, y, y, m, m)
-    q = rp2.factor_proj(1)
-    square = _strict_square(f=diag, g=p23, fp=j, gp=q)
+    k = 1 if side == "left" else 0      # the factor the identity doubles
+    z = (x, y)[k]
+    p12, p23, p13 = ctx.legs(*((x, y, y) if k else (x, x, y)))
+    leg, g = _sided(side, p12, p23)      # M's leg, the identity's leg
+    diag = ctx.prod((z, z)).diagonal
+    # (x, y, m) -> (x, y, y, m, m) or (x, x, y, id, m)
+    j = ctx.proj((x, y), (0, 1, 1) if k else (0, 0, 1))
+    square = _strict_square(f=diag, g=g, fp=j, gp=rp2.factor_proj(k))
     bc = base_change_cell(square, unit_sheaf(diag.dom, ctx.field))
     if not bc.is_invertible():
         raise TheoremViolation("unitor base-change not invertible")
-    pM = PullbackFunctor(p12).obj(M.payload)
-    pf = projection_formula_cell_left(j, pM, unit_sheaf(rp2.grpd, ctx.field))
-    into = LanFunctor(p13).mor(pf.then(TensorLeftFunctor(pM).mor(bc)))
+    pM = PullbackFunctor(leg).obj(M.payload)
+    stage = _pf_bc(j, bc, unit_sheaf(rp2.grpd, ctx.field), pM, side)
+    into = LanFunctor(p13).mor(stage)
     cmp1 = compose_comparison_lan(p13, j, M.payload)
     idc = lan_identity_comparison(rp2.grpd, M.payload)
-    return _invert_certified(into, "right unitor") \
-        .then(_invert_certified(cmp1, "right unitor comparison")) \
+    what = "right unitor" if k else "left unitor"
+    return _invert_certified(into, what) \
+        .then(_invert_certified(cmp1, what + " comparison")) \
         .then(idc)
+
+
+def right_unitor(M):
+    """Canonical invertible 2-cell M ∘ id_src -> M."""
+    return _unitor(M, "left")
 
 
 def left_unitor(M):
     """Canonical invertible 2-cell id_tgt ∘ M -> M."""
-    ctx = M.ctx
-    x, y = M.tgt, M.src
-    rp2 = ctx.prod((x, y))
-    p12, p23, p13 = ctx.legs(x, x, y)
-    diag = ctx.prod((x, x)).diagonal
-    jp = ctx.proj((x, y), (0, 0, 1))    # (x, y, m) -> (x, x, y, id, m)
-    p = rp2.factor_proj(0)
-    square = _strict_square(f=diag, g=p12, fp=jp, gp=p)
-    bc = base_change_cell(square, unit_sheaf(diag.dom, ctx.field))
-    if not bc.is_invertible():
-        raise TheoremViolation("unitor base-change not invertible")
-    pM = PullbackFunctor(p23).obj(M.payload)
-    pf = projection_formula_cell_right(jp, unit_sheaf(rp2.grpd, ctx.field), pM)
-    into = LanFunctor(p13).mor(pf.then(TensorRightFunctor(pM).mor(bc)))
-    cmp1 = compose_comparison_lan(p13, jp, M.payload)
-    idc = lan_identity_comparison(rp2.grpd, M.payload)
-    return _invert_certified(into, "left unitor") \
-        .then(_invert_certified(cmp1, "left unitor comparison")) \
-        .then(idc)
+    return _unitor(M, "right")
 
 
-def _fourfold_cell_left(M, N, L):
-    """can4 -> (M∘N)∘L through the quadruple product: returns (cell, inner)
-    where cell: pr14_!(inner) -> (M∘N)∘L."""
+def _fourfold_cell(M, N, L, side):
+    """can4 -> M∘(N∘L) for side "left", can4 -> (M∘N)∘L for "right",
+    through the quadruple product; side is where the outer factor (M or L)
+    sits in the tensor.  Returns (cell, inner) with
+    cell: pr14_!(inner) -> the composite."""
     ctx = M.ctx
-    a, b, c, d = M.tgt, M.src, N.src, L.src
-    q123 = ctx.proj((a, b, c, d), (0, 1, 2))
-    q134 = ctx.proj((a, b, c, d), (0, 2, 3))
-    s12, s23, s13 = ctx.legs(a, b, c)
-    r12, r23, r13 = ctx.legs(a, c, d)
-    X_abc = tensor(PullbackFunctor(s12).obj(M.payload),
-                   PullbackFunctor(s23).obj(N.payload))
-    X4 = PullbackFunctor(q123).obj(X_abc)
-    pr23L = PullbackFunctor(r23).obj(L.payload)
-    pL4 = PullbackFunctor(q134).obj(pr23L)
-    inner = tensor(X4, pL4)
-    square = _strict_square(f=s13, g=r12, fp=q134, gp=q123)
-    bc = base_change_cell(square, X_abc)   # q134_! X4 -> r12*(M∘N)
+    names = (M.tgt, M.src, N.src, L.src)
+    if side == "left":      # N∘L over (b, c, d), M over (a, b, d)
+        A, B, W, pair_ix, fixed_ix = N, L, M, (1, 2, 3), (0, 1, 3)
+    else:                   # M∘N over (a, b, c), L over (a, c, d)
+        A, B, W, pair_ix, fixed_ix = M, N, L, (0, 1, 2), (0, 2, 3)
+    q_pair = ctx.proj(names, pair_ix)
+    q_fixed = ctx.proj(names, fixed_ix)
+    s12, s23, s13 = ctx.legs(*(names[i] for i in pair_ix))
+    r12, r23, r13 = ctx.legs(*(names[i] for i in fixed_ix))
+    leg, g = _sided(side, r12, r23)      # W's leg, the pair's leg
+    X = tensor(PullbackFunctor(s12).obj(A.payload),
+               PullbackFunctor(s23).obj(B.payload))
+    X4 = PullbackFunctor(q_pair).obj(X)
+    pW = PullbackFunctor(leg).obj(W.payload)
+    inner = tensor(*_sided(side, PullbackFunctor(q_fixed).obj(pW), X4))
+    square = _strict_square(f=s13, g=g, fp=q_fixed, gp=q_pair)
+    bc = base_change_cell(square, X)     # q_fixed_! X4 -> g*(A∘B)
     if not bc.is_invertible():
         raise TheoremViolation("associator base-change not invertible")
-    pf = projection_formula_cell_right(q134, X4, pr23L)
-    stage = pf.then(tensor_morphisms(bc, identity_morphism(pr23L)))
+    # held so that its source q_fixed_!(inner) stays in the push memo for cmp1
+    stage = _pf_bc(q_fixed, bc, X4, pW, side)
     into = LanFunctor(r13).mor(stage)
-    cmp1 = compose_comparison_lan(r13, q134, inner)
-    return cmp1.then(into), inner
-
-
-def _fourfold_cell_right(M, N, L):
-    """can4 -> M∘(N∘L): returns (cell, inner)."""
-    ctx = M.ctx
-    a, b, c, d = M.tgt, M.src, N.src, L.src
-    q234 = ctx.proj((a, b, c, d), (1, 2, 3))
-    q124 = ctx.proj((a, b, c, d), (0, 1, 3))
-    u12, u23, u13 = ctx.legs(b, c, d)
-    v12, v23, v13 = ctx.legs(a, b, d)
-    Y_bcd = tensor(PullbackFunctor(u12).obj(N.payload),
-                   PullbackFunctor(u23).obj(L.payload))
-    Y4 = PullbackFunctor(q234).obj(Y_bcd)
-    pv12M = PullbackFunctor(v12).obj(M.payload)
-    pM4 = PullbackFunctor(q124).obj(pv12M)
-    inner = tensor(pM4, Y4)
-    square = _strict_square(f=u13, g=v23, fp=q124, gp=q234)
-    bc = base_change_cell(square, Y_bcd)   # q124_! Y4 -> v23*(N∘L)
-    if not bc.is_invertible():
-        raise TheoremViolation("associator base-change not invertible")
-    pf = projection_formula_cell_left(q124, pv12M, Y4)
-    stage = pf.then(tensor_morphisms(identity_morphism(pv12M), bc))
-    into = LanFunctor(v13).mor(stage)
-    cmp1 = compose_comparison_lan(v13, q124, inner)
+    cmp1 = compose_comparison_lan(r13, q_fixed, inner)
     return cmp1.then(into), inner
 
 
 def associator(M, N, L):
     """Canonical invertible 2-cell (M∘N)∘L -> M∘(N∘L)."""
-    cl, inner_l = _fourfold_cell_left(M, N, L)
-    cr, inner_r = _fourfold_cell_right(M, N, L)
+    cl, inner_l = _fourfold_cell(M, N, L, "right")     # -> (M∘N)∘L
+    cr, inner_r = _fourfold_cell(M, N, L, "left")      # -> M∘(N∘L)
     if not sheaves_equal(inner_l, inner_r):
         raise TheoremViolation("quadruple product mismatch")
     return _invert_certified(cl, "associator").then(cr)
@@ -327,8 +341,9 @@ def psi_composition_certificate(M, N, probes):
     """Canonical comparison Psi(M∘N)(V) ≅ Psi(M)(Psi(N)(V)) for each probe
     V, through the triple product; returns the list of cells."""
     ctx = M.ctx
+    if M.src != N.tgt:
+        raise ValueError("kernels not composable")
     x, y, z = M.tgt, M.src, N.src
-    rp3 = ctx.prod((x, y, z))
     p12, p23, p13 = ctx.legs(x, y, z)
     pXZ_1 = ctx.prod((x, z)).factor_proj(0)
     pXZ_2 = ctx.prod((x, z)).factor_proj(1)
@@ -336,11 +351,7 @@ def psi_composition_certificate(M, N, probes):
     pXY_2 = ctx.prod((x, y)).factor_proj(1)
     pYZ_1 = ctx.prod((y, z)).factor_proj(0)
     pYZ_2 = ctx.prod((y, z)).factor_proj(1)
-    p3_1 = rp3.factor_proj(0)
-    p3_3 = rp3.factor_proj(2)
-    MN = kernel_compose(M, N)
-    psi_MN = PsiEvaluator(MN)
-    psi_M, psi_N = PsiEvaluator(M), PsiEvaluator(N)
+    p3_3 = ctx.prod((x, y, z)).factor_proj(2)
     cells = []
     for V in probes:
         # left route: Psi(M∘N)(V) <- pr1_!( inner ⊗ pr3*V ) canonical
@@ -361,11 +372,9 @@ def psi_composition_certificate(M, N, probes):
         bc = base_change_cell(square, NV)   # p12_! p23* NV -> pXY_2* Psi(N)V
         if not bc.is_invertible():
             raise TheoremViolation("psi coherence base change not invertible")
-        pf_b = projection_formula_cell_left(
-            p12, M.payload, PullbackFunctor(p23).obj(NV))
-        lanXY = LanFunctor(pXY_1)
-        stage = pf_b.then(tensor_morphisms(identity_morphism(M.payload), bc))
-        cell_b = lanXY.mor(stage)
+        stage = _pf_bc(p12, bc, PullbackFunctor(p23).obj(NV), M.payload,
+                       "left")
+        cell_b = LanFunctor(pXY_1).mor(stage)
         cmp_b = compose_comparison_lan(pXY_1, p12, big)
         right_route = cmp_b.then(cell_b)    # pr1^3_!(big) -> Psi(M)(Psi(N)V)
         if not sheaves_equal(right_route.src, left_route.src):
@@ -426,10 +435,14 @@ class MapCalculus:
         self.unit_X = unit_sheaf(X, field)
         self.unit_S = unit_sheaf(S, field)
         self.id_XX = LanFunctor(self.diag).obj(self.unit_X)
-        # kappa: f∘pi1 -> f∘pi2 with components the anchor isomorphisms
-        self.kappa = NatTrans(
+        # the self square both ways: kappa: f∘pi1 -> f∘pi2 by the anchors
+        kappa = NatTrans(
             compose_functors(f, self.pi1), compose_functors(f, self.pi2),
             {o: o[1][0] for o in self.PXX.objects})
+        self.sq_p2p1 = CommutingSquare(f=f, g=f, fp=self.pi2, gp=self.pi1,
+                                       kappa=kappa)
+        self.sq_p1p2 = CommutingSquare(f=f, g=f, fp=self.pi1, gp=self.pi2,
+                                       kappa=kappa.inverse())
         self.adj_f = adj_lan_pullback(f)
         self.adj_f_ran = adj_pullback_ran(f)
         self.adj_p1 = adj_lan_pullback(self.pi1)
@@ -442,15 +455,11 @@ class MapCalculus:
     # base-change cells on the self square
     def bc_p2p1(self, V):
         """pi2_! pi1* V -> f* f_! V."""
-        square = CommutingSquare(f=self.f, g=self.f, fp=self.pi2,
-                                 gp=self.pi1, kappa=self.kappa)
-        return base_change_cell(square, V)
+        return base_change_cell(self.sq_p2p1, V)
 
     def bc_p1p2(self, V):
         """pi1_! pi2* V -> f* f_! V."""
-        square = CommutingSquare(f=self.f, g=self.f, fp=self.pi1,
-                                 gp=self.pi2, kappa=self.kappa.inverse())
-        return base_change_cell(square, V)
+        return base_change_cell(self.sq_p1p2, V)
 
     # mixed compositions
     def comp_XX(self, Q, P):
@@ -463,21 +472,22 @@ class MapCalculus:
 
     def right_unitor_reduced(self, P):
         """P∘id_X -> P in D(X)."""
-        c1 = projection_formula_cell_left(self.diag, self.pull_p1.obj(P),
-                                          self.unit_X)
-        c2 = compose_comparison_lan(self.pi2, self.diag, P)
-        c3 = lan_identity_comparison(self.X, P)
-        step = _invert_certified(LanFunctor(self.pi2).mor(c1), "red. unitor")
-        return step.then(_invert_certified(c2, "red. unitor cmp")).then(c3)
+        return self._unitor_reduced(P, "left")
 
     def left_unitor_reduced(self, Q):
         """id_X∘Q -> Q in D(X)."""
-        d1 = projection_formula_cell_right(self.diag, self.unit_X,
-                                           self.pull_p2.obj(Q))
-        d2 = compose_comparison_lan(self.pi1, self.diag, Q)
-        d3 = lan_identity_comparison(self.X, Q)
-        step = _invert_certified(LanFunctor(self.pi1).mor(d1), "red. unitor")
-        return step.then(_invert_certified(d2, "red. unitor cmp")).then(d3)
+        return self._unitor_reduced(Q, "right")
+
+    def _unitor_reduced(self, P, side):
+        """P∘id_X -> P for side "left", id_X∘P -> P for "right": the
+        diagonal's projection formula, pushed along the other projection."""
+        pull, push = ((self.pull_p1, self.pi2) if side == "left"
+                      else (self.pull_p2, self.pi1))
+        c1 = _pf(self.diag, pull.obj(P), self.unit_X, side)
+        c2 = compose_comparison_lan(push, self.diag, P)
+        c3 = lan_identity_comparison(self.X, P)
+        step = _invert_certified(LanFunctor(push).mor(c1), "red. unitor")
+        return step.then(_invert_certified(c2, "red. unitor cmp")).then(c3)
 
 
 @dataclass
@@ -539,11 +549,8 @@ def suave_test(f, P):
     gP = calc.comp_XX(Q, P)
     # e1: P∘(Q∘P) -> P
     PQ = tensor(P, Q)
-    s1 = projection_formula_cell_right(calc.pi2, calc.pull_p1.obj(PQ), P)
-    bc = calc.bc_p2p1(PQ)
-    s2 = tensor_morphisms(bc, identity_morphism(P))
-    s3 = tensor_morphisms(calc.pull_f.mor(eps), identity_morphism(P))
-    e1 = s1.then(s2).then(s3)
+    e1 = _pf_bc(calc.pi2, calc.bc_p2p1(PQ), calc.pull_p1.obj(PQ), P, "right")
+    e1 = e1.then(tensor_morphisms(calc.pull_f.mor(eps), identity_morphism(P)))
     e1 = SheafMorphism(adjX.left.obj(gP), P, e1.comp)
     # natural map m: Q∘P -> G_X(P)
     m = adjX.unit(gP).then(adjX.right.mor(e1))
@@ -563,10 +570,7 @@ def suave_test(f, P):
     whisk = TensorRightFunctor(calc.pull_p2.obj(Q)).then(LanFunctor(calc.pi1))
     etaQ = whisk.mor(eta)
     # associator (Q∘P)∘Q -> Q∘(P∘Q)
-    t1c = projection_formula_cell_left(calc.pi1, Q,
-                                       calc.pull_p2.obj(PQ))
-    bc_b = calc.bc_p1p2(PQ)
-    a2 = t1c.then(tensor_morphisms(identity_morphism(Q), bc_b))
+    a2 = _pf_bc(calc.pi1, calc.bc_p1p2(PQ), calc.pull_p2.obj(PQ), Q, "left")
     a2 = SheafMorphism(whisk.obj(gP), a2.dst, a2.comp)
     qeps = tensor_morphisms(identity_morphism(Q), calc.pull_f.mor(eps))
     t2 = lam.inverse().then(etaQ).then(a2).then(
@@ -587,9 +591,8 @@ def _prim_mate(calc, P, r, eta, eps):
     the component matrices of that whiskered counit is built once."""
     etaR = calc.pull_f.then(TensorRightFunctor(r)).mor(eta)
     rp_t = tensor(r, P)
-    pf4 = projection_formula_cell_right(calc.pi2, calc.pull_p1.obj(rp_t), r)
-    bc4 = calc.bc_p2p1(rp_t)
-    a4_fwd = pf4.then(tensor_morphisms(bc4, identity_morphism(r)))
+    a4_fwd = _pf_bc(calc.pi2, calc.bc_p2p1(rp_t), calc.pull_p1.obj(rp_t), r,
+                    "right")
     a4 = _invert_certified(a4_fwd, "prim associator 2")
     head = SheafMorphism(r, etaR.dst, etaR.comp).then(
         SheafMorphism(etaR.dst, a4_fwd.src, a4.comp))
@@ -630,9 +633,8 @@ def prim_test(f, P, check_double_dual=True):
     rP = calc.comp_SS(r, P)             # r∘P̌ = f_!(r ⊗ P)
     rp_t = tensor(r, P)
     # a3: (P̌∘r)∘P̌ -> P̌∘(r∘P̌), strictly reassociated then pf + bc
-    pf3 = projection_formula_cell_left(calc.pi1, P, calc.pull_p2.obj(rp_t))
-    bc3 = calc.bc_p1p2(rp_t)
-    a3 = pf3.then(tensor_morphisms(identity_morphism(P), bc3))
+    a3 = _pf_bc(calc.pi1, calc.bc_p1p2(rp_t), calc.pull_p2.obj(rp_t), P,
+                "left")
     a3_inv = _invert_certified(a3, "prim associator")
     P_after = calc.pull_f.then(TensorLeftFunctor(P))    # P̌∘(-), V -> P⊗f*V
     a3_inv = SheafMorphism(P_after.obj(rP), a3.src, a3_inv.comp)
@@ -850,13 +852,10 @@ def base_change_suave_prim(f, g, probes_Y=(), probes_Xp=(), probes_W=(),
     Returns a dict name -> list of certified cells.
     """
     from .groupoid import iso_comma_pullback
+    if not any((probes_Y, probes_Xp, probes_W, probes_X)):
+        raise ValueError("need at least one probe")
     ic = iso_comma_pullback(f, g)
     gp, fp, kappa = ic.p1, ic.p2, ic.phi
-    field = None
-    for plist in (probes_Y, probes_Xp, probes_W, probes_X):
-        for V in plist:
-            field = V.field
-    assert field is not None, "need at least one probe"
     out = {}
     sq_f = CommutingSquare(f=f, g=g, fp=fp, gp=gp, kappa=kappa)
     sq_g = CommutingSquare(f=g, g=f, fp=gp, gp=fp, kappa=kappa.inverse())

@@ -945,27 +945,27 @@ def verify_base_change(square, M):
 def projection_formula_cell_left(f, W, V):
     """f_!(f*W ⊗ V) -> W ⊗ f_!V from units/counits (f*(A⊗B) = f*A⊗f*B holds
     on the nose for precomposition and Kronecker)."""
-    adj = adj_lan_pullback(f)
-    lan, pull = adj.left, adj.right
-    pW = pull.obj(W)
-    inner = TensorLeftFunctor(pW).mor(adj.unit(V))       # f*W⊗V -> f*W⊗f*f_!V
-    step1 = lan.mor(inner)
-    step2 = adj.counit(tensor(W, lan.obj(V)))
-    return step1.then(step2)
+    return _projection_formula_cell(f, W, V, "left")
 
 
 def projection_formula_cell_right(f, V, W):
     """f_!(V ⊗ f*W) -> f_!V ⊗ W."""
+    return _projection_formula_cell(f, W, V, "right")
+
+
+def _projection_formula_cell(f, W, V, side):
+    """The projection formula cell with W on `side` of each tensor: the
+    unit V -> f*f_!V tensored with id_{f*W}, pushed along f, then the
+    counit at W ⊗ f_!V, whose pullback is f*W ⊗ f*f_!V on the nose."""
     adj = adj_lan_pullback(f)
-    lan, pull = adj.left, adj.right
-    pW = pull.obj(W)
+    lan = adj.left
+    ident, eta = identity_morphism(adj.right.obj(W)), adj.unit(V)
     FV = lan.obj(V)
-    # V ⊗ f*W -> f*f_!V ⊗ f*W = f*(f_!V ⊗ W), then counit
-    eta = adj.unit(V)
-    inner = tensor_morphisms(eta, identity_morphism(pW))
-    step1 = lan.mor(inner)
-    step2 = adj.counit(tensor(FV, W))
-    return step1.then(step2)
+    if side == "left":
+        inner, out = tensor_morphisms(ident, eta), tensor(W, FV)
+    else:
+        inner, out = tensor_morphisms(eta, ident), tensor(FV, W)
+    return lan.mor(inner).then(adj.counit(out))
 
 
 def ran_projection_cell(f, A, B):

@@ -15,7 +15,7 @@ from sixff.kernels import (
     etale_proper_test, kernel_compose, kernel_identity,
     kernel_swap, left_unitor, phi, prim_test, PsiEvaluator,
     psi_composition_certificate, psi_phi_certificate, right_unitor,
-    suave_test, swap_compatibility, whisker_left,
+    suave_test, swap_compatibility, whisker_left, whisker_right,
 )
 from sixff.hecke import compact_induction
 from sixff.linalg import Matrix
@@ -32,6 +32,19 @@ BS3 = delooping(S3)
 C2 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")
 BC2 = delooping(C2)
 INCL = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
+
+
+SIGN = sheaves.sheaf_from_rep(BC2, QQ, {
+    g: Matrix.from_int_rows(QQ, [[1 if g == C2.identity else -1]])
+    for g in C2.elements})
+
+
+def external_kernel(ctx, tgt, src, left, right):
+    """The kernel src => tgt with payload pr1*left ⊗ pr2*right."""
+    rp = ctx.prod((tgt, src))
+    payload = tensor(PullbackFunctor(rp.factor_proj(0)).obj(left),
+                     PullbackFunctor(rp.factor_proj(1)).obj(right))
+    return Kernel(ctx, src, tgt, payload)
 
 
 def point_ctx():
@@ -167,11 +180,12 @@ def test_unitors_group_case():
     assert ru.is_invertible() and lu.is_invertible()
 
 
-def _random_kernels_chain(ctx, names, rng, maxdim=2):
+def _random_kernels_chain(ctx, names, rng, maxdim=2, mindim=0):
     out = []
     for a, b in zip(names[:-1], names[1:]):
         rp = ctx.prod((a, b))
-        dims = {o: rng.randrange(0, maxdim + 1) for o in rp.grpd.objects}
+        dims = {o: rng.randrange(mindim, maxdim + 1)
+                for o in rp.grpd.objects}
         mats = {m: Matrix.identity(QQ, dims[rp.grpd.src[m]])
                 for m in rp.grpd.morphisms}
         out.append(Kernel(ctx, b, a, Sheaf(rp.grpd, QQ, dims, mats)))
@@ -227,22 +241,11 @@ def test_swap_compatibility():
 
 
 def test_swap_compatibility_group_base():
-    from sixff.sheaves import sheaf_from_rep, tensor
     ctx = KernelContext(BS3, QQ)
     for name in ("Y0", "Y1", "Y2"):
         ctx.add_object(name, BC2, INCL)
-    sign = sheaf_from_rep(BC2, QQ, {
-        g: Matrix.from_int_rows(QQ, [[1 if g == C2.identity else -1]])
-        for g in C2.elements})
-
-    def kernel(tgt, src, left, right):
-        rp = ctx.prod((tgt, src))
-        payload = tensor(PullbackFunctor(rp.factor_proj(0)).obj(left),
-                         PullbackFunctor(rp.factor_proj(1)).obj(right))
-        return Kernel(ctx, src, tgt, payload)
-
-    M = kernel("Y0", "Y1", sign, sign)
-    N = kernel("Y1", "Y2", sign, unit_sheaf(BC2, QQ))
+    M = external_kernel(ctx, "Y0", "Y1", SIGN, SIGN)
+    N = external_kernel(ctx, "Y1", "Y2", SIGN, unit_sheaf(BC2, QQ))
     cell = swap_compatibility(M, N)
     assert cell.is_invertible()
     sw = kernel_swap(kernel_compose(M, N))
@@ -304,24 +307,13 @@ def test_sheaf_is_freed_with_its_kan_functor_on_a_memoised_proj():
 def test_associator_and_unitors_over_bs3_with_sign_kernels():
     """Kernels between (BC2, INCL) objects over BS3 built from the sign
     and trivial characters: the fibers of every leg have automorphisms."""
-    from sixff.sheaves import sheaf_from_rep
     ctx = KernelContext(BS3, QQ)
     for name in ("Y0", "Y1", "Y2", "Y3"):
         ctx.add_object(name, BC2, INCL)
-    sign = sheaf_from_rep(BC2, QQ, {
-        g: Matrix.from_int_rows(QQ, [[1 if g == C2.identity else -1]])
-        for g in C2.elements})
     triv = unit_sheaf(BC2, QQ)
-
-    def kernel(tgt, src, left, right):
-        rp = ctx.prod((tgt, src))
-        payload = tensor(PullbackFunctor(rp.factor_proj(0)).obj(left),
-                         PullbackFunctor(rp.factor_proj(1)).obj(right))
-        return Kernel(ctx, src, tgt, payload)
-
-    M = kernel("Y0", "Y1", sign, triv)
-    N = kernel("Y1", "Y2", triv, sign)
-    L = kernel("Y2", "Y3", sign, sign)
+    M = external_kernel(ctx, "Y0", "Y1", SIGN, triv)
+    N = external_kernel(ctx, "Y1", "Y2", triv, SIGN)
+    L = external_kernel(ctx, "Y2", "Y3", SIGN, SIGN)
     al = associator(M, N, L)
     assert al.is_invertible()
     lhs = kernel_compose(kernel_compose(M, N), L)
@@ -337,6 +329,99 @@ def test_associator_and_unitors_over_bs3_with_sign_kernels():
                          kernel_compose(M, kernel_identity(ctx, "Y1")).payload)
     assert sheaves_equal(lu.src,
                          kernel_compose(kernel_identity(ctx, "Y0"), M).payload)
+
+
+def _chain(*cells):
+    """cells[-1] · ... · cells[0], each junction checked on the nose."""
+    out = cells[0]
+    for cell in cells[1:]:
+        assert sheaves_equal(out.dst, cell.src)
+        out = out.then(cell)
+    return out
+
+
+def _assert_same_nonzero_cell(lhs, rhs):
+    """A zero composite passes any law, so a pass needs a nonzero one."""
+    assert sheaves_equal(lhs.src, rhs.src)
+    assert sheaves_equal(lhs.dst, rhs.dst)
+    assert not all(c.is_zero() for c in lhs.comp.values())
+    assert lhs.comp == rhs.comp
+
+
+def _assert_triangle(M, N):
+    """(M∘λ_N)·α(M,id,N) = ρ_M∘N as cells (M∘id)∘N -> M∘N."""
+    lhs = _chain(associator(M, kernel_identity(M.ctx, M.src), N),
+                 whisker_left(M, left_unitor(N), N.src))
+    rhs = whisker_right(right_unitor(M), N, M.tgt)
+    assert sheaves_equal(rhs.dst, kernel_compose(M, N).payload)
+    _assert_same_nonzero_cell(lhs, rhs)
+
+
+def _discrete_chain(sizes, seed):
+    """Kernels X0 <= X1 <= ... over the point, fiber dimensions 1 or 2."""
+    ctx = point_ctx()
+    names = ["X%d" % i for i in range(len(sizes))]
+    for name, n in zip(names, sizes):
+        X = discrete(n)
+        ctx.add_object(name, X, to_terminal(X, PT))
+    return _random_kernels_chain(ctx, names, random.Random(seed), mindim=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triangle_over_the_point(seed):
+    M, N = _discrete_chain((2, 3, 2), seed)
+    _assert_triangle(M, N)
+
+
+@pytest.mark.parametrize("chars", ["sign triv triv sign",
+                                   "sign sign sign triv"])
+def test_triangle_over_bs3(chars):
+    """Kernels between (BC2, INCL) objects over BS3, external tensors of
+    characters of C2, whose fibers have automorphisms."""
+    ctx = KernelContext(BS3, QQ)
+    for name in ("Y0", "Y1", "Y2"):
+        ctx.add_object(name, BC2, INCL)
+    pick = {"sign": SIGN, "triv": unit_sheaf(BC2, QQ)}
+    a, b, c, d = (pick[w] for w in chars.split())
+    _assert_triangle(external_kernel(ctx, "Y0", "Y1", a, b),
+                     external_kernel(ctx, "Y1", "Y2", c, d))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pentagon_over_the_point(seed):
+    """α(M,N,L∘P)·α(M∘N,L,P) = (M∘α(N,L,P))·α(M,N∘L,P)·(α(M,N,L)∘P)."""
+    M, N, L, P = _discrete_chain((2, 2, 1, 2, 2), seed)
+    MN, NL = kernel_compose(M, N), kernel_compose(N, L)
+    LP = kernel_compose(L, P)
+    lhs = _chain(associator(MN, L, P), associator(M, N, LP))
+    rhs = _chain(whisker_right(associator(M, N, L), P, M.tgt),
+                 associator(M, NL, P),
+                 whisker_left(M, associator(N, L, P), P.src))
+    _assert_same_nonzero_cell(lhs, rhs)
+
+
+def test_whiskering_an_identity_gives_the_identity():
+    M, N = _discrete_chain((2, 3, 2), 5)
+    MN = kernel_compose(M, N).payload
+    for cell in (whisker_left(M, identity_morphism(N.payload), N.src),
+                 whisker_right(identity_morphism(M.payload), N, M.tgt)):
+        assert sheaves_equal(cell.src, MN) and sheaves_equal(cell.dst, MN)
+        assert cell.is_identity()
+
+
+def test_caller_errors_are_typed():
+    M, N = _discrete_chain((2, 3, 2), 0)
+    with pytest.raises(ValueError, match="kernels not composable"):
+        kernel_compose(N, M)
+    with pytest.raises(ValueError, match="kernels not composable"):
+        psi_composition_certificate(N, M, [])
+    ctx = KernelContext(BS3, QQ)
+    with pytest.raises(ValueError, match="must run X -> S"):
+        ctx.add_object("Y", BC2, to_terminal(BC2, PT))
+    with pytest.raises(ValueError, match="must run X -> S"):
+        ctx.add_object("Y", BS3, INCL)
+    with pytest.raises(ValueError, match="need at least one probe"):
+        base_change_suave_prim(INCL, INCL)
 
 
 def test_phi_graph_kernel():
