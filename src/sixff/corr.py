@@ -297,7 +297,8 @@ def span_from_map_op(cat, m):
 def compose_spans(s1, s2, setup):
     """Composite of s1: X=>Y and s2: Y=>Z by pullback of the apexes."""
     cat = setup.cat
-    assert s1.target == s2.source, "spans not composable"
+    if s1.target != s2.source:
+        raise ValueError("spans not composable")
     if not setup.in_e(s1.right):
         raise TheoremViolation("right leg of %r not exceptional" % (s1,))
     pb = pullback(cat, s1.right, s2.left)

@@ -304,8 +304,9 @@ def phi(ctx, src_name, tgt_name, Z, left_leg, right_leg):
     rp = ctx.prod((tgt_name, src_name))
     at_l = compose_functors(a_s, left_leg)
     at_r = compose_functors(a_t, right_leg)
-    assert at_l.ob == at_r.ob and at_l.mor == at_r.mor, \
-        "legs must commute with the structure maps on the nose"
+    if at_l.ob != at_r.ob or at_l.mor != at_r.mor:
+        raise ValueError("legs must commute with the structure maps on the "
+                         "nose")
     ob = {}
     for zobj in Z.objects:
         anchor = S.identity[at_r.ob[zobj]]
@@ -352,11 +353,11 @@ def psi_composition_certificate(M, N, probes):
     pYZ_1 = ctx.prod((y, z)).factor_proj(0)
     pYZ_2 = ctx.prod((y, z)).factor_proj(1)
     p3_3 = ctx.prod((x, y, z)).factor_proj(2)
+    inner = tensor(PullbackFunctor(p12).obj(M.payload),
+                   PullbackFunctor(p23).obj(N.payload))
     cells = []
     for V in probes:
         # left route: Psi(M∘N)(V) <- pr1_!( inner ⊗ pr3*V ) canonical
-        inner = tensor(PullbackFunctor(p12).obj(M.payload),
-                       PullbackFunctor(p23).obj(N.payload))
         pV3 = PullbackFunctor(p3_3).obj(V)
         big = tensor(inner, pV3)
         # (A) pf for p13: p13_!(inner ⊗ p13* pXZ_2* V) -> p13_! inner ⊗ pXZ_2*V

@@ -16,18 +16,15 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import presets
-from .corr import (
-    GeometricSetup, Span, compose_spans, dual_data, span_iso,
-)
+from . import instances, presets
+from .corr import GeometricSetup, compose_spans, dual_data, span_iso
 from .fields import GF, QQ, TheoremViolation
 from .groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
     terminal_groupoid, to_terminal,
 )
-from .linalg import Matrix
 from .sheaves import (
-    CommutingSquare, Sheaf, unit_sheaf, verify_base_change,
+    CommutingSquare, LanFunctor, unit_sheaf, verify_base_change,
     verify_projection_formula,
 )
 
@@ -76,74 +73,6 @@ def _discrete(n):
     return disjoint_union([terminal_groupoid() for _ in range(n)])
 
 
-def _random_groupoid(rng):
-    """A small random disjoint union of deloopings of preset groups."""
-    names = ["1", "C2", "C3", "C2"]
-    k = rng.randrange(1, 3)
-    return disjoint_union([delooping(presets.group(rng.choice(names)))
-                           for _ in range(k)])
-
-
-def _random_map_to(rng, X):
-    """A random groupoid Y with a random functor Y -> X."""
-    Y = _random_groupoid(rng)
-    xobjs = list(X.objects)
-    ob = {}
-    for y in Y.objects:
-        ob[y] = rng.choice(xobjs)
-    mor = {}
-    ok = True
-    for m in Y.morphisms:
-        a, b = Y.src[m], Y.dst[m]
-        cands = X.hom(ob[a], ob[b])
-        if not cands:
-            ok = False
-            break
-        mor[m] = rng.choice(cands)
-    if not ok:
-        return None
-    F = Functor(Y, X, ob, mor)
-    if F.validate():
-        return None
-    return F
-
-
-def _random_functor(rng, X):
-    while True:
-        F = _random_map_to(rng, X)
-        if F is not None:
-            return F
-
-
-def _random_sheaf(rng, X, field):
-    """The unit sheaf on X tensored with a random number, 0 or 1, of copies
-    of the regular sheaf of X."""
-    from .sheaves import tensor
-    out = unit_sheaf(X, field)
-    for _ in range(rng.randrange(0, 2)):
-        out = tensor(out, _regular_sheaf(X, field))
-    return out
-
-
-def _regular_sheaf(X, field):
-    """Direct analogue of the regular representation on each component:
-    the pushforward of the unit along the cover by component automorphism
-    torsors; implemented as Lan along the identity-on-objects inclusion of
-    the discrete groupoid."""
-    from .groupoid import FiniteGroupoid
-    from .sheaves import LanFunctor
-    objs = X.objects
-    disc = FiniteGroupoid(
-        objs, [("id", x) for x in objs],
-        {("id", x): x for x in objs}, {("id", x): x for x in objs},
-        {x: ("id", x) for x in objs},
-        {(("id", x), ("id", x)): ("id", x) for x in objs},
-        {("id", x): ("id", x) for x in objs})
-    incl = Functor(disc, X, {x: x for x in objs},
-                   {("id", x): X.identity[x] for x in objs})
-    return LanFunctor(incl).obj(unit_sheaf(disc, field))
-
-
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -184,18 +113,10 @@ def check_corr_properties(config, rng):
     cat = FinSetCategory()
     setup = GeometricSetup(cat, ALL)
     objs = [cat.add_object(FinSetCategory.set_of_size(n)) for n in (1, 2, 3)]
-
-    def rand_span(source=None):
-        src = source if source is not None else rng.choice(objs)
-        apex, tgt = rng.choice(objs), rng.choice(objs)
-        left = cat.mor(apex, src, tuple(rng.choice(src) for _ in apex))
-        right = cat.mor(apex, tgt, tuple(rng.choice(tgt) for _ in apex))
-        return Span(src, apex, tgt, left, right)
-
     for _ in range(30):
-        s1 = rand_span()
-        s2 = rand_span(source=s1.target)
-        s3 = rand_span(source=s2.target)
+        s1 = instances.span(rng, cat, objs)
+        s2 = instances.span(rng, cat, objs, source=s1.target)
+        s3 = instances.span(rng, cat, objs, source=s2.target)
         lhs = compose_spans(compose_spans(s1, s2, setup), s3, setup)
         rhs = compose_spans(s1, compose_spans(s2, s3, setup), setup)
         if span_iso(cat, lhs, rhs) is None:
@@ -222,29 +143,26 @@ def check_double_cosets(config, rng):
 
 def check_base_change_and_projection(config, rng):
     fields = [QQ, GF(5)]
-    instances = config.probes * 100
-    done = 0
-    while done < instances:
+    count = config.probes * 100
+    for done in range(count):
         field = fields[done % 2]
-        X = _random_groupoid(rng)
-        f = _random_functor(rng, X)
-        g = _random_functor(rng, X)
+        X = instances.union(rng)
+        Y, Z = instances.union(rng, 1), instances.union(rng, 1)
+        f = instances.union_map(rng, Y, X)
+        g = instances.union_map(rng, Z, X)
         try:
-            square, ic = CommutingSquare.from_iso_comma(f, g)
-            M = _random_sheaf(rng, f.dom, field)
-            verify_base_change(square, M)
-            N = _random_sheaf(rng, f.cod, field)
-            P = _random_sheaf(rng, f.dom, field)
-            verify_projection_formula(f, N, P)
+            square, _ = CommutingSquare.from_iso_comma(f, g)
+            verify_base_change(square, instances.sheaf(rng, Y, field))
+            verify_projection_formula(f, instances.sheaf(rng, X, field),
+                                      instances.sheaf(rng, Y, field))
         except TheoremViolation as e:
             return "fail", "instance %d: %s" % (done, e)
-        done += 1
-    return "pass", "%d randomized instances over Q and F5" % done
+    return "pass", "%d randomized instances over Q and F5" % count
 
 
 def check_kernel_category(config, rng):
     from .kernels import (
-        Kernel, KernelContext, associator,
+        KernelContext, associator,
         left_unitor, right_unitor, psi_composition_certificate,
         psi_phi_certificate,
     )
@@ -256,18 +174,9 @@ def check_kernel_category(config, rng):
         X = _discrete(n)
         ctx.add_object("X%d" % i, X, to_terminal(X, pt))
 
-    def rand_kernel(srcn, tgtn):
-        rp = ctx.prod((tgtn, srcn))
-        dims = {o: rng.randrange(0, 3) for o in rp.grpd.objects}
-        mats = {m: Matrix.identity(field, dims[rp.grpd.src[m]])
-                for m in rp.grpd.morphisms}
-        return Kernel(ctx, srcn, tgtn, Sheaf(rp.grpd, field, dims, mats))
-
     triples = config.probes * 50
     for t in range(triples):
-        M = rand_kernel("X1", "X0")
-        N = rand_kernel("X2", "X1")
-        L = rand_kernel("X3", "X2")
+        M, N, L = instances.kernel_chain(ctx, ["X0", "X1", "X2", "X3"], rng)
         try:
             al = associator(M, N, L)
             ru = right_unitor(M)
@@ -289,8 +198,7 @@ def check_kernel_category(config, rng):
                     for m in X0.morphisms})
     psi_phi_certificate(ctx, "X0", "X1", X0, identity_functor(X0), fmap,
                         probes)
-    M = rand_kernel("X1", "X0")
-    N = rand_kernel("X2", "X1")
+    M, N = instances.kernel_chain(ctx, ["X0", "X1", "X2"], rng)
     X2 = ctx.objects["X2"][0]
     psi_composition_certificate(M, N, [unit_sheaf(X2, field)])
     return "pass", "%d triples; Psi∘Phi matches the direct composite" % triples
@@ -298,39 +206,28 @@ def check_kernel_category(config, rng):
 
 def check_suave_prim(config, rng):
     from .kernels import etale_proper_test, prim_test, suave_test
+    from .sheaves import find_isomorphism, internal_hom, upper_shriek
     field = QQ
     pt = _pt()
-    battery = []
-    S3 = presets.group("S3")
-    C2 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]))
-    BS3, BC2 = delooping(S3), delooping(C2)
-    incl = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
-    battery.append((identity_functor(BC2), [unit_sheaf(BC2, field)]))
-    battery.append((to_terminal(BC2, pt), [unit_sheaf(BC2, field)]))
-    battery.append((incl, [unit_sheaf(BC2, field)]))
-    three = _discrete(3)
-    battery.append((to_terminal(three, pt),
-                    [unit_sheaf(three, field),
-                     _random_sheaf(rng, three, field)]))
-    for f, sheaves in battery:
-        for P in sheaves:
-            sv = suave_test(f, P)
-            if not sv.ok:
-                return "fail", "suave fails for %r: %s" % (f, sv.failing)
-            pr = prim_test(f, P)
-            if not pr.ok or pr.double_dual_ok is False:
-                return "fail", "prim fails for %r: %s" % (f, pr.failing)
-            # DSuave∘DSuave ≅ identity (double dual cell)
-            from .sheaves import (
-                internal_hom, upper_shriek,
-            )
-            om = upper_shriek(f, unit_sheaf(f.cod, field)).sheaf
-            dd = internal_hom(internal_hom(P, om), om)
-            from .sheaves import find_isomorphism
-            if find_isomorphism(dd, P) is None:
-                return "fail", "suave double dual does not return"
-        cert = etale_proper_test(f, field,
-                                 [unit_sheaf(f.cod, field)])
+    BS3, BC2 = delooping(instances.S3), delooping(instances.C2)
+    X = instances.union(rng).grpd
+    battery = [identity_functor(BC2), to_terminal(BC2, pt),
+               delooping_hom({g: g for g in instances.C2.elements}, BC2, BS3),
+               to_terminal(X, pt)]
+    for f in battery:
+        P = unit_sheaf(f.dom, field)
+        sv = suave_test(f, P)
+        if not sv.ok:
+            return "fail", "suave fails for %r: %s" % (f, sv.failing)
+        pr = prim_test(f, P)
+        if not pr.ok or pr.double_dual_ok is False:
+            return "fail", "prim fails for %r: %s" % (f, pr.failing)
+        # DSuave∘DSuave ≅ identity (double dual cell)
+        om = upper_shriek(f, unit_sheaf(f.cod, field)).sheaf
+        dd = internal_hom(internal_hom(P, om), om)
+        if find_isomorphism(dd, P) is None:
+            return "fail", "suave double dual does not return"
+        cert = etale_proper_test(f, field, [unit_sheaf(f.cod, field)])
         if not (cert.etale_ok and cert.proper_ok):
             return "fail", "etale/proper certificate fails for %r" % (f,)
         if not (cert.suave_twist_ok and cert.prim_twist_ok):
@@ -351,20 +248,14 @@ def check_descent(config, rng):
         BG = delooping(G)
         j = Functor(pt, BG, {pt.objects[0]: BG.objects[0]},
                     {pt.morphisms[0]: BG.identity[BG.objects[0]]})
-        covers.append((j, [unit_sheaf(BG, field),
-                           _regular_sheaf(BG, field)]))
-    # one randomized surjection: identity piece plus a random extra sheet
-    X = _random_groupoid(rng)
-    extra = _random_functor(rng, X)
+        regular = LanFunctor(j).obj(unit_sheaf(pt, field))
+        covers.append((j, [unit_sheaf(BG, field), regular]))
+    # one randomized surjection: the identity of X plus a random extra sheet
+    extra = instances.delooping_map(rng)
+    X = extra.cod
     Y = disjoint_union([X, extra.dom])
-    ob = {}
-    mor = {}
-    for o in Y.objects:
-        i, inner = o
-        ob[o] = inner if i == 0 else extra.ob[inner]
-    for m in Y.morphisms:
-        i, inner = m
-        mor[m] = inner if i == 0 else extra.mor[inner]
+    ob = {(i, o): o if i == 0 else extra.ob[o] for (i, o) in Y.objects}
+    mor = {(i, m): m if i == 0 else extra.mor[m] for (i, m) in Y.morphisms}
     surj = Functor(Y, X, ob, mor, name="random cover")
     covers.append((surj, [unit_sheaf(X, field)]))
     for f, probes in covers:
@@ -408,8 +299,7 @@ def check_hecke(config, rng):
     from .hecke import (
         HeckeAlgebra, anti_involution, prim_duality_on_hecke,
     )
-    S3 = presets.group("S3")
-    C2 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]))
+    S3, C2 = instances.S3, instances.C2
     alg = HeckeAlgebra(S3, C2, unit_sheaf(delooping(C2), QQ))
     if alg.dim != 2:
         return "fail", "dim H(S3,C2,1) = %d != 2" % alg.dim
@@ -436,8 +326,7 @@ def check_kunneth_and_sections(config, rng):
     pt = _pt()
     pairs = config.probes * 10
     for t in range(pairs):
-        X = _random_groupoid(rng)
-        Y = _random_groupoid(rng)
+        X, Y = instances.union(rng).grpd, instances.union(rng).grpd
         f, g = to_terminal(X, pt), to_terminal(Y, pt)
         square, ic = CommutingSquare.from_iso_comma(f, g)
         prod = ic.grpd

@@ -241,7 +241,8 @@ def mate_lambda(psi, adj, adjp, a, b, C):
 def adjoint_uniqueness(q1, q2, C):
     """The canonical comparison g1 -> g2 (via q2's unit and q1's counit),
     certified invertible."""
-    assert q1.f == q2.f
+    if q1.f != q2.f:
+        raise ValueError("adjunctions on different left adjoints")
     cell = C.vcomp(C.whisker_l(q2.g, q1.eps), C.whisker_r(q2.eta, q1.g))
     if not C.is_invertible_2cell(cell):
         raise StructureError("uniqueness comparison not invertible")

@@ -2,29 +2,34 @@
 line.  Tolerances are exact equalities throughout - the engine has no
 floating point, so "within tolerance" always means "on the nose"."""
 
-import itertools
-import random
+import json
+from pathlib import Path
 
-import pytest
-
-from sixff import presets
-from sixff.fields import GF, QQ
 from sixff.suite import (
-    SuiteConfig, check_base_change_and_projection, check_corr_duals,
-    check_descent, check_double_cosets, check_hecke, check_kernel_category,
-    check_kunneth_and_sections, check_mates, check_setup_cross,
-    check_suave_prim,
+    CHECKS, SuiteConfig, _check_rng, check_base_change_and_projection,
+    check_corr_duals, check_descent, check_double_cosets, check_hecke,
+    check_kernel_category, check_kunneth_and_sections, check_mates,
+    check_setup_cross, check_suave_prim,
 )
 
+CONFIG = SuiteConfig(seed=0, probes=2)
+# `sixff run --format json --seed 0 --probes 2`, pinned
+PINNED = {c["id"]: c for c in json.loads(
+    (Path(__file__).resolve().parent / "run_outputs" / "seed0_probes2.json")
+    .read_text())["checks"]}
 
-def _report(name, fn, config=None, seed=0):
-    cfg = config or SuiteConfig(probes=2)
-    rng = random.Random(seed)
-    status, witness = fn(cfg, rng)
+
+def _report(name, fn):
+    """Run one check on the random stream `sixff run` gives it, and compare
+    its status and witness with the pinned report."""
+    check_id = next(cid for cid, _, _, check in CHECKS if check is fn)
+    status, witness = fn(CONFIG, _check_rng(CONFIG, check_id))
     line = "[%s] %s: %s" % ("PASS" if status == "pass" else "FAIL",
                             name, witness)
     print(line)
     assert status == "pass", witness
+    assert (status, witness) == (PINNED[check_id]["status"],
+                                 PINNED[check_id]["witness"])
 
 
 def test_criterion_1_setup_equivalence():
@@ -52,14 +57,13 @@ def test_criterion_4_six_functor_axioms():
     """Base-change and projection-formula certificates invertible on >= 200
     randomized (square, sheaf) instances over Q and F5."""
     _report("4 base change + projection formula",
-            check_base_change_and_projection, SuiteConfig(probes=2))
+            check_base_change_and_projection)
 
 
 def test_criterion_5_kernel_category():
     """Associativity/unit certificates on >= 100 randomized kernel triples;
     Psi∘Phi agrees with the direct six-functor composite."""
-    _report("5 kernel 2-category", check_kernel_category,
-            SuiteConfig(probes=2))
+    _report("5 kernel 2-category", check_kernel_category)
 
 
 def test_criterion_6_suave_prim():
@@ -90,5 +94,4 @@ def test_criterion_10_kunneth_and_sections():
     """Compactly-supported sections are multiplicative on 20 random pairs;
     unit sections of deloopings are 1-dimensional; pyramid section
     symmetry holds to n = 5."""
-    _report("10 Kunneth and sections", check_kunneth_and_sections,
-            SuiteConfig(probes=2))
+    _report("10 Kunneth and sections", check_kunneth_and_sections)

@@ -11,6 +11,7 @@ from sixff.corr import (
     validate_setup,
 )
 from sixff.groupoid import okey
+from sixff.instances import span
 
 
 FS = presets.finset_category(3)
@@ -192,6 +193,12 @@ def test_compose_spans_identity_unit():
     assert span_iso(FS, c2, s) is not None
 
 
+def test_compose_spans_rejects_spans_that_do_not_compose():
+    s = Span(2, 2, 3, fn(2, 2, [1, 0]), fn(2, 3, [0, 2]))
+    with pytest.raises(ValueError, match="spans not composable"):
+        compose_spans(s, s, FULL)
+
+
 def test_compose_spans_functoriality_of_embedding():
     f = fn(2, 3, [0, 2])
     g = fn(3, 1, [0, 0, 0])
@@ -285,18 +292,6 @@ def test_dual_data_lazy_two_point_set():
     assert len(dd.ev.apex) == 2 and len(dd.coev.apex) == 2
 
 
-def _random_lazy_span(cat, rng, objs, source=None):
-    from sixff.finset import FinSetCategory
-    src = source if source is not None else rng.choice(objs)
-    apex = rng.choice(objs)
-    tgt = rng.choice(objs)
-    left = cat.mor(apex, src, tuple(rng.choice(src) for _ in apex)) \
-        if src else cat.mor(apex, src, ())
-    right = cat.mor(apex, tgt, tuple(rng.choice(tgt) for _ in apex)) \
-        if tgt else cat.mor(apex, tgt, ())
-    return Span(src, apex, tgt, left, right)
-
-
 def _lazy_setup():
     from sixff.finset import FinSetCategory
     from sixff.corr import ALL
@@ -309,8 +304,8 @@ def test_swap_antihomomorphism_random():
     rng = random.Random(7)
     cat, setup, objs = _lazy_setup()
     for _ in range(60):
-        s1 = _random_lazy_span(cat, rng, objs)
-        s2 = _random_lazy_span(cat, rng, objs, source=s1.target)
+        s1 = span(rng, cat, objs)
+        s2 = span(rng, cat, objs, source=s1.target)
         lhs = compose_spans(s1, s2, setup).swap()
         rhs = compose_spans(s2.swap(), s1.swap(), setup)
         assert span_iso(cat, lhs, rhs) is not None
@@ -320,9 +315,9 @@ def test_associativity_up_to_iso_random():
     rng = random.Random(11)
     cat, setup, objs = _lazy_setup()
     for _ in range(40):
-        s1 = _random_lazy_span(cat, rng, objs)
-        s2 = _random_lazy_span(cat, rng, objs, source=s1.target)
-        s3 = _random_lazy_span(cat, rng, objs, source=s2.target)
+        s1 = span(rng, cat, objs)
+        s2 = span(rng, cat, objs, source=s1.target)
+        s3 = span(rng, cat, objs, source=s2.target)
         lhs = compose_spans(compose_spans(s1, s2, setup), s3, setup)
         rhs = compose_spans(s1, compose_spans(s2, s3, setup), setup)
         assert span_iso(cat, lhs, rhs) is not None

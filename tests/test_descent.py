@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from sixff import presets
@@ -150,7 +148,6 @@ def test_gauge_twisted_datum_descends():
 
 
 def test_random_surjection_cover():
-    rng = random.Random(17)
     # random surjection of groupoids: two points + */C2 covering */C2 ⊔ pt
     X = disjoint_union([BC2, PT])
     Y = disjoint_union([BC2, PT, PT])

@@ -129,6 +129,19 @@ def test_cli_adj_and_presets(capsys):
     assert "triangle identities: pass" in out
 
 
+def test_cli_adj_mate_fails_on_a_wrong_mate(monkeypatch, capsys):
+    """A mate that does not invert ends in status 1 with the failing cell
+    printed: the check is a comparison, not an assert that `python -O`
+    would drop."""
+    from sixff import twocat
+    assert main(["adj", "mate"]) == 0
+    monkeypatch.setattr(twocat, "mate_lambda", lambda *args: "wrong cell")
+    assert main(["adj", "mate"]) == 1
+    out = capsys.readouterr().out
+    assert "to 'wrong cell'" in out
+    assert out.count("mates mutually inverse") == 1
+
+
 def test_cli_run_selected_suite(capsys):
     code = main(["run", "--suite", "adj", "--format", "json", "--probes", "1"])
     out = capsys.readouterr().out

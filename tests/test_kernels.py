@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from sixff import presets, sheaves
+from sixff import kernels, presets, sheaves
 from sixff.fields import GF, QQ
 from sixff.groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
@@ -18,6 +18,7 @@ from sixff.kernels import (
     suave_test, swap_compatibility, whisker_left, whisker_right,
 )
 from sixff.hecke import compact_induction
+from sixff.instances import C2, S3, kernel_chain, permutation, sign
 from sixff.linalg import Matrix
 from sixff.sheaves import (
     LanFunctor, PullbackFunctor, Sheaf, SheafMorphism, TensorLeftFunctor,
@@ -27,16 +28,13 @@ from sixff.sheaves import (
 )
 
 PT = terminal_groupoid()
-S3 = presets.group("S3")
 BS3 = delooping(S3)
-C2 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")
 BC2 = delooping(C2)
 INCL = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
 
 
 SIGN = sheaves.sheaf_from_rep(BC2, QQ, {
-    g: Matrix.from_int_rows(QQ, [[1 if g == C2.identity else -1]])
-    for g in C2.elements})
+    g: Matrix.from_int_rows(QQ, [[sign(g)]]) for g in C2.elements})
 
 
 def external_kernel(ctx, tgt, src, left, right):
@@ -56,18 +54,12 @@ def discrete(n):
     return disjoint_union([PT] * n)
 
 
-def sheaf_on(grpd, dims, rng=None):
-    """Random-ish sheaf with identity transitions on a discrete groupoid."""
-    field = QQ
-    dim = {}
-    mat = {}
-    for i, x in enumerate(grpd.objects):
-        dim[x] = dims[i % len(dims)]
-    for m in grpd.morphisms:
-        a, b = grpd.src[m], grpd.dst[m]
-        assert a == b
-        mat[m] = Matrix.identity(field, dim[a])
-    return Sheaf(grpd, field, dim, mat)
+def sheaf_on(grpd, dims):
+    """The sheaf with identity transitions on a discrete groupoid whose
+    i-th object has dimension dims[i % len(dims)]."""
+    dim = {x: dims[i % len(dims)] for i, x in enumerate(grpd.objects)}
+    return Sheaf(grpd, QQ, dim, {m: Matrix.identity(QQ, dim[grpd.src[m]])
+                                 for m in grpd.morphisms})
 
 
 def test_kernel_identity_point():
@@ -105,20 +97,7 @@ def test_kernel_compose_matrix_dims():
     ctx.add_object("X", X, to_terminal(X, PT))
     ctx.add_object("Y", Y, to_terminal(Y, PT))
     ctx.add_object("Z", Z, to_terminal(Z, PT))
-    rng = random.Random(3)
-
-    def rand_kernel(srcn, tgtn):
-        rp = ctx.prod((tgtn, srcn))
-        dims = {}
-        mats = {}
-        for o in rp.grpd.objects:
-            dims[o] = rng.randrange(0, 3)
-        for m in rp.grpd.morphisms:
-            mats[m] = Matrix.identity(QQ, dims[rp.grpd.src[m]])
-        return Kernel(ctx, srcn, tgtn, Sheaf(rp.grpd, QQ, dims, mats))
-
-    M = rand_kernel("Y", "X")
-    N = rand_kernel("Z", "Y")
+    M, N = kernel_chain(ctx, ["X", "Y", "Z"], random.Random(3))
     C = kernel_compose(M, N)
     # dimension bookkeeping: C[x,z] = sum_y M[x,y] * N[y,z]
     rp_xy = ctx.prod(("X", "Y")).grpd
@@ -158,12 +137,7 @@ def test_unitors():
     X, Y = discrete(2), discrete(3)
     ctx.add_object("X", X, to_terminal(X, PT))
     ctx.add_object("Y", Y, to_terminal(Y, PT))
-    rng = random.Random(5)
-    rp = ctx.prod(("X", "Y"))
-    dims = {o: rng.randrange(0, 3) for o in rp.grpd.objects}
-    mats = {m: Matrix.identity(QQ, dims[rp.grpd.src[m]])
-            for m in rp.grpd.morphisms}
-    M = Kernel(ctx, "Y", "X", Sheaf(rp.grpd, QQ, dims, mats))
+    M, = kernel_chain(ctx, ["X", "Y"], random.Random(5))
     ru = right_unitor(M)
     lu = left_unitor(M)
     assert ru.is_invertible() and lu.is_invertible()
@@ -180,18 +154,6 @@ def test_unitors_group_case():
     assert ru.is_invertible() and lu.is_invertible()
 
 
-def _random_kernels_chain(ctx, names, rng, maxdim=2, mindim=0):
-    out = []
-    for a, b in zip(names[:-1], names[1:]):
-        rp = ctx.prod((a, b))
-        dims = {o: rng.randrange(mindim, maxdim + 1)
-                for o in rp.grpd.objects}
-        mats = {m: Matrix.identity(QQ, dims[rp.grpd.src[m]])
-                for m in rp.grpd.morphisms}
-        out.append(Kernel(ctx, b, a, Sheaf(rp.grpd, QQ, dims, mats)))
-    return out
-
-
 def test_associator_randomized():
     ctx = point_ctx()
     for i, n in enumerate((2, 3, 2, 2)):
@@ -199,8 +161,7 @@ def test_associator_randomized():
         ctx.add_object("X%d" % i, X, to_terminal(X, PT))
     rng = random.Random(11)
     for trial in range(3):
-        M, N, L = _random_kernels_chain(
-            ctx, ["X0", "X1", "X2", "X3"], rng)
+        M, N, L = kernel_chain(ctx, ["X0", "X1", "X2", "X3"], rng)
         al = associator(M, N, L)
         assert al.is_invertible()
         lhs = kernel_compose(kernel_compose(M, N), L)
@@ -231,7 +192,7 @@ def test_swap_compatibility():
         X = discrete(n)
         ctx.add_object("Y%d" % i, X, to_terminal(X, PT))
     rng = random.Random(23)
-    M, N = _random_kernels_chain(ctx, ["Y0", "Y1", "Y2"], rng)
+    M, N = kernel_chain(ctx, ["Y0", "Y1", "Y2"], rng)
     cell = swap_compatibility(M, N)
     assert cell.is_invertible()
     sw = kernel_swap(kernel_compose(M, N))
@@ -364,7 +325,7 @@ def _discrete_chain(sizes, seed):
     for name, n in zip(names, sizes):
         X = discrete(n)
         ctx.add_object(name, X, to_terminal(X, PT))
-    return _random_kernels_chain(ctx, names, random.Random(seed), mindim=1)
+    return kernel_chain(ctx, names, random.Random(seed), mindim=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -422,6 +383,17 @@ def test_caller_errors_are_typed():
         ctx.add_object("Y", BS3, INCL)
     with pytest.raises(ValueError, match="need at least one probe"):
         base_change_suave_prim(INCL, INCL)
+
+
+def test_phi_rejects_legs_that_do_not_commute_on_the_nose():
+    """INCL after the trivial endomorphism of BC2 is not INCL, so the span
+    [BC2 <-id- BC2 -trivial-> BC2] over BS3 is refused as caller input."""
+    ctx = KernelContext(BS3, QQ)
+    ctx.add_object("a", BC2, INCL)
+    trivial = delooping_hom({g: C2.identity for g in C2.elements}, BC2, BC2)
+    with pytest.raises(ValueError, match="commute with the structure maps"):
+        psi_phi_certificate(ctx, "a", "a", BC2, identity_functor(BC2),
+                            trivial, [unit_sheaf(BC2, QQ)])
 
 
 def test_phi_graph_kernel():
@@ -489,11 +461,32 @@ def test_psi_composition_certificate():
         X = discrete(n)
         ctx.add_object("Z%d" % i, X, to_terminal(X, PT))
     rng = random.Random(31)
-    M, N = _random_kernels_chain(ctx, ["Z0", "Z1", "Z2"], rng)
+    M, N = kernel_chain(ctx, ["Z0", "Z1", "Z2"], rng)
     Z2 = ctx.objects["Z2"][0]
     probes = [unit_sheaf(Z2, QQ), sheaf_on(Z2, [2, 1])]
     cells = psi_composition_certificate(M, N, probes)
     assert all(c.is_invertible() for c in cells)
+
+
+def test_psi_composition_certificate_builds_inner_once(monkeypatch):
+    """pr12*M ⊗ pr23*N does not depend on the probe: two probes build it
+    once."""
+    M, N = _discrete_chain((2, 2, 2), 3)
+    p12, p23, _ = M.ctx.legs(M.tgt, M.src, N.src)
+    pm = PullbackFunctor(p12).obj(M.payload)
+    pn = PullbackFunctor(p23).obj(N.payload)
+    # pr23*N has a fiber of dimension 2, so inner ⊗ pr3*V is not counted
+    assert not sheaves_equal(tensor(pm, pn), pm)
+    inner_builds = []
+
+    def counting_tensor(A, B):
+        inner_builds.append(sheaves_equal(A, pm) and sheaves_equal(B, pn))
+        return tensor(A, B)
+
+    monkeypatch.setattr(kernels, "tensor", counting_tensor)
+    Z = M.ctx.objects[N.src][0]
+    psi_composition_certificate(M, N, [unit_sheaf(Z, QQ), sheaf_on(Z, [2, 1])])
+    assert sum(inner_builds) == 1
 
 
 def test_psi_phi_agrees_with_direct():
@@ -576,22 +569,17 @@ def test_etale_proper_identity():
 
 
 def test_etale_proper_subgroup():
-    from sixff.sheaves import Sheaf as Sh
-    sgn_mats = {g: Matrix.from_int_rows(
-        QQ, [[1 if g == S3.identity or g in
-              [x for x in S3.elements if sorted([x]) and
-               _sign(x) == 0] else -1]])
-        for g in S3.elements}
-    probes = [unit_sheaf(BS3, QQ)]
+    """BC2 -> BS3 is etale and proper, with both twists certified, on the
+    unit, the sign and a gauged permutation sheaf of BS3."""
+    gauge = Matrix.from_int_rows(QQ, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    sgn = {g: Matrix.from_int_rows(QQ, [[sign(g)]]) for g in S3.elements}
+    perm = {g: gauge * Matrix.from_int_rows(QQ, permutation(g))
+            * gauge.inverse() for g in S3.elements}
+    probes = [unit_sheaf(BS3, QQ), sheaves.sheaf_from_rep(BS3, QQ, sgn),
+              sheaves.sheaf_from_rep(BS3, QQ, perm)]
     cert = etale_proper_test(INCL, QQ, probes)
     assert cert.etale_ok and cert.proper_ok
     assert cert.suave_twist_ok and cert.prim_twist_ok
-
-
-def _sign(perm):
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return inv % 2
 
 
 def test_etale_proper_three_points():

@@ -3,54 +3,47 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixff import presets, sheaves
+from sixff import sheaves
 from sixff.fields import GF, QQ, GateError, check_gate
 from sixff.groupoid import (
     Functor, RelProduct, action_groupoid, delooping, delooping_hom,
     disjoint_union, identity_functor, okey, terminal_groupoid, to_terminal,
     transport_to_reps,
 )
+from sixff.instances import (
+    C2, C3, S3, delooping_map, gauged_sheaf, permutation, rep, sheaf, sign,
+    union,
+)
 from sixff.linalg import Matrix, stack_columns, stack_rows
 from sixff.sheaves import (
     CommutingSquare, LanFunctor, PullbackFunctor, RanFunctor, Sheaf,
-    SheafMorphism,
-    adj_ambidextrous, adj_lan_pullback, adj_pullback_ran, adj_tensor_hom,
-    base_change_cell, compose_comparison_lan, compose_comparison_ran,
-    double_dual_cell, find_isomorphism, global_sections, hom_dim,
-    hom_form_cell, hom_space,
-    identity_morphism, internal_hom, lan_identity_comparison, lan_shriek,
-    morphism_coordinates,
-    norm_certificate, norm_map, projection_formula_cell_left,
-    projection_formula_cell_right, ran_projection_cell, ran_star,
-    sheaf_from_rep, sheaves_equal, swap_cell, tensor, unit_sheaf,
-    upper_shriek,
+    SheafMorphism, adj_tensor_hom, compose_comparison_lan,
+    compose_comparison_ran, double_dual_cell, find_isomorphism,
+    global_sections, hom_dim, hom_space, identity_morphism,
+    lan_identity_comparison, lan_shriek, morphism_coordinates,
+    norm_certificate, norm_map, ran_projection_cell, ran_star,
+    sheaves_equal, swap_cell, tensor, unit_sheaf, upper_shriek,
     verify_base_change, verify_projection_formula, zero_sheaf,
 )
 from sixff.sheaves import _FIBERS, _invariant_data
 
-S3 = presets.group("S3")
 BS3 = delooping(S3)
-C2sub = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")
-BC2 = delooping(C2sub)
-INCL = delooping_hom({g: g for g in C2sub.elements}, BC2, BS3)
+BC2 = delooping(C2)
+INCL = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
 PT = terminal_groupoid()
 P_S3 = to_terminal(BS3, PT)
 P_C2 = to_terminal(BC2, PT)
 
 
 def sign_rep_c2(field=QQ):
-    obj = BC2.objects[0]
-    mats = {}
-    for g in C2sub.elements:
-        is_id = g == C2sub.identity
-        mats[g] = Matrix.from_int_rows(field, [[1 if is_id else -1]])
-    return Sheaf(BC2, field, {obj: 1}, mats, check=True)
+    return Sheaf(BC2, field, {BC2.objects[0]: 1}, {
+        g: Matrix.from_int_rows(field, [[sign(g)]]) for g in C2.elements},
+        check=True)
 
 
 def regular_rep(grpd, group, field=QQ):
@@ -138,7 +131,7 @@ def test_ran_star_invariants():
     sgn = sign_rep_c2()
     inv, adj = ran_star(P_C2, sgn)
     assert inv.dim[PT.objects[0]] == 0
-    reg = regular_rep(BC2, C2sub)
+    reg = regular_rep(BC2, C2)
     invr, _ = ran_star(P_C2, reg)
     assert invr.dim[PT.objects[0]] == 1
     ok, why = adj.triangles_ok([unit_sheaf(PT, QQ)], [sgn, reg])
@@ -174,11 +167,11 @@ def test_tensor_and_hom_adjunction():
     triv = unit_sheaf(BC2, QQ)
     assert hom_dim(tensor(sgn, sgn), triv) == 1  # sign ⊗ sign = trivial
     adj = adj_tensor_hom(sgn)
-    ok, why = adj.triangles_ok([triv, sgn, regular_rep(BC2, C2sub)],
-                               [triv, sgn, regular_rep(BC2, C2sub)])
+    ok, why = adj.triangles_ok([triv, sgn, regular_rep(BC2, C2)],
+                               [triv, sgn, regular_rep(BC2, C2)])
     assert ok, why
     # M ⊗ unit has the same underlying data as M (Kronecker with 1x1)
-    reg = regular_rep(BC2, C2sub)
+    reg = regular_rep(BC2, C2)
     assert tensor(reg, triv).mat == reg.mat
     assert tensor(triv, reg).mat == reg.mat
 
@@ -320,7 +313,7 @@ def test_lan_gate_raises_where_ran_does_not():
     obj = BC2.objects[0]
     F2 = GF(2)
     triv = Sheaf(BC2, F2, {obj: 1},
-                 {g: Matrix.identity(F2, 1) for g in C2sub.elements})
+                 {g: Matrix.identity(F2, 1) for g in C2.elements})
     with pytest.raises(GateError):
         LanFunctor(P_C2).obj(triv)
     inv = RanFunctor(P_C2).obj(triv)
@@ -380,12 +373,12 @@ def test_scalar_representation_splits_no_equality_or_cache_entry():
     # integral Fraction; both forms must be one matrix, one sheaf and one
     # cache entry
     def sign_rep(scalar):
-        mats = {g: Matrix(QQ, [[scalar(1 if g == C2sub.identity else -1)]])
-                for g in C2sub.elements}
+        mats = {g: Matrix(QQ, [[scalar(1 if g == C2.identity else -1)]])
+                for g in C2.elements}
         return Sheaf(BC2, QQ, {BC2.objects[0]: 1}, mats, check=True)
 
     as_ints, as_fractions = sign_rep(int), sign_rep(Fraction)
-    for g in C2sub.elements:
+    for g in C2.elements:
         a, b = as_ints.mat[g], as_fractions.mat[g]
         assert type(b.entry(0, 0)) is Fraction
         assert a == b and hash(a) == hash(b)
@@ -423,9 +416,9 @@ def _combination(basis, coeffs):
 @pytest.mark.parametrize("functor", [LanFunctor, RanFunctor],
                          ids=["lan", "ran"])
 def test_kan_extension_mor_is_functorial(functor, along, field):
-    M = regular_rep(BC2, C2sub, field)
-    N = tensor(sign_rep_c2(field), regular_rep(BC2, C2sub, field))
-    K = regular_rep(BC2, C2sub, field)
+    M = regular_rep(BC2, C2, field)
+    N = tensor(sign_rep_c2(field), regular_rep(BC2, C2, field))
+    K = regular_rep(BC2, C2, field)
     phi = _combination(hom_space(M, N), [2, -1])
     psi = _combination(hom_space(N, K), [1, 3])
     F = functor(along)
@@ -453,15 +446,8 @@ _GAUGES = ([[1, 2, 0], [0, 1, 1], [1, 0, 1]],
            [[2, 1, 1], [1, 1, 0], [0, 1, 1]])
 
 
-def _sign(perm):
-    return (-1) ** sum(1 for i in range(3) for j in range(i + 1, 3)
-                       if perm[i] > perm[j])
-
-
 def _perm_matrix(field, perm):
-    return Matrix.from_int_rows(field, [[1 if perm[j] == i else 0
-                                         for j in range(3)]
-                                        for i in range(3)])
+    return Matrix.from_int_rows(field, permutation(perm))
 
 
 def _sheaf_per_component(grpd, field, dim, of_group_element):
@@ -476,9 +462,9 @@ def _sheaf_per_component(grpd, field, dim, of_group_element):
                  check=True)
 
 
-def _sign_sheaf(grpd, field):
+def _sgn_sheaf(grpd, field):
     return _sheaf_per_component(
-        grpd, field, 1, lambda i, g: Matrix.from_int_rows(field, [[_sign(g)]]))
+        grpd, field, 1, lambda i, g: Matrix.from_int_rows(field, [[sign(g)]]))
 
 
 def _gauged_permutation_sheaf(grpd, field):
@@ -531,7 +517,7 @@ def _stacked_reference(F, M):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
-@pytest.mark.parametrize("make", [_sign_sheaf, _gauged_permutation_sheaf],
+@pytest.mark.parametrize("make", [_sgn_sheaf, _gauged_permutation_sheaf],
                          ids=["sign", "gauged_perm"])
 @pytest.mark.parametrize("along", [INCL, P_S3, DU_MAP],
                          ids=["incl", "to_point", "disjoint_unions"])
@@ -629,49 +615,6 @@ def _reference_fiber(f, x, kind):
     return reps, locate, auts
 
 
-_C3 = S3.subgroup(S3.generated_subgroup([(1, 2, 0)]), name="C3")
-_TRIVIAL = presets.group("1")
-# (group, generators) for the components of the random disjoint unions
-_GROUPS = ((S3, [(1, 0, 2), (1, 2, 0)]), (C2sub, [(1, 0, 2)]),
-           (_C3, [(1, 2, 0)]), (_TRIVIAL, []))
-
-
-def _homomorphisms(G, gens, H):
-    """Every homomorphism G -> H, each as a dict, found from the images of
-    the generators of G."""
-    out = []
-    for images in product(H.elements, repeat=len(gens)):
-        phi = {G.identity: H.identity}
-        todo = [G.identity]
-        for g in todo:
-            for s, t in zip(gens, images):
-                sg, img = G.mul(s, g), H.mul(t, phi[g])
-                if sg not in phi:
-                    phi[sg] = img
-                    todo.append(sg)
-        if all(phi[G.mul(a, b)] == H.mul(phi[a], phi[b])
-               for a in G.elements for b in G.elements):
-            out.append(phi)
-    return out
-
-
-def _random_union_map(rng):
-    """A random functor between disjoint unions of deloopings, given on
-    each component of the domain by a random homomorphism into a random
-    component of the codomain."""
-    dom = [rng.choice(_GROUPS) for _ in range(rng.randint(1, 3))]
-    cod = [rng.choice(_GROUPS)[0] for _ in range(rng.randint(1, 2))]
-    D = disjoint_union([delooping(G) for G, _ in dom])
-    C = disjoint_union([delooping(H) for H in cod])
-    ob, mor = {}, {}
-    for i, (G, gens) in enumerate(dom):
-        j = rng.randrange(len(cod))
-        phi = rng.choice(_homomorphisms(G, gens, cod[j]))
-        ob[(i, "*")] = (j, "*")
-        mor.update({(i, g): (j, phi[g]) for g in G.elements})
-    return Functor(D, C, ob, mor)
-
-
 def _product_projection():
     """pr02 out of the triple product of (BC2, INCL) over BS3, a functor
     whose fibers have components of several objects."""
@@ -683,7 +626,7 @@ def _product_projection():
 def test_fibers_equal_the_plain_breadth_first_search(kind):
     rng = random.Random(13)
     nontrivial = 0
-    for f in [_random_union_map(rng) for _ in range(25)] + [
+    for f in [delooping_map(rng) for _ in range(25)] + [
             _product_projection()]:
         assert f.validate() == []
         F = kind(f)
@@ -774,7 +717,7 @@ def test_gate_error_is_raised_on_every_call_and_never_stored():
 
     def triv():
         return Sheaf(BC2, F2, {obj: 1},
-                     {g: Matrix.identity(F2, 1) for g in C2sub.elements})
+                     {g: Matrix.identity(F2, 1) for g in C2.elements})
 
     # a live f_* push of the same content lends f_! nothing
     held = RanFunctor(P_C2).obj(triv())
@@ -872,58 +815,6 @@ def _reference_hom_space(M, N):
     return out
 
 
-# S3, C2, C3 and 1, as groups of permutations of {0, 1, 2}
-_S3_SUBGROUPS = (S3, C2sub, _C3, S3.subgroup([S3.identity], name="1"))
-
-
-def _random_piece(rng):
-    """(groupoid, group, the group element of each morphism): the action
-    groupoid of a subgroup of S3 on {0, 1, 2}, whose components have
-    several objects when the group moves the points, or its delooping."""
-    H = rng.choice(_S3_SUBGROUPS)
-    if rng.random() < 0.5:
-        return BS3 if H is S3 else delooping(H), H, lambda g: g
-    pts = (0, 1, 2)
-    grpd, _ = action_groupoid(H, pts, {(g, x): g[x] for g in H.elements
-                                       for x in pts})
-    return grpd, H, lambda u: u[0]
-
-
-def _random_rep(rng, field):
-    """A random direct sum of the trivial, sign and permutation
-    representations of S3 (restricted to any subgroup), possibly empty."""
-    parts = [rng.choice((lambda g: [[1]], lambda g: [[_sign(g)]],
-                         lambda g: [[1 if g[j] == i else 0 for j in range(3)]
-                                    for i in range(3)]))
-             for _ in range(rng.randint(0, 2))]
-    return lambda g: Matrix.direct_sum(
-        field, [Matrix.from_int_rows(field, part(g)) for part in parts])
-
-
-def _random_gauge(rng, field, d):
-    while True:
-        g = Matrix.from_int_rows(field, [[rng.randint(-2, 2) for _ in range(d)]
-                                         for _ in range(d)])
-        if g.is_invertible():
-            return g
-
-
-def _gauged_sheaf(rng, G, pieces, reps, field):
-    """The sheaf on the disjoint union G of `pieces` that is the pullback
-    of reps[i] on piece i, conjugated by a random invertible matrix at
-    every object: the automorphisms of each representative act by gauged
-    matrices, and a component may be zero-dimensional."""
-    gauge, inverse = {}, {}
-    for (i, x) in G.objects:
-        d = reps[i](pieces[i][1].identity).nrows
-        gauge[(i, x)] = _random_gauge(rng, field, d)
-        inverse[(i, x)] = gauge[(i, x)].inverse()
-    mats = {u: gauge[G.dst[u]] * reps[u[0]](pieces[u[0]][2](u[1]))
-            * inverse[G.src[u]] for u in G.morphisms}
-    return Sheaf(G, field, {x: g.nrows for x, g in gauge.items()}, mats,
-                 check=True)
-
-
 @st.composite
 def gauged_sheaves(draw):
     """(M, u): a gauge-conjugated sheaf M over QQ or GF(5) on a random
@@ -932,10 +823,8 @@ def gauged_sheaves(draw):
     another one will do (None if every matrix is 0 x 0)."""
     field = draw(st.sampled_from([QQ, GF(5)]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    pieces = [_random_piece(rng) for _ in range(rng.randint(1, 3))]
-    G = disjoint_union([p[0] for p in pieces])
-    M = _gauged_sheaf(rng, G, pieces,
-                      [_random_rep(rng, field) for _ in pieces], field)
+    U = union(rng)
+    M, G = sheaf(rng, U, field), U.grpd
     live = [u for u in G.morphisms if M.dim[G.src[u]]]
     moving = [u for u in live if u != G.identity[G.src[u]]]
     return M, draw(st.sampled_from(moving or live)) if live else None
@@ -981,13 +870,13 @@ def test_hom_space_equals_the_reference_solver(field):
     rng = random.Random(41)
     several = zero_dim = transported = 0
     for _ in range(12):
-        pieces = [_random_piece(rng) for _ in range(rng.randint(1, 3))]
-        G = disjoint_union([p[0] for p in pieces])
-        reps_m = [_random_rep(rng, field) for _ in pieces]
+        U = union(rng)
+        G = U.grpd
+        reps_m = [rep(rng, field) for _ in U.pieces]
         reps_n = reps_m if rng.random() < 0.5 else \
-            [_random_rep(rng, field) for _ in pieces]
-        M = _gauged_sheaf(rng, G, pieces, reps_m, field)
-        N = _gauged_sheaf(rng, G, pieces, reps_n, field)
+            [rep(rng, field) for _ in U.pieces]
+        M = gauged_sheaf(rng, U, reps_m, field)
+        N = gauged_sheaf(rng, U, reps_n, field)
         basis, ref = hom_space(M, N), _reference_hom_space(M, N)
         assert len(basis) == len(ref)
         for b, r in zip(basis, ref):
@@ -1011,7 +900,7 @@ def test_hom_space_representative_in_the_prefix_case():
     which sorts after "'", so Γ reads the component at x', not at x as
     the commutant solver did.  The basis is pinned; it spans the same
     space as the solver's."""
-    A3 = _C3.elements
+    A3 = C3.elements
     act = {(g, o): o if g in A3 else {"x": "x'", "x'": "x"}[o]
            for g in S3.elements for o in ("x", "x'")}
     G, proj = action_groupoid(S3, ["x", "x'"], act)

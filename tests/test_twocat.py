@@ -137,6 +137,14 @@ def test_adjoint_uniqueness():
         assert C.is_invertible_2cell(cell)
 
 
+def test_adjoint_uniqueness_rejects_different_left_adjoints():
+    C = scalar_two_cat(["0", "1"], 5)
+    q = _all_adjunctions(C, ("c", "0", "1"), ("c", "1", "0"))[0]
+    qop = _all_adjunctions(C, ("c", "1", "0"), ("c", "0", "1"))[0]
+    with pytest.raises(ValueError, match="different left adjoints"):
+        adjoint_uniqueness(q, qop, C)
+
+
 def test_kron_two_cat_strict_and_adjunctions():
     C = kron_two_cat(["0", "1"], [0, 1], 3)
     assert C.validate() == []
