@@ -45,7 +45,7 @@ cover3 = Functor(PT, BS3, {PT.objects[0]: BS3.objects[0]},
                  {PT.morphisms[0]: BS3.identity[BS3.objects[0]]})
 st3 = DescentSetting(cover3, QQ)
 probes = [unit_sheaf(BS3, QQ)]
-cmp = descent_comparison(cover3, QQ, probes_X=probes,
+cmp = descent_comparison(st3, probes_X=probes,
                          probe_data=[st3.canonical_datum(p) for p in probes])
 print("  hom dimensions match: %s" % cmp.fully_faithful_ok)
 print("  every datum descends : %s" % cmp.essentially_surjective_ok)

@@ -152,7 +152,7 @@ def _cmd_descent(args):
                     {pt.morphisms[0]: BG.identity[BG.objects[0]]})
         st = DescentSetting(j, field)
         probes = [unit_sheaf(BG, field)]
-        cmp = descent_comparison(j, field, probes_X=probes,
+        cmp = descent_comparison(st, probes_X=probes,
                                  probe_data=[st.canonical_datum(p)
                                              for p in probes])
         rows.append((gname, cmp.fully_faithful_ok,

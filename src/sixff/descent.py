@@ -175,39 +175,36 @@ class DescentSetting:
 
 @dataclass
 class DescentComparison:
-    setting: DescentSetting
     fully_faithful_ok: bool
     essentially_surjective_ok: bool
     checked_pairs: int
     descended: list
 
 
-def descent_comparison(f, field, probes_X=(), probe_data=()):
-    """Certificate that M -> (f*M, canonical alpha) is an equivalence:
-    hom dimensions agree on every probe pair, and every supplied datum
-    descends with a certified matching isomorphism."""
-    st = DescentSetting(f, field)
+def descent_comparison(setting, probes_X=(), probe_data=()):
+    """Certificate that M -> (f*M, canonical alpha) is an equivalence for
+    the cover f of `setting`: hom dimensions agree on every probe pair, and
+    every supplied datum descends with a certified matching isomorphism."""
     from .sheaves import hom_dim
+    data = [setting.canonical_datum(M) for M in probes_X]
+    if not all(setting.is_valid(d) for d in data):
+        raise TheoremViolation("canonical datum fails the cocycle")
     ff_ok = True
     pairs = 0
-    for M in probes_X:
-        for N in probes_X:
-            dm = st.canonical_datum(M)
-            dn = st.canonical_datum(N)
-            if not st.is_valid(dm) or not st.is_valid(dn):
-                raise TheoremViolation("canonical datum fails the cocycle")
-            if hom_dim(M, N) != st.hom_dim(dm, dn):
+    for M, dm in zip(probes_X, data):
+        for N, dn in zip(probes_X, data):
+            if hom_dim(M, N) != setting.hom_dim(dm, dn):
                 ff_ok = False
             pairs += 1
     descended = []
     es_ok = True
     for datum in probe_data:
         try:
-            V, theta = st.descend(datum)
+            V, theta = setting.descend(datum)
             descended.append((V, theta))
         except TheoremViolation:
             es_ok = False
-    return DescentComparison(st, ff_ok, es_ok, pairs, descended)
+    return DescentComparison(ff_ok, es_ok, pairs, descended)
 
 
 def gauge_twist(setting, datum, psi):

@@ -128,7 +128,5 @@ class FinSetCategory:
         return ("fn", W, pb.apex, pairs)
 
     @staticmethod
-    def set_of_size(n, label=None):
-        if label is None:
-            return tuple(range(n))
-        return tuple((label, i) for i in range(n))
+    def set_of_size(n):
+        return tuple(range(n))

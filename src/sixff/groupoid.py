@@ -13,9 +13,10 @@ they can.
 The module provides validation, deloopings of finite groups (one per group
 and object), action groupoids, anchored n-fold relative products (the one
 fiber-product construction; the iso-comma 2-categorical pullback of
-groupoids is its binary case), skeletalization, equivalence testing, the
-one component search (`component_search`, behind `transport_to_reps` and
-the Kan fibers of `sheaves`), and truncated Čech nerves.
+groupoids is its binary case), skeletalization, equivalence testing (its
+groups compared by `FiniteGroup.is_isomorphic`), the one component search
+(`component_search`, behind `transport_to_reps` and the Kan fibers of
+`sheaves`), and truncated Čech nerves.
 
 A relative product has one arrow rule, `RelProduct.arrows_out`: the
 arrows out of one object.  Its groupoid is built from that rule on first
@@ -609,95 +610,16 @@ def skeletalize(grpd):
 
 
 def group_table_isomorphic(elems_a, table_a, elems_b, table_b):
-    """Exhaustive generator-pruned isomorphism search between two finite
-    groups given as multiplication tables (dicts)."""
-    if len(elems_a) != len(elems_b):
+    """Whether two multiplication tables (dicts) are isomorphic groups, by
+    `FiniteGroup.is_isomorphic`; a table that is not a group is isomorphic
+    to nothing."""
+    from .groups import FiniteGroup
+    try:
+        A = FiniteGroup(elems_a, table_a)
+        B = FiniteGroup(elems_b, table_b)
+    except StructureError:
         return False
-    elems_a = sorted(elems_a, key=okey)
-    elems_b = sorted(elems_b, key=okey)
-
-    def identity_of(elems, table):
-        for e in elems:
-            if all(table[(e, x)] == x == table[(x, e)] for x in elems):
-                return e
-        return None
-
-    def order(e, x, table):
-        n, y = 1, x
-        while y != e:
-            y = table[(y, x)]
-            n += 1
-        return n
-
-    ea, eb = identity_of(elems_a, table_a), identity_of(elems_b, table_b)
-    if ea is None or eb is None:
-        return False
-    orders_a = {x: order(ea, x, table_a) for x in elems_a}
-    orders_b = {x: order(eb, x, table_b) for x in elems_b}
-    if sorted(orders_a.values()) != sorted(orders_b.values()):
-        return False
-
-    def closure(subset):
-        span = {ea} | set(subset)
-        frontier = list(span)
-        while frontier:
-            a = frontier.pop()
-            for b in list(span):
-                for c in (table_a[(a, b)], table_a[(b, a)]):
-                    if c not in span:
-                        span.add(c)
-                        frontier.append(c)
-        return span
-
-    gens = []
-    span = {ea}
-    for x in elems_a:
-        if x not in span:
-            gens.append(x)
-            span = closure(gens)
-        if len(span) == len(elems_a):
-            break
-
-    def extend(partial):
-        """Grow the generator assignment to a full map by closing words;
-        return the map or None on inconsistency."""
-        out = {ea: eb}
-        frontier = [ea]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                gx = table_a[(g, x)]
-                gy = table_b[(partial[g], out[x])]
-                if gx in out:
-                    if out[gx] != gy:
-                        return None
-                else:
-                    out[gx] = gy
-                    frontier.append(gx)
-        if len(out) != len(elems_a) or len(set(out.values())) != len(elems_a):
-            return None
-        for x in elems_a:
-            for y in elems_a:
-                if out[table_a[(x, y)]] != table_b[(out[x], out[y])]:
-                    return None
-        return out
-
-    def backtrack(i, partial):
-        if i == len(gens):
-            return extend(partial) is not None
-        g = gens[i]
-        for cand in elems_b:
-            if orders_b[cand] != orders_a[g]:
-                continue
-            partial[g] = cand
-            if backtrack(i + 1, partial):
-                return True
-            del partial[g]
-        return False
-
-    if not gens:
-        return True
-    return backtrack(0, {})
+    return A.is_isomorphic(B)
 
 
 def equivalent_groupoids(X, Y):

@@ -3,11 +3,45 @@
 Groups enter either as full Cayley tables or as permutation generators
 (closed on load).  Elements carry a fixed total order so that coset
 representatives and structure constants are reproducible bit for bit.
+One walk from generators (`_walk`) closes permutations on load, generates
+subgroups, and extends images of generators to homomorphisms, which the
+isomorphism test searches.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from .groupoid import StructureError, okey
+
+
+def _walk(table, identity, gens):
+    """The one walk of a finite group from generators: the closure of the
+    identity under right multiplication by `gens` in `table`.  It returns
+    a spanning tree, a dict in the order the walk finds the elements, that
+    sends the identity to None and every other element c to its parent a,
+    found before c, with c = a*g for a generator g.  In a finite group the
+    monoid the generators generate is a group, so the tree's keys are the
+    subgroup they generate."""
+    tree = {identity: None}
+    frontier = [identity]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            c = table[(a, g)]
+            if c not in tree:
+                tree[c] = a
+                frontier.append(c)
+    return tree
+
+
+class _Composition(dict):
+    """The multiplication table of all permutations of one degree, which
+    composes a after b when (a, b) is looked up."""
+
+    def __missing__(self, key):
+        a, b = key
+        return tuple(a[i] for i in b)
 
 
 class FiniteGroup:
@@ -78,28 +112,16 @@ class FiniteGroup:
     # -- constructions -------------------------------------------------------
 
     @staticmethod
-    def from_permutations(gens, degree=None, name=None):
-        """Close a set of permutations (tuples of images) under composition."""
+    def from_permutations(gens, name=None):
+        """Close a set of permutations (tuples of images) under composition;
+        shorter ones fix the points up to the longest one's degree."""
         gens = [tuple(g) for g in gens]
-        if degree is None:
-            degree = max((len(g) for g in gens), default=1)
-        gens = [tuple(g) + tuple(range(len(g), degree)) for g in gens]
-        ident = tuple(range(degree))
-        elems = {ident}
-        frontier = [ident]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                c = tuple(g[a[i]] for i in range(degree))
-                if c not in elems:
-                    elems.add(c)
-                    frontier.append(c)
-
-        def compose(a, b):  # a after b
-            return tuple(a[b[i]] for i in range(degree))
-
-        table = {(a, b): compose(a, b) for a in elems for b in elems}
-        return FiniteGroup(sorted(elems), table, name=name)
+        degree = max((len(g) for g in gens), default=1)
+        gens = [g + tuple(range(len(g), degree)) for g in gens]
+        compose = _Composition()
+        elems = _walk(compose, tuple(range(degree)), gens)
+        table = {(a, b): compose[a, b] for a in elems for b in elems}
+        return FiniteGroup(elems, table, name=name)
 
     @staticmethod
     def cyclic(n, name=None):
@@ -135,22 +157,63 @@ class FiniteGroup:
         return H
 
     def generated_subgroup(self, gens):
-        """The subgroup generated by `gens`, as a frozenset: the closure of
-        the identity under right multiplication by the generators.  In a
-        finite group the monoid they generate is a group, so that closure
-        is the subgroup."""
+        """The subgroup generated by `gens`, as a frozenset."""
+        return frozenset(_walk(self.table, self.identity, tuple(gens)))
+
+    def homomorphisms(self, gens, H):
+        """Every homomorphism from this group to H, each as a dict, one per
+        tuple of images of `gens` (which generate this group) that extends
+        to one, in `itertools.product(H.elements, repeat=len(gens))`
+        order."""
+        return list(self._extensions(gens, H, [H.elements] * len(gens)))
+
+    def _extensions(self, gens, H, candidates):
+        """The homomorphisms to H that send gens[i] into candidates[i], in
+        `itertools.product(*candidates)` order.  Each tuple of images is
+        extended along the walk's spanning tree and kept when
+        phi(a*g) = phi(a)*phi(g) for every element a and generator g, which
+        by induction on word length makes phi a homomorphism."""
         gens = tuple(gens)
-        table = self.table
-        span = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                c = table[(a, g)]
-                if c not in span:
-                    span.add(c)
-                    frontier.append(c)
-        return frozenset(span)
+        tree = _walk(self.table, self.identity, gens)
+        if len(tree) != len(self):
+            raise ValueError("the generators do not generate %s" % self.name)
+        table, htable = self.table, H.table
+        # each element c, its parent a and the generator g = a^-1 c
+        steps = [(c, a, table[(self._inv[a], c)])
+                 for c, a in list(tree.items())[1:]]
+        for images in product(*candidates):
+            image = dict(zip(gens, images))
+            phi = {self.identity: H.identity}
+            for c, a, g in steps:
+                phi[c] = htable[(phi[a], image[g])]
+            if all(phi[table[(a, g)]] == htable[(phi[a], t)]
+                   for a in self.elements for g, t in zip(gens, images)):
+                yield phi
+
+    def _orders(self):
+        """Each element's order, the size of the subgroup it generates."""
+        return {x: len(_walk(self.table, self.identity, (x,)))
+                for x in self.elements}
+
+    def is_isomorphic(self, H):
+        """Whether some bijective homomorphism to H exists.  The orders and
+        the multisets of element orders must agree; generators are chosen
+        greedily, and each one's candidate images are the elements of H of
+        its order."""
+        if len(self) != len(H):
+            return False
+        orders, orders_h = self._orders(), H._orders()
+        if sorted(orders.values()) != sorted(orders_h.values()):
+            return False
+        gens, span = [], {self.identity}
+        for x in self.elements:
+            if x not in span:
+                gens.append(x)
+                span = self.generated_subgroup(gens)
+        candidates = [[y for y in H.elements if orders_h[y] == orders[g]]
+                      for g in gens]
+        return any(len(set(phi.values())) == len(H)
+                   for phi in self._extensions(gens, H, candidates))
 
     def all_subgroups(self):
         """All subgroups (as frozensets), by iterated one-generator
@@ -164,7 +227,7 @@ class FiniteGroup:
             for g in self.elements:
                 if g in H:
                     continue
-                K = self.generated_subgroup(gens + (g,))
+                K = frozenset(_walk(self.table, self.identity, gens + (g,)))
                 if K not in seen:
                     seen.add(K)
                     frontier.append((K, gens + (g,)))

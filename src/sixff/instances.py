@@ -115,25 +115,6 @@ def sheaf(rng, U, field):
     return gauged_sheaf(rng, U, [rep(rng, field) for _ in U.pieces], field)
 
 
-def _homomorphisms(G, gens, H):
-    """Every homomorphism G -> H, each as a dict, found from the images of
-    the generators of G."""
-    out = []
-    for images in product(H.elements, repeat=len(gens)):
-        phi = {G.identity: H.identity}
-        todo = [G.identity]
-        for g in todo:
-            for s, t in zip(gens, images):
-                sg, img = G.mul(s, g), H.mul(t, phi[g])
-                if sg not in phi:
-                    phi[sg] = img
-                    todo.append(sg)
-        if all(phi[G.mul(a, b)] == H.mul(phi[a], phi[b])
-               for a in G.elements for b in G.elements):
-            out.append(phi)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _piece_maps(P, Q):
     """Every (object map, morphism map) of a functor from piece P to piece
@@ -142,7 +123,7 @@ def _piece_maps(P, Q):
     (A, H, elem_a), (B, K, elem_b) = P, Q
     at = {(B.src[v], elem_b(v)): v for v in B.morphisms}
     out = []
-    for phi in _homomorphisms(H, _GENERATORS[H], K):
+    for phi in H.homomorphisms(_GENERATORS[H], K):
         for images in product(B.objects, repeat=len(A.objects)):
             ob = dict(zip(A.objects, images))
             mor = {u: at[(ob[A.src[u]], phi[elem_a(u)])] for u in A.morphisms}

@@ -159,7 +159,8 @@ def _strict_square(f, g, fp, gp):
     the nose)."""
     lhs = compose_functors(f, gp)
     rhs = compose_functors(g, fp)
-    assert lhs.ob == rhs.ob and lhs.mor == rhs.mor, "square not strict"
+    if lhs.ob != rhs.ob or lhs.mor != rhs.mor:
+        raise TheoremViolation("square not strict")
     C = f.cod
     kappa = NatTrans(lhs, rhs, {o: C.identity[lhs.ob[o]]
                                 for o in gp.dom.objects})

@@ -77,9 +77,9 @@ def divisor_poset(n):
     return poset_category(divs, lambda d, e: e % d == 0)
 
 
-def chain_poset(names=("a", "b", "c")):
-    """A linear order as a poset category."""
-    names = list(names)
+def chain_poset():
+    """The linear order a < b < c as a poset category."""
+    names = ["a", "b", "c"]
     return poset_category(names, lambda d, e: names.index(d) <= names.index(e))
 
 

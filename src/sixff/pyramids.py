@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corr import NoPullback, is_pullback_cone, pullback
+from .fields import TheoremViolation
 from .groupoid import (
     FiniteCategory, Functor, Violation, poset_category, presented_category,
 )
@@ -259,8 +260,11 @@ class PyramidSections:
 def pyramid_sections(n):
     s = _s_section(n)
     t = _t_section(n)
-    assert _section_functorial(s) == []
-    assert _section_functorial(t) == []
+    for name, sec in (("s", s), ("t", t)):
+        bad = _section_functorial(sec)
+        if bad:
+            raise TheoremViolation("section %s is not functorial: %s"
+                                   % (name, bad[0]))
 
     sym = True
     invol = True

@@ -260,7 +260,7 @@ def check_descent(config, rng):
     covers.append((surj, [unit_sheaf(X, field)]))
     for f, probes in covers:
         st = DescentSetting(f, field)
-        cmp = descent_comparison(f, field, probes_X=probes,
+        cmp = descent_comparison(st, probes_X=probes,
                                  probe_data=[st.canonical_datum(p)
                                              for p in probes])
         if not cmp.fully_faithful_ok:

@@ -1,19 +1,20 @@
 import pytest
 
-from sixff import presets
+from sixff import descent, presets
 from sixff.descent import (
     DescentDatum, DescentSetting, NotACover, descent_comparison, gauge_twist,
 )
 from sixff.fields import GF, QQ
 from sixff.groupoid import (
-    Functor, FiniteGroupoid, delooping, delooping_hom, disjoint_union,
-    identity_functor, terminal_groupoid, to_terminal,
+    Functor, FiniteGroupoid, cech_nerve, delooping, delooping_hom,
+    disjoint_union, identity_functor, terminal_groupoid, to_terminal,
 )
 from sixff.linalg import Matrix
 from sixff.sheaves import (
     PullbackFunctor, RanFunctor, Sheaf, SheafMorphism, find_isomorphism,
     hom_dim, unit_sheaf,
 )
+from sixff.suite import SuiteConfig, _check_rng, check_descent
 
 PT = terminal_groupoid()
 C2 = presets.group("C2")
@@ -53,7 +54,7 @@ def test_two_point_cover_of_point():
     assert len(datum.alpha.comp) == 4
     V, theta = st.descend(datum)
     assert V.dim[PT.objects[0]] == 2
-    cmp = descent_comparison(f, QQ,
+    cmp = descent_comparison(st,
                              probes_X=[unit_sheaf(PT, QQ), M],
                              probe_data=[datum])
     assert cmp.fully_faithful_ok and cmp.essentially_surjective_ok
@@ -116,11 +117,11 @@ def test_point_cover_of_bs3_comparison():
             rows[idx[S3.mul(g, h)]][idx[h]] = QQ.one
         reg_mats[g] = Matrix(QQ, rows)
     reg = Sheaf(BS3, QQ, {BS3.objects[0]: 6}, reg_mats)
-    cmp = descent_comparison(f, QQ,
+    st = DescentSetting(f, QQ)
+    cmp = descent_comparison(st,
                              probes_X=[unit_sheaf(BS3, QQ), reg],
                              probe_data=[])
     assert cmp.fully_faithful_ok
-    st = cmp.setting
     datum = st.canonical_datum(reg)
     V, theta = st.descend(datum)
     assert V.dim[BS3.objects[0]] == 6
@@ -175,10 +176,25 @@ def test_random_surjection_cover():
         else:
             sgn_mats[m] = Matrix.identity(QQ, 1)
     M = Sheaf(X, QQ, {x: 1 for x in X.objects}, sgn_mats)
-    cmp = descent_comparison(f, QQ,
+    cmp = descent_comparison(st,
                              probes_X=[unit_sheaf(X, QQ), M],
                              probe_data=[st.canonical_datum(M)])
     assert cmp.fully_faithful_ok and cmp.essentially_surjective_ok
+
+
+def test_check_descent_builds_one_nerve_per_cover(monkeypatch):
+    built = []
+
+    def counting(f, N):
+        built.append(f)
+        return cech_nerve(f, N=N)
+
+    monkeypatch.setattr(descent, "cech_nerve", counting)
+    config = SuiteConfig(seed=0, probes=2)
+    status, witness = check_descent(
+        config, _check_rng(config, "descent.comparison"))
+    assert status == "pass", witness
+    assert witness.startswith("%d covers" % len(built))
 
 
 C2_IN_S3 = S3.subgroup(S3.generated_subgroup([(1, 0, 2)]), name="C2")

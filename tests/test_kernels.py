@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from sixff import kernels, presets, sheaves
-from sixff.fields import GF, QQ
+from sixff.fields import GF, QQ, TheoremViolation
 from sixff.groupoid import (
     Functor, delooping, delooping_hom, disjoint_union, identity_functor,
     terminal_groupoid, to_terminal,
@@ -690,3 +690,18 @@ def test_prim_mate_matches_the_whiskering_functor_chain(G, K, field):
     for T in basis * 3:
         cert.mate(T)
     assert len(lan._cache) == 2
+
+
+def test_strict_square_rejects_a_square_that_does_not_commute():
+    pt = terminal_groupoid()
+    two = disjoint_union([pt, pt])
+
+    def point(o):
+        return Functor(pt, two, {pt.objects[0]: o},
+                       {pt.morphisms[0]: two.identity[o]})
+
+    one = identity_functor(pt)
+    x, y = two.objects
+    assert kernels._strict_square(f=point(x), g=point(x), fp=one, gp=one)
+    with pytest.raises(TheoremViolation, match="not strict"):
+        kernels._strict_square(f=point(x), g=point(y), fp=one, gp=one)

@@ -1,7 +1,8 @@
 import pytest
 
-from sixff import presets
+from sixff import presets, pyramids
 from sixff.corr import full_setup, pullback
+from sixff.fields import TheoremViolation
 from sixff.groupoid import Functor
 from sixff.pyramids import (
     LAMBDA, SIGMA, SIGMA2, build_pyramid, descent_index, is_cartesian,
@@ -175,6 +176,21 @@ def test_pyramid_sections_certificates():
         assert ps.symmetry_ok
         assert ps.symmetry_involutive
         assert ps.comparison_ok
+
+
+def test_pyramid_sections_refuse_a_section_that_is_not_functorial(
+        monkeypatch):
+    good = pyramids._s_section
+
+    def broken(n):
+        sec = good(n)
+        # [0] -> [1] onto the second element: the square at (1, 1) fails
+        sec.table[((1, 2), (0, 2))] = (1,)
+        return sec
+
+    monkeypatch.setattr(pyramids, "_s_section", broken)
+    with pytest.raises(TheoremViolation, match="section s"):
+        pyramid_sections(2)
 
 
 def test_section_transition_shapes():
