@@ -151,7 +151,7 @@ class DescentSetting:
                 field, stack_rows(field, rows, FW.dim[x]).nullspace(),
                 FW.dim[x])
         mats = {}
-        for xi in X.morphisms:
+        for xi in X.presentation.generators:
             sol = basis[X.dst[xi]].solve(FW.mat[xi] * basis[X.src[xi]])
             if sol is None:
                 raise TheoremViolation("descended section outside basis span")
@@ -177,8 +177,6 @@ class DescentSetting:
 class DescentComparison:
     fully_faithful_ok: bool
     essentially_surjective_ok: bool
-    checked_pairs: int
-    descended: list
 
 
 def descent_comparison(setting, probes_X=(), probe_data=()):
@@ -189,22 +187,16 @@ def descent_comparison(setting, probes_X=(), probe_data=()):
     data = [setting.canonical_datum(M) for M in probes_X]
     if not all(setting.is_valid(d) for d in data):
         raise TheoremViolation("canonical datum fails the cocycle")
-    ff_ok = True
-    pairs = 0
-    for M, dm in zip(probes_X, data):
-        for N, dn in zip(probes_X, data):
-            if hom_dim(M, N) != setting.hom_dim(dm, dn):
-                ff_ok = False
-            pairs += 1
-    descended = []
+    ff_ok = all(hom_dim(M, N) == setting.hom_dim(dm, dn)
+                for M, dm in zip(probes_X, data)
+                for N, dn in zip(probes_X, data))
     es_ok = True
     for datum in probe_data:
         try:
-            V, theta = setting.descend(datum)
-            descended.append((V, theta))
+            setting.descend(datum)
         except TheoremViolation:
             es_ok = False
-    return DescentComparison(ff_ok, es_ok, pairs, descended)
+    return DescentComparison(ff_ok, es_ok)
 
 
 def gauge_twist(setting, datum, psi):

@@ -16,7 +16,9 @@ fiber-product construction; the iso-comma 2-categorical pullback of
 groupoids is its binary case), skeletalization, equivalence testing (its
 groups compared by `FiniteGroup.is_isomorphic`), the one component search
 (`component_search`, behind `transport_to_reps` and the Kan fibers of
-`sheaves`), and truncated Čech nerves.
+`sheaves`), presentations by generators (`FiniteCategory.presentation`,
+read off `transport_to_reps`; sheaves are given at the generators), and
+truncated Čech nerves.
 
 A relative product has one arrow rule, `RelProduct.arrows_out`: the
 arrows out of one object.  Its groupoid is built from that rule on first
@@ -240,6 +242,72 @@ class FiniteCategory:
     @cached_property
     def identity_functor(self):
         return identity_functor(self)
+
+    @cached_property
+    def presentation(self):
+        """Generators of the category and the word of every other
+        morphism in them (see `Presentation`); sheaves on the category are
+        given at its generators."""
+        return Presentation(self)
+
+
+class Presentation:
+    """Generators of a finite category, and how every morphism is read off
+    them.
+
+    In a groupoid, with t[x]: comp_of[x] -> x the tree arrows of
+    `transport_to_reps`, the generators are each tree arrow t[x] and its
+    inverse t_inv[x] for x not a representative, and for each
+    representative r the generators gens[r] of Aut(r), chosen greedily in
+    morphism order.  walk[r] is their `groups._walk` spanning tree: in
+    walk order, each automorphism c but the identity maps to (a, g) with
+    c = a∘g and g in gens[r].  A morphism m: x -> y is then
+    t[y] ∘ a ∘ t_inv[x], with a = t_inv[y] ∘ m ∘ t[x] in Aut(comp_of[x]).
+    A category with no inverse table (read by `io`) has no tree (t is
+    None): its generators are its non-identity morphisms.
+
+    `generators` lists the generators in morphism order and `gen_set`
+    holds them.
+    """
+
+    __slots__ = ("generators", "gen_set", "t", "t_inv", "comp_of", "gens",
+                 "walk")
+
+    def __init__(self, cat):
+        if not cat.is_groupoid:
+            self.t = self.t_inv = self.comp_of = self.gens = self.walk = None
+            idents = set(cat.identity.values())
+            self._set_generators([m for m in cat.morphisms
+                                  if m not in idents])
+            return
+        from .groups import _walk
+        found = {}
+        t, comp_of = transport_to_reps(cat, found)
+        inv, table = cat.inverse, _table(cat)
+        self.t, self.comp_of = t, comp_of
+        self.t_inv = t_inv = {x: inv[u] for x, u in t.items()}
+        chosen = []
+        for x, r in comp_of.items():
+            if x != r:
+                chosen += (t[x], t_inv[x])
+        self.gens, self.walk = {}, {}
+        for r, auts in found.items():
+            e = cat.identity[r]
+            gens, tree = [], {e: None}
+            for a in auts:
+                if a not in tree:
+                    gens.append(a)
+                    tree = _walk(table, e, gens)
+            chosen += gens
+            self.gens[r] = tuple(gens)
+            del tree[e]
+            self.walk[r] = {c: (a, table[(inv[a], c)])
+                            for c, a in tree.items()}
+        self._set_generators(sorted(chosen, key=okey))
+
+    def _set_generators(self, generators):
+        self.generators = tuple(generators)
+        self.gen_set = frozenset(generators)
 
 
 _MISSING = object()

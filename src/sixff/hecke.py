@@ -156,7 +156,7 @@ def compact_induction(G, K, V):
 
     mats = {}
     kset = set(K.elements)
-    for x in G.elements:
+    for x in BG.presentation.generators:
         placed = {}
         for i, gi in enumerate(reps):
             for j, gj in enumerate(reps):

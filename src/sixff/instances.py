@@ -105,7 +105,7 @@ def gauged_sheaf(rng, U, reps, field):
     gauges = {(i, x): _gauge(rng, field, dims[i]) for (i, x) in G.objects}
     inverses = {x: g.inverse() for x, g in gauges.items()}
     mats = {u: gauges[G.dst[u]] * reps[u[0]](U.pieces[u[0]][2](u[1]))
-            * inverses[G.src[u]] for u in G.morphisms}
+            * inverses[G.src[u]] for u in G.presentation.generators}
     return Sheaf(G, field, {x: g.nrows for x, g in gauges.items()}, mats,
                  check=True)
 
@@ -162,7 +162,7 @@ def kernel_chain(ctx, names, rng, mindim=0):
         rp = ctx.prod((a, b))
         dims = {o: rng.randrange(mindim, 3) for o in rp.grpd.objects}
         mats = {m: Matrix.identity(ctx.field, dims[rp.grpd.src[m]])
-                for m in rp.grpd.morphisms}
+                for m in rp.grpd.presentation.generators}
         out.append(Kernel(ctx, b, a, Sheaf(rp.grpd, ctx.field, dims, mats)))
     return out
 

@@ -19,7 +19,7 @@ from .groupoid import (
     FiniteCategory, FiniteGroupoid, Functor, StructureError,
 )
 from .groups import FiniteGroup
-from .linalg import Matrix
+from .linalg import Matrix, SingularMatrixError
 from .sheaves import Sheaf
 
 
@@ -162,8 +162,10 @@ def load_matrix(field, rows, ncols=None):
 @_loader
 def load_sheaf(doc, base, field=None):
     """{"field": "q" | "fp:5", "dims": {...}, "matrices": {morphism-id:
-    rows}}: matrices may be given on generators only; the loader closes
-    the table under composition and validates exactness."""
+    rows}}: matrices may be given on any generating set; the loader closes
+    them under composition and inverses until the generators of the base's
+    presentation are covered, then validates the sheaf, every given matrix
+    included."""
     field = field or parse_field(doc.get("field", "q"))
     dims = {_as_id(k): int(v) for k, v in doc["dims"].items()}
     mats = {}
@@ -176,28 +178,26 @@ def load_sheaf(doc, base, field=None):
             raise StructureError("matrix at %r has wrong shape" % (mid,))
     for x in base.objects:
         mats[base.identity[x]] = Matrix.identity(field, dims[x])
-    # close under composition
-    changed = True
-    while changed:
-        changed = False
+    inverse = getattr(base, "inverse", {})
+    gens = base.presentation.gen_set
+    while not mats.keys() >= gens:
+        before = len(mats)
         for g, f in base.composable_pairs():
-            h = base.compose(g, f)
-            if h not in mats and g in mats and f in mats:
-                mats[h] = mats[g] * mats[f]
-                changed = True
-        if len(mats) == len(base.morphisms):
-            break
-    missing = [m for m in base.morphisms if m not in mats]
-    if missing:
-        # groupoid: fill inverses
-        for m in missing:
-            inv = base.inverse.get(m) if hasattr(base, "inverse") else None
-            if inv is not None and inv in mats:
-                mats[m] = mats[inv].inverse()
-    missing = [m for m in base.morphisms if m not in mats]
-    if missing:
-        raise StructureError("matrices do not generate: missing %r"
-                             % (missing[0],))
+            if g in mats and f in mats:
+                h = base.compose(g, f)
+                if h not in mats:
+                    mats[h] = mats[g] * mats[f]
+        for m, n in inverse.items():
+            if m not in mats and n in mats:
+                try:
+                    mats[m] = mats[n].inverse()
+                except SingularMatrixError:
+                    raise StructureError("matrix at %r is not invertible"
+                                         % (n,)) from None
+        if len(mats) == before:
+            raise StructureError("matrices do not generate: missing %r" % (
+                next(g for g in base.presentation.generators
+                     if g not in mats),))
     sh = Sheaf(base, field, dims, mats)
     bad = sh.validate()
     if bad:

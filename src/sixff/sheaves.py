@@ -2,7 +2,12 @@
 
 A sheaf assigns a finite-dimensional vector space to every object and an
 invertible matrix to every morphism, strictly compatible with composition.
-The six operations are:
+It is given by the matrices at the generators of its base's presentation
+(`FiniteCategory.presentation`); the matrix of any other morphism is
+derived from its word in the generators on first read and memoised, and
+validation checks the relators.  Every functor below builds the matrices
+of its output at the generators only, so on a discrete base it builds
+none.  The six operations are:
 
   pullback      f*   precomposition (strictly functorial),
   lan           f_!  left Kan extension: per-component coinvariants with a
@@ -32,17 +37,120 @@ so the component of x and x' is represented by x'.
 from __future__ import annotations
 
 import weakref
+from collections.abc import ItemsView, KeysView, ValuesView
 from functools import lru_cache
 
 from .fields import GateError, TheoremViolation, check_gate
-from .groupoid import component_search, okey
+from .groupoid import StructureError, component_search, okey
 from .linalg import Matrix, coordinates, stack_columns, stack_rows
 
 # ---------------------------------------------------------------------------
 # Sheaves and their morphisms
 # ---------------------------------------------------------------------------
 
+class _Transitions(dict):
+    """The transition matrices of a sheaf, `Sheaf.mat`: a dict of the
+    matrices the sheaf was given (`given` holds their morphisms), which
+    must include one at every generator of its base's presentation.  The
+    matrix of any other morphism is derived on first read and stored
+    (`__missing__`), so a stored matrix is read by a plain dict lookup.
+    Iteration, `len`, `in`, `get`, `keys`, `items`, `values` and `==`
+    range over every morphism of the base."""
+
+    __slots__ = ("base", "field", "dim", "given")
+
+    def __init__(self, base, field, dim, given):
+        super().__init__(dict.items(given) if isinstance(given, _Transitions)
+                         else given)
+        self.base, self.field, self.dim = base, field, dim
+        self.given = frozenset(dict.keys(self))
+
+    def __missing__(self, m):
+        """M(m): the identity matrix at an identity; along the walk for an
+        automorphism of a representative; M(t[y])·M(a)·M(t_inv[x]) for
+        any other m: x -> y (see `groupoid.Presentation`).  A generator
+        has no other value: its absence is a StructureError."""
+        cat = self.base
+        x = cat.src.get(m)
+        if x is None:
+            raise KeyError(m)
+        pres = cat.presentation
+        if m in pres.gen_set:
+            raise StructureError("no matrix at the generator %r" % (m,))
+        if m == cat.identity[x]:
+            value = Matrix.identity(self.field, self.dim[x])
+        else:
+            r, y = pres.comp_of[x], cat.dst[m]
+            if x == r == y:
+                return self._automorphism(m, r)
+            a = cat.compose(pres.t_inv[y], cat.compose(m, pres.t[x]))
+            value = None if a == cat.identity[r] else self[a]
+            if y != r:
+                t = self[pres.t[y]]
+                value = t if value is None else t * value
+            if x != r:
+                t = self[pres.t_inv[x]]
+                value = t if value is None else value * t
+        dict.__setitem__(self, m, value)
+        return value
+
+    def _automorphism(self, a, r):
+        """M(a) for an automorphism a of r: from its nearest stored
+        ancestor along the walk, storing each step."""
+        walk, e = self.base.presentation.walk[r], self.base.identity[r]
+        path = []
+        while not dict.__contains__(self, a):
+            if a == e:
+                value = None
+                break
+            parent, g = walk[a]
+            path.append((a, g))
+            a = parent
+        else:
+            value = dict.__getitem__(self, a)
+        for c, g in reversed(path):
+            g = self[g]
+            value = g if value is None else value * g
+            dict.__setitem__(self, c, value)
+        return value
+
+    def __iter__(self):
+        return iter(self.base.morphisms)
+
+    def __len__(self):
+        return len(self.base.morphisms)
+
+    def __contains__(self, m):
+        return m in self.base.src
+
+    def get(self, m, default=None):
+        return self[m] if m in self else default
+
+    def keys(self):
+        return KeysView(self)
+
+    def items(self):
+        return ItemsView(self)
+
+    def values(self):
+        return ValuesView(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, dict):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            m in other and self[m] == other[m] for m in self)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+
 class Sheaf:
+    """A vector space dim[x] at every object x of `base` and an invertible
+    matrix mat[m] at every morphism m, given at the generators of the
+    base's presentation (and wherever else the caller gives one)."""
+
     # weakly referable: the Kan push memo holds f_!M and f_*M weakly
     __slots__ = ("base", "field", "dim", "mat", "__weakref__")
 
@@ -50,28 +158,68 @@ class Sheaf:
         self.base = base
         self.field = field
         self.dim = dict(dim)
-        self.mat = dict(mat)
+        self.mat = _Transitions(base, field, self.dim, mat)
         if check:
             bad = self.validate()
             if bad:
                 raise ValueError("not a sheaf: %s" % bad[0])
 
     def validate(self):
-        out = []
-        G = self.base
+        """Every stored matrix has its shape and every stored identity is
+        the identity.  On a groupoid: the generators of each vertex group
+        satisfy its relators, M(a∘g) = M(a)·M(g) for every automorphism a
+        and generator g (the check of `FiniteGroup.homomorphisms`); each
+        tree arrow's matrix is inverted by its inverse's; and every other
+        stored matrix equals the value its word gives.  On a category with
+        no inverse table: every composite is the product."""
+        G, pres, stored = self.base, self.base.presentation, self.mat.given
+        mat = {m: self.mat[m] for m in G.morphisms if m in stored}
+        out = ["no matrix at the generator %r" % (g,)
+               for g in pres.generators if g not in stored]
+        out += ["matrix at %r has wrong shape" % (m,) for m, a in mat.items()
+                if a.shape != (self.dim[G.dst[m]], self.dim[G.src[m]])]
+        if out:
+            return out
         for x in G.objects:
-            m = self.mat[G.identity[x]]
-            if not m.is_identity():
+            e = G.identity[x]
+            if e in stored and not mat[e].is_identity():
                 out.append("identity at %r not the identity matrix" % (x,))
-        for g, f in G.composable_pairs():
-            if self.mat[G.compose(g, f)] != self.mat[g] * self.mat[f]:
-                out.append("transition at (%r,%r) not multiplicative" % (g, f))
-        for m in G.morphisms:
-            a, b = G.src[m], G.dst[m]
-            mm = self.mat[m]
-            if mm.shape != (self.dim[b], self.dim[a]):
-                out.append("matrix at %r has wrong shape" % (m,))
+        if pres.t is None:
+            for g, f in G.composable_pairs():
+                if self.mat[G.compose(g, f)] != self.mat[g] * self.mat[f]:
+                    out.append("transition at (%r,%r) not multiplicative"
+                               % (g, f))
+            return out
+        for x, r in pres.comp_of.items():
+            if x != r:
+                t, ti = mat[pres.t[x]], mat[pres.t_inv[x]]
+                if not ((ti * t).is_identity() and (t * ti).is_identity()):
+                    out.append("tree arrow %r not inverted by %r"
+                               % (pres.t[x], pres.t_inv[x]))
+        # every matrix as its word in the generators alone gives it
+        words = _Transitions(G, self.field, self.dim,
+                             {g: mat[g] for g in pres.generators})
+        for r, walk in pres.walk.items():
+            for a in [G.identity[r], *walk]:
+                for g in pres.gens[r]:
+                    if words[G.compose(a, g)] != words[a] * mat[g]:
+                        out.append("relator fails at (%r,%r)" % (a, g))
+        for m, given in mat.items():
+            if m in pres.gen_set or m == G.identity[G.src[m]]:
+                continue
+            if given != words[m]:
+                out.append("matrix at %r disagrees with its word" % (m,))
         return out
+
+    def left_times(self, m, a):
+        """M(m)·a, with no product when m is an identity."""
+        G = self.base
+        return a if m == G.identity[G.src[m]] else self.mat[m] * a
+
+    def right_times(self, a, m):
+        """a·M(m), with no product when m is an identity."""
+        G = self.base
+        return a if m == G.identity[G.src[m]] else a * self.mat[m]
 
     def total_dim(self):
         return sum(self.dim.values())
@@ -86,13 +234,13 @@ def unit_sheaf(base, field):
     one = Matrix.identity(field, 1)
     return Sheaf(base, field,
                  {x: 1 for x in base.objects},
-                 {m: one for m in base.morphisms})
+                 dict.fromkeys(base.presentation.generators, one))
 
 
 def zero_sheaf(base, field):
     z = Matrix.zero(field, 0, 0)
     return Sheaf(base, field, {x: 0 for x in base.objects},
-                 {m: z for m in base.morphisms})
+                 dict.fromkeys(base.presentation.generators, z))
 
 
 def sheaf_from_rep(base, field, rep):
@@ -103,7 +251,16 @@ def sheaf_from_rep(base, field, rep):
 
 
 def sheaves_equal(M, N):
-    return M.field == N.field and M.dim == N.dim and M.mat == N.mat
+    """Same field, dims and generator matrices, and the same matrices
+    wherever either was given one beyond the generators (which a sheaf's
+    generators determine, unless it is invalid)."""
+    if M is N:
+        return True
+    if not (M.field == N.field and M.dim == N.dim):
+        return False
+    a, b = M.mat, N.mat
+    return all(a[m] == b[m]
+               for m in M.base.presentation.gen_set | a.given | b.given)
 
 
 class SheafMorphism:
@@ -124,7 +281,9 @@ class SheafMorphism:
             c = self.comp[x]
             if c.shape != (self.dst.dim[x], self.src.dim[x]):
                 out.append("component at %r has wrong shape" % (x,))
-        for m in G.morphisms:
+        if out:
+            return out
+        for m in G.presentation.generators:
             a, b = G.src[m], G.dst[m]
             if self.comp[b] * self.src.mat[m] != self.dst.mat[m] * self.comp[a]:
                 out.append("naturality fails at %r" % (m,))
@@ -132,7 +291,9 @@ class SheafMorphism:
 
     def then(self, other):
         """other ∘ self."""
-        assert other.src is self.dst or other.src.dim == self.dst.dim
+        if not (other.src is self.dst or other.src.dim == self.dst.dim):
+            raise StructureError("morphisms not composable: %r then %r"
+                                 % (self, other))
         return SheafMorphism(self.src, other.dst,
                              {x: other.comp[x] * self.comp[x]
                               for x in self.comp})
@@ -342,7 +503,8 @@ class PullbackFunctor(SheafFunctor):
         f = self.f
         return Sheaf(f.dom, M.field,
                      {y: M.dim[f.ob[y]] for y in f.dom.objects},
-                     {u: M.mat[f.mor[u]] for u in f.dom.morphisms})
+                     {u: M.mat[f.mor[u]]
+                      for u in f.dom.presentation.generators})
 
     def mor(self, phi):
         f = self.f
@@ -358,9 +520,10 @@ _INVARIANT_CACHE_SIZE = 4096
 @lru_cache(maxsize=_INVARIANT_CACHE_SIZE)
 def _invariant_data(field, d, mats, averaging):
     """(iota, pi, leg) of one fiber component, from its content alone: the
-    field, d = dim M(y_rep), the automorphism matrices `mats` in fiber
-    order, and whether leg averages.  The field is part of the key, so data
-    computed over one field never answers a call over another.
+    field, d = dim M(y_rep), the matrices `mats` of the automorphisms
+    other than the identity, in fiber order, and whether leg averages.
+    The field is part of the key, so data computed over one field never
+    answers a call over another.
     The gate is left to the caller, which must check it on every call,
     cached or not.
     """
@@ -382,10 +545,10 @@ def _invariant_data(field, d, mats, averaging):
     if not averaging:
         return iota, pi, pi
     # pi∘avg, avg the averaging idempotent over all the automorphisms
-    total = Matrix.zero(field, d, d)
+    total = Matrix.identity(field, d)
     for a in mats:
         total = total + a
-    return iota, pi, pi * total.scale(field.inv(field.of(len(mats))))
+    return iota, pi, pi * total.scale(field.inv(field.of(len(mats) + 1)))
 
 
 class _KanExtension(SheafFunctor):
@@ -408,9 +571,11 @@ class _KanExtension(SheafFunctor):
             their arrows from the arrow index `out` of f.dom and f.cod,
             built once per category;
           - the pushes: f_!M or f_*M by the content of M, (kind, field,
-            dims over f.dom.objects, matrices over f.dom.morphisms), with
-            its component data.  The key is exact: equal keys mean equal
-            matrices over the same field.  A push is held weakly, so it
+            dims over f.dom.objects, matrices at the generators of
+            f.dom), with its component data; on a discrete f.dom the key
+            is the dims alone.  The key is exact: the generator matrices
+            determine every other one, so equal keys mean equal sheaves
+            over the same field.  A push is held weakly, so it
             lives exactly as long as someone holds f_!M or f_*M; while
             it lives, every Kan functor on f reuses it for a sheaf of the
             same content and assembles nothing;
@@ -422,8 +587,9 @@ class _KanExtension(SheafFunctor):
         keep every sheaf ever pushed along a long-lived f alive;
       - `_invariant_data`, shared by every Kan functor and keyed by
         content: (field, dim M(y_rep), the tuple of matrices M(u) over the
-        component's automorphisms u, averaging).  So a new push whose
-        components were seen before solves nothing again.
+        component's automorphisms u other than the identity, averaging).
+        So a new push whose components were seen before solves nothing
+        again.
     The gate is checked whenever the data of a sheaf is computed, before
     the last level; a push is stored only once it is built, so a GateError
     is never cached."""
@@ -444,7 +610,7 @@ class _KanExtension(SheafFunctor):
             Y = self.f.dom
             key = (self.kind, M.field,
                    tuple(map(M.dim.__getitem__, Y.objects)),
-                   tuple(map(M.mat.__getitem__, Y.morphisms)))
+                   tuple(map(M.mat.__getitem__, Y.presentation.generators)))
             FM = self._pushes.get(key)
             if FM is None:
                 data = {x: [self._component(M, fiber, rep)
@@ -459,10 +625,11 @@ class _KanExtension(SheafFunctor):
         return self._entry(M)[1]
 
     def _component(self, M, fiber, rep):
-        fld = M.field
-        mats = tuple(M.mat[u] for u in fiber.auts[rep])
+        fld, auts = M.field, fiber.auts[rep]
+        e = self.f.dom.identity[rep[0]]
+        mats = tuple(M.mat[u] for u in auts if u != e)
         if self.averaging and fld.characteristic and \
-                len(mats) % fld.characteristic == 0:
+                len(auts) % fld.characteristic == 0:
             raise GateError("char divides a fiber automorphism count")
         return _invariant_data(fld, M.dim[rep[0]], mats,
                                self.averaging) + (rep,)
@@ -470,11 +637,9 @@ class _KanExtension(SheafFunctor):
     def _build(self, M, data):
         widths = {x: [c[0].ncols for c in data[x]] for x in data}
         X = self.f.cod
-        mats = {}
-        for xi in X.morphisms:
-            x, x2 = X.src[xi], X.dst[xi]
-            mats[xi] = Matrix.block(M.field, widths[x2], widths[x],
-                                    self._blocks(M, data, xi))
+        mats = {xi: Matrix.block(M.field, widths[X.dst[xi]],
+                                 widths[X.src[xi]], self._blocks(M, data, xi))
+                for xi in X.presentation.generators}
         return Sheaf(X, M.field, {x: sum(w) for x, w in widths.items()},
                      mats)
 
@@ -510,7 +675,7 @@ class LanFunctor(_KanExtension):
         placed = {}
         for c, (iota, _, _, (y_c, m_c)) in enumerate(data[X.src[xi]]):
             r, p = fiber.locate[(y_c, X.compose(xi, m_c))]
-            placed[(r, c)] = comps2[r][2] * (M.mat[inv[p]] * iota)
+            placed[(r, c)] = comps2[r][2] * M.left_times(inv[p], iota)
         return placed
 
     def cocone_leg(self, M, x, o):
@@ -524,7 +689,7 @@ class LanFunctor(_KanExtension):
         r, p = self.fibers[x].locate[o]
         d = M.dim[o[0]]
         return stack_rows(M.field, [
-            leg * M.mat[self.f.dom.inverse[p]] if i == r
+            M.right_times(leg, self.f.dom.inverse[p]) if i == r
             else Matrix.zero(M.field, iota.ncols, d)
             for i, (iota, _, leg, _) in enumerate(self._data(M)[x])], d)
 
@@ -567,7 +732,7 @@ class RanFunctor(_KanExtension):
         placed = {}
         for c2, (_, _, leg, (y2, m2)) in enumerate(data[X.dst[xi]]):
             r, p = fiber.locate[(y2, X.compose(m2, xi))]
-            placed[(c2, r)] = (leg * M.mat[p]) * comps[r][0]
+            placed[(c2, r)] = M.right_times(leg, p) * comps[r][0]
         return placed
 
     def section_value(self, M, x, o):
@@ -578,7 +743,7 @@ class RanFunctor(_KanExtension):
         comps = self._data(M)[x]
         return Matrix.block(M.field, [M.dim[o[0]]],
                             [c[0].ncols for c in comps],
-                            {(0, r): M.mat[p] * comps[r][0]})
+                            {(0, r): M.left_times(p, comps[r][0])})
 
 
 class TensorLeftFunctor(SheafFunctor):
@@ -590,10 +755,12 @@ class TensorLeftFunctor(SheafFunctor):
 
     def obj(self, M):
         W = self.W
-        assert W.base is M.base or W.dim.keys() == M.dim.keys()
+        if not (W.base is M.base or W.dim.keys() == M.dim.keys()):
+            raise StructureError("tensor factors on different bases")
         return Sheaf(M.base, M.field,
                      {x: W.dim[x] * M.dim[x] for x in M.dim},
-                     {m: W.mat[m].kron(M.mat[m]) for m in M.mat})
+                     {m: W.mat[m].kron(M.mat[m])
+                      for m in M.base.presentation.generators})
 
     def mor(self, phi):
         W = self.W
@@ -614,11 +781,10 @@ class HomFromFunctor(SheafFunctor):
         W = self.W
         G = M.base
         dims = {x: M.dim[x] * W.dim[x] for x in M.dim}
-        mats = {}
-        for u in G.morphisms:
-            winv = W.mat[G.inverse[u]]
-            mats[u] = M.mat[u].kron(winv.transpose())
-        return Sheaf(G, M.field, dims, mats)
+        inv = G.inverse
+        return Sheaf(G, M.field, dims, {
+            u: M.mat[u].kron(W.mat[inv[u]].transpose())
+            for u in G.presentation.generators})
 
     def mor(self, phi):
         W = self.W
@@ -722,7 +888,8 @@ def adj_lan_pullback(f):
         pN = pull.obj(N)
         FpN = lan.obj(pN)
         comp = {x: stack_columns(N.field, [
-            N.mat[m_c] * iota for (iota, _, _, (_, m_c)) in lan._data(pN)[x]],
+            N.left_times(m_c, iota)
+            for (iota, _, _, (_, m_c)) in lan._data(pN)[x]],
             N.dim[x]) for x in f.cod.objects}
         return SheafMorphism(FpN, N, comp)
 
@@ -737,7 +904,8 @@ def adj_pullback_ran(f):
     def unit(M):
         pM = pull.obj(M)
         comp = {x: stack_rows(M.field, [
-            leg * M.mat[m_c] for (_, _, leg, (_, m_c)) in ran._data(pM)[x]],
+            M.right_times(leg, m_c)
+            for (_, _, leg, (_, m_c)) in ran._data(pM)[x]],
             M.dim[x]) for x in f.cod.objects}
         return SheafMorphism(M, ran.obj(pM), comp)
 

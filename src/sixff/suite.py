@@ -24,8 +24,8 @@ from .groupoid import (
     terminal_groupoid, to_terminal,
 )
 from .sheaves import (
-    CommutingSquare, LanFunctor, unit_sheaf, verify_base_change,
-    verify_projection_formula,
+    CommutingSquare, LanFunctor, adj_lan_pullback, adj_pullback_ran,
+    unit_sheaf, verify_base_change, verify_projection_formula,
 )
 
 
@@ -141,6 +141,13 @@ def check_double_cosets(config, rng):
     return "pass", "%d subgroup pairs matched against fiber products" % count
 
 
+def _certify_natural(cell, what):
+    """TheoremViolation unless `cell` is natural at its base's generators."""
+    bad = cell.validate()
+    if bad:
+        raise TheoremViolation("%s not natural: %s" % (what, bad[0]))
+
+
 def check_base_change_and_projection(config, rng):
     fields = [QQ, GF(5)]
     count = config.probes * 100
@@ -152,7 +159,16 @@ def check_base_change_and_projection(config, rng):
         g = instances.union_map(rng, Z, X)
         try:
             square, _ = CommutingSquare.from_iso_comma(f, g)
-            verify_base_change(square, instances.sheaf(rng, Y, field))
+            M = instances.sheaf(rng, Y, field)
+            # the unit M -> f*f_!M and the counit f*f_*M -> M each have
+            # one end no push built, so a push with a wrong transition
+            # matrix fails here even where every cell between pushes
+            # stays natural and invertible
+            _certify_natural(adj_lan_pullback(f).unit(M),
+                             "unit of f_! ⊣ f*")
+            verify_base_change(square, M)
+            _certify_natural(adj_pullback_ran(f).counit(M),
+                             "counit of f* ⊣ f_*")
             verify_projection_formula(f, instances.sheaf(rng, X, field),
                                       instances.sheaf(rng, Y, field))
         except TheoremViolation as e:
