@@ -10,6 +10,13 @@ behind compares, hashes and prints (`str`) like the equal `int`, so
 as the report shows it (`1/2`, `3`), and zero is its only falsy value.
 `PrimeField.of` and `inv` return reduced ints and `linalg.Matrix` reduces
 what it computes, so an F_p entry is never an unreduced int.
+
+Fields are interned: `RationalField()` is `QQ`, and `PrimeField(p)` and
+`GF(p)` return one instance per p.  Equality and hashing are therefore by
+identity, in C, with no Python-level `__eq__` or `__hash__`; a field keys
+the content-keyed caches (`sheaves._invariant_data`, the Kan push memo) on
+every lookup.  A modulus that is not prime raises ValueError and interns
+nothing.
 """
 
 from __future__ import annotations
@@ -70,12 +77,16 @@ def _rational(q):
 
 
 class RationalField:
-    """The rationals, with integral scalars held as ints.  `zero` and `one`
-    are `0` and `1`; they stay properties, as in `PrimeField`, so that the
-    benchmark's count-only tracer can count reads of them."""
+    """The rationals, with integral scalars held as ints; the one instance
+    is `QQ`.  `zero` and `one` are `0` and `1`; they stay properties, as in
+    `PrimeField`, so that the benchmark's count-only tracer can count reads
+    of them."""
 
     characteristic = 0
     name = "Q"
+
+    def __new__(cls):
+        return QQ
 
     def of(self, n, d=1):
         """n / d, an int when d divides n."""
@@ -98,24 +109,29 @@ class RationalField:
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
 
 class PrimeField:
-    """F_p, with scalars the ints in `range(p)`.  `zero` and `one` stay
-    properties, as in `RationalField`, so that the benchmark's count-only
-    tracer can count reads of them."""
+    """F_p, with scalars the ints in `range(p)`, one instance per p.
+    `zero` and `one` stay properties, as in `RationalField`, so that the
+    benchmark's count-only tracer can count reads of them."""
 
-    def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValueError("modulus %r is not prime" % (p,))
-        self.p = p
-        self.characteristic = p
-        self.name = "F%d" % p
+    _interned = {}
+
+    def __new__(cls, p):
+        if type(p) is not int:      # 5.0 would find and intern under 5
+            raise ValueError("modulus %r is not an int" % (p,))
+        field = cls._interned.get(p)
+        if field is None:
+            if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+                raise ValueError("modulus %r is not prime" % (p,))
+            field = super().__new__(cls)
+            field.p = field.characteristic = p
+            field.name = "F%d" % p
+            cls._interned[p] = field
+        return field
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def of(self, n, d=1):
         """n / d reduced into range(p)."""
@@ -140,14 +156,8 @@ class PrimeField:
     def __repr__(self):
         return "GF(%d)" % self.p
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
 
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-
-QQ = RationalField()
+QQ = object.__new__(RationalField)
 
 
 def GF(p):

@@ -785,6 +785,7 @@ class RelProduct:
                            for u in X.out[x]] for x in X.objects}
                       for X, a in factors]
         self._moved = [{} for _ in factors[1:]]
+        self._factor_projs = {}
         # g∘f factor by factor; it holds the tables, not self, so `grpd`
         # does not refer back to the product
         tables = [_table(X) for X in Xs]
@@ -845,11 +846,14 @@ class RelProduct:
                               self.identity, self.compose, inv)
 
     def factor_proj(self, i):
-        X = self.factors[i][0]
-        return Functor(self.grpd, X,
-                       {o: o[0][i] for o in self.grpd.objects},
-                       {m: m[1][i] for m in self.grpd.morphisms},
-                       name="pr%d" % i)
+        """The projection onto factor i, built once per i, as `diagonal`
+        is, so the Kan functors along it share their fibers."""
+        if i not in self._factor_projs:
+            self._factor_projs[i] = Functor(
+                self.grpd, self.factors[i][0],
+                {o: o[0][i] for o in self.grpd.objects},
+                {m: m[1][i] for m in self.grpd.morphisms}, name="pr%d" % i)
+        return self._factor_projs[i]
 
     def proj_onto(self, indices, target):
         """The reindexing functor onto the RelProduct `target` whose factor
@@ -898,12 +902,12 @@ class IsoComma(RelProduct):
     morphisms are pairs (u, v) making the evident square commute.  The
     groupoid and the legs are built on first use."""
 
-    @cached_property
+    @property
     def p1(self):
         """Projection to the domain of f."""
         return self.factor_proj(0)
 
-    @cached_property
+    @property
     def p2(self):
         """Projection to the domain of g."""
         return self.factor_proj(1)

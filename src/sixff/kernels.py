@@ -17,6 +17,17 @@ with the fixed factor's side of the tensor as its parameter.  Nothing is
 searched: the only solve is for the uniquely determined adjunction unit,
 exactly as the pointwise criterion prescribes, and a failed triangle
 identity is diagnostic, not retried.
+
+A `KernelContext` builds once, and holds, everything that depends on the
+context alone and not on the kernels' payloads, so every associator,
+unitor and certificate drawn in it reuses the same objects: the relative
+products and their projections (whose Kan functors then share fibers and
+pushes), the strict square of each set of four maps with its composites
+and identity comparison, per (x, y, side) the unit sheaf's base-change
+cell behind a unitor with its invertibility check and the unit sheaf on
+prod(x, y), and the identity kernel of each name.  A build that raises
+stores nothing, so a TheoremViolation fires on every call.  Everything is
+keyed by object names, so a context refuses a name it already holds.
 """
 
 from __future__ import annotations
@@ -43,43 +54,56 @@ from .sheaves import (
 
 
 class KernelContext:
-    """Registry of kernel objects over S with cached fiber products and
-    projections between them."""
+    """Registry of kernel objects over S.  It builds once, and holds,
+    everything that depends on the context alone and not on a kernel's
+    payload (see `once`)."""
 
     def __init__(self, S, field):
         check_gate(field, S)
         self.S, self.field = S, field
         self.objects = {}
-        self._prods = {}
-        self._projs = {}
+        self._built = {}
 
     def add_object(self, name, X, a):
         if a.dom is not X or a.cod is not self.S:
             raise ValueError("structure map of %r must run X -> S" % name)
+        if name in self.objects:
+            # what was built under the name would outlive its object
+            raise ValueError("object %r is already in the context" % name)
         check_gate(self.field, X)
         self.objects[name] = (X, a)
         return name
 
+    def once(self, key, build):
+        """build(), the first time `key` is asked for, and the same object
+        ever after.  A build that raises stores nothing, so a
+        TheoremViolation fires again on the next call."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
     def prod(self, names):
         key = tuple(names)
-        if key not in self._prods:
-            factors = [self.objects[n] for n in key]
-            self._prods[key] = RelProduct(self.S, factors)
-        return self._prods[key]
+        return self.once(("prod", key), lambda: RelProduct(
+            self.S, [self.objects[n] for n in key]))
 
     def proj(self, names, indices):
         """The reindexing prod(names) -> prod(names[i] for i in indices),
         built once, so the Kan functors along it share their fibers."""
-        key = (tuple(names), tuple(indices))
-        if key not in self._projs:
-            self._projs[key] = self.prod(names).proj_onto(
-                indices, self.prod([names[i] for i in indices]))
-        return self._projs[key]
+        names, indices = tuple(names), tuple(indices)
+        return self.once(("proj", names, indices), lambda: self.prod(
+            names).proj_onto(indices, self.prod([names[i] for i in indices])))
 
     def legs(self, x, y, z):
         """(p12, p23, p13) out of prod(x, y, z)."""
         return tuple(self.proj((x, y, z), ix)
                      for ix in ((0, 1), (1, 2), (0, 2)))
+
+    def square(self, f, g, fp, gp):
+        """The strict square of four maps of this context, built once."""
+        return self.once(("square", f, g, fp, gp),
+                         lambda: _strict_square(f, g, fp, gp))
+
 
 @dataclass
 class Kernel:
@@ -95,10 +119,13 @@ class Kernel:
 
 
 def kernel_identity(ctx, xname):
-    """Identity 1-morphism: the diagonal pushforward of the unit."""
-    diag = ctx.prod((xname, xname)).diagonal
-    payload = LanFunctor(diag).obj(unit_sheaf(diag.dom, ctx.field))
-    return Kernel(ctx, xname, xname, payload)
+    """Identity 1-morphism: the diagonal pushforward of the unit, built
+    once per name and shared."""
+    def build():
+        diag = ctx.prod((xname, xname)).diagonal
+        payload = LanFunctor(diag).obj(unit_sheaf(diag.dom, ctx.field))
+        return Kernel(ctx, xname, xname, payload)
+    return ctx.once(("identity", xname), build)
 
 
 def kernel_compose(M, N):
@@ -196,15 +223,22 @@ def _unitor(M, side):
     z = (x, y)[k]
     p12, p23, p13 = ctx.legs(*((x, y, y) if k else (x, x, y)))
     leg, g = _sided(side, p12, p23)      # M's leg, the identity's leg
-    diag = ctx.prod((z, z)).diagonal
     # (x, y, m) -> (x, y, y, m, m) or (x, x, y, id, m)
     j = ctx.proj((x, y), (0, 1, 1) if k else (0, 0, 1))
-    square = _strict_square(f=diag, g=g, fp=j, gp=rp2.factor_proj(k))
-    bc = base_change_cell(square, unit_sheaf(diag.dom, ctx.field))
-    if not bc.is_invertible():
-        raise TheoremViolation("unitor base-change not invertible")
+
+    def unit_base_change():
+        """The certified base change of the unit along z's diagonal, and
+        the unit on prod(x, y): neither depends on M."""
+        diag = ctx.prod((z, z)).diagonal
+        square = ctx.square(f=diag, g=g, fp=j, gp=rp2.factor_proj(k))
+        bc = base_change_cell(square, unit_sheaf(diag.dom, ctx.field))
+        if not bc.is_invertible():
+            raise TheoremViolation("unitor base-change not invertible")
+        return bc, unit_sheaf(rp2.grpd, ctx.field)
+
+    bc, unit = ctx.once(("unitor", x, y, side), unit_base_change)
     pM = PullbackFunctor(leg).obj(M.payload)
-    stage = _pf_bc(j, bc, unit_sheaf(rp2.grpd, ctx.field), pM, side)
+    stage = _pf_bc(j, bc, unit, pM, side)
     into = LanFunctor(p13).mor(stage)
     cmp1 = compose_comparison_lan(p13, j, M.payload)
     idc = lan_identity_comparison(rp2.grpd, M.payload)
@@ -245,7 +279,7 @@ def _fourfold_cell(M, N, L, side):
     X4 = PullbackFunctor(q_pair).obj(X)
     pW = PullbackFunctor(leg).obj(W.payload)
     inner = tensor(*_sided(side, PullbackFunctor(q_fixed).obj(pW), X4))
-    square = _strict_square(f=s13, g=g, fp=q_fixed, gp=q_pair)
+    square = ctx.square(f=s13, g=g, fp=q_fixed, gp=q_pair)
     bc = base_change_cell(square, X)     # q_fixed_! X4 -> g*(A∘B)
     if not bc.is_invertible():
         raise TheoremViolation("associator base-change not invertible")
@@ -275,7 +309,7 @@ def swap_compatibility(M, N):
     s_zx = ctx.proj((z, x), (1, 0))
     rho = tensor(PullbackFunctor(p12).obj(M.payload),
                  PullbackFunctor(p23).obj(N.payload))
-    square = _strict_square(f=p13, g=s_zx, fp=q13, gp=sigma)
+    square = ctx.square(f=p13, g=s_zx, fp=q13, gp=sigma)
     bc = base_change_cell(square, rho)   # q13_! sigma* rho -> s_zx* p13_! rho
     left = _invert_certified(bc, "swap base change")
     swM, swN = kernel_swap(M), kernel_swap(N)
@@ -368,7 +402,7 @@ def psi_composition_certificate(M, N, probes):
         left_route = cmp_a.then(cell_a)     # pr1^3_!(big) -> Psi(M∘N)(V)
         # (B) bc for the middle square + pf for p12
         NV = tensor(N.payload, PullbackFunctor(pYZ_2).obj(V))
-        square = _strict_square(f=pYZ_1, g=pXY_2, fp=p12, gp=p23)
+        square = ctx.square(f=pYZ_1, g=pXY_2, fp=p12, gp=p23)
         bc = base_change_cell(square, NV)   # p12_! p23* NV -> pXY_2* Psi(N)V
         if not bc.is_invertible():
             raise TheoremViolation("psi coherence base change not invertible")

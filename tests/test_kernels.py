@@ -246,6 +246,92 @@ def test_kernel_identity_shares_one_diagonal_and_its_fibers(monkeypatch):
     assert sheaves_equal(first.payload, second.payload)
 
 
+def test_add_object_refuses_a_name_it_already_holds():
+    ctx = KernelContext(BS3, QQ)
+    ctx.add_object("Y", BC2, INCL)
+    with pytest.raises(ValueError, match="already in the context"):
+        ctx.add_object("Y", BS3, identity_functor(BS3))
+    assert ctx.objects["Y"] == (BC2, INCL)
+
+
+def test_identity_kernels_and_factor_projections_are_built_once():
+    ctx = KernelContext(BS3, QQ)
+    ctx.add_object("Y", BC2, INCL)
+    assert kernel_identity(ctx, "Y") is kernel_identity(ctx, "Y")
+    rp = ctx.prod(("Y", "Y"))
+    assert rp.factor_proj(0) is rp.factor_proj(0)
+    assert rp.factor_proj(1) is rp.factor_proj(1) is not rp.factor_proj(0)
+
+
+def _sign_context():
+    """KernelContext(BS3) with objects Y0..Y3, each BC2 by inclusion."""
+    ctx = KernelContext(BS3, QQ)
+    for name in ("Y0", "Y1", "Y2", "Y3"):
+        ctx.add_object(name, BC2, INCL)
+    return ctx
+
+
+def _sign_cells(ctx, chars):
+    """The associator, both unitors, the swap cell and the Psi composition
+    cell of external kernels Y1 => Y0, Y2 => Y1, Y3 => Y2 whose left and
+    right factors are the characters `chars` names, in order."""
+    pick = {"s": SIGN, "t": unit_sheaf(BC2, QQ)}
+    M, N, L = (external_kernel(ctx, "Y%d" % i, "Y%d" % (i + 1),
+                               pick[chars[2 * i]], pick[chars[2 * i + 1]])
+               for i in range(3))
+    [psi] = psi_composition_certificate(M, N, [SIGN])
+    return [associator(M, N, L), right_unitor(M), left_unitor(M),
+            swap_compatibility(M, N), psi]
+
+
+def test_cells_of_a_warm_context_equal_those_of_a_fresh_one():
+    warm = _sign_context()
+    _sign_cells(warm, "ttsttt")
+    got, want = _sign_cells(warm, "sttsss"), _sign_cells(_sign_context(),
+                                                         "sttsss")
+    for cell, fresh in zip(got, want):
+        assert sheaves_equal(cell.src, fresh.src)
+        assert sheaves_equal(cell.dst, fresh.dst)
+        assert cell.comp == fresh.comp
+
+
+def test_two_right_unitors_build_the_unit_base_change_once(monkeypatch):
+    ctx = _sign_context()
+    triv = unit_sheaf(BC2, QQ)
+    M = external_kernel(ctx, "Y0", "Y1", SIGN, triv)
+    N = external_kernel(ctx, "Y0", "Y1", triv, SIGN)
+    built = []
+    base_change_cell = kernels.base_change_cell
+
+    def counted(square, V):
+        built.append(V)
+        return base_change_cell(square, V)
+
+    monkeypatch.setattr(kernels, "base_change_cell", counted)
+    for K in (M, N):
+        assert right_unitor(K).is_invertible()
+    [V] = built
+    assert sheaves_equal(V, unit_sheaf(V.base, QQ))
+
+
+def test_a_singular_unit_base_change_raises_on_every_call(monkeypatch):
+    ctx = _sign_context()
+    M = external_kernel(ctx, "Y0", "Y1", SIGN, SIGN)
+    base_change_cell = kernels.base_change_cell
+
+    def singular(square, V):
+        cell = base_change_cell(square, V)
+        return SheafMorphism(cell.src, cell.dst, {
+            x: Matrix.zero(QQ, c.nrows, c.ncols) for x, c in cell.comp.items()})
+
+    monkeypatch.setattr(kernels, "base_change_cell", singular)
+    for _ in range(2):
+        with pytest.raises(TheoremViolation, match="unitor base-change"):
+            right_unitor(M)
+    monkeypatch.undo()
+    assert right_unitor(M).is_invertible()
+
+
 def test_sheaf_is_freed_with_its_kan_functor_on_a_memoised_proj():
     ctx = KernelContext(BS3, QQ)
     for name in ("Y0", "Y1"):

@@ -8,6 +8,8 @@ that `Matrix` keeps.
 """
 
 import ast
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixff.fields import GF, QQ
+from sixff.fields import GF, QQ, PrimeField, RationalField
 import sixff
 from sixff.linalg import (Matrix, SingularMatrixError, coordinates,
                           stack_columns, stack_rows)
@@ -790,3 +792,26 @@ def test_integral_fractions_compare_and_hash_as_ints():
     _assert_canonical(a)
     _assert_canonical(a * b)
     assert (a - b).is_zero()
+
+
+def test_fields_are_interned_and_compare_by_identity():
+    assert RationalField() is QQ
+    assert GF(5) is PrimeField(5) and GF(5) is GF(5)
+    assert GF(5) != GF(7) and GF(5) != QQ
+    assert {QQ: "q", GF(5): "f5"}[GF(5)] == "f5"
+    assert {QQ: "q", GF(5): "f5"}[RationalField()] == "q"
+    assert (repr(QQ), repr(GF(5))) == ("QQ", "GF(5)")
+    for field in (QQ, GF(5)):
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field)) is field
+    # equality and hashing are object's own, not Python-level methods
+    for cls in (RationalField, PrimeField):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 5.0])
+def test_a_bad_modulus_raises_and_interns_nothing(p):
+    before = dict(PrimeField._interned)
+    with pytest.raises(ValueError):
+        GF(p)
+    assert PrimeField._interned == before

@@ -12,6 +12,8 @@ values, medians and quartiles, the change against the parent, the
 parent's IQR and how many pairs the change won (lower is better for
 every metric).  With ``--claim METRIC`` it adds whether the change won
 at least nine pairs in ten and its median gap exceeds the parent's IQR.
+It stops with exit status 1 at the first run that is not ``correct`` or
+whose last line is not JSON, so no summary is drawn from a wrong run.
 Standard library only.
 """
 
@@ -23,15 +25,23 @@ import sys
 
 
 def run_once(checkout, args):
-    """The final JSON line of one untraced benchmark run in `checkout`."""
+    """The final JSON line of one untraced benchmark run in `checkout`;
+    exit status 1 unless it is JSON and reports the run correct."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit("%s: no output (exit %d)\n%s"
+    try:
+        run = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        run = None
+    if not isinstance(run, dict):
+        raise SystemExit("%s: last line is not a JSON object (exit %d)\n%s"
                          % (checkout, proc.returncode, proc.stderr))
-    return json.loads(lines[-1])
+    if run.get("correct") is not True:
+        raise SystemExit("%s: run not correct (exit %d)\n%s"
+                         % (checkout, proc.returncode, lines[-1]))
+    return run
 
 
 def quartiles(values):
