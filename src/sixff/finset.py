@@ -11,6 +11,9 @@ the set of matching element pairs, which is a finite exact check.
 
 from __future__ import annotations
 
+from .fields import TheoremViolation
+from .groupoid import StructureError
+
 
 class FinSetCategory:
     """Objects are tuples of hashable elements; a morphism is
@@ -37,9 +40,12 @@ class FinSetCategory:
 
     def mor(self, dom, cod, images):
         images = tuple(images)
-        assert len(images) == len(dom)
+        if len(images) != len(dom):
+            raise StructureError("%d images for a domain of %d elements"
+                                 % (len(images), len(dom)))
         cset = set(cod)
-        assert all(v in cset for v in images)
+        if not all(v in cset for v in images):
+            raise StructureError("an image lies outside the codomain")
         return ("fn", dom, cod, images)
 
     # src/dst are dict-like in FiniteCategory; provide mapping views:
@@ -73,7 +79,8 @@ class FinSetCategory:
     def compose(self, g, f):
         _, fd, fc, fi = f
         _, gd, gc, gi = g
-        assert fc == gd, "not composable"
+        if fc != gd:
+            raise StructureError("not composable")
         pos = {e: i for i, e in enumerate(gd)}
         return ("fn", fd, gc, tuple(gi[pos[v]] for v in fi))
 
@@ -109,9 +116,11 @@ class FinSetCategory:
         p1 = ("fn", apex, X, tuple(a for a, _ in elems))
         p2 = ("fn", apex, Y, tuple(b for _, b in elems))
         # certificate: apex -> {(a, b) : f(a) = g(b)} is bijective by
-        # construction; assert the matching condition exactly.
-        assert all(fmap[a] == gmap[b] for (a, b) in elems)
-        assert len(set(elems)) == len(elems)
+        # construction; check the matching condition exactly.
+        if not (all(fmap[a] == gmap[b] for (a, b) in elems)
+                and len(set(elems)) == len(elems)):
+            raise TheoremViolation("fiber product apex is not the set of "
+                                   "matching pairs")
         from .corr import PullbackResult
         return PullbackResult(apex, p1, p2, cones=len(elems))
 
@@ -124,7 +133,8 @@ class FinSetCategory:
         _, _, Y, qi = q2
         pairs = tuple(zip(pi, qi))
         apex_set = set(pb.apex)
-        assert all(pr in apex_set for pr in pairs), "cone misses the apex"
+        if not all(pr in apex_set for pr in pairs):
+            raise StructureError("cone misses the apex")
         return ("fn", W, pb.apex, pairs)
 
     @staticmethod

@@ -2,13 +2,15 @@
 
 Objects and morphisms are identified by hashable ids (strings, ints, or
 nested tuples); equality is always by id, never positional.  All structure
-(composition, identities, inverses) is stored in explicit tables, and every
-axiom check is an exact table lookup.  Construction checks the tables in
-one pass over the morphisms, and that pass also builds the category's one
-arrow index, by source (`FiniteCategory.out`); hom sets and composable
-pairs are read from that index.  Ids are often nested tuples, whose hashes
-Python does not cache, so constructions look each id up as few times as
-they can.
+(composition, identities, inverses) is read from tables, and every axiom
+check is an exact table lookup.  Composition has one table: a dict, or a
+`RuleTable` that computes each composite from a rule on lookup (relative
+products and permutation groups give theirs that way).  Construction
+checks the tables in one pass over the morphisms, and that pass also builds
+the category's one arrow index, by source (`FiniteCategory.out`); hom sets
+and composable pairs are read from that index.  Ids are often nested
+tuples, whose hashes Python does not cache, so constructions look each id
+up as few times as they can.
 
 The module provides validation, deloopings of finite groups (one per group
 and object), action groupoids, anchored n-fold relative products (the one
@@ -22,10 +24,11 @@ truncated Čech nerves.
 
 A relative product has one arrow rule, `RelProduct.arrows_out`: the
 arrows out of one object.  Its groupoid is built from that rule on first
-use.  `pi0_and_aut` and `transport_to_reps` read any groupoid or relative
-product through its `arrows(x)`, so on a relative product they cost only
-the arrows out of the component representatives, and the product's
-groupoid is never built.
+use, and composes through a `RuleTable` over the factors' tables.
+`pi0_and_aut` and `transport_to_reps` read any groupoid or relative product
+through its `arrows(x)`, so on a relative product they cost only the arrows
+out of the component representatives, and the product's groupoid is never
+built.
 """
 
 from __future__ import annotations
@@ -75,10 +78,25 @@ def _okey_raw(x):
     return "%s:%s" % (type(x).__name__, x)
 
 
+class RuleTable(dict):
+    """A composition table given by a rule: the missing entry (g, f) is
+    rule(g, f), computed on lookup and not stored."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, key):
+        return self.rule(*key)
+
+
 class FiniteCategory:
     """A finite category given by explicit tables.
 
-    compose[(g, f)] = g∘f, defined exactly when dst(f) == src(g).
+    compose[(g, f)] = g∘f, defined exactly when dst(f) == src(g), read from
+    the one composition table `_comp`: a dict, copied and checked entry by
+    entry, or a `RuleTable`, kept as it is.
     out[x] is the tuple of morphisms out of x, in morphism order: the one
     arrow index of the category, built at construction by the pass that
     checks the tables.
@@ -92,12 +110,8 @@ class FiniteCategory:
         self.src = dict(src)
         self.dst = dict(dst)
         self.identity = dict(identity)
-        if callable(compose):
-            self._comp = None
-            self._comp_fn = compose
-        else:
-            self._comp = dict(compose)
-            self._comp_fn = None
+        self._comp = (compose if isinstance(compose, RuleTable)
+                      else dict(compose))
         self._check_structure()
 
     def _check_structure(self):
@@ -127,25 +141,22 @@ class FiniteCategory:
                 raise StructureError("identity of %r is dangling" % (x,))
             if src[e] != x or dst[e] != x:
                 raise StructureError("identity of %r is not an endomorphism" % (x,))
-        if self._comp is not None:
-            for (g, f), h in self._comp.items():
-                if g not in mset or f not in mset or h not in mset:
-                    raise StructureError("composition entry with dangling id")
-                if dst[f] != src[g]:
-                    raise StructureError(
-                        "composition entry (%r,%r) not composable" % (g, f))
+        for (g, f), h in self._comp.items():
+            if g not in mset or f not in mset or h not in mset:
+                raise StructureError("composition entry with dangling id")
+            if dst[f] != src[g]:
+                raise StructureError(
+                    "composition entry (%r,%r) not composable" % (g, f))
         self.out = {x: tuple(ms) for x, ms in out.items()}
         return mset
 
     def compose(self, g, f):
-        if self._comp is not None:
-            try:
+        try:
+            if self.dst[f] == self.src[g]:
                 return self._comp[(g, f)]
-            except KeyError:
-                raise StructureError("missing composite (%r, %r)" % (g, f))
-        if self.dst[f] != self.src[g]:
-            raise StructureError("missing composite (%r, %r)" % (g, f))
-        return self._comp_fn(g, f)
+        except KeyError:
+            pass
+        raise StructureError("missing composite (%r, %r)" % (g, f))
 
     def composable_pairs(self):
         out = self.out
@@ -283,7 +294,7 @@ class Presentation:
         from .groups import _walk
         found = {}
         t, comp_of = transport_to_reps(cat, found)
-        inv, table = cat.inverse, _table(cat)
+        inv, table = cat.inverse, cat._comp
         self.t, self.comp_of = t, comp_of
         self.t_inv = t_inv = {x: inv[u] for x, u in t.items()}
         chosen = []
@@ -432,7 +443,8 @@ def identity_functor(cat):
 
 
 def compose_functors(g, f):
-    assert f.cod is g.dom or f.cod.morphisms == g.dom.morphisms
+    if not (f.cod is g.dom or f.cod.morphisms == g.dom.morphisms):
+        raise StructureError("functors do not compose: %r then %r" % (f, g))
     return Functor(f.dom, g.cod,
                    {x: g.ob[f.ob[x]] for x in f.dom.objects},
                    {m: g.mor[f.mor[m]] for m in f.dom.morphisms},
@@ -477,7 +489,8 @@ class NatTrans:
 
     def inverse(self):
         C = self.F.cod
-        assert C.is_groupoid
+        if not C.is_groupoid:
+            raise StructureError("inverse needs a groupoid target")
         return NatTrans(self.G, self.F,
                         {x: C.inverse[c] for x, c in self.component.items()})
 
@@ -575,12 +588,8 @@ def disjoint_union(grpds):
             src[(i, m)] = (i, G.src[m])
             dst[(i, m)] = (i, G.dst[m])
             inv[(i, m)] = (i, G.inverse[m])
-        if G._comp is not None:
-            for (g, f), h in G._comp.items():
-                comp[((i, g), (i, f))] = (i, h)
-        else:
-            for g, f in G.composable_pairs():
-                comp[((i, g), (i, f))] = (i, G.compose(g, f))
+        for g, f in G.composable_pairs():
+            comp[((i, g), (i, f))] = (i, G.compose(g, f))
     return FiniteGroupoid(objects, morphisms, src, dst, ident, comp, inv)
 
 
@@ -720,41 +729,25 @@ def equivalent_groupoids(X, Y):
 # Iso-comma fiber products and anchored relative products
 # ---------------------------------------------------------------------------
 
-class _Composites:
-    """The composites g∘f of a category without a composition table, read
-    as `table[(g, f)]`, like a table."""
-
-    __slots__ = ("cat",)
-
-    def __init__(self, cat):
-        self.cat = cat
-
-    def __getitem__(self, gf):
-        return self.cat.compose(*gf)
-
-
-def _table(cat):
-    """`cat`'s composition table, or for a category without one (a
-    product) its own compose; both are read as table[(g, f)]."""
-    return cat._comp if cat._comp is not None else _Composites(cat)
-
-
 class RelProduct:
     """Anchored n-fold relative product of maps a_i: X_i -> S (n >= 2).
 
     Objects are (xs, ms) where xs is a tuple of objects and ms[i - 1] is an
     iso a_0(x_0) -> a_i(x_i) in S for i >= 1 (the anchor).  A morphism is
     (o, us): its source o and a tuple of morphisms us.  `arrows_out` is the
-    one arrow rule.  The product as a FiniteGroupoid, `grpd`, is built from
-    it on first use; `arrows` reads it one object at a time, so components
-    and automorphism groups (`pi0_and_aut`) cost only the arrows out of
-    their representatives.  Every reindexing (projection, diagonal, swap,
-    reversal) is `proj_onto`, and factor projections satisfy
+    one arrow rule and `compose` the one composition rule, factor by factor.
+    The product as a FiniteGroupoid, `grpd`, is built from them on first
+    use, with `RuleTable(compose)` as its table; `arrows` reads the arrow
+    rule one object at a time, so components and automorphism groups
+    (`pi0_and_aut`) cost only the arrows out of their representatives.
+    Every reindexing (projection, diagonal, swap, reversal) is
+    `proj_onto`, and factor projections satisfy
     factor(k)∘proj_onto(I) = factor(I[k]) on the nose.
     """
 
     def __init__(self, S, factors):
-        assert len(factors) >= 2
+        if len(factors) < 2:
+            raise StructureError("a relative product needs 2 or more factors")
         self.S = S
         self.factors = list(factors)   # list of (groupoid, functor to S)
         n = len(factors)
@@ -788,7 +781,7 @@ class RelProduct:
         self._factor_projs = {}
         # g∘f factor by factor; it holds the tables, not self, so `grpd`
         # does not refer back to the product
-        tables = [_table(X) for X in Xs]
+        tables = [X._comp for X in Xs]
         self.compose = lambda g, f: (
             f[0], tuple(map(getitem, tables, zip(g[1], f[1]))))
 
@@ -798,7 +791,7 @@ class RelProduct:
         moves anchor m_i to a_i(u_i)∘c_i with c_i = m_i∘a_0(u_0)^-1, so c_i
         is found once per first leg."""
         xs, ms = o
-        s_comp, s_inv = _table(self.S), self.S.inverse
+        s_comp, s_inv = self.S._comp, self.S.inverse
         later = list(zip(self._moved, self._legs[1:], xs[1:], ms))
         out = []
         for u0, y0, v0, au0 in self._legs[0][xs[0]]:
@@ -843,7 +836,7 @@ class RelProduct:
                 morphisms.append(m)
                 src[m], dst[m], inv[m] = o, o2, v
         return FiniteGroupoid(self.objects, morphisms, src, dst,
-                              self.identity, self.compose, inv)
+                              self.identity, RuleTable(self.compose), inv)
 
     def factor_proj(self, i):
         """The projection onto factor i, built once per i, as `diagonal`
@@ -886,7 +879,8 @@ class RelProduct:
         factors (X, a), built once, so the Kan functors along it share
         their fibers."""
         (X, a), *rest = self.factors
-        assert all(Y is X and b is a for Y, b in rest), "factors differ"
+        if not all(Y is X and b is a for Y, b in rest):
+            raise StructureError("diagonal over differing factors")
         ident = self.S.identity
         ob = {x: ((x,) * len(self.factors), (ident[a.ob[x]],) * len(rest))
               for x in X.objects}

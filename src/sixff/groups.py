@@ -1,18 +1,20 @@
 """Finite groups as explicit multiplication tables.
 
-Groups enter either as full Cayley tables or as permutation generators
-(closed on load).  Elements carry a fixed total order so that coset
-representatives and structure constants are reproducible bit for bit.
-One walk from generators (`_walk`) closes permutations on load, generates
-subgroups, and extends images of generators to homomorphisms, which the
-isomorphism test searches.
+Groups enter either as full Cayley tables or as permutation generators,
+closed on load through a `groupoid.RuleTable` of permutation composition
+(a after b), from which the Cayley table of the closure is read.  Elements
+carry a fixed total order so that coset representatives and structure
+constants are reproducible bit for bit.  One walk from generators
+(`_walk`) closes permutations on load, generates subgroups, and extends
+images of generators to homomorphisms, which the isomorphism test
+searches.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .groupoid import StructureError, okey
+from .groupoid import RuleTable, StructureError, okey
 
 
 def _walk(table, identity, gens):
@@ -35,23 +37,14 @@ def _walk(table, identity, gens):
     return tree
 
 
-class _Composition(dict):
-    """The multiplication table of all permutations of one degree, which
-    composes a after b when (a, b) is looked up."""
-
-    def __missing__(self, key):
-        a, b = key
-        return tuple(a[i] for i in b)
-
-
 class FiniteGroup:
     def __init__(self, elements, table, name=None):
-        self._set_table(elements, table, name)
+        self._set_up(elements, table, name)
         bad = self.axiom_report()
         if bad:
             raise StructureError("group axiom fails: %s" % bad[0])
 
-    def _set_table(self, elements, table, name):
+    def _set_up(self, elements, table, name):
         """Everything `__init__` does but the |G|^3 axiom scan: the table is
         total, an identity exists and inverses are found."""
         self.elements = tuple(sorted(elements, key=okey))
@@ -118,7 +111,7 @@ class FiniteGroup:
         gens = [tuple(g) for g in gens]
         degree = max((len(g) for g in gens), default=1)
         gens = [g + tuple(range(len(g), degree)) for g in gens]
-        compose = _Composition()
+        compose = RuleTable(lambda a, b: tuple(a[i] for i in b))
         elems = _walk(compose, tuple(range(degree)), gens)
         table = {(a, b): compose[a, b] for a in elems for b in elems}
         return FiniteGroup(elems, table, name=name)
@@ -152,7 +145,7 @@ class FiniteGroup:
             if v not in elems:
                 raise StructureError("subset not closed under multiplication")
         H = FiniteGroup.__new__(FiniteGroup)
-        H._set_table(elems, table, name)
+        H._set_up(elems, table, name)
         self._subgroups[(elems, name)] = H
         return H
 

@@ -422,7 +422,8 @@ def psi_composition_certificate(M, N, probes):
 
 def psi_phi_certificate(ctx, src_name, tgt_name, Z, left_leg, right_leg,
                         probes):
-    """Canonical comparison Psi(Phi(span))(V) ≅ r_! l* V on probes."""
+    """Canonical comparison Psi(Phi(span))(V) ≅ r_! l* V on probes, its
+    target checked equal to Psi(Phi)(V) as `PsiEvaluator` computes it."""
     K, j = phi(ctx, src_name, tgt_name, Z, left_leg, right_leg)
     rp = ctx.prod((tgt_name, src_name))
     p1, p2 = rp.factor_proj(0), rp.factor_proj(1)
@@ -440,6 +441,9 @@ def psi_phi_certificate(ctx, src_name, tgt_name, Z, left_leg, right_leg,
         route = cmp1.then(cell_into)
         if not sheaves_equal(route.src, direct):
             raise TheoremViolation("psi-phi comparison source mismatch")
+        if not sheaves_equal(route.dst, ev.obj(V)):
+            raise TheoremViolation("psi-phi comparison target is not "
+                                   "Psi(Phi)(V)")
         if not route.is_invertible():
             raise TheoremViolation("psi-phi comparison not invertible")
         cells.append(route)

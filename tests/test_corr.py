@@ -10,7 +10,9 @@ from sixff.corr import (
     pullback, span_from_map, span_from_map_op, span_iso, terminal_object,
     validate_setup,
 )
-from sixff.groupoid import okey
+from sixff.fields import TheoremViolation
+from sixff.finset import FinSetCategory
+from sixff.groupoid import StructureError, okey
 from sixff.instances import span
 
 
@@ -241,7 +243,6 @@ def test_span_iso_two_pullback_choices():
 
 
 def test_dual_data_lazy_three_elements():
-    from sixff.finset import FinSetCategory
     from sixff.corr import ALL
     cat = FinSetCategory()
     setup = GeometricSetup(cat, ALL)
@@ -283,7 +284,6 @@ def test_dual_data_finset_tabled():
 
 
 def test_dual_data_lazy_two_point_set():
-    from sixff.finset import FinSetCategory
     from sixff.corr import ALL
     cat = FinSetCategory()
     setup = GeometricSetup(cat, ALL)
@@ -293,7 +293,6 @@ def test_dual_data_lazy_two_point_set():
 
 
 def _lazy_setup():
-    from sixff.finset import FinSetCategory
     from sixff.corr import ALL
     cat = FinSetCategory()
     objs = [cat.add_object(FinSetCategory.set_of_size(n)) for n in (1, 2, 3)]
@@ -327,3 +326,48 @@ def test_terminal_object():
     assert terminal_object(FS) == 1
     assert terminal_object(presets.divisor_poset(12)) == 12
     assert product(FS, 1, 3).apex == 3
+
+
+# ---------------------------------------------------------------------------
+# FinSetCategory: bad input and a failed pullback certificate raise typed
+# errors, which `python -O` keeps
+# ---------------------------------------------------------------------------
+
+def test_finset_mor_refuses_images_of_the_wrong_length():
+    cat = FinSetCategory()
+    with pytest.raises(StructureError, match="2 images for a domain of 3"):
+        cat.mor((0, 1, 2), (0, 1), (0, 1))
+
+
+def test_finset_mor_refuses_an_image_outside_the_codomain():
+    cat = FinSetCategory()
+    with pytest.raises(StructureError, match="outside the codomain"):
+        cat.mor((0, 1), (0, 1), (0, 2))
+
+
+def test_finset_compose_refuses_maps_that_do_not_compose():
+    cat = FinSetCategory()
+    f = cat.mor((0, 1), (0, 1), (1, 0))
+    g = cat.mor((0, 1, 2), (0,), (0, 0, 0))
+    with pytest.raises(StructureError, match="not composable"):
+        cat.compose(g, f)
+
+
+def test_finset_fiber_product_certificate_fails_on_a_repeated_element():
+    # a domain that lists an element twice has an apex with a repeated
+    # pair, which is not the set of matching pairs
+    cat = FinSetCategory()
+    f = ("fn", (0, 0), (0,), (0, 0))
+    g = cat.mor((0,), (0,), (0,))
+    with pytest.raises(TheoremViolation, match="matching pairs"):
+        cat.fiber_product(f, g)
+
+
+def test_finset_mediator_refuses_a_cone_that_misses_the_apex():
+    cat = FinSetCategory()
+    X, S = cat.add_object((0, 1)), cat.add_object((0, 1))
+    f = cat.mor(X, S, (0, 1))
+    pb = cat.fiber_product(f, f)
+    W = cat.add_object((0,))
+    with pytest.raises(StructureError, match="misses the apex"):
+        cat.mediator(pb, cat.mor(W, X, (0,)), cat.mor(W, X, (1,)))

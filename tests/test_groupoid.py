@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sixff import groupoid
 from sixff.groupoid import (
-    FiniteCategory, FiniteGroupoid, Functor, StructureError,
+    FiniteCategory, FiniteGroupoid, Functor, NatTrans, StructureError,
     action_groupoid, cech_nerve, compose_functors, delooping,
     delooping_hom, disjoint_union, equivalent_groupoids, functors_equal,
     identity_functor, iso_comma_pullback, okey, pi0_and_aut, poset_category,
@@ -934,3 +934,45 @@ def test_delooping_reads_only_the_group_part_of_its_table():
     G = FiniteGroup(range(2), table)
     B = delooping(G)
     assert B.morphisms == (0, 1) and validate_category(B) == []
+
+
+# ---------------------------------------------------------------------------
+# Caller input raises StructureError, which `python -O` keeps
+# ---------------------------------------------------------------------------
+
+def test_compose_functors_refuses_functors_that_do_not_compose():
+    B2, B3 = delooping(FiniteGroup.cyclic(2)), delooping(FiniteGroup.cyclic(3))
+    with pytest.raises(StructureError, match="do not compose"):
+        compose_functors(identity_functor(B3), identity_functor(B2))
+
+
+def test_nat_trans_inverse_needs_a_groupoid_target():
+    P = presets.chain_poset()
+    ident = identity_functor(P)
+    eta = NatTrans(ident, ident, P.identity)
+    with pytest.raises(StructureError, match="groupoid target"):
+        eta.inverse()
+
+
+def test_relative_product_needs_two_factors():
+    pt = terminal_groupoid()
+    with pytest.raises(StructureError, match="2 or more factors"):
+        RelProduct(pt, [(pt, identity_functor(pt))])
+
+
+def test_diagonal_refuses_differing_factors():
+    pt, B2 = terminal_groupoid(), delooping(FiniteGroup.cyclic(2))
+    rp = RelProduct(pt, [(pt, identity_functor(pt)),
+                         (B2, to_terminal(B2, pt))])
+    with pytest.raises(StructureError, match="differing factors"):
+        rp.diagonal
+
+
+def test_disjoint_union_refuses_a_table_without_a_composite():
+    # construction checks the entries a table has, not that it has all of
+    # them; the union reads every composable pair and finds the gap
+    t = _iso_tables()
+    del t["compose"][next(iter(t["compose"]))]
+    G = _construct(t)
+    with pytest.raises(StructureError, match="missing composite"):
+        disjoint_union([G])

@@ -478,6 +478,60 @@ def test_to_function_matches_the_unit_vector_reference_on_rank_two():
         assert alg.to_function(T) == _reference_to_function(alg, T)
 
 
+def _counting_cases():
+    """(G, K, field) for the counting oracle: every proper subgroup class
+    of S3 over Q and F5, of D4 and Q8 over Q and F3, and two subgroups of
+    S4 over Q."""
+    cases = []
+    for gname, fields in (("S3", (QQ, GF(5))), ("D4", (QQ, GF(3))),
+                          ("Q8", (QQ, GF(3)))):
+        G = presets.group(gname)
+        for K_el in G.subgroups_up_to_conjugacy():
+            if len(K_el) < len(G):
+                cases += [(G, G.subgroup(K_el), field) for field in fields]
+    S4 = presets.group("S4")
+    for gens in ([(1, 2, 0, 3), (0, 2, 3, 1)], [(1, 2, 3, 0), (3, 2, 1, 0)]):
+        cases.append((S4, S4.subgroup(S4.generated_subgroup(gens)), QQ))
+    return cases
+
+
+_COUNTING_CASES = _counting_cases()
+
+
+@pytest.mark.parametrize(
+    "G, K, field", _COUNTING_CASES,
+    ids=["%s-%d-%d-%s" % (G.name, len(K), i, field)
+         for i, (G, K, field) in enumerate(_COUNTING_CASES)])
+def test_trivial_weight_structure_constants_count_double_cosets(G, K,
+                                                                field):
+    """With the trivial weight, T_a is the indicator of KaK, and
+    c_{a,b}^c = #{x in KaK : x^-1 c in KbK} / |K|, which group
+    multiplication alone computes.  The anti-involution sends T_a to the
+    indicator of Ka^-1K, the unit vector at that double coset."""
+    alg = HeckeAlgebra(G, K, unit_sheaf(delooping(K), field))
+    reps = alg.dc.representatives
+    cosets = [frozenset(G.mul(G.mul(k, w), kp) for k in K.elements
+                        for kp in K.elements) for w in reps]
+    assert len(alg.function_basis) == len(reps)
+    one = Matrix.identity(field, 1)
+    zero = Matrix.zero(field, 1, 1)
+    for F, D in zip(alg.function_basis, cosets):
+        assert F.values == {g: one if g in D else zero for g in G.elements}
+    sc = alg.structure_constants()
+    for a, A in enumerate(cosets):
+        for b, B in enumerate(cosets):
+            counted = [sum(G.mul(G.inv(x), c) in B for x in A)
+                       for c in reps]
+            assert all(n % len(K) == 0 for n in counted)
+            assert sc[a][b] == [field.of(n // len(K)) for n in counted]
+    iota, _ = anti_involution(alg)
+    for F, w in zip(alg.function_basis, reps):
+        target = next(i for i, D in enumerate(cosets) if G.inv(w) in D)
+        assert alg.function_coordinates(iota(F)) == [
+            field.one if i == target else field.zero
+            for i in range(len(reps))]
+
+
 _S4_D4_UNDER_ONE_GIB = """
 import dataclasses, json, resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

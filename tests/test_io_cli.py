@@ -65,6 +65,28 @@ def test_python_dash_m_sixff_runs_the_cli():
     assert done.stdout.startswith("groups:")
 
 
+def test_sixff_run_under_python_dash_O_matches_the_pinned_report():
+    """`python -O` strips every `assert`: the checks of three suites still
+    give the pinned status and witness, so none rests on one."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    cmd = [sys.executable, "-O", "-m", "sixff", "run", "--format", "json",
+           "--seed", "0", "--probes", "2", "--suite", "corr", "--suite",
+           "groupoid", "--suite", "setup"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    pinned = {c["id"]: c for c in json.loads(
+        (tests / "run_outputs" / "seed0_probes2.json").read_text())["checks"]}
+    checks = json.loads(done.stdout)["checks"]
+    assert sorted(c["id"] for c in checks) == [
+        "corr.composition", "corr.self-duality", "groupoid.double-cosets",
+        "setup.cross-check"]
+    for c in checks:
+        assert (c["status"], c["witness"]) == (pinned[c["id"]]["status"],
+                                               pinned[c["id"]]["witness"])
+
+
 def test_load_groupoid_and_sheaf():
     doc = {
         "objects": ["x"],

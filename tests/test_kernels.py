@@ -590,6 +590,19 @@ def test_psi_phi_agrees_with_direct():
     assert all(c.is_invertible() for c in cells)
 
 
+def test_psi_phi_certificate_compares_with_the_psi_evaluator(monkeypatch):
+    # the route must end at Psi(Phi)(V) as PsiEvaluator computes it; an
+    # evaluator that returns another sheaf raises the alarm
+    ctx = point_ctx()
+    X = discrete(2)
+    ctx.add_object("X", X, to_terminal(X, PT))
+    monkeypatch.setattr(kernels.PsiEvaluator, "obj",
+                        lambda self, V: sheaf_on(self.M.payload.base, [2]))
+    with pytest.raises(TheoremViolation, match="not Psi\\(Phi\\)\\(V\\)"):
+        psi_phi_certificate(ctx, "X", "X", X, identity_functor(X),
+                            identity_functor(X), [unit_sheaf(X, QQ)])
+
+
 def test_suave_test_identity_map():
     # S = X, f = id: suave dual of any sheaf is its pointwise dual
     f = identity_functor(BC2)

@@ -49,6 +49,24 @@ def _invariant_data_without_one_over_n(field, d, mats, averaging):
     return iota, pi, pi * total
 
 
+def _projection_formula_cell_with_swapped_tensor(f, W, V, side):
+    """`sheaves._projection_formula_cell` tensoring the unit and the
+    identity in swapped order, eta ⊗ id where id ⊗ eta belongs (and the
+    mirror on the right), relabelled to the intended source and target."""
+    adj = sheaves.adj_lan_pullback(f)
+    lan = adj.left
+    ident, eta = sheaves.identity_morphism(adj.right.obj(W)), adj.unit(V)
+    FV = lan.obj(V)
+    if side == "left":
+        (a, b), out = (ident, eta), sheaves.tensor(W, FV)
+    else:
+        (a, b), out = (eta, ident), sheaves.tensor(FV, W)
+    inner = sheaves.SheafMorphism(
+        sheaves.tensor(a.src, b.src), sheaves.tensor(a.dst, b.dst),
+        sheaves.tensor_morphisms(b, a).comp)
+    return lan.mor(inner).then(adj.counit(out))
+
+
 # (name, owner, attribute, replacement, the check that must fail)
 CATALOGUE = [
     ("lan-blocks-p-for-p-inverse", sheaves.LanFunctor, "_blocks",
@@ -57,6 +75,9 @@ CATALOGUE = [
      _ran_blocks_with_p_inverse_for_p, "sheaf.base-change-projection"),
     ("averaging-without-one-over-n", sheaves, "_invariant_data",
      _invariant_data_without_one_over_n, "sheaf.base-change-projection"),
+    ("projection-tensor-swapped", sheaves, "_projection_formula_cell",
+     _projection_formula_cell_with_swapped_tensor,
+     "sheaf.base-change-projection"),
 ]
 
 _SUITE_OF = {check_id: suite for check_id, _, suite, _ in CHECKS}
