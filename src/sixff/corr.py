@@ -105,7 +105,7 @@ def is_pullback_cone(cat, f, g, W, p, q):
 
 
 def mediating_morphism(cat, pb, p2, q2):
-    """The unique h with pb.p1∘h = p2, pb.q∘h = q2."""
+    """The unique h with pb.p1∘h = p2, pb.p2∘h = q2."""
     if getattr(cat, "lazy", False):
         return cat.mediator(pb, p2, q2)
     W2 = cat.src[p2]

@@ -11,6 +11,8 @@ the set of matching element pairs, which is a finite exact check.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .fields import TheoremViolation
 from .groupoid import StructureError
 
@@ -107,22 +109,33 @@ class FinSetCategory:
     def fiber_product(self, f, g):
         """The canonical pullback of X -f-> S <-g- Y with an element-level
         universality certificate (see module docstring)."""
-        _, X, S, fi = f
+        _, X, _, fi = f
         _, Y, _, gi = g
         fmap = dict(zip(X, fi))
         gmap = dict(zip(Y, gi))
         elems = tuple((a, b) for a in X for b in Y if fmap[a] == gmap[b])
-        apex = self.add_object(elems)
-        p1 = ("fn", apex, X, tuple(a for a, _ in elems))
-        p2 = ("fn", apex, Y, tuple(b for _, b in elems))
-        # certificate: apex -> {(a, b) : f(a) = g(b)} is bijective by
-        # construction; check the matching condition exactly.
-        if not (all(fmap[a] == gmap[b] for (a, b) in elems)
-                and len(set(elems)) == len(elems)):
+        p1 = ("fn", elems, X, tuple(a for a, _ in elems))
+        p2 = ("fn", elems, Y, tuple(b for _, b in elems))
+        self.certify_fiber_product(f, g, p1, p2)
+        from .corr import PullbackResult
+        return PullbackResult(self.add_object(elems), p1, p2,
+                              cones=len(elems))
+
+    def certify_fiber_product(self, f, g, p1, p2):
+        """TheoremViolation unless the cone (p1, p2) over X -f-> S <-g- Y
+        is a pullback: f∘p1 = g∘p2, so the apex maps into the matching
+        pairs; its pairs (p1(e), p2(e)) are distinct, so it maps in
+        injectively; and it has as many elements as there are matching
+        pairs, Σ_s |f⁻¹(s)|·|g⁻¹(s)| counted from the images of f and g,
+        so it maps onto them."""
+        apex = p1[1]
+        over_f, over_g = Counter(f[3]), Counter(g[3])
+        if not (self.compose(f, p1) == self.compose(g, p2)
+                and len(set(zip(p1[3], p2[3]))) == len(apex)
+                and len(apex) == sum(n * over_g[s]
+                                     for s, n in over_f.items())):
             raise TheoremViolation("fiber product apex is not the set of "
                                    "matching pairs")
-        from .corr import PullbackResult
-        return PullbackResult(apex, p1, p2, cones=len(elems))
 
     def product(self, x, y):
         return self.fiber_product(self.to_terminal(x), self.to_terminal(y))

@@ -9,7 +9,12 @@ composition is
 on the anchored triple product.  Coherence cells (unitors, associators,
 swap compatibility) and all suave/prim/etale/proper certificates are
 assembled from the explicit unit/counit witnesses of the six operations
-plus transports along invertible natural transformations.  Every
+plus transports along invertible natural transformations.  Every map
+that passes to an adjoint is an adjunct, `Adjunction.adjunct`: the suave
+and prim criterion maps m, tau and m', the mate behind the etale
+comparison, the diagonal mate behind the proper comparison and the prim
+twist, the suave twist, and the base-change mates g*f_* -> f'_*g'* and
+f_!g'_* -> g_*f'_!.  Every
 reassociation cell (unitors, associator, Psi composition, the suave and
 prim associators) is the projection formula along a square's fp followed
 by that square's base change, whiskered by the fixed factor: `_pf_bc`,
@@ -589,13 +594,10 @@ def suave_test(f, P):
     PQ = tensor(P, Q)
     e1 = _pf_bc(calc.pi2, calc.bc_p2p1(PQ), calc.pull_p1.obj(PQ), P, "right")
     e1 = e1.then(tensor_morphisms(calc.pull_f.mor(eps), identity_morphism(P)))
-    e1 = SheafMorphism(adjX.left.obj(gP), P, e1.comp)
-    # natural map m: Q∘P -> G_X(P)
-    m = adjX.unit(gP).then(adjX.right.mor(e1))
-    # tau: id_X -> G_X(P)
+    # the natural map m: Q∘P -> G_X(P) and tau: id_X -> G_X(P) are the
+    # adjuncts of e1 and of the right unitor
     rho = calc.right_unitor_reduced(P)
-    tau = adjX.unit(calc.id_XX).then(adjX.right.mor(
-        SheafMorphism(adjX.left.obj(calc.id_XX), P, rho.comp)))
+    m, tau = adjX.adjunct(gP, e1), adjX.adjunct(calc.id_XX, rho)
     eta = _solve_unit(calc.id_XX, gP, m, tau)
     if eta is None:
         return SuavePrimCertificate("suave", False,
@@ -609,10 +611,8 @@ def suave_test(f, P):
     etaQ = whisk.mor(eta)
     # associator (Q∘P)∘Q -> Q∘(P∘Q)
     a2 = _pf_bc(calc.pi1, calc.bc_p1p2(PQ), calc.pull_p2.obj(PQ), Q, "left")
-    a2 = SheafMorphism(whisk.obj(gP), a2.dst, a2.comp)
     qeps = tensor_morphisms(identity_morphism(Q), calc.pull_f.mor(eps))
-    t2 = lam.inverse().then(etaQ).then(a2).then(
-        SheafMorphism(a2.dst, Q, qeps.comp))
+    t2 = lam.inverse().then(etaQ).then(a2).then(qeps)
     tri2 = t2.is_identity()
     ok = tri1 and tri2
     eps_out = SheafMorphism(calc.comp_SS(P, Q), calc.unit_S, eps.comp)
@@ -674,26 +674,20 @@ def prim_test(f, P, check_double_dual=True):
     a3 = _pf_bc(calc.pi1, calc.bc_p1p2(rp_t), calc.pull_p2.obj(rp_t), P,
                 "left")
     a3_inv = _invert_certified(a3, "prim associator")
-    P_after = calc.pull_f.then(TensorLeftFunctor(P))    # P̌∘(-), V -> P⊗f*V
-    a3_inv = SheafMorphism(P_after.obj(rP), a3.src, a3_inv.comp)
     epsP = TensorRightFunctor(calc.pull_p2.obj(P)).then(
         LanFunctor(calc.pi1)).mor(eps)
-    epsP = SheafMorphism(a3.src, epsP.dst, epsP.comp)
-    lam = calc.left_unitor_reduced(P)
-    lam = SheafMorphism(epsP.dst, P, lam.comp)
-    e2 = a3_inv.then(epsP).then(lam)    # P̌∘(r∘P̌) -> P̌
-    # natural map m': r∘P̌ -> G_S(P̌)
-    mprime = adjS.unit(rP).then(adjS.right.mor(
-        SheafMorphism(adjS.left.obj(rP), P, e2.comp)))
-    # tau: id_S -> G_S(P̌) (P̌∘id_S has the same data as P̌, no unitor needed)
-    tau0 = adjS.unit(calc.unit_S)
-    tau = SheafMorphism(calc.unit_S, adjS.right.obj(P), tau0.comp)
+    e2 = a3_inv.then(epsP).then(calc.left_unitor_reduced(P))  # P̌∘(r∘P̌) -> P̌
+    # the natural map m': r∘P̌ -> G_S(P̌), the adjunct of e2
+    mprime = adjS.adjunct(rP, e2)
+    # tau: id_S -> G_S(P̌), the adjunct of the identity of P̌∘id_S = P̌
+    # (the same data on the nose, so no unitor), which is the unit
+    tau = adjS.unit(calc.unit_S)
     eta = _solve_unit(calc.unit_S, rP, mprime, tau)
     if eta is None:
         return SuavePrimCertificate("prim", False,
                                     failing="criterion: no unique unit")
     # triangle 1: P̌ = P̌∘id_S -> P̌∘(r∘P̌) -> P̌ equals id
-    PofEta = P_after.mor(eta)
+    PofEta = adjS.left.mor(eta)                         # P̌∘eta
     t1 = SheafMorphism(P, PofEta.dst, PofEta.comp).then(e2)
     tri1 = t1.is_identity()
     # triangle 2: the mate of id_P is the identity of r
@@ -732,17 +726,12 @@ class EtaleProperCertificate:
 def _etale_comparison(calc, V):
     """The canonical map f^!V -> f*V: restrict along the diagonal the right
     mate of the base-change comparison pi1_! pi2* -> f* f_!."""
-    f = calc.f
     fshV = calc.pull_f.obj(V)      # f^! V = f* V as data
-    # mate: pi2* f^! V -> pi1* f* V
-    A = calc.pull_p2.obj(fshV)
-    step1 = calc.adj_p1.unit(A)            # A -> pi1* pi1_! A
-    tau = calc.bc_p1p2(fshV)               # pi1_! pi2* f^!V -> f* f_! f^!V
-    step2 = calc.pull_p1.mor(tau)
-    step3 = calc.pull_p1.mor(calc.pull_f.mor(calc.adj_f.counit(V)))
-    mate = step1.then(step2).then(step3)   # pi2* f^!V -> pi1* f*V
-    pull_diag = PullbackFunctor(calc.diag)
-    cell = pull_diag.mor(mate)
+    # the mate pi2* f^!V -> pi1* f*V, the (pi1_! ⊣ pi1*)-adjunct of
+    # pi1_! pi2* f^!V --bc--> f* f_! f^!V --f* counit--> f*V
+    tau = calc.bc_p1p2(fshV).then(calc.pull_f.mor(calc.adj_f.counit(V)))
+    mate = calc.adj_p1.adjunct(calc.pull_p2.obj(fshV), tau)
+    cell = PullbackFunctor(calc.diag).mor(mate)
     return SheafMorphism(fshV, calc.pull_f.obj(V), cell.comp)
 
 
@@ -753,12 +742,12 @@ def _diagonal_mate_route(calc, head, V):
     lan_f, ran_f = LanFunctor(calc.f), RanFunctor(calc.f)
     W = LanFunctor(calc.diag).obj(V)
     p2sW = RanFunctor(calc.pi2).obj(W)
-    m1 = calc.adj_f_ran.unit(lan_f.obj(p2sW))
-    # tau: f* f_! (pi2_* W) -> pi1_! pi2* pi2_* W
+    # the mate f_! pi2_* W -> f_* pi1_! W, the (f* ⊣ f_*)-adjunct of
+    # f* f_! pi2_* W --bc^-1--> pi1_! pi2* pi2_* W --pi1_! counit--> pi1_! W
     tau = _invert_certified(calc.bc_p1p2(p2sW), "diagonal mate bc")
     inner = tau.then(LanFunctor(calc.pi1).mor(
         adj_pullback_ran(calc.pi2).counit(W)))
-    mate = m1.then(ran_f.mor(inner))   # f_! pi2_* W -> f_* pi1_! W
+    mate = calc.adj_f_ran.adjunct(lan_f.obj(p2sW), inner)
     # f_* pi1_! Delta_! V -> f_* V
     c1 = compose_comparison_lan(calc.pi1, calc.diag, V)
     c2 = lan_identity_comparison(calc.X, V)
@@ -784,13 +773,8 @@ def suave_twist_cell(calc, omega, eps_suave, V):
     """omega ⊗ f*V -> f^!V: the (f_! ⊣ f^!)-adjunct of
     f_!(omega ⊗ f*V) --pf--> f_!omega ⊗ V --eps⊗id--> V."""
     pf = projection_formula_cell_right(calc.f, omega, V)
-    chi = pf.then(tensor_morphisms(
-        SheafMorphism(LanFunctor(calc.f).obj(omega), calc.unit_S,
-                      eps_suave.comp),
-        identity_morphism(V)))
-    src = tensor(omega, calc.pull_f.obj(V))
-    chi = SheafMorphism(LanFunctor(calc.f).obj(src), V, chi.comp)
-    return calc.adj_f.unit(src).then(calc.pull_f.mor(chi))
+    chi = pf.then(tensor_morphisms(eps_suave, identity_morphism(V)))
+    return calc.adj_f.adjunct(tensor(omega, calc.pull_f.obj(V)), chi)
 
 
 def prim_twist_cell(calc, delta, V):
@@ -857,11 +841,9 @@ def _pull_ran_cells(sq, probes):
     cells = []
     for V in probes:
         fV = adj_f.right.obj(V)
-        A = pull_g.obj(fV)
         s2 = transport_cell(sq.kappa.inverse(), fV).then(
             pull_gp.mor(adj_f.counit(V)))
-        s2 = SheafMorphism(adj_fp.left.obj(A), s2.dst, s2.comp)
-        cells.append(adj_fp.unit(A).then(adj_fp.right.mor(s2)))
+        cells.append(adj_fp.adjunct(pull_g.obj(fV), s2))
     return cells
 
 
@@ -873,11 +855,9 @@ def _lan_ran_mate_cells(sq, probes):
     cells = []
     for V in probes:
         gpV = adj_gp.right.obj(V)
-        A = lan_f.obj(gpV)
         chi = _invert_certified(base_change_cell(sq, gpV), "mate base change")
         s2 = chi.then(lan_fp.mor(adj_gp.counit(V)))
-        s2 = SheafMorphism(adj_g.left.obj(A), s2.dst, s2.comp)
-        cells.append(adj_g.unit(A).then(adj_g.right.mor(s2)))
+        cells.append(adj_g.adjunct(lan_f.obj(gpV), s2))
     return cells
 
 

@@ -19,11 +19,17 @@ none.  The six operations are:
                      verified witness, and the norm map f_! -> f_* is the
                      unnormalized fiber-orbit sum.
 
-Every adjunction carries explicit unit/counit families and the triangle
-identities are verified exactly.  All "canonical maps" downstream (base
-change, projection formula, mates, twists) are assembled from these
-units/counits, strict equalities of composites, and transports along
-invertible natural transformations - never searched.
+Every adjunction L ⊣ R carries explicit unit/counit families, and its
+hom bijection Hom(L A, B) ≅ Hom(A, R B) is one pair of operations:
+`Adjunction.adjunct` sends a cell L A -> B to R(cell)∘η_A, and
+`Adjunction.coadjunct` sends a cell A -> R B to ε_B∘L(cell).  The
+triangle identities, verified exactly, say that the two are mutually
+inverse.  Every canonical comparison is an adjunct or a coadjunct of a
+cell assembled from units, counits, strict equalities of composites and
+transports along invertible natural transformations - never searched:
+base change, the projection formulas, the hom form, the norm, the
+composition and identity comparisons, and the unit and counit of a
+composite adjunction.
 
 Global sections are Γ = p_* along p: X -> *, and Hom(M, N) = Γ(iHom(M, N)):
 `hom_space` reads each section at every object x through the fiber object
@@ -483,16 +489,6 @@ class ComposedFunctor(SheafFunctor):
         return self.outer.mor(self.inner.mor(phi))
 
 
-class IdentityFunctor(SheafFunctor):
-    name = "Id"
-
-    def obj(self, M):
-        return M
-
-    def mor(self, phi):
-        return phi
-
-
 class PullbackFunctor(SheafFunctor):
     """f*: precomposition; strictly monoidal and strictly functorial."""
 
@@ -861,21 +857,36 @@ def coevaluation_cell(W, M):
 # ---------------------------------------------------------------------------
 
 class Adjunction:
-    """Explicit unit/counit families for L ⊣ R; the triangle identities are
-    exact checks."""
+    """L ⊣ R with explicit unit η: A -> R L A and counit ε: L R B -> B.
+
+    The hom bijection Hom(L A, B) ≅ Hom(A, R B) is `adjunct` one way and
+    `coadjunct` the other; the triangle identities, checked exactly by
+    `triangles_ok`, say that the two are mutually inverse.  Every
+    canonical comparison here and in `kernels` is an adjunct or a
+    coadjunct, built by these two."""
 
     def __init__(self, left, right, unit, counit):
         self.left, self.right = left, right
         self.unit, self.counit = unit, counit
 
+    def adjunct(self, A, cell):
+        """R(cell)∘η_A: A -> R B for a cell L A -> B."""
+        return self.unit(A).then(self.right.mor(cell))
+
+    def coadjunct(self, cell, B):
+        """ε_B∘L(cell): L A -> B for a cell A -> R B."""
+        return self.left.mor(cell).then(self.counit(B))
+
     def triangles_ok(self, dom_probes, cod_probes):
-        for M in dom_probes:
-            lhs = self.left.mor(self.unit(M)).then(self.counit(self.left.obj(M)))
-            if not lhs.is_identity():
+        """The coadjunct of η_A is id_{L A} for each A in `dom_probes`, and
+        the adjunct of ε_B is id_{R B} for each B in `cod_probes`."""
+        for A in dom_probes:
+            LA = self.left.obj(A)
+            if not self.coadjunct(self.unit(A), LA).is_identity():
                 return False, "left triangle fails"
-        for N in cod_probes:
-            rhs = self.unit(self.right.obj(N)).then(self.right.mor(self.counit(N)))
-            if not rhs.is_identity():
+        for B in cod_probes:
+            RB = self.right.obj(B)
+            if not self.adjunct(RB, self.counit(B)).is_identity():
                 return False, "right triangle fails"
         return True, None
 
@@ -943,33 +954,13 @@ def compose_adjunctions(inner, outer):
     L = ComposedFunctor(inner.left, outer.left)
     R = ComposedFunctor(outer.right, inner.right)
 
-    def unit(M):
-        first = inner.unit(M)
-        second = inner.right.mor(outer.unit(inner.left.obj(M)))
-        return first.then(second)
+    def unit(M):        # the inner adjunct of η_o at L_i M
+        return inner.adjunct(M, outer.unit(inner.left.obj(M)))
 
-    def counit(N):
-        first = outer.left.mor(inner.counit(outer.right.obj(N)))
-        second = outer.counit(N)
-        return first.then(second)
+    def counit(N):      # the outer coadjunct of ε_i at R_o N
+        return outer.coadjunct(inner.counit(outer.right.obj(N)), N)
 
     return Adjunction(L, R, unit, counit)
-
-
-def left_adjoint_comparison(adj1, adj2, M):
-    """Canonical map L1(M) -> L2(M) for two left adjoints of the same
-    functor: L1M -> L1 R L2 M -> L2 M."""
-    step1 = adj1.left.mor(adj2.unit(M))
-    step2 = adj1.counit(adj2.left.obj(M))
-    return step1.then(step2)
-
-
-def right_adjoint_comparison(adj1, adj2, N):
-    """Canonical map R1(N) -> R2(N) for two right adjoints of the same
-    functor: R1 N -> R2 L2... dual composite via units of adj2."""
-    step1 = adj2.unit(adj1.right.obj(N))
-    step2 = adj2.right.mor(adj1.counit(N))
-    return step1.then(step2)
 
 
 # ---------------------------------------------------------------------------
@@ -984,11 +975,7 @@ def norm_map(f, M):
     component means the gate was violated upstream and raises an alarm.
     """
     lan = LanFunctor(f)
-    adj2 = adj_pullback_ran(f)
-    tr = lan.trace_cell(M)                 # f* f_! M -> M
-    FM = lan.obj(M)
-    nm = adj2.unit(FM).then(adj2.right.mor(tr))
-    return nm
+    return adj_pullback_ran(f).adjunct(lan.obj(M), lan.trace_cell(M))
 
 
 _NORM_SINGULAR = "norm map not invertible: gate violated?"
@@ -1029,9 +1016,8 @@ def adj_ambidextrous(f):
         nm = norm_map(f, pull.obj(M))
         return adj2.unit(M).then(certified_inverse(nm, _NORM_SINGULAR))
 
-    def counit(N):   # f* f_! N -> N
-        nm = norm_certificate(f, N)
-        return pull.mor(nm).then(adj2.counit(N))
+    def counit(N):   # f* f_! N -> N, the coadjunct of the norm
+        return adj2.coadjunct(norm_certificate(f, N), N)
 
     return Adjunction(pull, lan, unit, counit)
 
@@ -1089,23 +1075,17 @@ def transport_cell(kappa, M):
 
 def base_change_cell(square, M):
     """The canonical comparison f'_! g'* M -> g* f_! M for a 2-commuting
-    square (kappa: f∘g' -> g∘f'), built from units/counits only:
+    square (kappa: f∘g' -> g∘f'): the (f'_! ⊣ f'*)-coadjunct of
 
-        f'_! g'* --(unit of f)--> f'_! g'* f* f_! = f'_! (f g')* f_!
-                 --(kappa transport)--> f'_! (g f')* f_! = f'_! f'* g* f_!
-                 --(counit of f')--> g* f_!
+        g'* M --g'*(unit of f)--> g'* f* f_! M = (f g')* f_! M
+              --kappa transport--> (g f')* f_! M = f'* g* f_! M.
     """
-    f, g, fp, gp, kappa = (square.f, square.g, square.fp, square.gp,
-                           square.kappa)
-    adj_f = adj_lan_pullback(f)
-    adj_fp = adj_lan_pullback(fp)
-    lan_f, lan_fp = adj_f.left, adj_fp.left
-    pull_gp, pull_g = PullbackFunctor(gp), PullbackFunctor(g)
-    FM = lan_f.obj(M)
-    step1 = lan_fp.mor(pull_gp.mor(adj_f.unit(M)))
-    step2 = lan_fp.mor(transport_cell(kappa, FM))
-    step3 = adj_fp.counit(pull_g.obj(FM))
-    return step1.then(step2).then(step3)
+    adj_f = adj_lan_pullback(square.f)
+    FM = adj_f.left.obj(M)
+    cell = PullbackFunctor(square.gp).mor(adj_f.unit(M)).then(
+        transport_cell(square.kappa, FM))
+    return adj_lan_pullback(square.fp).coadjunct(
+        cell, PullbackFunctor(square.g).obj(FM))
 
 
 class CommutingSquare:
@@ -1146,25 +1126,21 @@ def _projection_formula_cell(f, W, V, side):
     unit V -> f*f_!V tensored with id_{f*W}, pushed along f, then the
     counit at W ⊗ f_!V, whose pullback is f*W ⊗ f*f_!V on the nose."""
     adj = adj_lan_pullback(f)
-    lan = adj.left
     ident, eta = identity_morphism(adj.right.obj(W)), adj.unit(V)
-    FV = lan.obj(V)
+    FV = adj.left.obj(V)
     if side == "left":
         inner, out = tensor_morphisms(ident, eta), tensor(W, FV)
     else:
         inner, out = tensor_morphisms(eta, ident), tensor(FV, W)
-    return lan.mor(inner).then(adj.counit(out))
+    return adj.coadjunct(inner, out)
 
 
 def ran_projection_cell(f, A, B):
     """f_*(A) ⊗ B -> f_*(A ⊗ f*B), the (f* ⊣ f_*)-adjunct of
     f*(f_*A ⊗ B) = f*f_*A ⊗ f*B --counit⊗id--> A ⊗ f*B."""
     adj = adj_pullback_ran(f)
-    pull, ran = adj.left, adj.right
-    pB = pull.obj(B)
-    src = tensor(ran.obj(A), B)
-    inner = tensor_morphisms(adj.counit(A), identity_morphism(pB))
-    return adj.unit(src).then(ran.mor(inner))
+    inner = tensor_morphisms(adj.counit(A), identity_morphism(adj.left.obj(B)))
+    return adj.adjunct(tensor(adj.right.obj(A), B), inner)
 
 
 # _COMPOSITES[g][f] is compose_functors(g, f) for the composition
@@ -1186,37 +1162,34 @@ def _composite(g, f):
 
 
 def compose_comparison_lan(g, f, M):
-    """(g∘f)_! M -> g_! f_! M, canonical (both are left adjoints of the
-    strict equality f*∘g* = (g∘f)*)."""
-    adj_gf = adj_lan_pullback(_composite(g, f))
+    """(g∘f)_! M -> g_! f_! M, canonical, as both are left adjoint to
+    f*∘g* = (g∘f)*: the ((g∘f)_! ⊣ (g∘f)*)-coadjunct of the unit
+    M -> f*g*g_!f_!M of the composite adjunction."""
     adj_comp = compose_adjunctions(adj_lan_pullback(f), adj_lan_pullback(g))
-    return left_adjoint_comparison(adj_gf, adj_comp, M)
+    return adj_lan_pullback(_composite(g, f)).coadjunct(
+        adj_comp.unit(M), adj_comp.left.obj(M))
 
 
 def compose_comparison_ran(g, f, M):
-    """(g∘f)_* M -> g_* f_* M, canonical (right adjoints of the same)."""
+    """(g∘f)_* M -> g_* f_* M, canonical, as both are right adjoint to
+    (g∘f)* = f*∘g*: the adjunct, under the composite adjunction, of the
+    counit f*g*(g∘f)_*M -> M."""
     adj_gf = adj_pullback_ran(_composite(g, f))
     adj_comp = compose_adjunctions(adj_pullback_ran(g), adj_pullback_ran(f))
-    return right_adjoint_comparison(adj_gf, adj_comp, M)
-
-
-def _identity_adjunction():
-    """Id ⊣ Id with identity unit and counit."""
-    ident = IdentityFunctor()
-    return Adjunction(ident, ident, identity_morphism, identity_morphism)
+    return adj_comp.adjunct(adj_gf.right.obj(M), adj_gf.counit(M))
 
 
 def lan_identity_comparison(C, M):
-    """id_! M -> M, canonical (Lan along the identity vs the identity
-    functor, both left adjoint to id*)."""
-    adj1 = adj_lan_pullback(C.identity_functor)
-    return left_adjoint_comparison(adj1, _identity_adjunction(), M)
+    """id_! M -> M, canonical (Lan along the identity and the identity
+    functor are both left adjoint to id* = Id): the coadjunct of id_M, the
+    counit id_!id*M = id_!M -> M."""
+    return adj_lan_pullback(C.identity_functor).counit(M)
 
 
 def ran_identity_comparison(C, M):
-    """id_* M -> M, canonical (both right adjoint to id*)."""
-    adj1 = adj_pullback_ran(C.identity_functor)
-    return right_adjoint_comparison(adj1, _identity_adjunction(), M)
+    """id_* M -> M, canonical (both right adjoint to id* = Id): the
+    coadjunct of the identity of id_*M, the counit id*id_*M = id_*M -> M."""
+    return adj_pullback_ran(C.identity_functor).counit(M)
 
 
 def swap_cell(M, N):
@@ -1268,17 +1241,9 @@ def hom_form_cell(f, N, M):
       f*iHom(f_!N, M) ⊗ N --iHom(unit,id)⊗N--> iHom(N, f*M) ⊗ N --ev--> f*M
     using the strict equality f*iHom(A, B) = iHom(f*A, f*B)."""
     adj1 = adj_lan_pullback(f)
-    adj2 = adj_pullback_ran(f)
-    lan, pull, ran = adj1.left, adj1.right, adj2.right
-    FN = lan.obj(N)
-    src = internal_hom(FN, M)
-    pM = pull.obj(M)
     # f*(iHom(f_!N, M)) = iHom(f*f_!N, f*M) on the nose; precompose the unit
-    pre = hom_left_map(adj1.unit(N), pM)
-    psrc = pull.obj(src)
-    stepA = SheafMorphism(psrc, pre.dst, {x: pre.comp[x] for x in pre.comp})
-    # adjunct under (f* ⊣ f_*)
-    return adj2.unit(src).then(ran.mor(stepA))
+    pre = hom_left_map(adj1.unit(N), adj1.right.obj(M))
+    return adj_pullback_ran(f).adjunct(internal_hom(adj1.left.obj(N), M), pre)
 
 
 class TensorRightFunctor(SheafFunctor):

@@ -164,11 +164,17 @@ def check_base_change_and_projection(config, rng):
             # one end no push built, so a push with a wrong transition
             # matrix fails here even where every cell between pushes
             # stays natural and invertible
-            _certify_natural(adj_lan_pullback(f).unit(M),
-                             "unit of f_! ⊣ f*")
+            lan_adj, ran_adj = adj_lan_pullback(f), adj_pullback_ran(f)
+            _certify_natural(lan_adj.unit(M), "unit of f_! ⊣ f*")
             verify_base_change(square, M)
-            _certify_natural(adj_pullback_ran(f).counit(M),
-                             "counit of f* ⊣ f_*")
+            _certify_natural(ran_adj.counit(M), "counit of f* ⊣ f_*")
+            # the triangles pin the scale of every adjunct and coadjunct,
+            # which invertibility and naturality leave free
+            FM = lan_adj.left.obj(M)
+            for adj, dom, cod in ((lan_adj, M, FM), (ran_adj, FM, M)):
+                ok, why = adj.triangles_ok([dom], [cod])
+                if not ok:
+                    raise TheoremViolation(why)
             verify_projection_formula(f, instances.sheaf(rng, X, field),
                                       instances.sheaf(rng, Y, field))
         except TheoremViolation as e:

@@ -1,5 +1,7 @@
 """`tools/bench_pairs.py` reads no summary from a wrong run: a run that is
-not `correct`, or whose last line is not JSON, ends it with exit status 1."""
+not `correct`, or whose last line is not JSON, ends it with exit status 1.
+Each end-to-end metric is judged against its bound from the parent's
+BENCHMARK.json."""
 
 import json
 import subprocess
@@ -11,11 +13,19 @@ import pytest
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
-def _checkout(root, last_line):
-    """A directory whose perfbench/run.py prints `last_line` last."""
+def _checkout(root, *last_lines):
+    """A directory whose perfbench/run.py prints the next of `last_lines`
+    last, in turn, and whose BENCHMARK.json bounds verdict_s by 25%."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
-        "print('warming up')\nprint(%r)\n" % last_line)
+        "from pathlib import Path\n"
+        "seen = Path(__file__).with_name('runs')\n"
+        "n = int(seen.read_text()) if seen.exists() else 0\n"
+        "seen.write_text(str(n + 1))\n"
+        "print('warming up')\n"
+        "print(%r[n %% %d])\n" % (last_lines, len(last_lines)))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "verdict_s", "better": "lower", "bound": 0.25}]}))
     return root
 
 
@@ -24,10 +34,10 @@ def _run(metric, correct=True):
                        "metrics": {"verdict_s": {"value": metric}}})
 
 
-def _pairs(parent, change):
+def _pairs(parent, change, pairs=2):
     return subprocess.run(
         [sys.executable, str(BENCH_PAIRS), str(parent), str(change),
-         "--workload", "w", "--pairs", "2"],
+         "--workload", "w", "--pairs", str(pairs)],
         capture_output=True, text=True, timeout=60)
 
 
@@ -47,4 +57,29 @@ def test_a_wrong_or_unreadable_run_exits_1(tmp_path, last_line):
                   _checkout(tmp_path / "b", last_line))
     assert proc.returncode == 1
     assert proc.stdout == ""
+    assert "Traceback (most recent call last)" not in proc.stderr
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    ((1.0,), (1.1,), "ok"),
+    ((1.0,), (1.3,), "worse"),
+    ((0.5, 1.5), (1.0,), "unresolved"),
+    ((0.5, 1.5), (0.4,), "ok"),
+], ids=["within-bound", "beyond-bound", "noisy-parent", "noisy-but-beaten"])
+def test_each_metric_is_judged_against_its_bound(tmp_path, parent, change,
+                                                 verdict):
+    """The parent's IQR is 0 with one value and 1.0 with two alternating
+    ones, against a bound of 0.25 of its median 1.0."""
+    proc = _pairs(_checkout(tmp_path / "a", *map(_run, parent)),
+                  _checkout(tmp_path / "b", *map(_run, change)), pairs=4)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)["verdict_s"]
+    assert out["bound"] == 0.25 and out["verdict"] == verdict
+
+
+def test_a_parent_without_bounds_exits_1(tmp_path):
+    parent = _checkout(tmp_path / "a", _run(1.0))
+    (parent / "BENCHMARK.json").unlink()
+    proc = _pairs(parent, _checkout(tmp_path / "b", _run(1.0)))
+    assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback (most recent call last)" not in proc.stderr

@@ -363,6 +363,32 @@ def test_finset_fiber_product_certificate_fails_on_a_repeated_element():
         cat.fiber_product(f, g)
 
 
+def _broken_apex(pairs, how):
+    """`pairs` with one pair dropped, one repeated in place of another, or
+    one replaced by a pair that does not match."""
+    if how == "dropped":
+        return pairs[1:]
+    if how == "repeated":
+        return pairs[:-1] + pairs[:1]
+    (a, _), (_, b) = pairs[0], pairs[-1]
+    return ((a, b),) + pairs[1:]
+
+
+@pytest.mark.parametrize("how", ["dropped", "repeated", "non-matching"])
+def test_finset_fiber_product_certificate_refuses_a_broken_apex(how):
+    cat = FinSetCategory()
+    X, Y, S = (0, 1, 2), ("a", "b"), (0, 1)
+    f, g = cat.mor(X, S, (0, 0, 1)), cat.mor(Y, S, (0, 1))
+    pb = cat.fiber_product(f, g)
+    pairs = tuple(zip(pb.p1[3], pb.p2[3]))
+    assert pairs == ((0, "a"), (1, "a"), (2, "b"))
+    apex = _broken_apex(pairs, how)
+    p1 = ("fn", apex, X, tuple(a for a, _ in apex))
+    p2 = ("fn", apex, Y, tuple(b for _, b in apex))
+    with pytest.raises(TheoremViolation, match="matching pairs"):
+        cat.certify_fiber_product(f, g, p1, p2)
+
+
 def test_finset_mediator_refuses_a_cone_that_misses_the_apex():
     cat = FinSetCategory()
     X, S = cat.add_object((0, 1)), cat.add_object((0, 1))

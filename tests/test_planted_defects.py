@@ -67,6 +67,25 @@ def _projection_formula_cell_with_swapped_tensor(f, W, V, side):
     return lan.mor(inner).then(adj.counit(out))
 
 
+def _doubled(cell):
+    """The sheaf morphism 2·cell."""
+    two = cell.src.field.of(2)
+    return sheaves.SheafMorphism(cell.src, cell.dst, {
+        x: m.scale(two) for x, m in cell.comp.items()})
+
+
+def _adjunct_doubled(self, A, cell):
+    """`Adjunction.adjunct` returning 2·R(cell)∘η_A."""
+    return _doubled(self.unit(A).then(self.right.mor(cell)))
+
+
+def _coadjunct_doubled(self, cell, B):
+    """`Adjunction.coadjunct` returning 2·ε_B∘L(cell): it doubles every
+    base change, projection formula and composition comparison, which
+    stay natural and invertible."""
+    return _doubled(self.left.mor(cell).then(self.counit(B)))
+
+
 # (name, owner, attribute, replacement, the check that must fail)
 CATALOGUE = [
     ("lan-blocks-p-for-p-inverse", sheaves.LanFunctor, "_blocks",
@@ -78,6 +97,10 @@ CATALOGUE = [
     ("projection-tensor-swapped", sheaves, "_projection_formula_cell",
      _projection_formula_cell_with_swapped_tensor,
      "sheaf.base-change-projection"),
+    ("coadjunct-doubled", sheaves.Adjunction, "coadjunct",
+     _coadjunct_doubled, "sheaf.base-change-projection"),
+    ("adjunct-doubled", sheaves.Adjunction, "adjunct", _adjunct_doubled,
+     "hecke.algebra"),
 ]
 
 _SUITE_OF = {check_id: suite for check_id, _, suite, _ in CHECKS}

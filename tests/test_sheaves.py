@@ -176,6 +176,48 @@ def test_tensor_and_hom_adjunction():
     assert tensor(triv, reg).mat == reg.mat
 
 
+def _point_sheaf(field, d):
+    """A d-dimensional sheaf on the point."""
+    o, = PT.objects
+    return Sheaf(PT, field, {o: d},
+                 {PT.identity[o]: Matrix.identity(field, d)})
+
+
+# (adjunction L ⊣ R, A on the source of L, B on the source of R), by field
+_BIJECTION_CASES = {
+    "lan-incl": lambda k: (sheaves.adj_lan_pullback(INCL),
+                           regular_rep(BC2, C2, k), std_rep_s3(k)),
+    "ran-incl": lambda k: (sheaves.adj_pullback_ran(INCL), std_rep_s3(k),
+                           regular_rep(BC2, C2, k)),
+    "lan-point": lambda k: (sheaves.adj_lan_pullback(P_C2),
+                            regular_rep(BC2, C2, k), _point_sheaf(k, 2)),
+    "ran-point": lambda k: (sheaves.adj_pullback_ran(P_C2),
+                            _point_sheaf(k, 2), regular_rep(BC2, C2, k)),
+    "tensor-hom-sign": lambda k: (adj_tensor_hom(sign_rep_c2(k)),
+                                  regular_rep(BC2, C2, k),
+                                  regular_rep(BC2, C2, k)),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("case", sorted(_BIJECTION_CASES))
+def test_adjunct_and_coadjunct_are_mutually_inverse(case, field):
+    """Hom(L A, B) ≅ Hom(A, R B): coadjunct∘adjunct and adjunct∘coadjunct
+    are the identity on every basis cell, component by component."""
+    adj, A, B = _BIJECTION_CASES[case](field)
+    LA, RB = adj.left.obj(A), adj.right.obj(B)
+    left_cells, right_cells = hom_space(LA, B), hom_space(A, RB)
+    assert left_cells and len(left_cells) == len(right_cells)
+    for c in left_cells:
+        back = adj.coadjunct(adj.adjunct(A, c), B)
+        assert back.comp.keys() == c.comp.keys()
+        assert all(back.comp[x] == c.comp[x] for x in c.comp)
+    for d in right_cells:
+        back = adj.adjunct(A, adj.coadjunct(d, B))
+        assert back.comp.keys() == d.comp.keys()
+        assert all(back.comp[x] == d.comp[x] for x in d.comp)
+
+
 def test_double_dual_and_swap():
     std = std_rep_s3()
     dd = double_dual_cell(std, unit_sheaf(BS3, QQ))

@@ -10,8 +10,18 @@ even pairs.  Prints one JSON object in the shape of the ``pairs``
 summary of a ``BENCH_<pr>.json``: per end-to-end metric, both sides'
 values, medians and quartiles, the change against the parent, the
 parent's IQR and how many pairs the change won (lower is better for
-every metric).  With ``--claim METRIC`` it adds whether the change won
-at least nine pairs in ten and its median gap exceeds the parent's IQR.
+every metric).  Each metric with a bound among the ``end_to_end``
+metrics of the parent's ``BENCHMARK.json`` also gets that ``bound`` and
+a ``verdict``:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound, relative to the parent's median;
+- ``unresolved``: the parent's IQR exceeds the bound relative to its
+  median, and not every change run beats every parent run;
+- ``ok``: otherwise.
+
+With ``--claim METRIC`` it adds whether the change won at least nine
+pairs in ten and its median gap exceeds the parent's IQR.
 It stops with exit status 1 at the first run that is not ``correct`` or
 whose last line is not JSON, so no summary is drawn from a wrong run.
 Standard library only.
@@ -22,6 +32,7 @@ import json
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 
 def run_once(checkout, args):
@@ -67,6 +78,33 @@ def summarise(parent, change):
     }
 
 
+def bounds(checkout):
+    """The end-to-end metrics of `checkout`'s BENCHMARK.json by name."""
+    path = Path(checkout) / "BENCHMARK.json"
+    try:
+        with open(path) as fh:
+            metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SystemExit("%s: no end-to-end bounds (%s)" % (path, exc))
+    higher = [n for n, m in metrics.items() if m.get("better") == "higher"]
+    if higher:
+        raise SystemExit("%s: higher is better for %s; every metric here "
+                         "is compared lower-is-better" % (path, higher))
+    return metrics
+
+
+def verdict(summary, bound):
+    """`worse`, `unresolved` or `ok` for one summarised metric, lower being
+    better, against its relative bound."""
+    pm = summary["parent_median"]
+    if summary["change_median"] > pm * (1 + bound):
+        return "worse"
+    if summary["parent_iqr"] > bound * pm and \
+            max(summary["change"]) >= min(summary["parent"]):
+        return "unresolved"
+    return "ok"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description="Alternated benchmark pairs of two sixff checkouts.")
@@ -79,6 +117,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for the quartiles")
+    bound_of = bounds(args.parent)
     runs = {"parent": [], "change": []}
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
@@ -97,9 +136,12 @@ def main(argv=None):
                       for side, rs in runs.items()},
     }
     for name in runs["parent"][0]["metrics"]:
-        out[name] = summarise(
+        out[name] = s = summarise(
             [r["metrics"][name]["value"] for r in runs["parent"]],
             [r["metrics"][name]["value"] for r in runs["change"]])
+        if "bound" in bound_of.get(name, {}):
+            s["bound"] = bound_of[name]["bound"]
+            s["verdict"] = verdict(s, s["bound"])
     if args.claim:
         s = out[args.claim]
         gap = s["parent_median"] - s["change_median"]
