@@ -127,8 +127,6 @@ def terminal_object(cat):
 
 def product(cat, x, y):
     """Binary product via pullback over the terminal object."""
-    if getattr(cat, "lazy", False):
-        return cat.product(x, y)
     t = terminal_object(cat)
     if t is None:
         return None

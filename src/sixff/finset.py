@@ -137,9 +137,6 @@ class FinSetCategory:
             raise TheoremViolation("fiber product apex is not the set of "
                                    "matching pairs")
 
-    def product(self, x, y):
-        return self.fiber_product(self.to_terminal(x), self.to_terminal(y))
-
     def mediator(self, pb, p2, q2):
         """The unique h with pr1∘h = p2, pr2∘h = q2 (pointwise formula)."""
         _, W, X, pi = p2

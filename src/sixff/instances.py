@@ -115,6 +115,14 @@ def sheaf(rng, U, field):
     return gauged_sheaf(rng, U, [rep(rng, field) for _ in U.pieces], field)
 
 
+def nonzero_sheaf(rng, U, field):
+    """A random `sheaf` on U, drawn again until it is not zero."""
+    while True:
+        M = sheaf(rng, U, field)
+        if M.total_dim():
+            return M
+
+
 @lru_cache(maxsize=None)
 def _piece_maps(P, Q):
     """Every (object map, morphism map) of a functor from piece P to piece

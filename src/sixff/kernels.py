@@ -470,22 +470,15 @@ class MapCalculus:
         self.f, self.field = f, field
         X, S = f.dom, f.cod
         self.X, self.S = X, S
-        self.rp = RelProduct(S, [(X, f), (X, f)])
+        # the self square both ways: kappa: f∘pi1 -> f∘pi2 by the anchors
+        self.sq_p2p1, self.rp = CommutingSquare.from_iso_comma(f, f)
+        self.sq_p1p2 = self.sq_p2p1.mirrored()
         self.PXX = self.rp.grpd
-        self.pi1 = self.rp.factor_proj(0)
-        self.pi2 = self.rp.factor_proj(1)
+        self.pi1, self.pi2 = self.rp.p1, self.rp.p2
         self.diag = self.rp.diagonal
         self.unit_X = unit_sheaf(X, field)
         self.unit_S = unit_sheaf(S, field)
         self.id_XX = LanFunctor(self.diag).obj(self.unit_X)
-        # the self square both ways: kappa: f∘pi1 -> f∘pi2 by the anchors
-        kappa = NatTrans(
-            compose_functors(f, self.pi1), compose_functors(f, self.pi2),
-            {o: o[1][0] for o in self.PXX.objects})
-        self.sq_p2p1 = CommutingSquare(f=f, g=f, fp=self.pi2, gp=self.pi1,
-                                       kappa=kappa)
-        self.sq_p1p2 = CommutingSquare(f=f, g=f, fp=self.pi1, gp=self.pi2,
-                                       kappa=kappa.inverse())
         self.adj_f = adj_lan_pullback(f)
         self.adj_f_ran = adj_pullback_ran(f)
         self.adj_p1 = adj_lan_pullback(self.pi1)
@@ -869,14 +862,12 @@ def base_change_suave_prim(f, g, probes_Y=(), probes_Xp=(), probes_W=(),
 
     Returns a dict name -> list of certified cells.
     """
-    from .groupoid import iso_comma_pullback
     if not any((probes_Y, probes_Xp, probes_W, probes_X)):
         raise ValueError("need at least one probe")
-    ic = iso_comma_pullback(f, g)
-    gp, fp, kappa = ic.p1, ic.p2, ic.phi
+    sq_f, ic = CommutingSquare.from_iso_comma(f, g)
+    sq_g = sq_f.mirrored()
+    kappa = ic.phi
     out = {}
-    sq_f = CommutingSquare(f=f, g=g, fp=fp, gp=gp, kappa=kappa)
-    sq_g = CommutingSquare(f=g, g=f, fp=gp, gp=fp, kappa=kappa.inverse())
 
     def certify(name, cells):
         for c in cells:

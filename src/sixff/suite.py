@@ -159,7 +159,7 @@ def check_base_change_and_projection(config, rng):
         g = instances.union_map(rng, Z, X)
         try:
             square, _ = CommutingSquare.from_iso_comma(f, g)
-            M = instances.sheaf(rng, Y, field)
+            M = instances.nonzero_sheaf(rng, Y, field)
             # the unit M -> f*f_!M and the counit f*f_*M -> M each have
             # one end no push built, so a push with a wrong transition
             # matrix fails here even where every cell between pushes
@@ -175,8 +175,9 @@ def check_base_change_and_projection(config, rng):
                 ok, why = adj.triangles_ok([dom], [cod])
                 if not ok:
                     raise TheoremViolation(why)
-            verify_projection_formula(f, instances.sheaf(rng, X, field),
-                                      instances.sheaf(rng, Y, field))
+            verify_projection_formula(
+                f, instances.nonzero_sheaf(rng, X, field),
+                instances.nonzero_sheaf(rng, Y, field))
         except TheoremViolation as e:
             return "fail", "instance %d: %s" % (done, e)
     return "pass", "%d randomized instances over Q and F5" % count

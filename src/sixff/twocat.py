@@ -10,9 +10,8 @@ a prime field, horizontal composition = multiplication) whose hom-sets are
 tiny enough for exhaustive mate checks; a Kronecker model (1-cells are
 dimensions, 2-cells all matrices over a prime field, horizontal composition
 the Kronecker product) which is strict because row-major flattening of
-Kronecker products is associative on the nose; a model generated by
-multiplicity-matrix 1-cells and block-matrix 2-cells; and the full
-sub-2-category of Cat on given finite categories.
+Kronecker products is associative on the nose; and the full sub-2-category
+of Cat on given finite categories.
 """
 
 from __future__ import annotations
@@ -490,141 +489,6 @@ def kron_two_cat(objects, dims, p):
         lambda g, f: ("d", f[1], g[2], g[3] * f[3]),
         lambda t2, t1: ("m", t1[1], t2[2], t2[3] * t1[3], t2[4] * t1[4],
                         t2[5].kron(t1[5])))
-
-
-def generated_two_cat(object_simples, gen_one_cells, gen_two_cells, field):
-    """Strict 2-category generated by multiplicity-matrix 1-cells and
-    block-matrix 2-cells, closed under both compositions.
-
-    object_simples: dict object -> number of simples.
-    gen_one_cells: dict name -> (X, Y, tuple-of-tuples multiplicity matrix,
-    rows indexed by Y-simples, columns by X-simples).
-    gen_two_cells: list of (src_1cell_name, dst_1cell_name, blocks) with
-    blocks a dict (i, j) -> Matrix of shape dst[i][j] x src[i][j].
-
-    The closure is validated for strictness; a non-strict instance (possible
-    for general multiplicities) raises, so callers only ever hold genuinely
-    strict tables.  Each closure stops at 4000 cells.
-    """
-    objs = list(object_simples)
-
-    def one_id(X):
-        r = object_simples[X]
-        return ("d", X, X, tuple(tuple(1 if i == j else 0 for j in range(r))
-                                 for i in range(r)))
-
-    def mk_one(X, Y, mat):
-        return ("d", X, Y, tuple(tuple(row) for row in mat))
-
-    def comp_one(g, f):
-        _, Xf, Yf, A = f
-        _, Xg, Yg, B = g
-        assert Xg == Yf
-        rows = len(B)
-        cols = len(A[0]) if A else 0
-        out = tuple(tuple(sum(B[i][j] * A[j][k] for j in range(len(A)))
-                          for k in range(cols)) for i in range(rows))
-        return ("d", Xf, Yg, out)
-
-    def mk_two(src1, dst1, blocks):
-        # blocks sorted by their (i, j) index, so equal cells are equal
-        return ("m", src1, dst1, tuple(sorted(blocks.items())))
-
-    def two_identity(c):
-        _, X, Y, A = c
-        blocks = {}
-        for i in range(len(A)):
-            for j in range(len(A[0]) if A else 0):
-                blocks[(i, j)] = Matrix.identity(field, A[i][j])
-        return mk_two(c, c, blocks)
-
-    def vcomp_two(t2, t1):
-        assert t1[2] == t2[1]
-        b1, b2 = dict(t1[3]), dict(t2[3])
-        out = {ij: b2[ij] * b1[ij] for ij in b1}
-        return mk_two(t1[1], t2[2], out)
-
-    def hcomp_two(t2, t1):
-        # t1 in hom(X, Y), t2 in hom(Y, Z)
-        srcA, dstA = t1[1], t1[2]
-        srcB, dstB = t2[1], t2[2]
-        A, B = srcA[3], srcB[3]
-        bA, bB = dict(t1[3]), dict(t2[3])
-        src = comp_one(srcB, srcA)
-        dst = comp_one(dstB, dstA)
-        blocks = {}
-        n_mid = len(A)
-        rows = len(B)
-        cols = len(A[0]) if A else 0
-        for k in range(rows):
-            for i in range(cols):
-                summands = [bB[(k, j)].kron(bA[(j, i)]) for j in range(n_mid)]
-                blk = Matrix.direct_sum(field, summands) if summands else \
-                    Matrix.zero(field, 0, 0)
-                # direct sum of Kroneckers along the middle index; shapes
-                # must match the composite multiplicities exactly
-                blocks[(k, i)] = blk
-        return mk_two(src, dst, blocks)
-
-    one_cells = {one_id(X) for X in objs}
-    for name, (X, Y, mat) in gen_one_cells.items():
-        one_cells.add(mk_one(X, Y, mat))
-    two_cells = set()
-    for (sname, dname, blocks) in gen_two_cells:
-        Xs, Ys, ms = gen_one_cells[sname]
-        Xd, Yd, md = gen_one_cells[dname]
-        s1 = mk_one(Xs, Ys, ms)
-        d1 = mk_one(Xd, Yd, md)
-        two_cells.add(mk_two(s1, d1, blocks))
-
-    # close 1-cells under composition
-    changed = True
-    while changed:
-        changed = False
-        for f in list(one_cells):
-            for g in list(one_cells):
-                if g[1] == f[2]:
-                    c = comp_one(g, f)
-                    if c not in one_cells:
-                        if len(one_cells) > 4000:
-                            raise StructureError("1-cell closure exceeds budget")
-                        one_cells.add(c)
-                        changed = True
-    for c in list(one_cells):
-        two_cells.add(two_identity(c))
-    # close 2-cells
-    changed = True
-    while changed:
-        changed = False
-        for t1 in list(two_cells):
-            for t2 in list(two_cells):
-                new = []
-                if t1[2] == t2[1]:
-                    new.append(vcomp_two(t2, t1))
-                if t2[1][1] == t1[1][2]:
-                    new.append(hcomp_two(t2, t1))
-                for t in new:
-                    if t not in two_cells:
-                        if len(two_cells) > 4000:
-                            raise StructureError("2-cell closure exceeds budget")
-                        two_cells.add(t)
-                        changed = True
-
-    by_ends = {}
-    for t in two_cells:
-        by_ends.setdefault((t[1], t[2]), []).append(t)
-
-    def hom(X, Y):
-        return presented_category(
-            [c for c in one_cells if c[1] == X and c[2] == Y],
-            lambda a, b: by_ends.get((a, b), []), two_identity, vcomp_two)
-
-    out = StrictTwoCat(objs, {(X, Y): hom(X, Y) for X in objs for Y in objs},
-                       {X: one_id(X) for X in objs}, comp_one, hcomp_two)
-    bad = out.validate()
-    if bad:
-        raise StructureError("generated instance not strict: %s" % bad[0])
-    return out
 
 
 def cat_two_cat(named_cats):

@@ -29,9 +29,9 @@ def _checkout(root, *last_lines):
     return root
 
 
-def _run(metric, correct=True):
+def _run(metric, correct=True, name="verdict_s"):
     return json.dumps({"correct": correct, "failed": 0, "attempted": 1,
-                       "metrics": {"verdict_s": {"value": metric}}})
+                       "metrics": {name: {"value": metric}}})
 
 
 def _pairs(parent, change, pairs=2):
@@ -60,20 +60,27 @@ def test_a_wrong_or_unreadable_run_exits_1(tmp_path, last_line):
     assert "Traceback (most recent call last)" not in proc.stderr
 
 
-@pytest.mark.parametrize("parent, change, verdict", [
-    ((1.0,), (1.1,), "ok"),
-    ((1.0,), (1.3,), "worse"),
-    ((0.5, 1.5), (1.0,), "unresolved"),
-    ((0.5, 1.5), (0.4,), "ok"),
-], ids=["within-bound", "beyond-bound", "noisy-parent", "noisy-but-beaten"])
+@pytest.mark.parametrize("parent, change, verdict, name", [
+    ((1.0,), (1.1,), "ok", "verdict_s"),
+    ((1.0,), (1.3,), "worse", "verdict_s"),
+    ((0.5, 1.5), (1.0,), "unresolved", "verdict_s"),
+    ((0.5, 1.5), (0.4,), "ok", "verdict_s"),
+    ((1.0,), (1.1,), "ok", "w.verdict_s"),
+    ((1.0,), (1.3,), "worse", "w.verdict_s"),
+], ids=["within-bound", "beyond-bound", "noisy-parent", "noisy-but-beaten",
+        "workload-within-bound", "workload-beyond-bound"])
 def test_each_metric_is_judged_against_its_bound(tmp_path, parent, change,
-                                                 verdict):
+                                                 verdict, name):
     """The parent's IQR is 0 with one value and 1.0 with two alternating
-    ones, against a bound of 0.25 of its median 1.0."""
-    proc = _pairs(_checkout(tmp_path / "a", *map(_run, parent)),
-                  _checkout(tmp_path / "b", *map(_run, change)), pairs=4)
+    ones, against a bound of 0.25 of its median 1.0.  `--workload all`
+    names a metric `<workload>.verdict_s`; its bound is that of
+    `verdict_s`."""
+    proc = _pairs(
+        _checkout(tmp_path / "a", *(_run(v, name=name) for v in parent)),
+        _checkout(tmp_path / "b", *(_run(v, name=name) for v in change)),
+        pairs=4)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)["verdict_s"]
+    out = json.loads(proc.stdout)[name]
     assert out["bound"] == 0.25 and out["verdict"] == verdict
 
 

@@ -25,8 +25,8 @@ from sixff.sheaves import (
     SheafMorphism, adj_tensor_hom, compose_comparison_lan,
     compose_comparison_ran, double_dual_cell, find_isomorphism,
     global_sections, hom_dim, hom_space, identity_morphism,
-    lan_identity_comparison, lan_shriek, morphism_coordinates,
-    norm_certificate, norm_map, ran_projection_cell, ran_star,
+    lan_identity_comparison, morphism_coordinates,
+    norm_certificate, norm_map, ran_projection_cell,
     sheaves_equal, swap_cell, tensor, unit_sheaf, upper_shriek,
     verify_base_change, verify_projection_formula, zero_sheaf,
 )
@@ -109,7 +109,7 @@ def test_pullback_star_restriction():
 
 def test_lan_shriek_dimensions_and_adjunction():
     triv = unit_sheaf(BC2, QQ)
-    ind, adj = lan_shriek(INCL, triv)
+    ind, adj = LanFunctor(INCL).obj(triv), sheaves.adj_lan_pullback(INCL)
     assert ind.validate() == []
     assert ind.dim[BS3.objects[0]] == 3  # index [S3:C2]
     ok, why = adj.triangles_ok([triv, sign_rep_c2()],
@@ -121,7 +121,7 @@ def test_lan_regular_from_point():
     pt_unit = unit_sheaf(PT, QQ)
     j = Functor(PT, BC2, {PT.objects[0]: BC2.objects[0]},
                 {PT.morphisms[0]: BC2.identity[BC2.objects[0]]})
-    reg, adj = lan_shriek(j, pt_unit)
+    reg, adj = LanFunctor(j).obj(pt_unit), sheaves.adj_lan_pullback(j)
     assert reg.dim[BC2.objects[0]] == 2
     ok, why = adj.triangles_ok([pt_unit], [unit_sheaf(BC2, QQ), sign_rep_c2()])
     assert ok, why
@@ -129,10 +129,11 @@ def test_lan_regular_from_point():
 
 def test_ran_star_invariants():
     sgn = sign_rep_c2()
-    inv, adj = ran_star(P_C2, sgn)
+    ran, adj = RanFunctor(P_C2), sheaves.adj_pullback_ran(P_C2)
+    inv = ran.obj(sgn)
     assert inv.dim[PT.objects[0]] == 0
     reg = regular_rep(BC2, C2)
-    invr, _ = ran_star(P_C2, reg)
+    invr = ran.obj(reg)
     assert invr.dim[PT.objects[0]] == 1
     ok, why = adj.triangles_ok([unit_sheaf(PT, QQ)], [sgn, reg])
     assert ok, why
@@ -160,6 +161,9 @@ def test_upper_shriek_triangles():
     assert res.sheaf.dim[BC2.objects[0]] == 1
     ok, why = res.witness.triangles_ok(probes[1], probes[0])
     assert ok, why
+    # f_! keeps the trivial sheaf and kills the sign sheaf
+    o, = PT.objects
+    assert [res.witness.left.obj(M).dim[o] for M in probes[1]] == [1, 0]
 
 
 def test_tensor_and_hom_adjunction():
@@ -199,6 +203,11 @@ _BIJECTION_CASES = {
 }
 
 
+def _assert_same_components(x, y):
+    assert x.comp.keys() == y.comp.keys()
+    assert all(x.comp[o] == y.comp[o] for o in y.comp)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
 @pytest.mark.parametrize("case", sorted(_BIJECTION_CASES))
 def test_adjunct_and_coadjunct_are_mutually_inverse(case, field):
@@ -209,13 +218,35 @@ def test_adjunct_and_coadjunct_are_mutually_inverse(case, field):
     left_cells, right_cells = hom_space(LA, B), hom_space(A, RB)
     assert left_cells and len(left_cells) == len(right_cells)
     for c in left_cells:
-        back = adj.coadjunct(adj.adjunct(A, c), B)
-        assert back.comp.keys() == c.comp.keys()
-        assert all(back.comp[x] == c.comp[x] for x in c.comp)
+        _assert_same_components(adj.coadjunct(adj.adjunct(A, c), B), c)
     for d in right_cells:
-        back = adj.adjunct(A, adj.coadjunct(d, B))
-        assert back.comp.keys() == d.comp.keys()
-        assert all(back.comp[x] == d.comp[x] for x in d.comp)
+        _assert_same_components(adj.adjunct(A, adj.coadjunct(d, B)), d)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("case", sorted(_BIJECTION_CASES))
+def test_adjuncts_are_natural_in_both_variables(case, field):
+    """Passing to the adjoint cell is natural in A and in B: for
+    endomorphisms a of A and b of B, the adjunct of b∘c∘L(a) is
+    R(b)∘adjunct(c)∘a, and the coadjunct of R(b)∘d∘a is
+    b∘coadjunct(d)∘L(a), on every basis cell c and d."""
+    adj, A, B = _BIJECTION_CASES[case](field)
+    ends_A, ends_B = hom_space(A, A), hom_space(B, B)
+    left_cells = hom_space(adj.left.obj(A), B)
+    right_cells = hom_space(A, adj.right.obj(B))
+    assert ends_A and ends_B and left_cells and right_cells
+    for a in ends_A:
+        La = adj.left.mor(a)
+        for b in ends_B:
+            Rb = adj.right.mor(b)
+            for c in left_cells:
+                _assert_same_components(
+                    adj.adjunct(A, La.then(c).then(b)),
+                    a.then(adj.adjunct(A, c)).then(Rb))
+            for d in right_cells:
+                _assert_same_components(
+                    adj.coadjunct(a.then(d).then(Rb), B),
+                    La.then(adj.coadjunct(d, B)).then(b))
 
 
 def test_double_dual_and_swap():
@@ -326,7 +357,7 @@ def test_kunneth_product_of_sets():
 def test_frobenius_reciprocity_dims():
     triv2 = unit_sheaf(BC2, QQ)
     std = std_rep_s3()
-    ind, _ = lan_shriek(INCL, triv2)
+    ind = LanFunctor(INCL).obj(triv2)
     res = PullbackFunctor(INCL).obj(std)
     assert hom_dim(ind, std) == hom_dim(triv2, res)
     trivG = unit_sheaf(BS3, QQ)

@@ -2,17 +2,12 @@ import itertools
 
 import pytest
 
-from sixff import presets
-from sixff.fields import QQ
-from sixff.groupoid import (
-    FiniteCategory, StructureError, delooping, terminal_groupoid, to_terminal,
-)
-from sixff.linalg import Matrix
+from sixff.groupoid import FiniteCategory, StructureError
 from sixff.twocat import (
     AdjunctionQuadruple, BoundedSearchRefusal, PointwiseAuditReport,
-    StrictTwoCat, adjoint_uniqueness, cat_two_cat, generated_two_cat,
-    kron_two_cat, mate_lambda, mate_rho, pointwise_audit, scalar_two_cat,
-    upgrade_weak, verify_adjunction,
+    StrictTwoCat, adjoint_uniqueness, cat_two_cat, kron_two_cat, mate_lambda,
+    mate_rho, pointwise_audit, scalar_two_cat, upgrade_weak,
+    verify_adjunction,
 )
 
 
@@ -221,62 +216,6 @@ def test_pointwise_audit_budget_refusal():
         pointwise_audit(("d", "0", "1", 1), C, budget=1)
 
 
-def _sheaf_witness_two_cat():
-    """The exceptional-pushforward adjunction for */C2 -> * as a strict
-    2-category of multiplicity matrices."""
-    from sixff.fields import QQ as QQf
-    from sixff.sheaves import adj_lan_pullback, unit_sheaf
-    C2 = presets.group("C2")
-    BC2 = delooping(C2)
-    PT = terminal_groupoid()
-    p = to_terminal(BC2, PT)
-    adj = adj_lan_pullback(p)
-    one_y = unit_sheaf(BC2, QQf)
-    eta_mat = adj.unit(one_y).comp[BC2.objects[0]]
-    eps_mat = adj.counit(unit_sheaf(PT, QQf)).comp[PT.objects[0]]
-    assert eta_mat.shape == (1, 1) and eps_mat.shape == (1, 1)
-    # multiplicity picture: Y has simples (triv, sign), X has one simple
-    obj_simples = {"Y": 2, "X": 1}
-    F = ("Y", "X", ((1, 0),))          # f_!: triv -> k, sign -> 0
-    G = ("X", "Y", ((1,), (0,)))       # f^!: k -> triv
-    gens1 = {"F": F, "G": G}
-    eta_blocks = {(0, 0): eta_mat, (0, 1): Matrix.zero(QQf, 0, 0),
-                  (1, 0): Matrix.zero(QQf, 0, 0),
-                  (1, 1): Matrix.zero(QQf, 0, 1)}
-    eps_blocks = {(0, 0): eps_mat}
-    gens2 = [("idY", "GF", None)]
-    # build identity-of-Y and GF one-cells through the generator dict
-    gens1["idY"] = ("Y", "Y", ((1, 0), (0, 1)))
-    gens1["GF"] = ("Y", "Y", ((1, 0), (0, 0)))
-    gens1["FG"] = ("X", "X", ((1,),))
-    gens1["idX"] = ("X", "X", ((1,),))
-    gens2 = [("idY", "GF", eta_blocks), ("FG", "idX", eps_blocks)]
-    return generated_two_cat(obj_simples, gens1, gens2, QQf)
-
-
-def test_generated_two_cat_sheaf_witness():
-    """Embed the exceptional-pushforward adjunction for */C2 -> * as a
-    strict 2-category of multiplicity matrices and verify its triangles."""
-    C = _sheaf_witness_two_cat()
-    f1 = ("d", "Y", "X", ((1, 0),))
-    g1 = ("d", "X", "Y", ((1,), (0,)))
-    eta = None
-    eps = None
-    idY = C.id1["Y"]
-    idX = C.id1["X"]
-    for t in C.two_cells("Y", "Y"):
-        if C.cell_src(t) == idY and C.cell_dst(t) == C.h1(g1, f1) and \
-                t != C.id2(idY):
-            eta = t
-    for t in C.two_cells("X", "X"):
-        if C.cell_src(t) == C.h1(f1, g1) and C.cell_dst(t) == idX:
-            eps = t
-    assert eta is not None and eps is not None
-    q = AdjunctionQuadruple(f1, g1, eta, eps)
-    ok, why = verify_adjunction(q, C)
-    assert ok, why
-
-
 @pytest.mark.parametrize("build", [
     lambda: scalar_two_cat(["0", "1", "2"], 3),
     lambda: scalar_two_cat(["0", "1"], 3),
@@ -284,9 +223,7 @@ def test_generated_two_cat_sheaf_witness():
     lambda: scalar_two_cat(["0"], 5),
     lambda: kron_two_cat(["0", "1"], [0, 1], 3),
     _cat_two_cat,
-    _sheaf_witness_two_cat,
-], ids=["scalar3x3", "scalar2x3", "scalar2x5", "scalar1x5", "kron", "cat",
-        "generated"])
+], ids=["scalar3x3", "scalar2x3", "scalar2x5", "scalar1x5", "kron", "cat"])
 def test_horizontal_tables_have_one_entry_per_composable_pair(build):
     C = build()
     ones = [f for cat in C.hom.values() for f in cat.objects]

@@ -12,7 +12,8 @@ values, medians and quartiles, the change against the parent, the
 parent's IQR and how many pairs the change won (lower is better for
 every metric).  Each metric with a bound among the ``end_to_end``
 metrics of the parent's ``BENCHMARK.json`` also gets that ``bound`` and
-a ``verdict``:
+a ``verdict``; with ``--workload all`` a metric named
+``<workload>.<metric>`` is looked up by its part after the workload:
 
 - ``worse``: the change's median is worse than the parent's by more than
   the bound, relative to the parent's median;
@@ -139,8 +140,10 @@ def main(argv=None):
         out[name] = s = summarise(
             [r["metrics"][name]["value"] for r in runs["parent"]],
             [r["metrics"][name]["value"] for r in runs["change"]])
-        if "bound" in bound_of.get(name, {}):
-            s["bound"] = bound_of[name]["bound"]
+        # `--workload all` names each metric <workload>.<metric>
+        metric = bound_of.get(name.split(".", 1)[-1], {})
+        if "bound" in metric:
+            s["bound"] = metric["bound"]
             s["verdict"] = verdict(s, s["bound"])
     if args.claim:
         s = out[args.claim]
