@@ -14,8 +14,11 @@ that passes to an adjoint is an adjunct, `Adjunction.adjunct`: the suave
 and prim criterion maps m, tau and m', the mate behind the etale
 comparison, the diagonal mate behind the proper comparison and the prim
 twist, the suave twist, and the base-change mates g*f_* -> f'_*g'* and
-f_!g'_* -> g_*f'_!.  Every
-reassociation cell (unitors, associator, Psi composition, the suave and
+f_!g'_* -> g_*f'_!.  The counits of f_! ⊣ f*, the projection
+formulas and the Lan composition and identity comparisons that these
+cells use are (f_! ⊣ f*)-coadjuncts read off the cocone legs
+(`LanAdjunction.coadjunct`); base change keeps its pasted ε∘f'_!(cell).
+Every reassociation cell (unitors, associator, Psi composition, the suave and
 prim associators) is the projection formula along a square's fp followed
 by that square's base change, whiskered by the fixed factor: `_pf_bc`,
 with the fixed factor's side of the tensor as its parameter.  Nothing is

@@ -29,7 +29,12 @@ cell assembled from units, counits, strict equalities of composites and
 transports along invertible natural transformations - never searched:
 base change, the projection formulas, the hom form, the norm, the
 composition and identity comparisons, and the unit and counit of a
-composite adjunction.
+composite adjunction.  A coadjunct of (f_! ⊣ f*) is read off the cocone
+legs (`LanAdjunction.coadjunct`), with no push of its target and no f_!
+of its cell; the counit of f_! ⊣ f*, the projection formulas, the Lan
+composition and identity comparisons and the counits of composite
+adjunctions are all such coadjuncts.  Base change keeps the pasted
+ε∘f'_!(cell), written out.
 
 Global sections are Γ = p_* along p: X -> *, and Hom(M, N) = Γ(iHom(M, N)):
 `hom_space` reads each section at every object x through the fiber object
@@ -389,14 +394,15 @@ class _Fiber:
     kind "lan": objects (y, m: f(y) -> x);  kind "ran": (y, m: x -> f(y)).
     Arrows u: (y, m) -> (y', m') are the morphisms u: y -> y' of f.dom with
     m'∘f(u) = m (lan) or f(u)∘m = m' (ran), read from `f.dom.out`.  `reps`
-    holds the okey-least object of each component, `auts[rep]` the
-    automorphisms of rep in morphism order, and `locate[o]` is (i, p): the
-    index i of o's component in `reps` and the first morphism
-    p: y_rep -> y of f.dom, in morphism order, that is an arrow rep -> o of
-    the fiber.
+    holds the okey-least object of each component, `moving[rep]` is (the
+    automorphisms of rep other than the identity, in morphism order, and
+    the order of Aut(rep)), what every push reads of the component, and
+    `locate[o]` is (i, p): the index i of o's component in `reps` and the
+    first morphism p: y_rep -> y of f.dom, in morphism order, that is an
+    arrow rep -> o of the fiber.
     """
 
-    __slots__ = ("reps", "auts", "locate")
+    __slots__ = ("reps", "locate", "moving")
 
     def __init__(self, f, kind, objs):
         Y, X = f.dom, f.cod
@@ -413,8 +419,11 @@ class _Fiber:
                 y, m = o
                 return [(u, (dst[u], X.compose(fmor[u], m))) for u in out[y]]
 
-        self.reps, self.auts, self.locate = component_search(
+        self.reps, auts, self.locate = component_search(
             sorted(objs, key=okey), arrows, lambda o: Y.identity[o[0]])
+        self.moving = {
+            rep: (tuple(u for u in a if u != Y.identity[rep[0]]), len(a))
+            for rep, a in auts.items()}
 
 
 def _fibers(f, kind):
@@ -634,13 +643,12 @@ class _KanExtension(SheafFunctor):
         return self._entry(M)[1]
 
     def _component(self, M, fiber, rep):
-        fld, auts = M.field, fiber.auts[rep]
-        e = self.f.dom.identity[rep[0]]
-        mats = tuple(M.mat[u] for u in auts if u != e)
+        fld, (others, order) = M.field, fiber.moving[rep]
         if self.averaging and fld.characteristic and \
-                len(auts) % fld.characteristic == 0:
+                order % fld.characteristic == 0:
             raise GateError("char divides a fiber automorphism count")
-        return _invariant_data(fld, M.dim[rep[0]], mats,
+        return _invariant_data(fld, M.dim[rep[0]],
+                               tuple(map(M.mat.__getitem__, others)),
                                self.averaging) + (rep,)
 
     def _build(self, M, data):
@@ -690,17 +698,19 @@ class LanFunctor(_KanExtension):
     def cocone_leg(self, M, x, o):
         """Matrix M(y) -> f_!M(x) for an object o = (y, m) of the fiber.  It
         has one nonzero block, leg_r · M(p⁻¹) in the row block of o's
-        component r, where p: rep_r -> o.  The zero blocks of the other
-        components are stacked around it by `stack_rows`, not placed by
-        `Matrix.block`: on kernel-coherence this is the only caller of
-        `Matrix.vstack`, which perfbench/tracing.py expects to fire on
-        every workload."""
+        component r, where p: rep_r -> o.  One zero block for the
+        components before r and one for those after are stacked around it
+        by `stack_rows`, not placed by `Matrix.block`: on kernel-coherence
+        this is the only caller of `Matrix.vstack`, which
+        perfbench/tracing.py expects to fire on every workload."""
         r, p = self.fibers[x].locate[o]
-        d = M.dim[o[0]]
+        d, comps = M.dim[o[0]], self._data(M)[x]
+        above = sum(c[0].ncols for c in comps[:r])
+        below = sum(c[0].ncols for c in comps[r + 1:])
+        leg = M.right_times(comps[r][2], self.f.dom.inverse[p])
         return stack_rows(M.field, [
-            M.right_times(leg, self.f.dom.inverse[p]) if i == r
-            else Matrix.zero(M.field, iota.ncols, d)
-            for i, (iota, _, leg, _) in enumerate(self._data(M)[x])], d)
+            *([Matrix.zero(M.field, above, d)] if above else []), leg,
+            *([Matrix.zero(M.field, below, d)] if below else [])], d)
 
     def trace_cell(self, M):
         """tr: f*(f_!M) -> M, the sum over fiber morphisms; the counit of
@@ -867,7 +877,8 @@ class Adjunction:
     `coadjunct` the other; the triangle identities, checked exactly by
     `triangles_ok`, say that the two are mutually inverse.  Every
     canonical comparison here and in `kernels` is an adjunct or a
-    coadjunct, built by these two."""
+    coadjunct, built by these two.  `LanAdjunction` reads its coadjunct
+    off the cocone legs instead of taking ε_B∘L(cell)."""
 
     def __init__(self, left, right, unit, counit):
         self.left, self.right = left, right
@@ -895,29 +906,54 @@ class Adjunction:
         return True, None
 
 
-def adj_lan_pullback(f):
-    """(f_! ⊣ f*) from the colimit universal property."""
-    lan = LanFunctor(f)
-    pull = PullbackFunctor(f)
+class LanAdjunction(Adjunction):
+    """(f_! ⊣ f*) from the colimit universal property: the unit is the
+    cocone at (y, id), and a coadjunct is the map out of the colimit that
+    its cocone legs fix (Mac Lane, Categories for the Working
+    Mathematician, X.3)."""
 
-    def unit(M):
-        FM = lan.obj(M)
+    def __init__(self, f):      # unit and counit are the methods below
+        self.left, self.right = LanFunctor(f), PullbackFunctor(f)
+
+    def unit(self, M):
+        lan, f = self.left, self.left.f
         comp = {}
         for y in f.dom.objects:
             x = f.ob[y]
             comp[y] = lan.cocone_leg(M, x, (y, f.cod.identity[x]))
-        return SheafMorphism(M, pull.obj(FM), comp)
+        return SheafMorphism(M, self.right.obj(lan.obj(M)), comp)
 
-    def counit(N):
-        pN = pull.obj(N)
-        FpN = lan.obj(pN)
-        comp = {x: stack_columns(N.field, [
-            N.left_times(m_c, iota)
-            for (iota, _, _, (_, m_c)) in lan._data(pN)[x]],
-            N.dim[x]) for x in f.cod.objects}
-        return SheafMorphism(FpN, N, comp)
+    def counit(self, N):
+        """ε_N: f_!f*N -> N, the coadjunct of id_{f*N}."""
+        return self.coadjunct(identity_morphism(self.right.obj(N)), N)
 
-    return Adjunction(lan, pull, unit, counit)
+    def coadjunct(self, cell, B):
+        """ε_B∘f_!(cell): f_!A -> B for a cell A -> f*B, read off the legs
+        of the colimit.  Its component at x is the hstack, over the
+        components c of the fiber over x (rep (y_c, m_c), invariant basis
+        iota_c of A(y_c)), of B(m_c)·cell(y_c)·iota_c.  That is
+        ε_B∘f_!(cell) exactly, whose block at c is
+        B(m_c)·iota'_c·pi'_c·cell(y_c)·iota_c with (iota'_c, pi'_c) the
+        data of f*B: cell(y_c)·iota_c lies in the Aut(rep_c)-invariants of
+        B(f(y_c)) because the cell is natural, and on those invariants
+        iota'_c·pi'_c is the identity.  So no push of f*B and no
+        f_!(cell) is built, and an identity component of the cell (every
+        one, for the counit) costs no product."""
+        lan, A = self.left, cell.src
+        data = lan._data(A)
+
+        def block(iota, y_c, m_c):
+            a = cell.comp[y_c]
+            return B.left_times(m_c, iota if a.is_identity() else a * iota)
+        comp = {x: stack_columns(B.field, [
+            block(iota, y_c, m_c) for (iota, _, _, (y_c, m_c)) in data[x]],
+            B.dim[x]) for x in lan.f.cod.objects}
+        return SheafMorphism(lan.obj(A), B, comp)
+
+
+def adj_lan_pullback(f):
+    """(f_! ⊣ f*) from the colimit universal property."""
+    return LanAdjunction(f)
 
 
 def adj_pullback_ran(f):
@@ -1073,13 +1109,19 @@ def base_change_cell(square, M):
 
         g'* M --g'*(unit of f)--> g'* f* f_! M = (f g')* f_! M
               --kappa transport--> (g f')* f_! M = f'* g* f_! M.
+
+    The coadjunct is pasted as ε∘f'_!(cell), written out, and not read
+    off the cocone legs by `LanAdjunction.coadjunct` (they agree
+    exactly): on six-ops-fresh this is the only caller of
+    `LanFunctor.mor`, which perfbench/tracing.py expects to fire on
+    every workload.
     """
-    adj_f = adj_lan_pullback(square.f)
+    adj_f, adj_fp = adj_lan_pullback(square.f), adj_lan_pullback(square.fp)
     FM = adj_f.left.obj(M)
     cell = PullbackFunctor(square.gp).mor(adj_f.unit(M)).then(
         transport_cell(square.kappa, FM))
-    return adj_lan_pullback(square.fp).coadjunct(
-        cell, PullbackFunctor(square.g).obj(FM))
+    return adj_fp.left.mor(cell).then(
+        adj_fp.counit(PullbackFunctor(square.g).obj(FM)))
 
 
 class CommutingSquare:

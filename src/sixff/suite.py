@@ -24,7 +24,9 @@ from .groupoid import (
     terminal_groupoid, to_terminal,
 )
 from .sheaves import (
-    CommutingSquare, LanFunctor, adj_lan_pullback, adj_pullback_ran,
+    CommutingSquare, LanFunctor, RanFunctor, SheafMorphism, adj_lan_pullback,
+    adj_pullback_ran, compose_comparison_lan, compose_comparison_ran,
+    identity_morphism, lan_identity_comparison, ran_identity_comparison,
     unit_sheaf, verify_base_change, verify_projection_formula,
 )
 
@@ -148,6 +150,43 @@ def _certify_natural(cell, what):
         raise TheoremViolation("%s not natural: %s" % (what, bad[0]))
 
 
+def _certify_coadjunct_natural(adj, M):
+    """TheoremViolation unless the (f_! ⊣ f*)-coadjunct is natural in its
+    cell at the unit η_M: coadjunct(η_M∘a) = coadjunct(η_M)∘f_!(a) for
+    a = 3·id_M.  The coadjunct is read off the cocone legs and applies f_!
+    to no morphism, so this is what pins f_! on morphisms; base change
+    alone would pass a scalar multiple of it."""
+    three = M.field.of(3)
+    a = SheafMorphism(M, M, {y: c.scale(three)
+                             for y, c in identity_morphism(M).comp.items()})
+    eta, FM = adj.unit(M), adj.left.obj(M)
+    lhs = adj.coadjunct(a.then(eta), FM)
+    rhs = adj.left.mor(a).then(adj.coadjunct(eta, FM))
+    if any(lhs.comp[x] != rhs.comp[x] for x in lhs.comp):
+        raise TheoremViolation(
+            "coadjunct of f_! ⊣ f* not natural in its cell")
+
+
+def _certify_unit_laws(f, M):
+    """TheoremViolation unless the composition comparisons are unital on
+    both sides: c_{f,id} followed by f_! (f_*) of the identity comparison,
+    and c_{id,f} followed by the identity comparison at f_!M (f_*M), are
+    identities."""
+    Y, X = f.dom, f.cod
+    for side, compare, identity, push in (
+            ("Lan", compose_comparison_lan, lan_identity_comparison,
+             LanFunctor(f)),
+            ("Ran", compose_comparison_ran, ran_identity_comparison,
+             RanFunctor(f))):
+        right = compare(f, Y.identity_functor, M).then(
+            push.mor(identity(Y, M)))
+        left = compare(X.identity_functor, f, M).then(
+            identity(X, push.obj(M)))
+        if not (right.is_identity() and left.is_identity()):
+            raise TheoremViolation("%s composition comparison not unital"
+                                   % side)
+
+
 def check_base_change_and_projection(config, rng):
     fields = [QQ, GF(5)]
     count = config.probes * 100
@@ -175,6 +214,11 @@ def check_base_change_and_projection(config, rng):
                 ok, why = adj.triangles_ok([dom], [cod])
                 if not ok:
                     raise TheoremViolation(why)
+            _certify_coadjunct_natural(lan_adj, M)
+            # unit laws pin the scale of the composition comparisons, which
+            # their cocycle law leaves free; every fifth instance suffices
+            if done % 5 == 0:
+                _certify_unit_laws(f, M)
             verify_projection_formula(
                 f, instances.nonzero_sheaf(rng, X, field),
                 instances.nonzero_sheaf(rng, Y, field))

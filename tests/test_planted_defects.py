@@ -7,7 +7,7 @@ a (check, seed) be computed once for the whole catalogue."""
 
 import pytest
 
-from sixff import sheaves
+from sixff import sheaves, suite
 from sixff.linalg import Matrix
 from sixff.suite import CHECKS, SuiteConfig, run_suite
 
@@ -81,9 +81,34 @@ def _adjunct_doubled(self, A, cell):
 
 def _coadjunct_doubled(self, cell, B):
     """`Adjunction.coadjunct` returning 2·ε_B∘L(cell): it doubles every
-    base change, projection formula and composition comparison, which
-    stay natural and invertible."""
+    coadjunct but those of (f_! ⊣ f*), among them the counit of the
+    ambidextrous adjunction and the left triangle of (f* ⊣ f_*)."""
     return _doubled(self.left.mor(cell).then(self.counit(B)))
+
+
+_LAN_MOR = sheaves._KanExtension.mor
+_LAN_COADJUNCT = sheaves.LanAdjunction.coadjunct
+_COMPOSE_COMPARISON_LAN = sheaves.compose_comparison_lan
+
+
+def _lan_mor_doubled(self, phi):
+    """`LanFunctor.mor` returning 2·f_!(phi): it doubles base change, which
+    stays natural and invertible, and no coadjunct, read off the legs,
+    sees it."""
+    return _doubled(_LAN_MOR(self, phi))
+
+
+def _lan_coadjunct_doubled(self, cell, B):
+    """`LanAdjunction.coadjunct` returning twice the map read off the
+    legs: it doubles the counit of (f_! ⊣ f*), the projection formulas
+    and the Lan composition and identity comparisons."""
+    return _doubled(_LAN_COADJUNCT(self, cell, B))
+
+
+def _compose_comparison_lan_doubled(g, f, M):
+    """`compose_comparison_lan` returning 2·c_{g,f}: natural, invertible
+    and still a cocycle, since the cocycle law is homogeneous."""
+    return _doubled(_COMPOSE_COMPARISON_LAN(g, f, M))
 
 
 # (name, owner, attribute, replacement, the check that must fail)
@@ -101,9 +126,16 @@ CATALOGUE = [
      _coadjunct_doubled, "sheaf.base-change-projection"),
     ("adjunct-doubled", sheaves.Adjunction, "adjunct", _adjunct_doubled,
      "hecke.algebra"),
+    ("lan-mor-doubled", sheaves.LanFunctor, "mor", _lan_mor_doubled,
+     "sheaf.base-change-projection"),
+    ("lan-coadjunct-doubled", sheaves.LanAdjunction, "coadjunct",
+     _lan_coadjunct_doubled, "sheaf.base-change-projection"),
+    # patched where the check looks the name up
+    ("compose-comparison-lan-doubled", suite, "compose_comparison_lan",
+     _compose_comparison_lan_doubled, "sheaf.base-change-projection"),
 ]
 
-_SUITE_OF = {check_id: suite for check_id, _, suite, _ in CHECKS}
+_SUITE_OF = {check_id: name for check_id, _, name, _ in CHECKS}
 
 
 def _status(check_id, seed):

@@ -16,24 +16,26 @@ from sixff.groupoid import (
     transport_to_reps,
 )
 from sixff.instances import (
-    C2, C3, S3, delooping_map, gauged_sheaf, permutation, rep, sheaf, sign,
-    union,
+    C2, C3, S3, Union, delooping_map, gauged_sheaf, permutation, rep, sheaf,
+    sign, union,
 )
 from sixff.linalg import Matrix, stack_columns, stack_rows
 from sixff.sheaves import (
     CommutingSquare, LanFunctor, PullbackFunctor, RanFunctor, Sheaf,
-    SheafMorphism, adj_tensor_hom, compose_comparison_lan,
+    SheafMorphism, adj_tensor_hom, base_change_cell, compose_comparison_lan,
     compose_comparison_ran, double_dual_cell, find_isomorphism,
     global_sections, hom_dim, hom_space, identity_morphism,
     lan_identity_comparison, morphism_coordinates,
     norm_certificate, norm_map, ran_projection_cell,
-    sheaves_equal, swap_cell, tensor, unit_sheaf, upper_shriek,
+    sheaves_equal, swap_cell, tensor, transport_cell, unit_sheaf,
+    upper_shriek,
     verify_base_change, verify_projection_formula, zero_sheaf,
 )
 from sixff.sheaves import _FIBERS, _invariant_data
 
 BS3 = delooping(S3)
 BC2 = delooping(C2)
+BC3 = delooping(C3)
 INCL = delooping_hom({g: g for g in C2.elements}, BC2, BS3)
 PT = terminal_groupoid()
 P_S3 = to_terminal(BS3, PT)
@@ -247,6 +249,94 @@ def test_adjuncts_are_natural_in_both_variables(case, field):
                 _assert_same_components(
                     adj.coadjunct(a.then(d).then(Rb), B),
                     La.then(adj.coadjunct(d, B)).then(b))
+
+
+def _gauged_lan_case(k):
+    """(f_! ⊣ f*, A, B) for f: BC2 ⊔ BC3 -> BC2, the identity on BC2 and
+    trivial on BC3, so the two fiber components from BC3 have automorphism
+    group C3.  A and B are gauge-conjugated permutation sheaves."""
+    pieces = [(BC2, C2, lambda g: g), (BC3, C3, lambda g: g)]
+    Y = Union(disjoint_union([BC2, BC3]), pieces)
+    X = Union(disjoint_union([BC2]), pieces[:1])
+    o = (0, BC2.objects[0])
+    f = Functor(Y.grpd, X.grpd, dict.fromkeys(Y.grpd.objects, o),
+                {(i, g): (0, g if i == 0 else C2.identity)
+                 for (i, g) in Y.grpd.morphisms})
+    rng = random.Random(7)
+    perm = lambda g: Matrix.from_int_rows(k, permutation(g))    # noqa: E731
+    return (sheaves.adj_lan_pullback(f),
+            gauged_sheaf(rng, Y, [perm, perm], k),
+            gauged_sheaf(rng, X, [perm], k))
+
+
+# (f_! ⊣ f*, A on f.dom, B on f.cod), by field: the Lan cases of
+# _BIJECTION_CASES and one with gauged sheaves and a non-discrete fiber
+_LAN_CASES = {"lan-incl": _BIJECTION_CASES["lan-incl"],
+              "lan-point": _BIJECTION_CASES["lan-point"],
+              "gauged-bc2-bc3": _gauged_lan_case}
+
+
+def _pasted_counit(adj, N):
+    """ε_N: f_!f*N -> N assembled from f*N's Kan data: the hstack, over the
+    fiber components c over x, of N(m_c)·iota_c."""
+    lan, pN = adj.left, adj.right.obj(N)
+    return SheafMorphism(lan.obj(pN), N, {x: stack_columns(N.field, [
+        N.left_times(m_c, iota)
+        for (iota, _, _, (_, m_c)) in lan._data(pN)[x]], N.dim[x])
+        for x in lan.f.cod.objects})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("case", sorted(_LAN_CASES))
+def test_lan_coadjunct_read_off_the_legs_is_the_pasted_one(case, field):
+    """The (f_! ⊣ f*)-coadjunct of every basis cell A -> f*B equals
+    ε_B∘f_!(cell) with ε_B the pasted counit, component by component, and
+    some of them are nonzero."""
+    adj, A, B = _LAN_CASES[case](field)
+    if case.startswith("gauged"):
+        assert any(others for fiber in adj.left.fibers.values()
+                   for others, _ in fiber.moving.values())
+    cells = hom_space(A, adj.right.obj(B))
+    assert cells
+    eps, nonzero = _pasted_counit(adj, B), 0
+    for d in cells:
+        read = adj.coadjunct(d, B)
+        _assert_same_components(read, adj.left.mor(d).then(eps))
+        nonzero += any(not c.is_zero() for c in read.comp.values())
+    assert nonzero
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("case", sorted(_LAN_CASES))
+def test_lan_counit_is_the_coadjunct_of_the_identity(case, field):
+    """counit(N) is the pasted counit and the coadjunct of id_{f*N}, at
+    N = B and at N = f_!A."""
+    adj, A, B = _LAN_CASES[case](field)
+    for N in (B, adj.left.obj(A)):
+        eps = adj.counit(N)
+        _assert_same_components(eps, _pasted_counit(adj, N))
+        _assert_same_components(
+            eps, adj.coadjunct(identity_morphism(adj.right.obj(N)), N))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("case", sorted(_LAN_CASES))
+def test_base_change_cell_equals_the_coadjunct_read_off_the_legs(case,
+                                                                  field):
+    """base_change_cell, pasted as ε∘f'_!(cell), equals the
+    (f'_! ⊣ f'*)-coadjunct of the same cell read off the legs, on the
+    iso-comma square of f with itself."""
+    adj, A, _ = _LAN_CASES[case](field)
+    f = adj.left.f
+    square, _ = CommutingSquare.from_iso_comma(f, f)
+    FA = adj.left.obj(A)
+    cell = PullbackFunctor(square.gp).mor(adj.unit(A)).then(
+        transport_cell(square.kappa, FA))
+    read = sheaves.adj_lan_pullback(square.fp).coadjunct(
+        cell, PullbackFunctor(square.g).obj(FA))
+    pasted = base_change_cell(square, A)
+    _assert_same_components(pasted, read)
+    assert pasted.is_invertible()
 
 
 def test_double_dual_and_swap():
@@ -708,7 +798,10 @@ def test_fibers_equal_the_plain_breadth_first_search(kind):
             reps, locate, auts = _reference_fiber(f, x, F.kind)
             assert fiber.reps == reps
             assert fiber.locate == locate
-            assert fiber.auts == auts
+            identity = f.dom.identity
+            assert fiber.moving == {
+                rep: (tuple(u for u in a if u != identity[rep[0]]), len(a))
+                for rep, a in auts.items()}
             nontrivial += any(len(a) > 1 for a in auts.values())
     assert nontrivial > 0
 
