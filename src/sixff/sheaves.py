@@ -50,6 +50,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import ItemsView, KeysView, ValuesView
 from functools import lru_cache
+from itertools import accumulate
 
 from .fields import GateError, TheoremViolation, check_gate
 from .groupoid import StructureError, component_search, compose_functors, okey
@@ -394,19 +395,25 @@ class _Fiber:
     kind "lan": objects (y, m: f(y) -> x);  kind "ran": (y, m: x -> f(y)).
     Arrows u: (y, m) -> (y', m') are the morphisms u: y -> y' of f.dom with
     m'∘f(u) = m (lan) or f(u)∘m = m' (ran), read from `f.dom.out`.  `reps`
-    holds the okey-least object of each component, `moving[rep]` is (the
-    automorphisms of rep other than the identity, in morphism order, and
-    the order of Aut(rep)), what every push reads of the component, and
-    `locate[o]` is (i, p): the index i of o's component in `reps` and the
-    first morphism p: y_rep -> y of f.dom, in morphism order, that is an
-    arrow rep -> o of the fiber.
+    holds the okey-least object of each component, and `locate[o]` is
+    (i, p): the index i of o's component in `reps` and the first morphism
+    p: y_rep -> y of f.dom, in morphism order, that is an arrow rep -> o of
+    the fiber.  The lists below are what every push reads, by position, so
+    no product object is hashed again per sheaf:
+      - `parts[i]`, per component in `reps` order: (rep, y_rep, m_rep,
+        whether m_rep is an identity, the automorphisms of rep other than
+        the identity in morphism order, the order of Aut(rep));
+      - `unit`, for kind "lan" only (None for "ran"): (y, r, p⁻¹) for each
+        object (y, id_x), in the order of `objs`, where
+        locate[(y, id_x)] = (r, p); p⁻¹ is None when p is an identity.
+        They are the cocone legs the f_! unit reads.
     """
 
-    __slots__ = ("reps", "locate", "moving")
+    __slots__ = ("reps", "locate", "parts", "unit")
 
     def __init__(self, f, kind, objs):
         Y, X = f.dom, f.cod
-        dst, out, fmor = Y.dst, Y.out, f.mor
+        dst, out, fmor, idY = Y.dst, Y.out, f.mor, Y.identity
         if kind == "lan":
             inv = X.inverse
 
@@ -420,16 +427,28 @@ class _Fiber:
                 return [(u, (dst[u], X.compose(fmor[u], m))) for u in out[y]]
 
         self.reps, auts, self.locate = component_search(
-            sorted(objs, key=okey), arrows, lambda o: Y.identity[o[0]])
-        self.moving = {
-            rep: (tuple(u for u in a if u != Y.identity[rep[0]]), len(a))
-            for rep, a in auts.items()}
+            sorted(objs, key=okey), arrows, lambda o: idY[o[0]])
+        self.parts = []
+        for rep in self.reps:
+            (y, m), a = rep, auts[rep]
+            self.parts.append((rep, y, m, m == X.identity[X.src[m]],
+                               tuple(u for u in a if u != idY[y]), len(a)))
+        self.unit = None
+        if kind == "lan":
+            self.unit = []
+            for y, m in objs:
+                if m == X.identity[X.src[m]]:
+                    r, p = self.locate[(y, m)]
+                    self.unit.append((y, r, None if p == idY[y]
+                                      else Y.inverse[p]))
 
 
 def _fibers(f, kind):
     """The fibers of f of one kind by object x of f.cod.  Their objects
     come from one pass over `f.cod.out`: the arrows out of each f(y) (lan)
-    or into it (ran)."""
+    or into it (ran).  They are grouped by y's image `over[f(y)]`, so the
+    objects (y, id_x) of a Lan fiber come in the order of f.dom.objects,
+    which its `unit` keeps."""
     X = f.cod
     over = {}
     for y in f.dom.objects:
@@ -583,7 +602,10 @@ class _KanExtension(SheafFunctor):
           - the fibers, built by the first Kan functor of their kind on f,
             so a new `LanFunctor(f)` builds no groupoid data.  They read
             their arrows from the arrow index `out` of f.dom and f.cod,
-            built once per category;
+            built once per category.  Their positional lists `parts` and
+            (for f_!) `unit` are built with them, so the per-sheaf work
+            below (the component data, the f_! unit and the coadjunct)
+            reads list positions and hashes no product object;
           - the pushes: f_!M or f_*M by the content of M, (kind, field,
             dims over f.dom.objects, matrices at the generators of
             f.dom), with its component data; on a discrete f.dom the key
@@ -631,8 +653,7 @@ class _KanExtension(SheafFunctor):
                    tuple(map(M.mat.__getitem__, Y.presentation.generators)))
             FM = self._pushes.get(key)
             if FM is None:
-                data = {x: [self._component(M, fiber, rep)
-                            for rep in fiber.reps]
+                data = {x: [self._component(M, part) for part in fiber.parts]
                         for x, fiber in self.fibers.items()}
                 FM = self._pushes[key] = self._build(M, data)
                 self._push_data[FM] = data
@@ -642,12 +663,15 @@ class _KanExtension(SheafFunctor):
     def _data(self, M):
         return self._entry(M)[1]
 
-    def _component(self, M, fiber, rep):
-        fld, (others, order) = M.field, fiber.moving[rep]
+    def _component(self, M, part):
+        """(iota, pi, leg, rep) of the fiber component `part` (an entry of
+        `_Fiber.parts`)."""
+        rep, y, _, _, others, order = part
+        fld = M.field
         if self.averaging and fld.characteristic and \
                 order % fld.characteristic == 0:
             raise GateError("char divides a fiber automorphism count")
-        return _invariant_data(fld, M.dim[rep[0]],
+        return _invariant_data(fld, M.dim[y],
                                tuple(map(M.mat.__getitem__, others)),
                                self.averaging) + (rep,)
 
@@ -694,23 +718,6 @@ class LanFunctor(_KanExtension):
             r, p = fiber.locate[(y_c, X.compose(xi, m_c))]
             placed[(r, c)] = comps2[r][2] * M.left_times(inv[p], iota)
         return placed
-
-    def cocone_leg(self, M, x, o):
-        """Matrix M(y) -> f_!M(x) for an object o = (y, m) of the fiber.  It
-        has one nonzero block, leg_r · M(p⁻¹) in the row block of o's
-        component r, where p: rep_r -> o.  One zero block for the
-        components before r and one for those after are stacked around it
-        by `stack_rows`, not placed by `Matrix.block`: on kernel-coherence
-        this is the only caller of `Matrix.vstack`, which
-        perfbench/tracing.py expects to fire on every workload."""
-        r, p = self.fibers[x].locate[o]
-        d, comps = M.dim[o[0]], self._data(M)[x]
-        above = sum(c[0].ncols for c in comps[:r])
-        below = sum(c[0].ncols for c in comps[r + 1:])
-        leg = M.right_times(comps[r][2], self.f.dom.inverse[p])
-        return stack_rows(M.field, [
-            *([Matrix.zero(M.field, above, d)] if above else []), leg,
-            *([Matrix.zero(M.field, below, d)] if below else [])], d)
 
     def trace_cell(self, M):
         """tr: f*(f_!M) -> M, the sum over fiber morphisms; the counit of
@@ -910,17 +917,37 @@ class LanAdjunction(Adjunction):
     """(f_! ⊣ f*) from the colimit universal property: the unit is the
     cocone at (y, id), and a coadjunct is the map out of the colimit that
     its cocone legs fix (Mac Lane, Categories for the Working
-    Mathematician, X.3)."""
+    Mathematician, X.3).  Both read the fibers' positional lists
+    (`_Fiber.unit` and `_Fiber.parts`) beside the component data of the
+    sheaf, so neither looks a product object up."""
 
     def __init__(self, f):      # unit and counit are the methods below
         self.left, self.right = LanFunctor(f), PullbackFunctor(f)
 
     def unit(self, M):
-        lan, f = self.left, self.left.f
-        comp = {}
-        for y in f.dom.objects:
-            x = f.ob[y]
-            comp[y] = lan.cocone_leg(M, x, (y, f.cod.identity[x]))
+        """η_M: M -> f*f_!M.  Its component at y, with x = f(y), is the
+        cocone leg at (y, id_x): one nonzero block, leg_r · M(p⁻¹) (leg_r
+        alone when p is an identity) in the row block of the component r
+        of (y, id_x), where p: rep_r -> (y, id_x).  A zero block for the
+        components before r and one for those after are stacked around it
+        by `stack_rows`, not placed by `Matrix.block`: on kernel-coherence
+        this is the only caller of `Matrix.vstack`, which
+        perfbench/tracing.py expects to fire on every workload."""
+        lan, fld = self.left, M.field
+        data = lan._data(M)
+        comp = dict.fromkeys(lan.f.dom.objects)
+        for x, fiber in lan.fibers.items():
+            comps = data[x]
+            offsets = [0, *accumulate(c[0].ncols for c in comps)]
+            total = offsets[-1]
+            for y, r, p_inv in fiber.unit:
+                leg = comps[r][2]
+                if p_inv is not None:
+                    leg = leg * M.mat[p_inv]
+                d, above, below = leg.ncols, offsets[r], total - offsets[r + 1]
+                comp[y] = stack_rows(fld, [
+                    *([Matrix.zero(fld, above, d)] if above else []), leg,
+                    *([Matrix.zero(fld, below, d)] if below else [])], d)
         return SheafMorphism(M, self.right.obj(lan.obj(M)), comp)
 
     def counit(self, N):
@@ -938,16 +965,20 @@ class LanAdjunction(Adjunction):
         B(f(y_c)) because the cell is natural, and on those invariants
         iota'_c·pi'_c is the identity.  So no push of f*B and no
         f_!(cell) is built, and an identity component of the cell (every
-        one, for the counit) costs no product."""
+        one, for the counit) costs no product; nor does B(m_c) where
+        `_Fiber.parts` marks m_c an identity."""
         lan, A = self.left, cell.src
         data = lan._data(A)
 
-        def block(iota, y_c, m_c):
+        def block(iota, part):
+            _, y_c, m_c, m_is_identity, _, _ = part
             a = cell.comp[y_c]
-            return B.left_times(m_c, iota if a.is_identity() else a * iota)
+            if not a.is_identity():
+                iota = a * iota
+            return iota if m_is_identity else B.mat[m_c] * iota
         comp = {x: stack_columns(B.field, [
-            block(iota, y_c, m_c) for (iota, _, _, (y_c, m_c)) in data[x]],
-            B.dim[x]) for x in lan.f.cod.objects}
+            block(c[0], part) for c, part in zip(data[x], fiber.parts)],
+            B.dim[x]) for x, fiber in lan.fibers.items()}
         return SheafMorphism(lan.obj(A), B, comp)
 
 

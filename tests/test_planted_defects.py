@@ -8,7 +8,7 @@ a (check, seed) be computed once for the whole catalogue."""
 import pytest
 
 from sixff import sheaves, suite
-from sixff.linalg import Matrix
+from sixff.linalg import Matrix, stack_rows
 from sixff.suite import CHECKS, SuiteConfig, run_suite
 
 
@@ -32,6 +32,24 @@ def _ran_blocks_with_p_inverse_for_p(self, M, data, xi):
         r, p = fiber.locate[(y2, X.compose(m2, xi))]
         placed[(c2, r)] = M.right_times(leg, inv[p]) * comps[r][0]
     return placed
+
+
+def _unit_leg_uninverted(self, M):
+    """`LanAdjunction.unit` with the cocone leg at (y, id) transported by
+    M(p) where M(p⁻¹) belongs."""
+    lan, fld, inv = self.left, M.field, self.left.f.dom.inverse
+    data = lan._data(M)
+    comp = dict.fromkeys(lan.f.dom.objects)
+    for x, fiber in lan.fibers.items():
+        widths = [c[0].ncols for c in data[x]]
+        for y, r, p_inv in fiber.unit:
+            d, leg = M.dim[y], data[x][r][2]
+            if p_inv is not None:
+                leg = leg * M.mat[inv[p_inv]]
+            comp[y] = stack_rows(fld, [
+                Matrix.zero(fld, sum(widths[:r]), d), leg,
+                Matrix.zero(fld, sum(widths[r + 1:]), d)], d)
+    return sheaves.SheafMorphism(M, self.right.obj(lan.obj(M)), comp)
 
 
 _INVARIANT_DATA = sheaves._invariant_data.__wrapped__   # uncached
@@ -130,6 +148,8 @@ CATALOGUE = [
      "sheaf.base-change-projection"),
     ("lan-coadjunct-doubled", sheaves.LanAdjunction, "coadjunct",
      _lan_coadjunct_doubled, "sheaf.base-change-projection"),
+    ("unit-leg-uninverted", sheaves.LanAdjunction, "unit",
+     _unit_leg_uninverted, "sheaf.base-change-projection"),
     # patched where the check looks the name up
     ("compose-comparison-lan-doubled", suite, "compose_comparison_lan",
      _compose_comparison_lan_doubled, "sheaf.base-change-projection"),

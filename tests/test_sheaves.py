@@ -21,10 +21,10 @@ from sixff.instances import (
 )
 from sixff.linalg import Matrix, stack_columns, stack_rows
 from sixff.sheaves import (
-    CommutingSquare, LanFunctor, PullbackFunctor, RanFunctor, Sheaf,
-    SheafMorphism, adj_tensor_hom, base_change_cell, compose_comparison_lan,
-    compose_comparison_ran, double_dual_cell, find_isomorphism,
-    global_sections, hom_dim, hom_space, identity_morphism,
+    CommutingSquare, LanAdjunction, LanFunctor, PullbackFunctor, RanFunctor,
+    Sheaf, SheafMorphism, adj_tensor_hom, base_change_cell,
+    compose_comparison_lan, compose_comparison_ran, double_dual_cell,
+    find_isomorphism, global_sections, hom_dim, hom_space, identity_morphism,
     lan_identity_comparison, morphism_coordinates,
     norm_certificate, norm_map, ran_projection_cell,
     sheaves_equal, swap_cell, tensor, transport_cell, unit_sheaf,
@@ -294,8 +294,8 @@ def test_lan_coadjunct_read_off_the_legs_is_the_pasted_one(case, field):
     some of them are nonzero."""
     adj, A, B = _LAN_CASES[case](field)
     if case.startswith("gauged"):
-        assert any(others for fiber in adj.left.fibers.values()
-                   for others, _ in fiber.moving.values())
+        assert any(part[4] for fiber in adj.left.fibers.values()
+                   for part in fiber.parts)
     cells = hom_space(A, adj.right.obj(B))
     assert cells
     eps, nonzero = _pasted_counit(adj, B), 0
@@ -641,10 +641,10 @@ def _gauged_permutation_sheaf(grpd, field):
 
 
 def _stacked_reference(F, M):
-    """The structure matrices, cocone legs and section values of F.obj(M),
-    assembled as stacks: every leg or section gets a zero block for each
-    other component, is multiplied at full size, and the results are
-    stacked again."""
+    """The structure matrices, and the cocone legs or section values, of
+    F.obj(M), assembled as stacks: every leg or section gets a zero block
+    for each other component, is multiplied at full size, and the results
+    are stacked again."""
     f, fld = F.f, M.field
     X, inv = f.cod, f.dom.inverse
     data = F._data(M)
@@ -699,10 +699,17 @@ def test_kan_block_assembly_matches_stacked_reference(functor, along, make,
         assert a.shape == b.shape
         assert all(a.entry(i, j) == b.entry(i, j)
                    for i in range(a.nrows) for j in range(a.ncols))
-    value = F.cocone_leg if functor is LanFunctor else F.section_value
-    for x, fiber in F.fibers.items():
-        for o in fiber.locate:
-            assert value(M, x, o) == ref_value(x, o)
+    if functor is LanFunctor:
+        # the f_! unit at y is the cocone leg at (y, id_{f(y)})
+        unit, X = LanAdjunction(along).unit(M), along.cod
+        assert unit.comp.keys() == set(along.dom.objects)
+        for y, leg in unit.comp.items():
+            x = along.ob[y]
+            assert leg == ref_value(x, (y, X.identity[x]))
+    else:
+        for x, fiber in F.fibers.items():
+            for o in fiber.locate:
+                assert F.section_value(M, x, o) == ref_value(x, o)
     # one built sheaf per sheaf, reused by mor
     assert F.obj(M) is FM
     phi = identity_morphism(M)
@@ -788,7 +795,7 @@ def _product_projection():
 @pytest.mark.parametrize("kind", [LanFunctor, RanFunctor], ids=["lan", "ran"])
 def test_fibers_equal_the_plain_breadth_first_search(kind):
     rng = random.Random(13)
-    nontrivial = 0
+    nontrivial = inverted = 0
     for f in [delooping_map(rng) for _ in range(25)] + [
             _product_projection()]:
         assert f.validate() == []
@@ -798,12 +805,26 @@ def test_fibers_equal_the_plain_breadth_first_search(kind):
             reps, locate, auts = _reference_fiber(f, x, F.kind)
             assert fiber.reps == reps
             assert fiber.locate == locate
-            identity = f.dom.identity
-            assert fiber.moving == {
-                rep: (tuple(u for u in a if u != identity[rep[0]]), len(a))
-                for rep, a in auts.items()}
+            identity, X = f.dom.identity, f.cod
+            assert fiber.parts == [
+                (rep, rep[0], rep[1], rep[1] == X.identity[X.src[rep[1]]],
+                 tuple(u for u in a if u != identity[rep[0]]), len(a))
+                for rep, a in auts.items()]
             nontrivial += any(len(a) > 1 for a in auts.values())
+            if F.kind == "ran":
+                assert fiber.unit is None
+                continue
+            # (y, r, p⁻¹) at every (y, id_x), p⁻¹ None for an identity p
+            expected = []
+            for y in f.dom.objects:
+                if f.ob[y] == x:
+                    r, p = locate[(y, X.identity[x])]
+                    expected.append((y, r, None if p == identity[y]
+                                     else f.dom.inverse[p]))
+            assert fiber.unit == expected
+            inverted += any(p_inv is not None for _, _, p_inv in fiber.unit)
     assert nontrivial > 0
+    assert inverted > 0 or kind is RanFunctor
 
 
 def test_kan_functors_on_one_functor_share_fibers_and_pushes():
