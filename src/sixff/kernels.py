@@ -11,13 +11,15 @@ swap compatibility) and all suave/prim/etale/proper certificates are
 assembled from the explicit unit/counit witnesses of the six operations
 plus transports along invertible natural transformations.  Every map
 that passes to an adjoint is an adjunct, `Adjunction.adjunct`: the suave
-and prim criterion maps m, tau and m', the mate behind the etale
-comparison, the diagonal mate behind the proper comparison and the prim
-twist, the suave twist, and the base-change mates g*f_* -> f'_*g'* and
-f_!g'_* -> g_*f'_!.  The counits of f_! ⊣ f*, the projection
-formulas and the Lan composition and identity comparisons that these
-cells use are (f_! ⊣ f*)-coadjuncts read off the cocone legs
-(`LanAdjunction.coadjunct`); base change keeps its pasted ε∘f'_!(cell).
+and prim criterion maps m, tau and m' and the suave twist.  The four
+base-change mates are `Adjunction.mate`, the right mate of a square of
+adjunctions: the mate behind the etale comparison, the diagonal mate
+behind the proper comparison and the prim twist, and the cells
+g*f_* -> f'_*g'* and f_!g'_* -> g_*f'_!.  The counits of f_! ⊣ f*, the
+projection formulas and the Lan composition and identity comparisons
+that these cells use are (f_! ⊣ f*)-coadjuncts read off the cocone legs
+(`LanAdjunction.coadjunct`); base change keeps its pasted ε∘f'_!(cell),
+the base-class `Adjunction.coadjunct`.
 Every reassociation cell (unitors, associator, Psi composition, the suave and
 prim associators) is the projection formula along a square's fp followed
 by that square's base change, whiskered by the fixed factor: `_pf_bc`,
@@ -719,31 +721,32 @@ class EtaleProperCertificate:
     prim_twist_ok: bool
 
 
+def _inverse_base_change(sq, what):
+    """X ↦ the certified inverse g* f_! X -> f'_! g'* X of sq's base
+    change, a TheoremViolation(what) if it is singular."""
+    return lambda X: _invert_certified(base_change_cell(sq, X), what)
+
+
 def _etale_comparison(calc, V):
-    """The canonical map f^!V -> f*V: restrict along the diagonal the right
-    mate of the base-change comparison pi1_! pi2* -> f* f_!."""
-    fshV = calc.pull_f.obj(V)      # f^! V = f* V as data
-    # the mate pi2* f^!V -> pi1* f*V, the (pi1_! ⊣ pi1*)-adjunct of
-    # pi1_! pi2* f^!V --bc--> f* f_! f^!V --f* counit--> f*V
-    tau = calc.bc_p1p2(fshV).then(calc.pull_f.mor(calc.adj_f.counit(V)))
-    mate = calc.adj_p1.adjunct(calc.pull_p2.obj(fshV), tau)
-    cell = PullbackFunctor(calc.diag).mor(mate)
-    return SheafMorphism(fshV, calc.pull_f.obj(V), cell.comp)
+    """The canonical map f^!V -> f*V (f^! V = f* V as data): restrict
+    along the diagonal the right mate pi2* f* V -> pi1* f* V, along
+    (f_! ⊣ f*, pi1_! ⊣ pi1*), of the base change pi1_! pi2* -> f* f_!."""
+    mate = calc.adj_f.mate(calc.adj_p1, calc.pull_p2, calc.pull_f,
+                           calc.bc_p1p2, V)
+    fV = calc.pull_f.obj(V)
+    return SheafMorphism(fV, fV, PullbackFunctor(calc.diag).mor(mate).comp)
 
 
 def _diagonal_mate_route(calc, head, V):
     """f_!(head), for a cell `head` ending at pi2_* Delta_! V, followed by
-    f_! pi2_* Delta_! V -> f_* pi1_! Delta_! V -> f_* V: the right mate of
+    f_! pi2_* Delta_! V -> f_* pi1_! Delta_! V -> f_* V: the right mate,
+    along (pi2* ⊣ pi2_*, f* ⊣ f_*), of the inverse base change
     f* f_! -> pi1_! pi2* at W = Delta_! V, then pi1_! Delta_! = id."""
     lan_f, ran_f = LanFunctor(calc.f), RanFunctor(calc.f)
     W = LanFunctor(calc.diag).obj(V)
-    p2sW = RanFunctor(calc.pi2).obj(W)
-    # the mate f_! pi2_* W -> f_* pi1_! W, the (f* ⊣ f_*)-adjunct of
-    # f* f_! pi2_* W --bc^-1--> pi1_! pi2* pi2_* W --pi1_! counit--> pi1_! W
-    tau = _invert_certified(calc.bc_p1p2(p2sW), "diagonal mate bc")
-    inner = tau.then(LanFunctor(calc.pi1).mor(
-        adj_pullback_ran(calc.pi2).counit(W)))
-    mate = calc.adj_f_ran.adjunct(lan_f.obj(p2sW), inner)
+    mate = calc.adj_p2_ran.mate(
+        calc.adj_f_ran, lan_f, LanFunctor(calc.pi1),
+        _inverse_base_change(calc.sq_p1p2, "diagonal mate bc"), W)
     # f_* pi1_! Delta_! V -> f_* V
     c1 = compose_comparison_lan(calc.pi1, calc.diag, V)
     c2 = lan_identity_comparison(calc.X, V)
@@ -830,31 +833,23 @@ def etale_proper_test(f, field, probes=()):
 # ---------------------------------------------------------------------------
 
 def _pull_ran_cells(sq, probes):
-    """g* f_* V -> f'_* g'* V on each probe V: the (f'* ⊣ f'_*)-adjunct of
-    f'* g* f_* V --kappa^-1--> g'* f* f_* V --g'* counit--> g'* V."""
+    """g* f_* V -> f'_* g'* V on each probe V: the right mate, along
+    (f* ⊣ f_*, f'* ⊣ f'_*), of the kappa^-1 transport f'* g* -> g'* f*."""
+    kappa_inv = sq.kappa.inverse()
     adj_f, adj_fp = adj_pullback_ran(sq.f), adj_pullback_ran(sq.fp)
     pull_g, pull_gp = PullbackFunctor(sq.g), PullbackFunctor(sq.gp)
-    cells = []
-    for V in probes:
-        fV = adj_f.right.obj(V)
-        s2 = transport_cell(sq.kappa.inverse(), fV).then(
-            pull_gp.mor(adj_f.counit(V)))
-        cells.append(adj_fp.adjunct(pull_g.obj(fV), s2))
-    return cells
+    return [adj_f.mate(adj_fp, pull_g, pull_gp,
+                       lambda X: transport_cell(kappa_inv, X), V)
+            for V in probes]
 
 
 def _lan_ran_mate_cells(sq, probes):
-    """f_! g'_* V -> g_* f'_! V on each probe V: the (g* ⊣ g_*)-adjunct of
-    g* f_! g'_* V --bc^-1--> f'_! g'* g'_* V --f'_! counit--> f'_! V."""
-    adj_g, adj_gp = adj_pullback_ran(sq.g), adj_pullback_ran(sq.gp)
-    lan_f, lan_fp = LanFunctor(sq.f), LanFunctor(sq.fp)
-    cells = []
-    for V in probes:
-        gpV = adj_gp.right.obj(V)
-        chi = _invert_certified(base_change_cell(sq, gpV), "mate base change")
-        s2 = chi.then(lan_fp.mor(adj_gp.counit(V)))
-        cells.append(adj_g.adjunct(lan_f.obj(gpV), s2))
-    return cells
+    """f_! g'_* V -> g_* f'_! V on each probe V: the right mate, along
+    (g'* ⊣ g'_*, g* ⊣ g_*), of the inverse base change g* f_! -> f'_! g'*."""
+    adj_gp, adj_g = adj_pullback_ran(sq.gp), adj_pullback_ran(sq.g)
+    bc_inv = _inverse_base_change(sq, "mate base change")
+    return [adj_gp.mate(adj_g, LanFunctor(sq.f), LanFunctor(sq.fp), bc_inv, V)
+            for V in probes]
 
 
 def base_change_suave_prim(f, g, probes_Y=(), probes_Xp=(), probes_W=(),

@@ -24,7 +24,9 @@ hom bijection Hom(L A, B) ≅ Hom(A, R B) is one pair of operations:
 `Adjunction.adjunct` sends a cell L A -> B to R(cell)∘η_A, and
 `Adjunction.coadjunct` sends a cell A -> R B to ε_B∘L(cell).  The
 triangle identities, verified exactly, say that the two are mutually
-inverse.  Every canonical comparison is an adjunct or a coadjunct of a
+inverse.  `Adjunction.mate` is the one right mate of a square of
+adjunctions: a cell L'A -> BL goes to the adjunct of B(ε)∘φR.  Every
+canonical comparison is an adjunct or a coadjunct of a
 cell assembled from units, counits, strict equalities of composites and
 transports along invertible natural transformations - never searched:
 base change, the projection formulas, the hom form, the norm, the
@@ -34,7 +36,7 @@ legs (`LanAdjunction.coadjunct`), with no push of its target and no f_!
 of its cell; the counit of f_! ⊣ f*, the projection formulas, the Lan
 composition and identity comparisons and the counits of composite
 adjunctions are all such coadjuncts.  Base change keeps the pasted
-ε∘f'_!(cell), written out.
+ε∘f'_!(cell): it calls the base-class `Adjunction.coadjunct` by name.
 
 Global sections are Γ = p_* along p: X -> *, and Hom(M, N) = Γ(iHom(M, N)):
 `hom_space` reads each section at every object x through the fiber object
@@ -884,8 +886,9 @@ class Adjunction:
     `coadjunct` the other; the triangle identities, checked exactly by
     `triangles_ok`, say that the two are mutually inverse.  Every
     canonical comparison here and in `kernels` is an adjunct or a
-    coadjunct, built by these two.  `LanAdjunction` reads its coadjunct
-    off the cocone legs instead of taking ε_B∘L(cell)."""
+    coadjunct, built by these two; every right mate is `mate`.
+    `LanAdjunction` reads its coadjunct off the cocone legs instead of
+    taking ε_B∘L(cell)."""
 
     def __init__(self, left, right, unit, counit):
         self.left, self.right = left, right
@@ -898,6 +901,15 @@ class Adjunction:
     def coadjunct(self, cell, B):
         """ε_B∘L(cell): L A -> B for a cell A -> R B."""
         return self.left.mor(cell).then(self.counit(B))
+
+    def mate(self, other, A, B, phi, Y):
+        """The right mate A R Y -> R' B Y, at Y, of a cell φ: L' A -> B L
+        given by its components phi(X), for `other` = L' ⊣ R' and sheaf
+        functors A and B: the `other`-adjunct of B(ε_Y)∘φ(R Y) (Kelly and
+        Street, Review of the elements of 2-categories, LNM 420)."""
+        RY = self.right.obj(Y)
+        return other.adjunct(A.obj(RY),
+                             phi(RY).then(B.mor(self.counit(Y))))
 
     def triangles_ok(self, dom_probes, cod_probes):
         """The coadjunct of η_A is id_{L A} for each A in `dom_probes`, and
@@ -1141,18 +1153,18 @@ def base_change_cell(square, M):
         g'* M --g'*(unit of f)--> g'* f* f_! M = (f g')* f_! M
               --kappa transport--> (g f')* f_! M = f'* g* f_! M.
 
-    The coadjunct is pasted as ε∘f'_!(cell), written out, and not read
-    off the cocone legs by `LanAdjunction.coadjunct` (they agree
-    exactly): on six-ops-fresh this is the only caller of
-    `LanFunctor.mor`, which perfbench/tracing.py expects to fire on
-    every workload.
+    The coadjunct is the pasted ε∘f'_!(cell) of the base class
+    `Adjunction.coadjunct`, called by name, and not read off the cocone
+    legs by `LanAdjunction.coadjunct` (they agree exactly): on
+    six-ops-fresh this is the only caller of `LanFunctor.mor`, which
+    perfbench/tracing.py expects to fire on every workload.
     """
     adj_f, adj_fp = adj_lan_pullback(square.f), adj_lan_pullback(square.fp)
     FM = adj_f.left.obj(M)
     cell = PullbackFunctor(square.gp).mor(adj_f.unit(M)).then(
         transport_cell(square.kappa, FM))
-    return adj_fp.left.mor(cell).then(
-        adj_fp.counit(PullbackFunctor(square.g).obj(FM)))
+    return Adjunction.coadjunct(adj_fp, cell,
+                                PullbackFunctor(square.g).obj(FM))
 
 
 class CommutingSquare:

@@ -278,7 +278,8 @@ def check_suave_prim(config, rng):
     pt = _pt()
     BS3, BC2 = delooping(instances.S3), delooping(instances.C2)
     X = instances.union(rng).grpd
-    battery = [identity_functor(BC2), to_terminal(BC2, pt),
+    ident = identity_functor(BC2)
+    battery = [ident, to_terminal(BC2, pt),
                delooping_hom({g: g for g in instances.C2.elements}, BC2, BS3),
                to_terminal(X, pt)]
     for f in battery:
@@ -297,6 +298,12 @@ def check_suave_prim(config, rng):
         cert = etale_proper_test(f, field, [unit_sheaf(f.cod, field)])
         if not (cert.etale_ok and cert.proper_ok):
             return "fail", "etale/proper certificate fails for %r" % (f,)
+        # along the identity both canonical comparisons are the identity:
+        # invertibility alone passes a rescaled mate
+        if f is ident and not all(c.is_identity() for c in
+                                  cert.etale_cells + cert.proper_cells):
+            return "fail", "etale/proper comparison of the identity is " \
+                "not the identity"
         if not (cert.suave_twist_ok and cert.prim_twist_ok):
             return "fail", "twist identity fails for %r" % (f,)
     return "pass", "%d maps, all suave+prim with certified twists" \

@@ -7,11 +7,8 @@ builder gives its hom categories by `presented_category` and its
 horizontal composition as two rules, which `StrictTwoCat` tables over every
 composable pair.  The builders: a scalar model (one 1-cell per hom, 2-cells
 a prime field, horizontal composition = multiplication) whose hom-sets are
-tiny enough for exhaustive mate checks; a Kronecker model (1-cells are
-dimensions, 2-cells all matrices over a prime field, horizontal composition
-the Kronecker product) which is strict because row-major flattening of
-Kronecker products is associative on the nose; and the full sub-2-category
-of Cat on given finite categories.
+tiny enough for exhaustive mate checks, and the full sub-2-category of Cat
+on given finite categories.
 """
 
 from __future__ import annotations
@@ -20,9 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fields import GF
 from .groupoid import StructureError, Violation, okey, presented_category
-from .linalg import Matrix
 
 
 class StrictTwoCat:
@@ -453,42 +448,6 @@ def scalar_two_cat(objects, p):
         {X: ("c", X, X) for X in objects},
         lambda g, f: ("c", f[1], g[2]),
         lambda t2, t1: ("s", t1[1], t2[2], t2[3] * t1[3] % p))
-
-
-def kron_two_cat(objects, dims, p):
-    """1-cells are dimensions from `dims` (which must be closed under
-    products along composable homs, 1 included); 2-cells all matrices over
-    F_p; horizontal composition is the Kronecker product, which is strictly
-    associative in row-major flattening."""
-    field = GF(p)
-    dims = sorted(set(dims) | {1})
-    for a in dims:
-        for b in dims:
-            if a * b not in dims:
-                raise StructureError("dims not closed under products")
-
-    def all_matrices(n, m):
-        entries = [field.of(v) for v in range(p)]
-        out = []
-        for combo in itertools.product(entries, repeat=n * m):
-            rows = [list(combo[i * n:(i + 1) * n]) for i in range(m)]
-            out.append(Matrix(field, rows, ncols=n))
-        return out
-
-    def hom(X, Y):
-        return presented_category(
-            [("d", X, Y, n) for n in dims],
-            lambda a, b: [("m", X, Y, a[3], b[3], mat)
-                          for mat in all_matrices(a[3], b[3])],
-            lambda a: ("m", X, Y, a[3], a[3], Matrix.identity(field, a[3])),
-            lambda t2, t1: ("m", X, Y, t1[3], t2[4], t2[5] * t1[5]))
-
-    return StrictTwoCat(
-        objects, {(X, Y): hom(X, Y) for X in objects for Y in objects},
-        {X: ("d", X, X, 1) for X in objects},
-        lambda g, f: ("d", f[1], g[2], g[3] * f[3]),
-        lambda t2, t1: ("m", t1[1], t2[2], t2[3] * t1[3], t2[4] * t1[4],
-                        t2[5].kron(t1[5])))
 
 
 def cat_two_cat(named_cats):

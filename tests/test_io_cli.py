@@ -16,6 +16,7 @@ from sixff.io import (
     InputError, load_document, load_group, load_groupoid, load_inputs,
     load_matrix, load_setup, load_sheaf,
 )
+from sixff.linalg import Matrix
 from sixff.suite import SuiteConfig, emit_report, run_suite
 
 
@@ -287,6 +288,46 @@ def test_cli_bad_input_is_one_line_and_exit_2(argv, text, detail, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("sixff: %s: " % path) and detail in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _chain_inputs(tmp_path, matrices):
+    """The category a -> b -> c (no inverses) and a sheaf of lines on it
+    with the given matrices, written as two input files."""
+    ends = {"ia": ("a", "a"), "ib": ("b", "b"), "ic": ("c", "c"),
+            "ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")}
+    compose = [["ia", "ia", "ia"], ["ib", "ib", "ib"], ["ic", "ic", "ic"],
+               ["ab", "ia", "ab"], ["ib", "ab", "ab"], ["bc", "ib", "bc"],
+               ["ic", "bc", "bc"], ["ac", "ia", "ac"], ["ic", "ac", "ac"],
+               ["bc", "ab", "ac"]]
+    chain = {"kind": "category", "name": "chain", "objects": ["a", "b", "c"],
+             "morphisms": [{"id": m, "src": s, "dst": d}
+                           for m, (s, d) in ends.items()],
+             "identity": {"a": "ia", "b": "ib", "c": "ic"},
+             "compose": compose}
+    sheaf = {"kind": "sheaf", "name": "lines", "base": "chain",
+             "dims": {"a": 1, "b": 1, "c": 1}, "matrices": matrices}
+    return [_write(tmp_path, "chain.json", json.dumps(chain)),
+            _write(tmp_path, "lines.json", json.dumps(sheaf))]
+
+
+def test_load_inputs_closes_a_sheaf_on_a_category(tmp_path):
+    """A sheaf on a category with no inverse table: closure composes the
+    given matrices, ac = bc·ab, and validation checks every composite."""
+    store = load_inputs(_chain_inputs(tmp_path, {"ab": [[2]], "bc": [[3]]}))
+    chain, lines = store["chain"], store["lines"]
+    assert not chain.is_groupoid and lines.base is chain
+    assert lines.mat["ac"] == Matrix.from_int_rows(QQ, [[6]])
+    assert lines.validate() == []
+
+
+def test_cli_run_refuses_a_sheaf_on_a_category_that_does_not_compose(
+        tmp_path, capsys):
+    paths = _chain_inputs(tmp_path, {"ab": [[2]], "bc": [[3]], "ac": [[5]]})
+    assert main(["run", "--suite", "adj", "--input", paths[0],
+                 "--input", paths[1]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sixff: %s: " % paths[1])
+    assert "not multiplicative" in err and err.count("\n") == 1
 
 
 def test_cli_missing_input_file_exits_2(tmp_path, capsys):

@@ -99,14 +99,23 @@ def _adjunct_doubled(self, A, cell):
 
 def _coadjunct_doubled(self, cell, B):
     """`Adjunction.coadjunct` returning 2·ε_B∘L(cell): it doubles every
-    coadjunct but those of (f_! ⊣ f*), among them the counit of the
-    ambidextrous adjunction and the left triangle of (f* ⊣ f_*)."""
+    coadjunct but those that (f_! ⊣ f*) reads off its legs, among them
+    the counit of the ambidextrous adjunction, the left triangle of
+    (f* ⊣ f_*) and base change, which calls it by name."""
     return _doubled(self.left.mor(cell).then(self.counit(B)))
 
 
+_MATE = sheaves.Adjunction.mate
 _LAN_MOR = sheaves._KanExtension.mor
 _LAN_COADJUNCT = sheaves.LanAdjunction.coadjunct
 _COMPOSE_COMPARISON_LAN = sheaves.compose_comparison_lan
+
+
+def _mate_doubled(self, other, A, B, phi, Y):
+    """`Adjunction.mate` returning twice the right mate: the etale and
+    proper comparisons stay invertible, so only their being the identity
+    along an identity map sees it."""
+    return _doubled(_MATE(self, other, A, B, phi, Y))
 
 
 def _lan_mor_doubled(self, phi):
@@ -144,6 +153,8 @@ CATALOGUE = [
      _coadjunct_doubled, "sheaf.base-change-projection"),
     ("adjunct-doubled", sheaves.Adjunction, "adjunct", _adjunct_doubled,
      "hecke.algebra"),
+    ("mate-doubled", sheaves.Adjunction, "mate", _mate_doubled,
+     "kernel.suave-prim"),
     ("lan-mor-doubled", sheaves.LanFunctor, "mor", _lan_mor_doubled,
      "sheaf.base-change-projection"),
     ("lan-coadjunct-doubled", sheaves.LanAdjunction, "coadjunct",

@@ -3,6 +3,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,41 @@ def test_base_change_cell_equals_the_coadjunct_read_off_the_legs(case,
     pasted = base_change_cell(square, A)
     _assert_same_components(pasted, read)
     assert pasted.is_invertible()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_mate_of_base_change_is_the_kappa_transport(field):
+    """The mate bijection on real squares: base change f'_! g'* -> g* f_!
+    is the (f'_! ⊣ f'*)-coadjunct of the kappa transport after g'* of the
+    unit of f, so its right mate along (f_! ⊣ f*, f'_! ⊣ f'*, g'*, g*) is
+    the kappa transport (f g')* Y -> (g f')* Y, component by component.
+    Four iso-comma squares into BS3 and their mirrors, on the unit, the
+    sign and a gauged permutation sheaf."""
+    incl3 = delooping_hom({g: g for g in C3.elements}, BC3, BS3)
+    pt = Functor(PT, BS3, {PT.objects[0]: BS3.objects[0]},
+                 {PT.morphisms[0]: BS3.identity[BS3.objects[0]]})
+    gauge = Matrix.from_int_rows(field, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    probes = [unit_sheaf(BS3, field), sheaves.sheaf_from_rep(BS3, field, {
+        g: Matrix.from_int_rows(field, [[sign(g)]]) for g in S3.elements}),
+        sheaves.sheaf_from_rep(BS3, field, {
+            g: gauge * Matrix.from_int_rows(field, permutation(g))
+            * gauge.inverse() for g in S3.elements})]
+    moved = 0
+    for f, g in [(pt, INCL), (INCL, INCL), (incl3, INCL), (pt, incl3)]:
+        square, _ = CommutingSquare.from_iso_comma(f, g)
+        for sq in (square, square.mirrored()):
+            adj_f = sheaves.adj_lan_pullback(sq.f)
+            adj_fp = sheaves.adj_lan_pullback(sq.fp)
+            pull_gp, pull_g = PullbackFunctor(sq.gp), PullbackFunctor(sq.g)
+            for Y in probes:
+                mate = adj_f.mate(adj_fp, pull_gp, pull_g,
+                                  partial(base_change_cell, sq), Y)
+                kappa = transport_cell(sq.kappa, Y)
+                assert sheaves_equal(mate.src, kappa.src)
+                assert sheaves_equal(mate.dst, kappa.dst)
+                _assert_same_components(mate, kappa)
+                moved += not kappa.is_identity()
+    assert moved
 
 
 def test_double_dual_and_swap():

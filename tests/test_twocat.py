@@ -5,9 +5,8 @@ import pytest
 from sixff.groupoid import FiniteCategory, StructureError
 from sixff.twocat import (
     AdjunctionQuadruple, BoundedSearchRefusal, PointwiseAuditReport,
-    StrictTwoCat, adjoint_uniqueness, cat_two_cat, kron_two_cat, mate_lambda,
-    mate_rho, pointwise_audit, scalar_two_cat, upgrade_weak,
-    verify_adjunction,
+    StrictTwoCat, adjoint_uniqueness, cat_two_cat, mate_lambda, mate_rho,
+    pointwise_audit, scalar_two_cat, upgrade_weak, verify_adjunction,
 )
 
 
@@ -140,20 +139,6 @@ def test_adjoint_uniqueness_rejects_different_left_adjoints():
         adjoint_uniqueness(q, qop, C)
 
 
-def test_kron_two_cat_strict_and_adjunctions():
-    C = kron_two_cat(["0", "1"], [0, 1], 3)
-    assert C.validate() == []
-    # the dimension-1 cells form an adjunction with scalar unit/counit
-    f = ("d", "0", "1", 1)
-    g = ("d", "1", "0", 1)
-    adjs = _all_adjunctions(C, f, g)
-    assert adjs
-    # the zero 1-cell is self-adjoint (empty unit/counit, trivial triangles)
-    z = ("d", "0", "1", 0)
-    zadj = _all_adjunctions(C, z, ("d", "1", "0", 0))
-    assert len(zadj) == 1
-
-
 def test_pointwise_audit_equivalence():
     C = scalar_two_cat(["0", "1"], 3)
     f = ("c", "0", "1")
@@ -211,9 +196,9 @@ def test_pointwise_audit_failure_case():
 
 
 def test_pointwise_audit_budget_refusal():
-    C = kron_two_cat(["0", "1"], [0, 1], 3)
+    C = scalar_two_cat(["0", "1"], 3)
     with pytest.raises(BoundedSearchRefusal):
-        pointwise_audit(("d", "0", "1", 1), C, budget=1)
+        pointwise_audit(("c", "0", "1"), C, budget=1)
 
 
 @pytest.mark.parametrize("build", [
@@ -221,9 +206,8 @@ def test_pointwise_audit_budget_refusal():
     lambda: scalar_two_cat(["0", "1"], 3),
     lambda: scalar_two_cat(["0", "1"], 5),
     lambda: scalar_two_cat(["0"], 5),
-    lambda: kron_two_cat(["0", "1"], [0, 1], 3),
     _cat_two_cat,
-], ids=["scalar3x3", "scalar2x3", "scalar2x5", "scalar1x5", "kron", "cat"])
+], ids=["scalar3x3", "scalar2x3", "scalar2x5", "scalar1x5", "cat"])
 def test_horizontal_tables_have_one_entry_per_composable_pair(build):
     C = build()
     ones = [f for cat in C.hom.values() for f in cat.objects]
@@ -236,14 +220,6 @@ def test_horizontal_tables_have_one_entry_per_composable_pair(build):
     assert pairs1 and pairs2
     assert set(C.hcomp1) == pairs1 and len(C.hcomp1) == len(pairs1)
     assert set(C.hcomp2) == pairs2 and len(C.hcomp2) == len(pairs2)
-
-
-def test_kron_h2_is_the_kronecker_product():
-    C = kron_two_cat(["0", "1"], [0, 1], 3)
-    for (b, a), t in C.hcomp2.items():
-        assert t == ("m", a[1], b[2], b[3] * a[3], b[4] * a[4],
-                     b[5].kron(a[5]))
-        assert C.h2(b, a) == t
 
 
 def test_scalar_h2_is_the_product_mod_p():
